@@ -57,6 +57,7 @@ from .theta import (
     char_shift_phase,
     theta,
     theta_constant,
+    theta_shift_table,
 )
 from .transforms import (
     MatrixKind,

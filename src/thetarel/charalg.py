@@ -38,6 +38,8 @@ class MixedClassError(ValueError):
 def _coerce_vector(values) -> tuple[Fraction, ...]:
     if isinstance(values, (int, str, Fraction)):
         values = (values,)
+    if type(values) is tuple and all(type(v) is Fraction for v in values):
+        return values
     return tuple(Fraction(v) for v in values)
 
 

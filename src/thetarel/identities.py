@@ -224,7 +224,12 @@ def collapse_args_equal_check(
     tau: PeriodMatrix, x: complex, settings: EvalSettings = DEFAULT_SETTINGS
 ) -> VerificationReport:
     """Cross-path consistency: the n=3 relation right side evaluated at
-    z = (x, x, x) must match the directly computed cube sum."""
+    z = (x, x, x) must match the directly computed cube sum.
+
+    The two sides come from independent evaluation paths: rhs_value
+    reads every shift from one batched theta_shift_table sum per
+    argument, the cube sum makes one theta() call per shift of the
+    build_relation term list."""
     spec = RelationSpec.create(3, 1)
     z = (x, x, x)
     engine_rhs = rhs_value(spec, z, tau, settings)

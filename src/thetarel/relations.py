@@ -36,6 +36,22 @@ arguments.
 
 All coefficient arithmetic is exact rational; only the theta
 evaluations are floating point.
+
+Numerically the right side is not evaluated term by term.  Writing
+a = (c/lambda; b/lambda), every theta_{nu_j + a}(w_j) is a sub-sum of
+one lattice sum over v = nu_j' + k/lambda, k in Z^g, in the box
+|v|_inf <= R that theta() would use for any of them (the radius depends
+on w_j and tau only): the top shift c selects the coset k = c
+(mod lambda), the bottom shift b multiplies each term by the
+unit-modulus phase e[nu_j'.b/lambda] e[k.b/lambda^2].  theta_shift_table
+therefore computes the terms once per j and returns all lambda^(2g)
+values, and rhs_value multiplies the n tables by a coefficient table
+whose kappa a'.a'' part is exact integer numerators mod lambda^2.  Each
+table entry sums exactly the points that theta(nu_j + a, w_j) sums, so
+the omitted tail of an entry is that coset's exterior times unit-modulus
+phases, and the w_j tail envelope of theta() bounds it as before.
+build_relation, with its exact Fraction term list, serves emit and the
+reports.
 """
 
 from __future__ import annotations
@@ -55,6 +71,7 @@ from .theta import (
     PeriodMatrix,
     TruncationError,
     theta,
+    theta_shift_table,
 )
 from .transforms import apply_to_args, apply_to_chars, jacobi_a_matrix, smith_matrix
 
@@ -203,22 +220,43 @@ def lhs_value(
     return value
 
 
+def _coefficient_table(spec: RelationSpec) -> np.ndarray:
+    """The coefficients e[x(a)] of build_relation, flat in enumerate_shifts order.
+
+    With a = (c/lambda; b/lambda), x(a) = -(kappa c.b/lambda^2 +
+    sum_j mu'_j . b/lambda).  The first part is kept as exact integer
+    numerators mod lambda^2, the second is reduced mod 1 as a Fraction;
+    only their sum is taken to floating point.
+    """
+    lam, g = spec.lam, spec.genus
+    digits = np.indices((lam,) * g).reshape(g, -1).T    # c or b, lexicographic
+    kappa = coefficient_kappa(spec.n, spec.mode)
+    cross = (kappa * (digits @ digits.T)) % (lam * lam)
+    sum_top = [sum(m.top[a] for m in spec.mu) for a in range(g)]
+    drift = [
+        float(sum(s * int(d) for s, d in zip(sum_top, b)) / lam % 1) for b in digits
+    ]
+    return np.exp(-2j * math.pi * (cross / (lam * lam) + np.array(drift))).reshape(-1)
+
+
 def rhs_value(
     spec: RelationSpec,
     z,
     tau: PeriodMatrix,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> complex:
-    """Coefficient-weighted sum of shifted products at w = z S_n."""
+    """Coefficient-weighted sum of shifted products at w = z S_n.
+
+    One theta_shift_table per j gives theta_{nu_j + a}(w_j) for every
+    shift a at once; no term list is built.
+    """
     zs = _as_arg_tuple(spec.n, spec.genus, z)
-    ws = apply_to_args(smith_matrix(spec.n), zs)
-    total = 0j
-    for term in build_relation(spec):
-        prod = term.coefficient
-        for chi, wj in zip(term.nu_shifted, ws):
-            prod *= theta(chi, wj, tau, settings).value
-        total += prod
-    return total
+    smith = smith_matrix(spec.n)
+    ws = apply_to_args(smith, zs)
+    products = _coefficient_table(spec)
+    for chi, wj in zip(apply_to_chars(smith, spec.mu), ws):
+        products = products * theta_shift_table(chi, wj, tau, spec.lam, settings)
+    return complex(products.sum())
 
 
 @dataclass(frozen=True)

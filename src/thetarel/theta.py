@@ -25,6 +25,10 @@ Summation is vectorised and then accumulated with exactly-rounded
 compensated summation (math.fsum on real and imaginary parts), in a
 fixed lexicographic box order, so results are reproducible bit-for-bit
 for identical inputs and settings.
+
+theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
+a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
+nu' + (1/lambda) Z^g, with the same radius and tail envelope.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "TruncationError",
     "theta",
     "theta_constant",
+    "theta_shift_table",
     "char_shift_phase",
     "DEFAULT_SETTINGS",
 ]
@@ -179,6 +184,32 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     return math.inf
 
 
+def _box(top: Sequence[Fraction], radius: int, lam: int = 1) -> np.ndarray:
+    """Integer points k with |top_a + k_a/lam| <= radius on every axis.
+
+    Lexicographic order, shape (points, g).  With lam = 1 these are the
+    xi of the theta series; with lam > 1 they index the finer lattice
+    top + (1/lam) Z^g of a shift table.  The bounds are exact integer
+    floor divisions on the numerator p and denominator q of top_a.
+    """
+    ranges = [
+        np.arange(
+            -(lam * (radius * m.denominator + m.numerator) // m.denominator),
+            lam * (radius * m.denominator - m.numerator) // m.denominator + 1,
+        )
+        for m in top
+    ]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    return np.stack([axis.reshape(-1) for axis in mesh], axis=-1)
+
+
+def _terms(v: np.ndarray, shift: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Series terms e[(1/2) v tau . v + v . shift] at the rows of v, with their phases."""
+    quad = ((v @ tau) * v).sum(axis=1)
+    phase = TWO_PI * (0.5 * quad + v @ shift)
+    return np.exp(1j * phase), phase
+
+
 def _box_sum(
     mu_top: Sequence[Fraction],
     mu_bottom: Sequence[Fraction],
@@ -192,33 +223,22 @@ def _box_sum(
     error of the computed terms: the accumulation itself is exactly
     rounded, so per-term error |term| * (|phase| + 2) * O(eps) dominates.
     """
-    ranges = [
-        np.arange(math.ceil(-radius - m), math.floor(radius - m) + 1)
-        for m in mu_top
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    xi = np.stack([axis.reshape(-1) for axis in mesh], axis=-1).astype(float)
-    v = xi + np.array([float(m) for m in mu_top])
-    quad = ((v @ tau) * v).sum(axis=1)
-    phase = TWO_PI * (0.5 * quad + v @ (z + np.array([float(m) for m in mu_bottom])))
-    terms = np.exp(1j * phase)
+    v = _box(mu_top, radius).astype(float) + np.array([float(m) for m in mu_top])
+    terms, phase = _terms(v, z + np.array([float(m) for m in mu_bottom]), tau)
     value = complex(math.fsum(terms.real), math.fsum(terms.imag))
     eps = np.finfo(float).eps
     noise = 5.0 * eps * math.fsum(np.abs(terms) * (np.abs(phase) + 2.0))
     return value, noise
 
 
-def theta(
-    mu: Characteristic,
-    z,
-    tau: PeriodMatrix,
-    settings: EvalSettings = DEFAULT_SETTINGS,
-) -> ThetaValue:
-    """Evaluate theta_mu(z, tau) to the requested absolute error.
+def _truncation(
+    mu: Characteristic, z, tau: PeriodMatrix, settings: EvalSettings
+) -> tuple[np.ndarray, int, float]:
+    """Validated argument vector, truncation radius and tail envelope.
 
-    z may be a complex scalar (genus 1) or a length-g complex vector.
-    Raises TruncationError when no radius up to settings.max_radius
-    brings the tail envelope below settings.target_abs_error.
+    The radius is the first of 4, 6, 8, ... (capped at
+    settings.max_radius) whose envelope meets settings.target_abs_error;
+    it depends on Im z and tau.lam_min only, never on the characteristic.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     g = tau.genus
@@ -234,8 +254,77 @@ def theta(
             raise TruncationError(settings.target_abs_error, bound, radius)
         radius = min(radius + 2, settings.max_radius)
         bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
+    return z, radius, bound
+
+
+def theta(
+    mu: Characteristic,
+    z,
+    tau: PeriodMatrix,
+    settings: EvalSettings = DEFAULT_SETTINGS,
+) -> ThetaValue:
+    """Evaluate theta_mu(z, tau) to the requested absolute error.
+
+    z may be a complex scalar (genus 1) or a length-g complex vector.
+    Raises TruncationError when no radius up to settings.max_radius
+    brings the tail envelope below settings.target_abs_error.
+    """
+    z, radius, bound = _truncation(mu, z, tau, settings)
     value, noise = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)
     return ThetaValue(value, radius, max(bound, noise))
+
+
+def theta_shift_table(
+    nu: Characteristic,
+    w,
+    tau: PeriodMatrix,
+    lam: int,
+    settings: EvalSettings = DEFAULT_SETTINGS,
+) -> np.ndarray:
+    """theta_{nu+a}(w, tau) for all lam^(2g) shifts a = (c/lam; b/lam).
+
+    c and b run over {0, ..., lam-1}^g; the values come back flat in
+    enumerate_shifts order (c major, b minor).  Every theta_{nu+a} sums
+    over v = nu' + k/lam with k = c (mod lam), so all of them are
+    sub-sums of one sum over the box |v|_inf <= R:
+
+        theta_{nu+a}(w) = e[nu'.b/lam] * sum over k = c (mod lam) of
+                          T(k) * e[k.b/lam^2],
+        T(k) = e[(1/2) v tau . v + v . (w + nu'')].
+
+    The terms T(k) are computed once and binned by k mod lam^2; per axis,
+    one lam^2 x lam^2 root-of-unity matrix then picks the coset and
+    applies the phase.  R comes from the same search as theta(), so each
+    entry sums exactly the points theta(nu + a, w) sums, and its omitted
+    tail, the same coset's points outside the box times unit-modulus
+    phases, is bounded by the same envelope.  Raises TruncationError
+    exactly when theta(nu + a, w) would.
+    """
+    if lam < 1:
+        raise ValueError(f"need lambda >= 1, got {lam}")
+    w, radius, _ = _truncation(nu, w, tau, settings)
+    g = tau.genus
+    sq = lam * lam
+    k = _box(nu.top, radius, lam)
+    top = np.array([float(m) for m in nu.top])
+    bottom = np.array([float(m) for m in nu.bottom])
+    terms, _ = _terms(k / lam + top, w + bottom, tau.entries)
+    bins = np.ravel_multi_index(tuple((k % sq).T), (sq,) * g)
+    table = (
+        np.bincount(bins, terms.real, sq**g) + 1j * np.bincount(bins, terms.imag, sq**g)
+    ).reshape((sq,) * g)
+    r = np.arange(sq)[:, None, None]
+    c = np.arange(lam)[None, :, None]
+    b = np.arange(lam)[None, None, :]
+    for m in top:
+        # [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + nu'_a) / lam]; the
+        # contracted axis is always the leading one, the new (c, b) pair
+        # goes to the end.
+        phase = (r * b) % sq / sq + b * m / lam
+        mix = np.where(r % lam == c, np.exp(TWO_PI * 1j * phase), 0)
+        table = np.tensordot(table, mix, axes=(0, 0))
+    order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
+    return table.transpose(order).reshape(-1)
 
 
 def theta_constant(

@@ -16,6 +16,7 @@ pinned by tests.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -63,9 +64,18 @@ class TransformMatrix:
 
 
 def smith_matrix(n: int) -> TransformMatrix:
-    """The n x n involution with diagonal (2-n)/n and off-diagonal 2/n."""
+    """The n x n involution with diagonal (2-n)/n and off-diagonal 2/n.
+
+    Built once per n and shared by later calls: the matrix is immutable
+    and its exact involution check costs O(n^3) Fraction products.
+    """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
+    return _smith_matrix(n)
+
+
+@functools.lru_cache(maxsize=None)
+def _smith_matrix(n: int) -> TransformMatrix:
     rows = tuple(
         tuple(Fraction(2 - n, n) if i == j else Fraction(2, n) for j in range(n))
         for i in range(n)

@@ -44,6 +44,17 @@ def test_involution_enforced_by_constructor():
         TransformMatrix(2, bad, MatrixKind.SMITH)
 
 
+def test_smith_matrix_is_cached_and_check_still_runs():
+    assert smith_matrix(5) is smith_matrix(5)
+    assert smith_matrix(6) is not smith_matrix(5)
+    with pytest.raises(ValueError):
+        smith_matrix(1)
+    # The cache sits in front of smith_matrix only; the constructor's
+    # involution check is not bypassed.
+    with pytest.raises(ValueError):
+        TransformMatrix(3, ((F(1), F(0), F(0)),) * 3, MatrixKind.SMITH)
+
+
 def test_jacobi_matrix_entries_and_row_sums():
     a = jacobi_a_matrix()
     assert a.kind is MatrixKind.JACOBI_A

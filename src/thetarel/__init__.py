@@ -21,11 +21,8 @@ from .charalg import (
 from .identities import (
     DEFAULT_CASES,
     IdentityCase,
-    Recipe,
     collapse_args_equal_check,
     constant_symmetries_check,
-    constants_zero_check,
-    jacobi_quadruple_check,
     jacobi_quartic_check,
     run_suite,
     smith_relation_check,

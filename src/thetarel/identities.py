@@ -6,16 +6,16 @@ VerificationReport; where several equalities make up one named identity
 curated cases are re-derived from build_relation wherever the general
 machinery covers them, so the suite exercises two independent code
 paths; hard-coded coefficient multisets appear only in the tests as
-cross-checks.
+cross-checks.  DEFAULT_CASES is the one table of named specializations
+that run_suite walks.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from .relations import (
     rhs_value,
     verify_jacobi_a,
     DEFAULT_SEED,
-    DEGENERATE_FLOOR,
-    REL_FLOOR,
+    _compare,
 )
 from .theta import (
     DEFAULT_SETTINGS,
@@ -42,71 +41,28 @@ from .theta import (
 )
 
 __all__ = [
-    "Recipe",
     "IdentityCase",
     "DEFAULT_CASES",
     "ternary_cube_check",
     "ternary_constants_check",
     "jacobi_quartic_check",
     "smith_relation_check",
-    "jacobi_quadruple_check",
     "constant_symmetries_check",
     "collapse_args_equal_check",
-    "constants_zero_check",
     "run_suite",
 ]
 
-
-class Recipe(enum.Enum):
-    COLLAPSE_ARGS_EQUAL = "collapse_args_equal"
-    CONSTANTS_ZERO = "constants_zero"
-    JACOBI_QUARTIC = "jacobi_quartic"
-    SMITH_RELATION = "smith_relation"
-    JACOBI_A_RELATION = "jacobi_a_relation"
-    TERNARY_CUBE = "ternary_cube"
-    TERNARY_CONSTANTS = "ternary_constants"
-    CONSTANT_SYMMETRIES = "constant_symmetries"
+# Largest max_rel_error with which a suite case passes.
+SUITE_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class IdentityCase:
-    name: str
-    n: int
-    g: int
-    recipe: Recipe
-    tolerance: float
-
-
-DEFAULT_CASES = (
-    IdentityCase("collapse_args_equal", 3, 1, Recipe.COLLAPSE_ARGS_EQUAL, 1e-10),
-    IdentityCase("constant_symmetries", 1, 1, Recipe.CONSTANT_SYMMETRIES, 1e-10),
-    IdentityCase("constants_zero", 3, 1, Recipe.CONSTANTS_ZERO, 1e-10),
-    IdentityCase("jacobi_quadruple", 4, 1, Recipe.JACOBI_A_RELATION, 1e-10),
-    IdentityCase("jacobi_quartic", 4, 1, Recipe.JACOBI_QUARTIC, 1e-10),
-    IdentityCase("smith_relation", 4, 1, Recipe.SMITH_RELATION, 1e-10),
-    IdentityCase("ternary_constants", 3, 1, Recipe.TERNARY_CONSTANTS, 1e-10),
-    IdentityCase("ternary_cube", 3, 1, Recipe.TERNARY_CUBE, 1e-10),
-)
-
-
-def _report(pairs, z, tau, settings) -> VerificationReport:
+def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
     """Report for a multi-part identity: the evaluable comparison with the
     worst relative error wins; degenerate pairs only surface when every
     pair is degenerate."""
-    worst_ok = None
-    first = None
-    for lhs, rhs in pairs:
-        abs_error = abs(lhs - rhs)
-        rel_error = abs_error / max(abs(lhs), abs(rhs), REL_FLOOR)
-        degenerate = max(abs(lhs), abs(rhs)) < DEGENERATE_FLOOR
-        status = "degenerate-pass" if degenerate else "ok"
-        rep = VerificationReport(
-            lhs, rhs, abs_error, rel_error, z, tau, settings, status
-        )
-        first = first or rep
-        if status == "ok" and (worst_ok is None or rep.rel_error > worst_ok.rel_error):
-            worst_ok = rep
-    return worst_ok or first
+    reports = [_compare(lhs, rhs, z, tau) for lhs, rhs in pairs]
+    ok = [r for r in reports if r.status == "ok"]
+    return max(ok, key=lambda r: r.rel_error) if ok else reports[0]
 
 
 def ternary_cube_check(
@@ -114,12 +70,13 @@ def ternary_cube_check(
 ) -> VerificationReport:
     """Nine-cube identity: 3 theta_(0;0)(x)^3 equals the coefficient-weighted
     sum of the nine shifted cubes, obtained from the n=3 relation at
-    z = (x, x, x) (a fixed point of the transform)."""
+    z = (x, x, x) (a fixed point of the transform).  At x = 0 it is the
+    nine-term constants relation, the suite's constants_zero case."""
     spec = RelationSpec.create(3, 1)
     z = (x, x, x)
     lhs = lhs_value(spec, z, tau, settings)
     rhs = rhs_value(spec, z, tau, settings)
-    return _report([(lhs, rhs)], z, tau, settings)
+    return _compare(lhs, rhs, z, tau)
 
 
 def ternary_constants_check(
@@ -155,7 +112,7 @@ def ternary_constants_check(
     )
     pairs.append((const("0", "0") ** 3, reduced))
     zero = np.zeros(1, dtype=complex)
-    return _report(pairs, (zero,) * 3, tau, settings)
+    return _report(pairs, (zero,) * 3, tau)
 
 
 def jacobi_quartic_check(
@@ -173,7 +130,7 @@ def jacobi_quartic_check(
         lhs = t(0, 0, arg) ** 4 + t(half, half, arg) ** 4
         rhs = t(0, half, arg) ** 4 + t(half, 0, arg) ** 4
         pairs.append((lhs, rhs))
-    return _report(pairs, (x,), tau, settings)
+    return _report(pairs, (x,), tau)
 
 
 def smith_relation_check(
@@ -184,14 +141,7 @@ def smith_relation_check(
     spec = RelationSpec.create(4, 1)
     lhs = lhs_value(spec, z, tau, settings)
     rhs = rhs_value(spec, z, tau, settings)
-    return _report([(lhs, rhs)], tuple(z), tau, settings)
-
-
-def jacobi_quadruple_check(
-    z: Sequence, tau: PeriodMatrix, settings: EvalSettings = DEFAULT_SETTINGS
-) -> VerificationReport:
-    """All-plus quadruple relation under the Jacobi matrix."""
-    return verify_jacobi_a(z, tau, settings)
+    return _compare(lhs, rhs, tuple(z), tau)
 
 
 def constant_symmetries_check(
@@ -217,7 +167,7 @@ def constant_symmetries_check(
         (const(1 - a, b), phase * const(a, 1 - b)),
     ]
     zero = np.zeros(1, dtype=complex)
-    return _report(pairs, (zero,), tau, settings)
+    return _report(pairs, (zero,), tau)
 
 
 def collapse_args_equal_check(
@@ -236,83 +186,84 @@ def collapse_args_equal_check(
     direct = 0j
     for term in build_relation(spec):
         direct += term.coefficient * theta(term.shift, x, tau, settings).value ** 3
-    return _report([(engine_rhs, direct)], z, tau, settings)
+    return _compare(engine_rhs, direct, z, tau)
 
 
-def constants_zero_check(
-    tau: PeriodMatrix, settings: EvalSettings = DEFAULT_SETTINGS
-) -> VerificationReport:
-    """The nine-term relation specialised to all arguments zero."""
-    spec = RelationSpec.create(3, 1)
-    zero = np.zeros(1, dtype=complex)
-    z = (zero, zero, zero)
-    lhs = lhs_value(spec, z, tau, settings)
-    rhs = rhs_value(spec, z, tau, settings)
-    return _report([(lhs, rhs)], z, tau, settings)
+def _draw_x(rng: np.random.Generator, sampler: TrialSampler) -> complex:
+    (x,) = sampler.draw_args(rng, 1, 1)
+    return complex(x[0])
 
 
-def _run_case(
-    case: IdentityCase,
-    rng: np.random.Generator,
-    sampler: TrialSampler,
-    settings: EvalSettings,
-) -> VerificationReport:
-    tau = sampler.draw_tau(rng, 1)
-    if case.recipe is Recipe.TERNARY_CUBE:
-        (x,) = sampler.draw_args(rng, 1, 1)
-        return ternary_cube_check(tau, complex(x[0]), settings)
-    if case.recipe is Recipe.TERNARY_CONSTANTS:
-        return ternary_constants_check(tau, settings)
-    if case.recipe is Recipe.JACOBI_QUARTIC:
-        (x,) = sampler.draw_args(rng, 1, 1)
-        return jacobi_quartic_check(tau, complex(x[0]), settings)
-    if case.recipe is Recipe.SMITH_RELATION:
-        return smith_relation_check(sampler.draw_args(rng, 4, 1), tau, settings)
-    if case.recipe is Recipe.JACOBI_A_RELATION:
-        return jacobi_quadruple_check(sampler.draw_args(rng, 4, 1), tau, settings)
-    if case.recipe is Recipe.CONSTANT_SYMMETRIES:
-        alpha = Fraction(int(rng.integers(1, 12)), 12)
-        beta = Fraction(int(rng.integers(1, 12)), 12)
-        return constant_symmetries_check(tau, alpha, beta, settings)
-    if case.recipe is Recipe.COLLAPSE_ARGS_EQUAL:
-        (x,) = sampler.draw_args(rng, 1, 1)
-        return collapse_args_equal_check(tau, complex(x[0]), settings)
-    if case.recipe is Recipe.CONSTANTS_ZERO:
-        return constants_zero_check(tau, settings)
-    raise ValueError(f"unknown recipe {case.recipe}")
+def _draw_twelfth(rng: np.random.Generator) -> Fraction:
+    return Fraction(int(rng.integers(1, 12)), 12)
+
+
+@dataclass(frozen=True)
+class IdentityCase:
+    """One named suite check.
+
+    n seeds the case's rng.  run(rng, sampler, tau, settings) draws any
+    further arguments from rng, after tau, and returns the report.
+    """
+
+    name: str
+    n: int
+    run: Callable[
+        [np.random.Generator, TrialSampler, PeriodMatrix, EvalSettings],
+        VerificationReport,
+    ]
+
+
+DEFAULT_CASES = (
+    IdentityCase("collapse_args_equal", 3, lambda rng, sampler, tau, settings:
+                 collapse_args_equal_check(tau, _draw_x(rng, sampler), settings)),
+    IdentityCase("constant_symmetries", 1, lambda rng, sampler, tau, settings:
+                 constant_symmetries_check(
+                     tau, _draw_twelfth(rng), _draw_twelfth(rng), settings)),
+    IdentityCase("constants_zero", 3, lambda rng, sampler, tau, settings:
+                 ternary_cube_check(tau, 0j, settings)),
+    IdentityCase("jacobi_quadruple", 4, lambda rng, sampler, tau, settings:
+                 verify_jacobi_a(sampler.draw_args(rng, 4, 1), tau, settings)),
+    IdentityCase("jacobi_quartic", 4, lambda rng, sampler, tau, settings:
+                 jacobi_quartic_check(tau, _draw_x(rng, sampler), settings)),
+    IdentityCase("smith_relation", 4, lambda rng, sampler, tau, settings:
+                 smith_relation_check(sampler.draw_args(rng, 4, 1), tau, settings)),
+    IdentityCase("ternary_constants", 3, lambda rng, sampler, tau, settings:
+                 ternary_constants_check(tau, settings)),
+    IdentityCase("ternary_cube", 3, lambda rng, sampler, tau, settings:
+                 ternary_cube_check(tau, _draw_x(rng, sampler), settings)),
+)
 
 
 def run_suite(
     tau_samples: int = 10,
     seed: int = DEFAULT_SEED,
     settings: EvalSettings = DEFAULT_SETTINGS,
-    cases: Optional[Sequence[IdentityCase]] = None,
 ) -> dict:
     """Run every case over sampled trial points; failures are data.
 
     Returns {"cases": [{"name", "samples", "max_rel_error", "verdict"}...],
     "verdict"} with cases ordered by name.
     """
-    cases = sorted(cases or DEFAULT_CASES, key=lambda c: c.name)
     sampler = TrialSampler(seed)
     out = []
-    for case in cases:
-        rng = np.random.default_rng([case.n, case.g, seed])
+    for case in sorted(DEFAULT_CASES, key=lambda c: c.name):
+        rng = np.random.default_rng([case.n, 1, seed])
         max_rel = 0.0
-        statuses = []
+        eval_failed = False
         for _ in range(tau_samples):
+            tau = sampler.draw_tau(rng, 1)
             try:
-                rep = _run_case(case, rng, sampler, settings)
+                rep = case.run(rng, sampler, tau, settings)
             except TruncationError:
-                statuses.append("eval-failed")
+                eval_failed = True
                 continue
-            statuses.append(rep.status)
             if rep.status == "ok":
                 max_rel = max(max_rel, rep.rel_error)
-        if any(s == "eval-failed" for s in statuses):
+        if eval_failed:
             verdict = "eval-failed"
         else:
-            verdict = "pass" if max_rel <= case.tolerance else "fail"
+            verdict = "pass" if max_rel <= SUITE_TOLERANCE else "fail"
         out.append(
             {
                 "name": case.name,

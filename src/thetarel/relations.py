@@ -58,7 +58,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -269,15 +269,20 @@ class VerificationReport:
     rel_error: float
     z: tuple
     tau: PeriodMatrix
-    settings: EvalSettings
     status: str  # ok | degenerate-pass | eval-failed | flagged
     seed_index: int = 0
 
 
-def _compare(lhs: complex, rhs: complex) -> tuple[float, float]:
+def _compare(
+    lhs: complex, rhs: complex, z, tau: PeriodMatrix, seed_index: int = 0
+) -> VerificationReport:
+    """The one comparison of two sides: abs/rel error, status "ok", or
+    "degenerate-pass" when both sides are below DEGENERATE_FLOOR."""
     abs_error = abs(lhs - rhs)
-    rel_error = abs_error / max(abs(lhs), abs(rhs), REL_FLOOR)
-    return abs_error, rel_error
+    scale = max(abs(lhs), abs(rhs))
+    rel_error = abs_error / max(scale, REL_FLOOR)
+    status = "degenerate-pass" if scale < DEGENERATE_FLOOR else "ok"
+    return VerificationReport(lhs, rhs, abs_error, rel_error, z, tau, status, seed_index)
 
 
 @dataclass
@@ -353,36 +358,22 @@ def verify(
     naive = spec.mode is CoefficientMode.NAIVE
     reports = []
     for idx in range(trials):
-        attempts = MAX_RESAMPLES if naive else 1
-        report = None
-        for _ in range(attempts):
+        for _ in range(MAX_RESAMPLES if naive else 1):
             zs = sampler.draw_args(rng, spec.n, spec.genus)
             trial_tau = tau if tau is not None else sampler.draw_tau(rng, spec.genus)
             try:
                 lhs = lhs_value(spec, zs, trial_tau, settings)
                 rhs = rhs_value(spec, zs, trial_tau, settings)
             except TruncationError:
+                nan = complex(math.nan)
                 report = VerificationReport(
-                    complex(math.nan), complex(math.nan), math.nan, math.nan,
-                    zs, trial_tau, settings, "eval-failed", idx,
+                    nan, nan, math.nan, math.nan, zs, trial_tau, "eval-failed", idx
                 )
                 break
-            abs_error, rel_error = _compare(lhs, rhs)
-            scale = max(abs(lhs), abs(rhs))
-            if scale < DEGENERATE_FLOOR:
-                status = "degenerate-pass"
-            elif naive and abs_error < GENERIC_GAP * scale:
-                report = VerificationReport(
-                    lhs, rhs, abs_error, rel_error, zs, trial_tau, settings,
-                    "flagged", idx,
-                )
-                continue
-            else:
-                status = "ok"
-            report = VerificationReport(
-                lhs, rhs, abs_error, rel_error, zs, trial_tau, settings, status, idx
-            )
-            break
+            report = _compare(lhs, rhs, zs, trial_tau, idx)
+            if not naive or report.status != "ok" or report.rel_error >= GENERIC_GAP:
+                break
+            report = replace(report, status="flagged")
         reports.append(report)
     return reports
 
@@ -421,18 +412,11 @@ def verify_jacobi_a(
         for beta in (0, 1):
             chi = Characteristic((Fraction(alpha, 2),), (Fraction(beta, 2),))
             rhs += math.prod(theta(chi, wj, tau, settings).value for wj in ws)
-    abs_error, rel_error = _compare(lhs, rhs)
-    status = "degenerate-pass" if max(abs(lhs), abs(rhs)) < DEGENERATE_FLOOR else "ok"
-    return VerificationReport(lhs, rhs, abs_error, rel_error, zs, tau, settings, status)
+    return _compare(lhs, rhs, zs, tau)
 
 
-def relation_report(
-    spec: RelationSpec,
-    terms: Sequence[RelationTerm],
-    reports: Sequence[VerificationReport],
-    tol: float,
-) -> dict:
-    """Assemble the stable JSON-ready report object."""
+def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
+    """The "spec"/"terms" object shared by relation_report and emit."""
     return {
         "spec": {
             "n": spec.n,
@@ -449,6 +433,18 @@ def relation_report(
             }
             for t in terms
         ],
+    }
+
+
+def relation_report(
+    spec: RelationSpec,
+    terms: Sequence[RelationTerm],
+    reports: Sequence[VerificationReport],
+    tol: float,
+) -> dict:
+    """Assemble the stable JSON-ready report object."""
+    return {
+        **_terms_json_obj(spec, terms),
         "trials": [
             {
                 "seed_index": r.seed_index,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charalg import Characteristic
-from .relations import CoefficientMode, RelationSpec, RelationTerm
+from .relations import CoefficientMode, RelationSpec, RelationTerm, _terms_json_obj
 
 __all__ = [
     "dumps",
@@ -69,23 +69,8 @@ def dumps(obj, indent: int = 0) -> str:
 
 
 def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
-    return {
-        "spec": {
-            "n": spec.n,
-            "g": spec.genus,
-            "lambda": spec.lam,
-            "mode": spec.mode.value,
-            "mu": [str(m) for m in spec.mu],
-        },
-        "terms": [
-            {
-                "shift": str(t.shift),
-                "exponent": str(t.exponent),
-                "nu_shifted": [str(c) for c in t.nu_shifted],
-            }
-            for t in terms
-        ],
-    }
+    """The emit JSON object: relation_report's "spec" and "terms" part."""
+    return _terms_json_obj(spec, terms)
 
 
 def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:

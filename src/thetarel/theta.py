@@ -14,7 +14,8 @@ omitted term satisfies
 
     |term| <= exp(-pi * lam_min * r^2 + 2*pi * r * |Im z|_2),   r = |v|_2 > R,
 
-where lam_min is a lower estimate of the smallest eigenvalue of Im tau,
+where lam_min is a certified lower bound on the smallest eigenvalue of
+Im tau (numpy.linalg.eigvalsh less a margin for its rounding),
 so the tail is bounded by a geometric-style envelope summed over integer
 shells.  The radius search stops at the smallest R whose envelope meets
 the requested absolute error; the reported tail_bound is that envelope
@@ -102,26 +103,24 @@ class PeriodMatrix:
 
     @property
     def lam_min(self) -> float:
-        """Safe lower estimate of the smallest eigenvalue of Im tau."""
+        """Certified lower bound on the smallest eigenvalue of Im tau
+        (eigvalsh minus a backward-error margin, see _min_eig_lower)."""
         return self._lam_min
 
 
 def _min_eig_lower(y: np.ndarray) -> float:
-    """Smallest-eigenvalue estimate by a dozen inverse power iterations.
+    """Lower bound on the smallest eigenvalue of the symmetric matrix y.
 
-    Fixed seed vector (1,...,1)/sqrt(g); the Rayleigh quotient of the
-    final iterate never undershoots the true minimum, so a 1% margin is
-    subtracted to keep the tail bound conservative.
+    LAPACK's symmetric eigensolver (numpy.linalg.eigvalsh) is backward
+    stable: its eigenvalues are the exact ones of y + E with
+    |E|_2 <= p(g) * eps * |y|_2, p a modest function of g, so by Weyl's
+    inequality each is within |E|_2 of the true eigenvalue.  The margin
+    subtracted from the computed minimum is 8 * g * eps * max|lambda_hat|,
+    which covers that error with p(g) = 8g.
     """
-    g = y.shape[0]
-    if g == 1:
-        return float(y[0, 0]) * 0.99
-    x = np.full(g, 1.0 / math.sqrt(g))
-    for _ in range(12):
-        x = np.linalg.solve(y, x)
-        x /= np.linalg.norm(x)
-    rq = float(x @ y @ x)
-    return rq * 0.99
+    eig = np.linalg.eigvalsh(y)
+    margin = 8.0 * y.shape[0] * np.finfo(float).eps * float(np.abs(eig).max())
+    return float(eig[0]) - margin
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from thetarel import (
     build_relation,
     collapse_args_equal_check,
     constant_symmetries_check,
-    constants_zero_check,
-    jacobi_quadruple_check,
     jacobi_quartic_check,
     run_suite,
     smith_relation_check,
@@ -23,7 +21,9 @@ from thetarel import (
     ternary_cube_check,
     theta,
     theta_constant,
+    verify_jacobi_a,
 )
+from thetarel.identities import _report
 
 F = Fraction
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -39,9 +39,9 @@ def test_ternary_cube_passes(sampled_taus):
 
 def test_ternary_cube_at_zero_matches_constants(tau_i):
     cube = ternary_cube_check(tau_i, 0j)
-    consts = constants_zero_check(tau_i)
-    assert cube.rel_error <= 1e-10 and consts.rel_error <= 1e-10
-    assert abs(cube.lhs - consts.lhs) <= 1e-12
+    direct = 3 * theta_constant(Characteristic.zero(1), tau_i).value ** 3
+    assert cube.rel_error <= 1e-10
+    assert abs(cube.lhs - direct) <= 1e-12
 
 
 def test_ternary_cube_coefficient_multiset():
@@ -121,12 +121,27 @@ def test_smith_relation_matches_manual_computation(settings):
     assert abs(engine - manual) <= 1e-12
 
 
+def test_report_takes_worst_ok_pair_and_degenerate_only_when_all_are(tau_i):
+    z = (np.zeros(1, dtype=complex),)
+    # The degenerate pair has the largest relative error but is below the
+    # floor, so the worst evaluable pair (rel_error ~5e-10) wins.
+    mixed = _report(
+        [(1.0, 1.0 + 1e-12), (1e-14, 3e-14), (2.0, 2.0 + 1e-9), (4.0, 4.0)], z, tau_i
+    )
+    assert mixed.status == "ok"
+    assert mixed.lhs == 2.0 and mixed.rel_error > 4e-10
+    tie = _report([(1.0, 2.0), (2.0, 4.0)], z, tau_i)  # both rel_error 0.5
+    assert tie.lhs == 1.0
+    degenerate = _report([(1e-14, 3e-14), (2e-13, 0.0)], z, tau_i)
+    assert degenerate.status == "degenerate-pass" and degenerate.lhs == 1e-14
+
+
 def test_jacobi_quadruple_passes(sampled_taus):
     rng = np.random.default_rng(54)
     sampler = TrialSampler(54)
     for tau in sampled_taus:
         z = sampler.draw_args(rng, 4, 1)
-        assert jacobi_quadruple_check(z, tau).rel_error <= 1e-10
+        assert verify_jacobi_a(z, tau).rel_error <= 1e-10
 
 
 def test_constant_symmetries_check(sampled_taus):

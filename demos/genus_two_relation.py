@@ -22,7 +22,7 @@ for power in sorted(tally):
 print()
 
 start = time.perf_counter()
-reports = verify(spec, 5, 1e-8)
+reports = verify(spec, 5)
 elapsed = time.perf_counter() - start
 worst = max(r.rel_error for r in reports if r.status == "ok")
 print(f"5 random genus-2 trials in {elapsed:.2f}s: "

@@ -34,14 +34,14 @@ print("LaTeX fragment:")
 print(" ", relation_to_latex(spec, terms))
 print()
 
-reports = verify(spec, 50, 1e-9)
+reports = verify(spec, 50)
 worst = max(r.rel_error for r in reports if r.status == "ok")
 print(f"verified on 50 random trials: {overall_verdict(reports, 1e-9)}, "
       f"max rel error {worst:.3e}")
 print()
 
 naive = RelationSpec.create(3, 1, mode=CoefficientMode.NAIVE)
-reports = verify(naive, 5, 1e-9)
+reports = verify(naive, 5)
 worst = max(r.rel_error for r in reports if r.status == "ok")
 print("with kappa = 3 instead (which flips omega <-> omega^2 on the")
 print(f"nontrivial shifts) the same trials fail: max rel error {worst:.3e}")

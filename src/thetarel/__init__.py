@@ -12,7 +12,6 @@ from .charalg import (
     Characteristic,
     CycleClass,
     MixedClassError,
-    Rational,
     char_linear_combine,
     class_of,
     cycle_number,
@@ -57,7 +56,6 @@ from .theta import (
     theta_shift_table,
 )
 from .transforms import (
-    MatrixKind,
     TransformMatrix,
     apply_to_args,
     apply_to_chars,

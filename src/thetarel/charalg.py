@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 __all__ = [
-    "Rational",
     "Characteristic",
     "CycleClass",
     "MixedClassError",
@@ -26,10 +25,6 @@ __all__ = [
     "enumerate_shifts",
     "char_linear_combine",
 ]
-
-# Exact scalar type used throughout: always lowest terms, denominator > 0.
-Rational = Fraction
-
 
 class MixedClassError(ValueError):
     """Entries do not all lie in a single class Z + l/lambda."""
@@ -117,9 +112,6 @@ class Characteristic:
         )
 
     __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for v in self.top) and all(v == 0 for v in self.bottom)
 
     def _check_genus(self, other: "Characteristic") -> None:
         if self.genus != other.genus:

@@ -163,20 +163,6 @@ def _cmd_emit(args) -> int:
     return EXIT_PASS
 
 
-def _run_verify(args):
-    spec = _spec_from_args(args)
-    settings = _settings()
-    tau = _parse_tau(args.tau, args.g) if args.tau else None
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
-    reports = verify(
-        spec, args.trials, args.tol,
-        sampler=TrialSampler(args.seed), settings=settings, tau=tau,
-    )
-    report = relation_report(spec, build_relation(spec), reports, args.tol)
-    return reports, report
-
-
 def _report_text(report: dict) -> str:
     lines = [
         f"n={report['spec']['n']} g={report['spec']['g']} "
@@ -192,34 +178,35 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
+    """verify and falsify; falsify forces naive mode, defaults --n to 4
+    and succeeds only when some ok trial exceeds --tol."""
     if args.format == "latex":
         raise UsageError("latex output applies to emit only")
-    reports, report = _run_verify(args)
+    falsify = args.command == "falsify"
+    if falsify:
+        args.mode = "naive"
+        if args.n is None:
+            args.n = 4
+    spec = _spec_from_args(args)
+    settings = _settings()
+    tau = _parse_tau(args.tau, args.g) if args.tau else None
+    if args.trials < 1:
+        raise UsageError("--trials must be >= 1")
+    sampler = TrialSampler(args.seed)
+    reports = verify(spec, args.trials, sampler=sampler, settings=settings, tau=tau)
+    report = relation_report(spec, build_relation(spec), reports, args.tol)
+    if falsify:
+        report["threshold"] = args.tol
+        report["falsified"] = any(
+            r.status == "ok" and r.rel_error > args.tol for r in reports
+        )
     fmt = args.format or "json"
     text = _report_text(report) if fmt == "text" else dumps(report) + "\n"
     _write(text, args.out)
     if any(r.status == "eval-failed" for r in reports):
         return EXIT_EVAL_FAIL
-    return EXIT_PASS if report["verdict"] == "pass" else EXIT_IDENTITY_FAIL
-
-
-def _cmd_falsify(args) -> int:
-    if args.format == "latex":
-        raise UsageError("latex output applies to emit only")
-    args.mode = "naive"
-    if args.n is None:
-        args.n = 4
-    reports, report = _run_verify(args)
-    failing = [r for r in reports if r.status == "ok" and r.rel_error > args.tol]
-    report["threshold"] = args.tol
-    report["falsified"] = bool(failing)
-    fmt = args.format or "json"
-    text = _report_text(report) if fmt == "text" else dumps(report) + "\n"
-    _write(text, args.out)
-    if any(r.status == "eval-failed" for r in reports):
-        return EXIT_EVAL_FAIL
-    # Success means the uncorrected coefficient was caught misbehaving.
-    return EXIT_PASS if failing else EXIT_IDENTITY_FAIL
+    passed = report["falsified"] if falsify else report["verdict"] == "pass"
+    return EXIT_PASS if passed else EXIT_IDENTITY_FAIL
 
 
 def _cmd_suite(args) -> int:
@@ -264,7 +251,7 @@ def _cmd_table(args) -> int:
 _COMMANDS = {
     "emit": _cmd_emit,
     "verify": _cmd_verify,
-    "falsify": _cmd_falsify,
+    "falsify": _cmd_verify,
     "suite": _cmd_suite,
     "table": _cmd_table,
 }

@@ -45,18 +45,23 @@ on w_j and tau only): the top shift c selects the coset k = c
 (mod lambda), the bottom shift b multiplies each term by the
 unit-modulus phase e[nu_j'.b/lambda] e[k.b/lambda^2].  theta_shift_table
 therefore computes the terms once per j and returns all lambda^(2g)
-values, and rhs_value multiplies the n tables by a coefficient table
-whose kappa a'.a'' part is exact integer numerators mod lambda^2.  Each
-table entry sums exactly the points that theta(nu_j + a, w_j) sums, so
-the omitted tail of an entry is that coset's exterior times unit-modulus
-phases, and the w_j tail envelope of theta() bounds it as before.
-build_relation, with its exact Fraction term list, serves emit and the
-reports.
+values, and rhs_value multiplies the n tables by the coefficients
+e[x(a)].  Each table entry sums exactly the points that
+theta(nu_j + a, w_j) sums, so the omitted tail of an entry is that
+coset's exterior times unit-modulus phases, and the w_j tail envelope of
+theta() bounds it as before.
+
+RelationSpec derives lambda, nu and the two exact parts of x(a), the
+integers kappa c.b mod lambda^2 and the Fractions sum_j mu'_j.b/lambda
+mod 1, once per instance.  build_relation's exact Fraction term list
+(emit and the reports) and rhs_value's float coefficient table, which
+adds the two parts in floating point only, are both read from them.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -120,20 +125,17 @@ def coefficient_kappa(n: int, mode: CoefficientMode) -> int:
 
 @dataclass(frozen=True)
 class RelationSpec:
-    """One instance of the relation: (n, genus, lambda, mu-tuple, mode)."""
+    """One instance of the relation: (n, genus, mu-tuple, mode), with the
+    values derived from it cached per instance (see the module docstring)."""
 
     n: int
     genus: int
-    lam: int
     mu: tuple[Characteristic, ...]
     mode: CoefficientMode
 
     def __post_init__(self):
-        if self.lam != cycle_number(self.n):
-            raise ValueError(
-                f"lambda {self.lam} inconsistent with n={self.n} "
-                f"(expected {cycle_number(self.n)})"
-            )
+        if self.n < 2:
+            raise ValueError(f"need n >= 2, got {self.n}")
         if len(self.mu) != self.n:
             raise ValueError(f"expected {self.n} characteristics, got {len(self.mu)}")
         for m in self.mu:
@@ -148,11 +150,40 @@ class RelationSpec:
         mu: Optional[Sequence[Characteristic]] = None,
         mode: CoefficientMode = CoefficientMode.MODIFIED,
     ) -> "RelationSpec":
-        if genus < 1:
-            raise ValueError(f"need genus >= 1, got {genus}")
         if mu is None:
             mu = tuple(Characteristic.zero(genus) for _ in range(n))
-        return cls(n, genus, cycle_number(n), tuple(mu), mode)
+        return cls(n, genus, tuple(mu), mode)
+
+    @property
+    def lam(self) -> int:
+        return cycle_number(self.n)
+
+    @functools.cached_property
+    def _nu(self) -> tuple[Characteristic, ...]:
+        """nu = mu S_n."""
+        return apply_to_chars(smith_matrix(self.n), self.mu)
+
+    @functools.cached_property
+    def _exponent_parts(self) -> tuple[np.ndarray, tuple[Fraction, ...]]:
+        """x(a) = -(cross[c, b]/lambda^2 + drift[b]) at a = (c/lambda; b/lambda)
+        with c and b lexicographic: cross = kappa c.b mod lambda^2 as
+        integers, drift = sum_j mu'_j.b/lambda mod 1 as Fractions."""
+        lam, g = self.lam, self.genus
+        digits = np.indices((lam,) * g).reshape(g, -1).T
+        cross = (coefficient_kappa(self.n, self.mode) * (digits @ digits.T)) % (lam * lam)
+        cross.flags.writeable = False
+        sum_top = [sum(m.top[a] for m in self.mu) for a in range(g)]
+        drift = tuple(sum(s * int(d) for s, d in zip(sum_top, b)) / lam % 1 for b in digits)
+        return cross, drift
+
+    @functools.cached_property
+    def _coefficients(self) -> np.ndarray:
+        """Read-only e[x(a)], flat in enumerate_shifts order."""
+        cross, drift = self._exponent_parts
+        x = cross / (self.lam * self.lam) + np.array([float(d) for d in drift])
+        table = np.exp(-2j * math.pi * x).reshape(-1)
+        table.flags.writeable = False
+        return table
 
 
 @dataclass(frozen=True)
@@ -180,23 +211,15 @@ def build_relation(spec: RelationSpec) -> list[RelationTerm]:
     denominator divides lambda^2 whenever the mu_j are in standard form
     (coordinates multiples of 1/lambda).
     """
-    kappa = coefficient_kappa(spec.n, spec.mode)
-    nu = apply_to_chars(smith_matrix(spec.n), spec.mu)
-    sum_top = [sum(m.top[a] for m in spec.mu) for a in range(spec.genus)]
-    terms = []
-    for shift in enumerate_shifts(spec.genus, spec.lam):
-        expo = -sum(
-            (sum_top[a] + kappa * shift.top[a]) * shift.bottom[a]
-            for a in range(spec.genus)
-        )
-        terms.append(
-            RelationTerm(
-                shift=shift,
-                exponent=expo % 1,
-                nu_shifted=tuple(v + shift for v in nu),
-            )
-        )
-    return terms
+    cross, drift = spec._exponent_parts
+    sq = spec.lam * spec.lam
+    exponents = [
+        -(Fraction(x, sq) + d) % 1 for row in cross.tolist() for x, d in zip(row, drift)
+    ]
+    return [
+        RelationTerm(shift, exponent, tuple(v + shift for v in spec._nu))
+        for shift, exponent in zip(enumerate_shifts(spec.genus, spec.lam), exponents)
+    ]
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
@@ -220,25 +243,6 @@ def lhs_value(
     return value
 
 
-def _coefficient_table(spec: RelationSpec) -> np.ndarray:
-    """The coefficients e[x(a)] of build_relation, flat in enumerate_shifts order.
-
-    With a = (c/lambda; b/lambda), x(a) = -(kappa c.b/lambda^2 +
-    sum_j mu'_j . b/lambda).  The first part is kept as exact integer
-    numerators mod lambda^2, the second is reduced mod 1 as a Fraction;
-    only their sum is taken to floating point.
-    """
-    lam, g = spec.lam, spec.genus
-    digits = np.indices((lam,) * g).reshape(g, -1).T    # c or b, lexicographic
-    kappa = coefficient_kappa(spec.n, spec.mode)
-    cross = (kappa * (digits @ digits.T)) % (lam * lam)
-    sum_top = [sum(m.top[a] for m in spec.mu) for a in range(g)]
-    drift = [
-        float(sum(s * int(d) for s, d in zip(sum_top, b)) / lam % 1) for b in digits
-    ]
-    return np.exp(-2j * math.pi * (cross / (lam * lam) + np.array(drift))).reshape(-1)
-
-
 def rhs_value(
     spec: RelationSpec,
     z,
@@ -251,10 +255,9 @@ def rhs_value(
     shift a at once; no term list is built.
     """
     zs = _as_arg_tuple(spec.n, spec.genus, z)
-    smith = smith_matrix(spec.n)
-    ws = apply_to_args(smith, zs)
-    products = _coefficient_table(spec)
-    for chi, wj in zip(apply_to_chars(smith, spec.mu), ws):
+    ws = apply_to_args(smith_matrix(spec.n), zs)
+    products = spec._coefficients
+    for chi, wj in zip(spec._nu, ws):
         products = products * theta_shift_table(chi, wj, tau, spec.lam, settings)
     return complex(products.sum())
 
@@ -338,7 +341,7 @@ class TrialSampler:
 def verify(
     spec: RelationSpec,
     trials: int,
-    tol: float,
+    *,
     sampler: Optional[TrialSampler] = None,
     settings: EvalSettings = DEFAULT_SETTINGS,
     tau: Optional[PeriodMatrix] = None,

@@ -14,7 +14,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .charalg import Characteristic
+from .charalg import Characteristic, cycle_number
 from .relations import CoefficientMode, RelationSpec, RelationTerm, _terms_json_obj
 
 __all__ = [
@@ -74,13 +74,16 @@ def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict
 
 
 def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:
-    """Inverse of terms_to_json_obj + dumps; round-trips byte-identically."""
+    """Inverse of terms_to_json_obj + dumps; round-trips byte-identically.
+    A "lambda" other than cycle_number(n) raises ValueError."""
     obj = json.loads(text)
     s = obj["spec"]
+    n = int(s["n"])
+    if int(s["lambda"]) != cycle_number(n):
+        raise ValueError(f"lambda {s['lambda']} is not cycle_number({n})")
     spec = RelationSpec(
-        n=int(s["n"]),
+        n=n,
         genus=int(s["g"]),
-        lam=int(s["lambda"]),
         mu=tuple(Characteristic.parse(m) for m in s["mu"]),
         mode=CoefficientMode(s["mode"]),
     )

@@ -18,9 +18,9 @@ where lam_min is a certified lower bound on the smallest eigenvalue of
 Im tau (numpy.linalg.eigvalsh less a margin for its rounding),
 so the tail is bounded by a geometric-style envelope summed over integer
 shells.  The radius search stops at the smallest R whose envelope meets
-the requested absolute error; the reported tail_bound is that envelope
-floored at the rounding-noise level of the computed sum, making it a
-bound on the total absolute error.
+the fixed target TARGET_ABS_ERROR; the reported tail_bound is that
+envelope floored at the rounding-noise level of the computed sum, making
+it a bound on the total absolute error.
 
 Summation is vectorised and then accumulated with exactly-rounded
 compensated summation (math.fsum on real and imaginary parts), in a
@@ -61,10 +61,11 @@ TWO_PI = 2.0 * math.pi
 # remainder; the envelope decays like exp(-pi*lam_min*r^2) so only a
 # couple of dozen shells are ever needed.
 _SHELL_CAP = 4096
+TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 
 
 class TruncationError(ArithmeticError):
-    """Requested absolute error unreachable within the radius cap."""
+    """TARGET_ABS_ERROR unreachable within the radius cap."""
 
     def __init__(self, target: float, best_bound: float, radius: int):
         super().__init__(
@@ -86,6 +87,8 @@ class PeriodMatrix:
         arr = np.atleast_2d(np.asarray(self.entries, dtype=complex))
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"period matrix must be square, got shape {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise ValueError("period matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise ValueError("period matrix must be symmetric")
         try:
@@ -125,14 +128,11 @@ def _min_eig_lower(y: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class EvalSettings:
-    """Absolute-error target and radius cap for the truncated lattice sum."""
+    """Radius cap for the truncated lattice sum."""
 
-    target_abs_error: float = 1e-13
     max_radius: int = 32
 
     def __post_init__(self):
-        if self.target_abs_error < 1e-14:
-            raise ValueError("target_abs_error below 1e-14 is not supported")
         if not 1 <= self.max_radius <= 64:
             raise ValueError("max_radius must be in [1, 64]")
 
@@ -236,8 +236,8 @@ def _truncation(
     """Validated argument vector, truncation radius and tail envelope.
 
     The radius is the first of 4, 6, 8, ... (capped at
-    settings.max_radius) whose envelope meets settings.target_abs_error;
-    it depends on Im z and tau.lam_min only, never on the characteristic.
+    settings.max_radius) whose envelope meets TARGET_ABS_ERROR; it
+    depends on Im z and tau.lam_min only, never on the characteristic.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     g = tau.genus
@@ -245,12 +245,14 @@ def _truncation(
         raise ValueError(
             f"genus mismatch: characteristic {mu.genus}, z {z.shape}, tau {g}"
         )
+    if not np.isfinite(z).all():
+        raise ValueError("argument z must be finite")
     y_norm = float(np.linalg.norm(z.imag))
     radius = min(4, settings.max_radius)
     bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
-    while bound > settings.target_abs_error:
+    while bound > TARGET_ABS_ERROR:
         if radius >= settings.max_radius:
-            raise TruncationError(settings.target_abs_error, bound, radius)
+            raise TruncationError(TARGET_ABS_ERROR, bound, radius)
         radius = min(radius + 2, settings.max_radius)
         bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
     return z, radius, bound
@@ -262,11 +264,11 @@ def theta(
     tau: PeriodMatrix,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> ThetaValue:
-    """Evaluate theta_mu(z, tau) to the requested absolute error.
+    """Evaluate theta_mu(z, tau) to the absolute error TARGET_ABS_ERROR.
 
     z may be a complex scalar (genus 1) or a length-g complex vector.
     Raises TruncationError when no radius up to settings.max_radius
-    brings the tail envelope below settings.target_abs_error.
+    brings the tail envelope below TARGET_ABS_ERROR.
     """
     z, radius, bound = _truncation(mu, z, tau, settings)
     value, noise = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)

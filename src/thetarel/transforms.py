@@ -15,7 +15,6 @@ pinned by tests.
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,7 +25,6 @@ import numpy as np
 from .charalg import Characteristic, char_linear_combine
 
 __all__ = [
-    "MatrixKind",
     "TransformMatrix",
     "smith_matrix",
     "jacobi_a_matrix",
@@ -35,19 +33,12 @@ __all__ = [
 ]
 
 
-class MatrixKind(enum.Enum):
-    JACOBI_A = "jacobi_a"
-    SMITH = "smith"
-
-
 @dataclass(frozen=True)
 class TransformMatrix:
-    n: int
     entries: tuple[tuple[Fraction, ...], ...]
-    kind: MatrixKind
 
     def __post_init__(self):
-        if len(self.entries) != self.n or any(len(r) != self.n for r in self.entries):
+        if any(len(r) != self.n for r in self.entries):
             raise ValueError("entries must form an n x n matrix")
         # Involution check, exact: M @ M == identity.
         for i in range(self.n):
@@ -55,6 +46,10 @@ class TransformMatrix:
                 acc = sum(self.entries[i][k] * self.entries[k][j] for k in range(self.n))
                 if acc != (1 if i == j else 0):
                     raise ValueError("matrix does not square to the identity")
+
+    @property
+    def n(self) -> int:
+        return len(self.entries)
 
     def as_float(self) -> np.ndarray:
         return np.array([[float(v) for v in row] for row in self.entries])
@@ -80,7 +75,7 @@ def _smith_matrix(n: int) -> TransformMatrix:
         tuple(Fraction(2 - n, n) if i == j else Fraction(2, n) for j in range(n))
         for i in range(n)
     )
-    return TransformMatrix(n, rows, MatrixKind.SMITH)
+    return TransformMatrix(rows)
 
 
 def jacobi_a_matrix() -> TransformMatrix:
@@ -93,7 +88,7 @@ def jacobi_a_matrix() -> TransformMatrix:
         (1, -1, -1, 1),
     )
     rows = tuple(tuple(h * s for s in row) for row in signs)
-    return TransformMatrix(4, rows, MatrixKind.JACOBI_A)
+    return TransformMatrix(rows)
 
 
 def _is_exact_arg(value) -> bool:

@@ -104,7 +104,7 @@ def test_criterion_03_smith_relation():
     signs_ok = (
         all(abs(s - 1) < 1e-12 for s in signs[:3]) and abs(signs[3] + 1) < 1e-12
     )
-    reports = verify(RelationSpec.create(4, 1), 100, 1e-10)
+    reports = verify(RelationSpec.create(4, 1), 100)
     verdict = overall_verdict(reports, 1e-10)
     record(3, "four-term signed relation, 100 trials at 1e-10",
            signs_ok and verdict == "pass", f"signs(+,+,+,-)={signs_ok} {verdict}")
@@ -124,7 +124,7 @@ def test_criterion_04_jacobi_quadruple_relation():
 
 def test_criterion_05_falsification_of_uncorrected_even_n():
     spec = RelationSpec.create(4, 1, mode=CoefficientMode.NAIVE)
-    reports = verify(spec, 10, 0.01)
+    reports = verify(spec, 10)
     errors = [r.rel_error for r in reports if r.status == "ok"]
     ok = bool(errors) and max(errors) > 0.01
     record(5, "uncorrected coefficient fails for n=4 within 10 trials",
@@ -153,7 +153,7 @@ def test_criterion_07_genus_two_relation():
     spec = RelationSpec.create(3, 2)
     term_count = len(build_relation(spec))
     start = time.perf_counter()
-    reports = verify(spec, 20, 1e-8)
+    reports = verify(spec, 20)
     elapsed = time.perf_counter() - start
     verdict = overall_verdict(reports, 1e-8)
     ok = term_count == 81 and verdict == "pass" and elapsed < 30.0

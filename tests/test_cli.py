@@ -153,6 +153,14 @@ def test_verify_bad_tau(capsys):
     assert code == 64
 
 
+@pytest.mark.parametrize("tau", ["nan+1i", "0.2+nani"])
+def test_verify_non_finite_tau_is_usage_error(capsys, tau):
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--tau", tau)
+    assert code == 64
+    assert out == ""
+    assert "finite" in err
+
+
 def test_verify_truncation_exit_two(capsys, monkeypatch):
     monkeypatch.setenv("THETA_MAX_RADIUS", "1")
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--trials", "2")

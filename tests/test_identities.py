@@ -189,7 +189,7 @@ def test_suite_deterministic():
 def test_suite_truncation_shows_as_eval_failure_not_identity_failure():
     # A hard radius cap starves the argument-bearing checks; statuses must
     # say eval-failed, never a spurious identity failure.
-    tight = EvalSettings(target_abs_error=1e-13, max_radius=4)
+    tight = EvalSettings(max_radius=4)
     report = run_suite(tau_samples=8, settings=tight)
     verdicts = {c["name"]: c["verdict"] for c in report["cases"]}
     assert "fail" not in verdicts.values()

@@ -1,6 +1,7 @@
 """Relation engine: exact term lists and randomized numerical verification."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -26,6 +27,8 @@ from thetarel import (
     verify,
     verify_jacobi_a,
 )
+from thetarel import relations
+from thetarel.render import dumps, parse_terms_json, terms_to_json_obj
 
 F = Fraction
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -46,14 +49,59 @@ def test_kappa_values():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        RelationSpec(3, 1, 2, tuple(Characteristic.zero(1) for _ in range(3)),
-                     CoefficientMode.MODIFIED)
+        RelationSpec(1, 1, (Characteristic.zero(1),), CoefficientMode.MODIFIED)
     with pytest.raises(ValueError):
         RelationSpec.create(3, 1, mu=(Characteristic.zero(1),))
     with pytest.raises(ValueError):
         RelationSpec.create(3, 1, mu=tuple(Characteristic.zero(2) for _ in range(3)))
     with pytest.raises(ValueError):
         RelationSpec.create(3, 0)
+    # lambda is derived from n; a serialized relation claiming another
+    # lambda is rejected where it is read.
+    spec = RelationSpec.create(3, 1)
+    obj = terms_to_json_obj(spec, build_relation(spec))
+    obj["spec"]["lambda"] = 2
+    with pytest.raises(ValueError, match="lambda"):
+        parse_terms_json(dumps(obj))
+
+
+def test_spec_fields_and_derived_lambda():
+    assert [f.name for f in dataclasses.fields(RelationSpec)] == [
+        "n", "genus", "mu", "mode",
+    ]
+    for n in range(2, 11):
+        assert RelationSpec.create(n, 1).lam == cycle_number(n)
+
+
+def test_verify_rejects_positional_tol():
+    with pytest.raises(TypeError):
+        verify(RelationSpec.create(3, 1), 5, 1e-9)
+
+
+def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
+    # n=2 naive holds exactly, so every trial spends all MAX_RESAMPLES
+    # attempts; nu and the coefficient table are still derived once.
+    calls = {"apply_to_chars": 0, "coefficients": 0, "rhs_value": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(
+        relations, "apply_to_chars", counted("apply_to_chars", relations.apply_to_chars)
+    )
+    table = relations.RelationSpec.__dict__["_coefficients"]
+    monkeypatch.setattr(table, "func", counted("coefficients", table.func))
+    monkeypatch.setattr(relations, "rhs_value", counted("rhs_value", relations.rhs_value))
+    spec = RelationSpec.create(2, 1, mode=CoefficientMode.NAIVE)
+    reports = verify(spec, 3)
+    assert all(r.status == "flagged" for r in reports)
+    assert not spec._coefficients.flags.writeable
+    assert calls == {
+        "apply_to_chars": 1, "coefficients": 1, "rhs_value": 3 * relations.MAX_RESAMPLES,
+    }
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -178,14 +226,14 @@ def test_lhs_golden_value(settings):
                                      (5, 1, 1e-10), (6, 1, 1e-10)])
 def test_verify_passes_modified(n, g, tol):
     spec = RelationSpec.create(n, g)
-    reports = verify(spec, 5, tol)
+    reports = verify(spec, 5)
     assert overall_verdict(reports, tol) == "pass"
     assert all(r.status == "ok" for r in reports)
 
 
 def test_verify_passes_genus2():
     spec = RelationSpec.create(3, 2)
-    reports = verify(spec, 3, 1e-8)
+    reports = verify(spec, 3)
     assert overall_verdict(reports, 1e-8) == "pass"
 
 
@@ -198,7 +246,7 @@ def test_verify_passes_genus2_random_mu():
         )
         for _ in range(3)
     )
-    reports = verify(RelationSpec.create(3, 2, mu), 2, 1e-8)
+    reports = verify(RelationSpec.create(3, 2, mu), 2)
     assert overall_verdict(reports, 1e-8) == "pass"
 
 
@@ -222,13 +270,13 @@ def test_verify_passes_random_standard_mu():
             for _ in range(n)
         )
         spec = RelationSpec.create(n, 1, mu)
-        reports = verify(spec, 5, 1e-10)
+        reports = verify(spec, 5)
         assert overall_verdict(reports, 1e-10) == "pass"
 
 
 def test_naive_fails_even_n():
     spec = RelationSpec.create(4, 1, mode=CoefficientMode.NAIVE)
-    reports = verify(spec, 10, 0.01)
+    reports = verify(spec, 10)
     assert overall_verdict(reports, 0.01) == "fail"
     assert max(r.rel_error for r in reports if r.status == "ok") > 0.01
 
@@ -237,7 +285,7 @@ def test_naive_fails_odd_n():
     # The uncorrected multiplier kappa = n conjugates the nontrivial
     # coefficients for odd n >= 3, so the identity fails there too.
     spec = RelationSpec.create(3, 1, mode=CoefficientMode.NAIVE)
-    reports = verify(spec, 5, 0.01)
+    reports = verify(spec, 5)
     assert overall_verdict(reports, 0.01) == "fail"
 
 
@@ -246,7 +294,7 @@ def test_naive_true_identity_gets_flagged():
     # the genericity guard must exhaust its resamples and flag trials
     # instead of inventing a counterexample.
     spec = RelationSpec.create(2, 1, mode=CoefficientMode.NAIVE)
-    reports = verify(spec, 3, 0.01)
+    reports = verify(spec, 3)
     assert all(r.status == "flagged" for r in reports)
     assert overall_verdict(reports, 0.01) == "pass"
 
@@ -262,7 +310,7 @@ def test_degenerate_pass_detected():
     # degenerate-pass and excluded from the verdict.
     odd = Characteristic((F(1, 2),), (F(1, 2),))
     spec = RelationSpec.create(4, 1, (odd, odd, odd, odd))
-    reports = verify(spec, 2, 1e-10, sampler=_ZeroArgSampler())
+    reports = verify(spec, 2, sampler=_ZeroArgSampler())
     assert all(r.status == "degenerate-pass" for r in reports)
     assert overall_verdict(reports, 1e-10) == "pass"
 
@@ -271,7 +319,7 @@ def test_verify_eval_failure_status():
     from thetarel import EvalSettings
 
     spec = RelationSpec.create(3, 1)
-    reports = verify(spec, 2, 1e-9, settings=EvalSettings(max_radius=1))
+    reports = verify(spec, 2, settings=EvalSettings(max_radius=1))
     assert all(r.status == "eval-failed" for r in reports)
     assert overall_verdict(reports, 1e-9) == "fail"
 
@@ -279,15 +327,15 @@ def test_verify_eval_failure_status():
 def test_verify_with_fixed_tau():
     spec = RelationSpec.create(3, 1)
     tau = PeriodMatrix(np.array([[0.3 + 1.1j]]))
-    reports = verify(spec, 3, 1e-10, tau=tau)
+    reports = verify(spec, 3, tau=tau)
     assert overall_verdict(reports, 1e-10) == "pass"
     assert all(r.tau is tau for r in reports)
 
 
 def test_verify_deterministic():
     spec = RelationSpec.create(3, 1)
-    a = verify(spec, 4, 1e-9)
-    b = verify(spec, 4, 1e-9)
+    a = verify(spec, 4)
+    b = verify(spec, 4)
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.rel_error for r in a] == [r.rel_error for r in b]
 
@@ -324,7 +372,7 @@ def test_smith_flips_sign_of_odd_product(settings):
 
 def test_relation_report_schema():
     spec = RelationSpec.create(3, 1)
-    reports = verify(spec, 2, 1e-9)
+    reports = verify(spec, 2)
     obj = relation_report(spec, build_relation(spec), reports, 1e-9)
     assert set(obj) == {"spec", "terms", "trials", "verdict"}
     assert set(obj["spec"]) == {"n", "g", "lambda", "mode", "mu"}

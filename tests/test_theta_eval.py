@@ -22,8 +22,9 @@ from thetarel import (
     char_shift_phase,
     theta,
     theta_constant,
+    theta_shift_table,
 )
-from thetarel.theta import _box_sum
+from thetarel.theta import TARGET_ABS_ERROR, _box_sum
 
 F = Fraction
 
@@ -228,9 +229,26 @@ def test_period_matrix_validation():
     assert pm.lam_min >= 0.95 * true_min
 
 
+@pytest.mark.parametrize("bad", [complex(math.inf, 1), complex(math.nan, 1),
+                                 complex(0.1, math.inf), complex(0.1, math.nan)])
+def test_period_matrix_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        PeriodMatrix(np.array([[bad]]))
+    with pytest.raises(ValueError, match="finite"):
+        PeriodMatrix(np.array([[1j, bad], [bad, 1j]]))
+
+
+@pytest.mark.parametrize("z", [complex(math.nan), complex(math.inf, 0),
+                               complex(0, -math.inf)])
+def test_theta_rejects_non_finite_argument(z, tau_i):
+    zero = Characteristic.zero(1)
+    with pytest.raises(ValueError, match="finite"):
+        theta(zero, z, tau_i)
+    with pytest.raises(ValueError, match="finite"):
+        theta_shift_table(zero, z, tau_i, 3)
+
+
 def test_settings_validation():
-    with pytest.raises(ValueError):
-        EvalSettings(target_abs_error=1e-15)
     with pytest.raises(ValueError):
         EvalSettings(max_radius=0)
     with pytest.raises(ValueError):
@@ -243,6 +261,7 @@ def test_truncation_failure_reports_best_bound():
         theta(Characteristic.zero(1), 0.3j, pm, EvalSettings(max_radius=6))
     err = info.value
     assert err.radius == 6
+    assert err.target == TARGET_ABS_ERROR == 1e-13
     assert err.best_bound > err.target
 
 

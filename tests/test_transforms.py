@@ -5,7 +5,6 @@ import pytest
 
 from thetarel import (
     Characteristic,
-    MatrixKind,
     TransformMatrix,
     apply_to_args,
     apply_to_chars,
@@ -19,7 +18,7 @@ F = Fraction
 
 def test_smith_matrix_entries():
     s3 = smith_matrix(3)
-    assert s3.kind is MatrixKind.SMITH
+    assert s3.n == 3
     assert s3.entries == (
         (F(-1, 3), F(2, 3), F(2, 3)),
         (F(2, 3), F(-1, 3), F(2, 3)),
@@ -41,7 +40,7 @@ def test_smith_matrix_domain():
 def test_involution_enforced_by_constructor():
     bad = ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(ValueError):
-        TransformMatrix(2, bad, MatrixKind.SMITH)
+        TransformMatrix(bad)
 
 
 def test_smith_matrix_is_cached_and_check_still_runs():
@@ -52,12 +51,12 @@ def test_smith_matrix_is_cached_and_check_still_runs():
     # The cache sits in front of smith_matrix only; the constructor's
     # involution check is not bypassed.
     with pytest.raises(ValueError):
-        TransformMatrix(3, ((F(1), F(0), F(0)),) * 3, MatrixKind.SMITH)
+        TransformMatrix(((F(1), F(0), F(0)),) * 3)
 
 
 def test_jacobi_matrix_entries_and_row_sums():
     a = jacobi_a_matrix()
-    assert a.kind is MatrixKind.JACOBI_A
+    assert a.n == 4
     assert all(abs(v) == F(1, 2) for row in a.entries for v in row)
     row_sums = [sum(row) for row in a.entries]
     assert row_sums == [F(2), F(0), F(0), F(0)]

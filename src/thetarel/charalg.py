@@ -65,6 +65,14 @@ class Characteristic:
         return len(self.top)
 
     @classmethod
+    def _unchecked(cls, top: tuple[Fraction, ...], bottom: tuple[Fraction, ...]):
+        """Construct from all-Fraction tuples of one length >= 1, unchecked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bottom", bottom)
+        return self
+
+    @classmethod
     def zero(cls, genus: int) -> "Characteristic":
         return cls((Fraction(0),) * genus, (Fraction(0),) * genus)
 

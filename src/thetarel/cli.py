@@ -131,8 +131,11 @@ def _spec_from_args(args) -> RelationSpec:
 def _parse_tau(text: str, genus: int) -> PeriodMatrix:
     if genus != 1:
         raise UsageError("--tau is only supported for genus 1")
+    body = text.strip()
+    if body.endswith("i"):
+        body = body[:-1] + "j"
     try:
-        value = complex(text.replace("i", "j"))
+        value = complex(body)
     except ValueError:
         raise UsageError(f"cannot parse period {text!r}") from None
     try:

@@ -55,6 +55,12 @@ __all__ = [
 # Largest max_rel_error with which a suite case passes.
 SUITE_TOLERANCE = 1e-10
 
+# The all-zero n=3 and n=4 relations that the curated checks specialize,
+# held once so that their per-spec values (nu, the coefficient and digit
+# tables) are derived once rather than on every call.
+_TERNARY = RelationSpec.create(3, 1)
+_SMITH = RelationSpec.create(4, 1)
+
 
 def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
     """Report for a multi-part identity: the evaluable comparison with the
@@ -72,10 +78,9 @@ def ternary_cube_check(
     sum of the nine shifted cubes, obtained from the n=3 relation at
     z = (x, x, x) (a fixed point of the transform).  At x = 0 it is the
     nine-term constants relation, the suite's constants_zero case."""
-    spec = RelationSpec.create(3, 1)
     z = (x, x, x)
-    lhs = lhs_value(spec, z, tau, settings)
-    rhs = rhs_value(spec, z, tau, settings)
+    lhs = lhs_value(_TERNARY, z, tau, settings)
+    rhs = rhs_value(_TERNARY, z, tau, settings)
     return _compare(lhs, rhs, z, tau)
 
 
@@ -89,8 +94,7 @@ def ternary_constants_check(
     generated term list (not hard-coded), keeping this path consistent
     with the relation engine.
     """
-    spec = RelationSpec.create(3, 1)
-    terms = {str(t.shift): t.coefficient for t in build_relation(spec)}
+    terms = {str(t.shift): t.coefficient for t in build_relation(_TERNARY)}
 
     def const(top, bottom):
         return theta_constant(
@@ -138,9 +142,8 @@ def smith_relation_check(
 ) -> VerificationReport:
     """Four-term signed relation 2(00) = (00)'+(01)'+(10)'-(11)' under the
     sum-preserving involution, via the general n=4 machinery."""
-    spec = RelationSpec.create(4, 1)
-    lhs = lhs_value(spec, z, tau, settings)
-    rhs = rhs_value(spec, z, tau, settings)
+    lhs = lhs_value(_SMITH, z, tau, settings)
+    rhs = rhs_value(_SMITH, z, tau, settings)
     return _compare(lhs, rhs, tuple(z), tau)
 
 
@@ -180,11 +183,10 @@ def collapse_args_equal_check(
     reads every shift from one batched theta_shift_table sum per
     argument, the cube sum makes one theta() call per shift of the
     build_relation term list."""
-    spec = RelationSpec.create(3, 1)
     z = (x, x, x)
-    engine_rhs = rhs_value(spec, z, tau, settings)
+    engine_rhs = rhs_value(_TERNARY, z, tau, settings)
     direct = 0j
-    for term in build_relation(spec):
+    for term in build_relation(_TERNARY):
         direct += term.coefficient * theta(term.shift, x, tau, settings).value ** 3
     return _compare(engine_rhs, direct, z, tau)
 

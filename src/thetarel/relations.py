@@ -56,12 +56,23 @@ integers kappa c.b mod lambda^2 and the Fractions sum_j mu'_j.b/lambda
 mod 1, once per instance.  build_relation's exact Fraction term list
 (emit and the reports) and rhs_value's float coefficient table, which
 adds the two parts in floating point only, are both read from them.
+
+The exact term list needs no Fraction sum per term.  Each half of
+nu_j + a depends on one digit vector only (the top half on c, the
+bottom half on b), so RelationSpec also holds a digit table: for each
+d in {0..lambda-1}^g, lexicographic, the rows (d/lambda,
+nu_1 + d/lambda, ..., nu_n + d/lambda) of top and of bottom halves,
+built with (n+1) g lambda Fraction additions per axis.  Term (c, b)
+pairs top row c with bottom row b, and with drift[b] = p/q its exponent
+is the single integer numerator -(cross[c, b] q + p lambda^2) mod
+lambda^2 q over lambda^2 q.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -69,7 +80,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charalg import Characteristic, cycle_number, enumerate_shifts
+from .charalg import Characteristic, cycle_number
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -164,6 +175,28 @@ class RelationSpec:
         return apply_to_chars(smith_matrix(self.n), self.mu)
 
     @functools.cached_property
+    def _digit_table(self) -> tuple[list[tuple], list[tuple]]:
+        """(tops, bottoms): for each digit vector d in {0..lambda-1}^g,
+        lexicographic, the row (d/lambda, nu_1 + d/lambda, ...,
+        nu_n + d/lambda) of top halves resp. bottom halves, as
+        all-Fraction g-tuples.  Term (c, b) is (tops[c]; bottoms[b])."""
+        lam, g = self.lam, self.genus
+        steps = [Fraction(k, lam) for k in range(lam)]
+        zero = (Fraction(0),) * g
+
+        def rows(halves):
+            sums = [[[h[i] + s for s in steps] for i in range(g)] for h in halves]
+            return [
+                tuple(tuple(per[i][k] for i, k in enumerate(d)) for per in sums)
+                for d in itertools.product(range(lam), repeat=g)
+            ]
+
+        return (
+            rows([zero] + [v.top for v in self._nu]),
+            rows([zero] + [v.bottom for v in self._nu]),
+        )
+
+    @functools.cached_property
     def _exponent_parts(self) -> tuple[np.ndarray, tuple[Fraction, ...]]:
         """x(a) = -(cross[c, b]/lambda^2 + drift[b]) at a = (c/lambda; b/lambda)
         with c and b lexicographic: cross = kappa c.b mod lambda^2 as
@@ -211,15 +244,19 @@ def build_relation(spec: RelationSpec) -> list[RelationTerm]:
     denominator divides lambda^2 whenever the mu_j are in standard form
     (coordinates multiples of 1/lambda).
     """
+    tops, bottoms = spec._digit_table
     cross, drift = spec._exponent_parts
     sq = spec.lam * spec.lam
-    exponents = [
-        -(Fraction(x, sq) + d) % 1 for row in cross.tolist() for x, d in zip(row, drift)
-    ]
-    return [
-        RelationTerm(shift, exponent, tuple(v + shift for v in spec._nu))
-        for shift, exponent in zip(enumerate_shifts(spec.genus, spec.lam), exponents)
-    ]
+    # drift[b] = p/q: x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
+    drift_parts = [(d.numerator * sq, d.denominator) for d in drift]
+    make = Characteristic._unchecked
+    terms = []
+    for top, row in zip(tops, cross.tolist()):
+        for bottom, x, (p_sq, q) in zip(bottoms, row, drift_parts):
+            shift, *nu_shifted = map(make, top, bottom)
+            exponent = Fraction(-(x * q + p_sq) % (sq * q), sq * q)
+            terms.append(RelationTerm(shift, exponent, tuple(nu_shifted)))
+    return terms
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:

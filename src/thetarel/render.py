@@ -15,7 +15,13 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charalg import Characteristic, cycle_number
-from .relations import CoefficientMode, RelationSpec, RelationTerm, _terms_json_obj
+from .relations import (
+    CoefficientMode,
+    RelationSpec,
+    RelationTerm,
+    _terms_json_obj,
+    build_relation,
+)
 
 __all__ = [
     "dumps",
@@ -75,7 +81,10 @@ def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict
 
 def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:
     """Inverse of terms_to_json_obj + dumps; round-trips byte-identically.
-    A "lambda" other than cycle_number(n) raises ValueError."""
+
+    Only "spec" is parsed: the terms are rebuilt from it, and a "terms"
+    list other than the rebuilt one, or a "lambda" other than
+    cycle_number(n), raises ValueError."""
     obj = json.loads(text)
     s = obj["spec"]
     n = int(s["n"])
@@ -87,14 +96,9 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:
         mu=tuple(Characteristic.parse(m) for m in s["mu"]),
         mode=CoefficientMode(s["mode"]),
     )
-    terms = [
-        RelationTerm(
-            shift=Characteristic.parse(t["shift"]),
-            exponent=Fraction(t["exponent"]),
-            nu_shifted=tuple(Characteristic.parse(c) for c in t["nu_shifted"]),
-        )
-        for t in obj["terms"]
-    ]
+    terms = build_relation(spec)
+    if obj["terms"] != _terms_json_obj(spec, terms)["terms"]:
+        raise ValueError("terms do not match the relation of their spec")
     return spec, terms
 
 

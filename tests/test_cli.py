@@ -69,6 +69,23 @@ def test_emit_json_roundtrip(capsys):
     assert dumps(terms_to_json_obj(spec, terms)) + "\n" == out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # denominators not dividing lambda, values outside [0, 1)
+        ["--n", "6", "--mu=1/7;5/3", "--mu=-4/3;3/11", "--mu=-9/4;0",
+         "--mu=2/3;1/2", "--mu=0;-1/5", "--mu=7/2;1/3"],
+        ["--n", "7", "--g", "2"],
+    ],
+    ids=["6-1-nonstandard", "7-2"],
+)
+def test_emit_json_roundtrip_nonstandard_mu_and_genus_two(capsys, argv):
+    code, out, _ = run_cli(capsys, "emit", "--format", "json", *argv)
+    assert code == 0
+    spec, terms = parse_terms_json(out)
+    assert dumps(terms_to_json_obj(spec, terms)) + "\n" == out
+
+
 def test_emit_text_format(capsys):
     code, out, _ = run_cli(capsys, "emit", "--n", "4", "--g", "1", "--format", "text")
     assert code == 0
@@ -159,6 +176,17 @@ def test_verify_non_finite_tau_is_usage_error(capsys, tau):
     assert code == 64
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("tau", ["inf+1i", "nan+1i"])
+def test_verify_tau_keeps_non_unit_i(capsys, tau):
+    # Only the trailing imaginary unit is rewritten, so the "i" of "inf"
+    # survives and the value reaches the finite check.
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--tau", tau)
+    assert code == 64
+    assert out == ""
+    assert "must be finite" in err
+    assert "cannot parse" not in err
 
 
 def test_verify_truncation_exit_two(capsys, monkeypatch):

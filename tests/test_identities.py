@@ -23,6 +23,7 @@ from thetarel import (
     theta_constant,
     verify_jacobi_a,
 )
+from thetarel import identities, relations
 from thetarel.identities import _report
 
 F = Fraction
@@ -180,6 +181,23 @@ def test_suite_runs_and_passes():
         assert case["verdict"] == "pass"
         assert case["samples"] == 3
         assert case["max_rel_error"] <= 1e-10
+
+
+def test_suite_derives_nu_once_per_relation(monkeypatch):
+    # The curated checks share one n=3 and one n=4 spec: with both fresh,
+    # a whole suite run derives nu = mu S_n once for each.
+    monkeypatch.setattr(identities, "_TERNARY", RelationSpec.create(3, 1))
+    monkeypatch.setattr(identities, "_SMITH", RelationSpec.create(4, 1))
+    derived = []
+    apply_to_chars = relations.apply_to_chars
+
+    def counted(matrix, chars):
+        derived.append(matrix.n)
+        return apply_to_chars(matrix, chars)
+
+    monkeypatch.setattr(relations, "apply_to_chars", counted)
+    run_suite(10)
+    assert sorted(derived) == [3, 4]
 
 
 def test_suite_deterministic():

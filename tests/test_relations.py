@@ -65,6 +65,38 @@ def test_spec_validation():
         parse_terms_json(dumps(obj))
 
 
+def _alter_exponent(terms):
+    terms[5]["exponent"] = str((F(terms[5]["exponent"]) + F(1, 3)) % 1)
+
+
+def _alter_nu_shifted(terms):
+    terms[5]["nu_shifted"][1] = terms[6]["nu_shifted"][1]
+
+
+def _alter_shift(terms):
+    terms[5]["shift"] = terms[6]["shift"]
+
+
+def _drop_term(terms):
+    del terms[-1]
+
+
+def _reorder_terms(terms):
+    terms[1], terms[2] = terms[2], terms[1]
+
+
+@pytest.mark.parametrize(
+    "alter",
+    [_alter_exponent, _alter_nu_shifted, _alter_shift, _drop_term, _reorder_terms],
+)
+def test_parse_rejects_terms_that_do_not_match_the_spec(alter):
+    spec = RelationSpec.create(3, 1)
+    obj = terms_to_json_obj(spec, build_relation(spec))
+    alter(obj["terms"])
+    with pytest.raises(ValueError, match="terms do not match"):
+        parse_terms_json(dumps(obj))
+
+
 def test_spec_fields_and_derived_lambda():
     assert [f.name for f in dataclasses.fields(RelationSpec)] == [
         "n", "genus", "mu", "mode",

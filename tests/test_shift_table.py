@@ -1,5 +1,7 @@
-"""Batched shift tables against the per-term evaluation they replace."""
+"""Batched shift tables and the digit-table term list against the per-term
+constructions they replace."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from thetarel import (
     EvalSettings,
     PeriodMatrix,
     RelationSpec,
+    RelationTerm,
     TrialSampler,
     TruncationError,
     apply_to_args,
@@ -44,6 +47,27 @@ def _rhs_per_term(spec, z, tau, settings=EvalSettings()):
     return total, scale
 
 
+def _exponents_per_term(spec):
+    """Reference exponents: one Fraction sum -(cross/lambda^2 + drift) mod 1
+    per term."""
+    cross, drift = spec._exponent_parts
+    sq = spec.lam * spec.lam
+    return [
+        -(Fraction(x, sq) + d) % 1 for row in cross.tolist() for x, d in zip(row, drift)
+    ]
+
+
+def _terms_per_term(spec):
+    """Reference term list: the n Characteristic sums nu_j + a per shift a
+    of enumerate_shifts, with the exponents above."""
+    return [
+        RelationTerm(shift, exponent, tuple(v + shift for v in spec._nu))
+        for shift, exponent in zip(
+            enumerate_shifts(spec.genus, spec.lam), _exponents_per_term(spec)
+        )
+    ]
+
+
 def _mu(kind, n, g, rng):
     lam = cycle_number(n)
 
@@ -74,6 +98,26 @@ def test_rhs_matches_per_term_oracle(n, g, kind, mode):
     # Relative to the summed term sizes: a naive-mode right side can
     # cancel to 1e-5 of its terms, below the rounding of either path.
     assert abs(rhs_value(spec, zs, tau) - expected) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("kind", ["zero", "standard", "nonstandard"])
+@pytest.mark.parametrize(
+    "n,g",
+    [(n, g) for g in (1, 2) for n in range(2, 10)]
+    + [(n, 3) for n in range(2, 10) if cycle_number(n) <= 3],
+)
+def test_build_relation_matches_per_term_oracle(n, g, kind):
+    mu = _mu(kind, n, g, np.random.default_rng([n, g, len(kind)]))
+    modified, naive = (RelationSpec.create(n, g, mu, mode) for mode in CoefficientMode)
+    expected = _terms_per_term(modified)
+    terms = build_relation(modified)
+    assert terms == expected
+    assert all(type(v) is Fraction for t in terms for c in (t.shift, *t.nu_shifted)
+               for v in c.top + c.bottom)
+    # The mode changes kappa only, so only the exponents differ.
+    assert build_relation(naive) == [
+        replace(t, exponent=e) for t, e in zip(expected, _exponents_per_term(naive))
+    ]
 
 
 def test_table_entries_are_per_shift_theta_values():

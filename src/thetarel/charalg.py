@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "Characteristic",
@@ -95,9 +95,7 @@ class Characteristic:
         return cls(vectors[0], vectors[1])
 
     def __str__(self) -> str:
-        top = ",".join(str(v) for v in self.top)
-        bottom = ",".join(str(v) for v in self.bottom)
-        return f"{top};{bottom}"
+        return f"{_half_text(self.top)};{_half_text(self.bottom)}"
 
     def __add__(self, other: "Characteristic") -> "Characteristic":
         self._check_genus(other)
@@ -124,6 +122,37 @@ class Characteristic:
     def _check_genus(self, other: "Characteristic") -> None:
         if self.genus != other.genus:
             raise ValueError(f"genus mismatch: {self.genus} != {other.genus}")
+
+
+def _half_text(half: tuple[Fraction, ...]) -> str:
+    return ",".join(map(str, half))
+
+
+def _memo(fmt: Callable) -> Callable:
+    """fmt, computed once per distinct object for as long as the returned
+    function lives (one rendering call).
+
+    Keyed on id(v), not on v: hashing a tuple of Fractions costs more
+    than formatting it, while the halves of a relation's terms are
+    shared objects (see relations.RelationSpec._digit_table).  Each entry
+    holds v, so its id cannot be reused by another object meanwhile."""
+    seen: dict[int, tuple] = {}
+
+    def get(v):
+        try:
+            return seen[id(v)][1]
+        except KeyError:
+            value = fmt(v)
+            seen[id(v)] = (v, value)
+            return value
+
+    return get
+
+
+def _char_text() -> Callable[[Characteristic], str]:
+    """str(c) for one rendering call, each half object formatted once."""
+    half = _memo(_half_text)
+    return lambda c: f"{half(c.top)};{half(c.bottom)}"
 
 
 def _is_rational_token(token: str) -> bool:

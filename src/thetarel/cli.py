@@ -146,8 +146,11 @@ def _parse_tau(text: str, genus: int) -> PeriodMatrix:
 
 def _write(text: str, out: Optional[str]) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

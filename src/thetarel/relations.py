@@ -63,9 +63,10 @@ bottom half on b), so RelationSpec also holds a digit table: for each
 d in {0..lambda-1}^g, lexicographic, the rows (d/lambda,
 nu_1 + d/lambda, ..., nu_n + d/lambda) of top and of bottom halves,
 built with (n+1) g lambda Fraction additions per axis.  Term (c, b)
-pairs top row c with bottom row b, and with drift[b] = p/q its exponent
-is the single integer numerator -(cross[c, b] q + p lambda^2) mod
-lambda^2 q over lambda^2 q.
+pairs top row c with bottom row b, and with drift[b] = p/q, q common to
+all b, its exponent is the single integer numerator
+-(cross[c, b] q + p lambda^2) mod lambda^2 q over lambda^2 q; terms with
+equal numerators share one Fraction.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .charalg import Characteristic, cycle_number
+from .charalg import Characteristic, _char_text, _memo, cycle_number
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -247,14 +248,20 @@ def build_relation(spec: RelationSpec) -> list[RelationTerm]:
     tops, bottoms = spec._digit_table
     cross, drift = spec._exponent_parts
     sq = spec.lam * spec.lam
-    # drift[b] = p/q: x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
-    drift_parts = [(d.numerator * sq, d.denominator) for d in drift]
+    # drift[b] = p/q over the common denominator q:
+    # x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
+    q = math.lcm(*(d.denominator for d in drift))
+    drift_sq = [d.numerator * (q // d.denominator) * sq for d in drift]
+    exponents: dict[int, Fraction] = {}
     make = Characteristic._unchecked
     terms = []
     for top, row in zip(tops, cross.tolist()):
-        for bottom, x, (p_sq, q) in zip(bottoms, row, drift_parts):
+        for bottom, x, p_sq in zip(bottoms, row, drift_sq):
             shift, *nu_shifted = map(make, top, bottom)
-            exponent = Fraction(-(x * q + p_sq) % (sq * q), sq * q)
+            k = -(x * q + p_sq) % (sq * q)
+            exponent = exponents.get(k)
+            if exponent is None:
+                exponent = exponents[k] = Fraction(k, sq * q)
             terms.append(RelationTerm(shift, exponent, tuple(nu_shifted)))
     return terms
 
@@ -456,7 +463,10 @@ def verify_jacobi_a(
 
 
 def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
-    """The "spec"/"terms" object shared by relation_report and emit."""
+    """The "spec"/"terms" object shared by relation_report and emit.
+
+    Each shared half and exponent is formatted once (charalg._memo)."""
+    char, exponent = _char_text(), _memo(str)
     return {
         "spec": {
             "n": spec.n,
@@ -467,9 +477,9 @@ def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
         },
         "terms": [
             {
-                "shift": str(t.shift),
-                "exponent": str(t.exponent),
-                "nu_shifted": [str(c) for c in t.nu_shifted],
+                "shift": char(t.shift),
+                "exponent": exponent(t.exponent),
+                "nu_shifted": [char(c) for c in t.nu_shifted],
             }
             for t in terms
         ],

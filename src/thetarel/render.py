@@ -6,6 +6,16 @@ bytes.  LaTeX emission targets a standalone math fragment with
 binomial-style characteristic stacks; coefficients render as omega
 powers for lambda = 3, as bare signs when they are exactly +-1, and as
 e[p/q] otherwise.
+
+Each renderer of a term list (JSON, LaTeX, text) formats each distinct
+top or bottom half, and each exponent, once per call.  The top halves
+of build_relation's terms depend on the top digit vector only, so each
+is one object shared by lambda^g terms, and likewise the bottom halves:
+at (7,2) the 19,208 characteristics have 784 distinct halves.  The
+memo is keyed on object identity, because hashing a tuple of Fractions
+costs more than formatting it; it holds every object it has seen, so no
+id is reused during the call, and it is dropped when the call returns.
+A term list whose halves are not shared simply misses every time.
 """
 
 from __future__ import annotations
@@ -14,7 +24,7 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .charalg import Characteristic, cycle_number
+from .charalg import Characteristic, _char_text, _memo, cycle_number
 from .relations import (
     CoefficientMode,
     RelationSpec,
@@ -32,6 +42,10 @@ __all__ = [
 ]
 
 
+# What json.dumps(str) calls under its default ensure_ascii=True.
+_encode_str = json.encoder.encode_basestring_ascii
+
+
 def _format_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         return "null"
@@ -44,12 +58,14 @@ def dumps(obj, indent: int = 0) -> str:
     Supports dicts (insertion order preserved), lists, strings, ints,
     bools, None and floats; Fractions render as "p/q" strings.
     """
+    if type(obj) is str:
+        return _encode_str(obj)
     pad = " " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(k))}: {dumps(v, indent + 2)}"
+            f"{pad}  {_encode_str(str(k))}: {dumps(v, indent + 2)}"
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
@@ -67,10 +83,8 @@ def dumps(obj, indent: int = 0) -> str:
         return str(obj)
     if isinstance(obj, float):
         return _format_float(obj)
-    if isinstance(obj, Fraction):
-        return json.dumps(str(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
+    if isinstance(obj, (Fraction, str)):
+        return _encode_str(str(obj))
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
@@ -84,15 +98,29 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:
 
     Only "spec" is parsed: the terms are rebuilt from it, and a "terms"
     list other than the rebuilt one, or a "lambda" other than
-    cycle_number(n), raises ValueError."""
+    cycle_number(n), raises ValueError.  So does a document that is not
+    an object, lacks a key, or has an "n", "g" or "lambda" that is not a
+    JSON integer."""
     obj = json.loads(text)
-    s = obj["spec"]
-    n = int(s["n"])
-    if int(s["lambda"]) != cycle_number(n):
+    s = obj.get("spec") if isinstance(obj, dict) else None
+    if not isinstance(s, dict):
+        raise ValueError('relation JSON must be an object with a "spec" object')
+    missing = [f"spec.{k}" for k in ("n", "g", "lambda", "mode", "mu") if k not in s]
+    if "terms" not in obj:
+        missing.append("terms")
+    if missing:
+        raise ValueError(f"relation JSON lacks {', '.join(missing)}")
+    for key in ("n", "g", "lambda"):
+        if type(s[key]) is not int:
+            raise ValueError(f'spec "{key}" must be a JSON integer, got {s[key]!r}')
+    if not isinstance(s["mu"], list) or not all(isinstance(m, str) for m in s["mu"]):
+        raise ValueError('spec "mu" must be a list of characteristic strings')
+    n = s["n"]
+    if s["lambda"] != cycle_number(n):
         raise ValueError(f"lambda {s['lambda']} is not cycle_number({n})")
     spec = RelationSpec(
         n=n,
-        genus=int(s["g"]),
+        genus=s["g"],
         mu=tuple(Characteristic.parse(m) for m in s["mu"]),
         mode=CoefficientMode(s["mode"]),
     )
@@ -109,10 +137,12 @@ def _latex_rational(v: Fraction) -> str:
     return f"{sign}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _latex_stack(c: Characteristic) -> str:
-    top = "\\,".join(_latex_rational(v) for v in c.top)
-    bottom = "\\,".join(_latex_rational(v) for v in c.bottom)
-    return f"\\binom{{{top}}}{{{bottom}}}"
+def _latex_half(half: tuple[Fraction, ...]) -> str:
+    return "\\,".join(map(_latex_rational, half))
+
+
+def _latex_stack(c: Characteristic, half=_latex_half) -> str:
+    return f"\\binom{{{half(c.top)}}}{{{half(c.bottom)}}}"
 
 
 def _latex_coefficient(exponent: Fraction, lam: int) -> tuple[str, str]:
@@ -144,13 +174,14 @@ def relation_to_latex(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
     else:
         factors = "".join(_latex_stack(m) for m in spec.mu)
         lhs = f"{lam_pow}\\cdot {factors}"
+    half = _memo(_latex_half)
+    coefficient = _memo(lambda e: _latex_coefficient(e, spec.lam))
     pieces = []
     for i, term in enumerate(terms):
-        sep, prefix = _latex_coefficient(term.exponent, spec.lam)
-        if all(c == term.nu_shifted[0] for c in term.nu_shifted):
-            body = _latex_stack(term.nu_shifted[0]) + "'"
-        else:
-            body = "".join(_latex_stack(c) + "'" for c in term.nu_shifted)
+        sep, prefix = coefficient(term.exponent)
+        # str(Fraction) is canonical, so equal stacks mean equal factors.
+        stacks = [_latex_stack(c, half) + "'" for c in term.nu_shifted]
+        body = stacks[0] if stacks.count(stacks[0]) == len(stacks) else "".join(stacks)
         if i == 0 and sep == "+":
             pieces.append(f"{prefix}{body}")
         else:
@@ -164,7 +195,8 @@ def terms_to_text(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
         f"terms={len(terms)}",
         f"{'shift':>16s}  {'exponent':>10s}  nu+a",
     ]
+    char, exponent = _char_text(), _memo(str)
     for t in terms:
-        nu = " ".join(str(c) for c in t.nu_shifted)
-        lines.append(f"{str(t.shift):>16s}  {str(t.exponent):>10s}  {nu}")
+        nu = " ".join(map(char, t.nu_shifted))
+        lines.append(f"{char(t.shift):>16s}  {exponent(t.exponent):>10s}  {nu}")
     return "\n".join(lines) + "\n"

@@ -248,6 +248,26 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["emit", "--n", "3"],
+        ["verify", "--n", "3", "--trials", "1"],
+        ["falsify", "--trials", "1"],
+        ["suite", "--trials", "1"],
+        ["table"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "out.txt"
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 64
+    assert out == ""
+    assert err.startswith("thetarel: error: cannot write") and err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bogus"])

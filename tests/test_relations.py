@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import json
 import math
 from fractions import Fraction
 
@@ -95,6 +96,46 @@ def test_parse_rejects_terms_that_do_not_match_the_spec(alter):
     alter(obj["terms"])
     with pytest.raises(ValueError, match="terms do not match"):
         parse_terms_json(dumps(obj))
+
+
+def _set_spec(key, value):
+    def alter(obj):
+        obj["spec"][key] = value
+        return obj
+    return alter
+
+
+def _drop(*path):
+    def alter(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        del target[path[-1]]
+        return obj
+    return alter
+
+
+@pytest.mark.parametrize(
+    "alter, match",
+    [
+        (lambda obj: [obj], "must be an object"),
+        (lambda obj: "terms", "must be an object"),
+        (lambda obj: {**obj, "spec": list(obj["spec"].values())}, "must be an object"),
+        (_drop("terms"), "lacks terms"),
+        (_drop("spec", "lambda"), "lacks spec.lambda"),
+        (_drop("spec", "mu"), "lacks spec.mu"),
+        (_set_spec("n", 1.5), '"n" must be a JSON integer'),
+        (_set_spec("n", 3.0), '"n" must be a JSON integer'),
+        (_set_spec("g", True), '"g" must be a JSON integer'),
+        (_set_spec("lambda", "3"), '"lambda" must be a JSON integer'),
+        (_set_spec("mu", "0;0"), '"mu" must be a list'),
+    ],
+)
+def test_parse_rejects_malformed_documents(alter, match):
+    spec = RelationSpec.create(3, 1)
+    obj = terms_to_json_obj(spec, build_relation(spec))
+    with pytest.raises(ValueError, match=match):
+        parse_terms_json(json.dumps(alter(obj)))
 
 
 def test_spec_fields_and_derived_lambda():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from typing import Optional
 
@@ -67,8 +68,10 @@ def _build_parser() -> _Parser:
             sp.add_argument("--trials", type=int, default=trials_default)
             sp.add_argument("--tol", type=float, default=tol_default)
             sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
-            sp.add_argument("--tau", default=None, metavar="RE+IMi",
-                            help="fixed genus-1 period, e.g. 0.3+1.1i")
+            sp.add_argument("--tau", default=None, metavar="MATRIX",
+                            help="fixed period matrix, entries like 0.3+1.1i "
+                            "separated by ',' and rows by ';', e.g. "
+                            "'1.1i,0.2+0.3i;0.2+0.3i,0.9i'")
         sp.add_argument("--format", choices=["json", "latex", "text"], default=None)
         sp.add_argument("--out", default=None)
 
@@ -129,17 +132,21 @@ def _spec_from_args(args) -> RelationSpec:
 
 
 def _parse_tau(text: str, genus: int) -> PeriodMatrix:
-    if genus != 1:
-        raise UsageError("--tau is only supported for genus 1")
-    body = text.strip()
-    if body.endswith("i"):
-        body = body[:-1] + "j"
+    """A genus x genus period matrix: rows separated by ';', entries by
+    ',', each entry a complex number written with i or j."""
+    rows = [row.split(",") for row in text.split(";")]
+    if len(rows) != genus or any(len(row) != genus for row in rows):
+        raise UsageError(
+            f"--tau {text!r}: need a {genus}x{genus} matrix, "
+            "rows separated by ';' and entries by ','"
+        )
     try:
-        value = complex(body)
+        # Only a trailing imaginary unit is rewritten; the i of inf stays.
+        entries = [[complex(re.sub("i$", "j", e.strip())) for e in row] for row in rows]
     except ValueError:
         raise UsageError(f"cannot parse period {text!r}") from None
     try:
-        return PeriodMatrix(np.array([[value]]))
+        return PeriodMatrix(np.array(entries))
     except ValueError as exc:
         raise UsageError(f"--tau {text!r}: {exc}") from None
 

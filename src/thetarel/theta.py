@@ -19,13 +19,19 @@ Im tau (numpy.linalg.eigvalsh less a margin for its rounding),
 so the tail is bounded by a geometric-style envelope summed over integer
 shells.  The radius search stops at the smallest R whose envelope meets
 the fixed target TARGET_ABS_ERROR; the reported tail_bound is that
-envelope floored at the rounding-noise level of the computed sum, making
-it a bound on the total absolute error.
+envelope plus a proven bound on the rounding error of the computed box
+sum, so it bounds the total absolute error.
 
-Summation is vectorised and then accumulated with exactly-rounded
-compensated summation (math.fsum on real and imaginary parts), in a
-fixed lexicographic box order, so results are reproducible bit-for-bit
-for identical inputs and settings.
+The terms are computed by one kernel on the broadcast grid
+v_a = mu'_a + k_a/lambda (lambda = 1 for theta): per axis a 1-D array
+of correctly rounded v_a, the exponent (1/2) v tau . v + v . shift
+accumulated from those arrays with 2 pi i folded into tau and shift,
+and one complex exp; the grid ravels in lexicographic order.  theta()
+sums the terms by halving (zero-pad to 2^L, then add the upper half
+onto the lower half L times), whose rounding error is within
+gamma_L * sum (|Re t| + |Im t|) (Higham 2002, section 4.2); _box_sum
+states the full bound.  The order is fixed, so results are
+reproducible bit-for-bit for identical inputs and settings.
 
 theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
@@ -56,6 +62,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * math.pi
+_U = 2.0**-53  # unit roundoff of float64
 
 # Shells of the tail envelope below this are closed with a geometric
 # remainder; the envelope decays like exp(-pi*lam_min*r^2) so only a
@@ -144,9 +151,9 @@ DEFAULT_SETTINGS = EvalSettings()
 class ThetaValue:
     """Evaluated series value with its truncation radius and error bound.
 
-    tail_bound upper-bounds the omitted tail of the series and is floored
-    at the arithmetic noise of the computed sum, so it is a usable bound
-    on the total absolute error of `value`.
+    tail_bound is the tail envelope of the omitted series plus the
+    rounding bound of the computed box sum, so it bounds the total
+    absolute error of `value`.
     """
 
     value: complex
@@ -183,30 +190,77 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     return math.inf
 
 
-def _box(top: Sequence[Fraction], radius: int, lam: int = 1) -> np.ndarray:
-    """Integer points k with |top_a + k_a/lam| <= radius on every axis.
+def _axes(
+    top: Sequence[Fraction], radius: int, lam: int = 1
+) -> tuple[list[range], list[np.ndarray]]:
+    """Per axis a: the integers k with |top_a + k/lam| <= radius, and
+    v_a = top_a + k/lam for each of them.
 
-    Lexicographic order, shape (points, g).  With lam = 1 these are the
-    xi of the theta series; with lam > 1 they index the finer lattice
-    top + (1/lam) Z^g of a shift table.  The bounds are exact integer
-    floor divisions on the numerator p and denominator q of top_a.
+    With lam = 1 these are the xi of the theta series; with lam > 1 they
+    index the finer lattice top + (1/lam) Z^g of a shift table.  The
+    bounds are exact integer floor divisions on top_a = p/q, and each v
+    is the one correctly rounded division (p lam + k q) / (q lam), so it
+    carries a relative error of at most u = 2^-53.
     """
-    ranges = [
-        np.arange(
-            -(lam * (radius * m.denominator + m.numerator) // m.denominator),
-            lam * (radius * m.denominator - m.numerator) // m.denominator + 1,
-        )
-        for m in top
-    ]
-    mesh = np.meshgrid(*ranges, indexing="ij")
-    return np.stack([axis.reshape(-1) for axis in mesh], axis=-1)
+    ks, vs = [], []
+    for m in top:
+        p, q = m.numerator, m.denominator
+        k = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
+        ks.append(k)
+        vs.append(np.array([(p * lam + j * q) / (q * lam) for j in k]))
+    return ks, vs
 
 
-def _terms(v: np.ndarray, shift: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Series terms e[(1/2) v tau . v + v . shift] at the rows of v, with their phases."""
-    quad = ((v @ tau) * v).sum(axis=1)
-    phase = TWO_PI * (0.5 * quad + v @ shift)
-    return np.exp(1j * phase), phase
+def _on_grid(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """The 1-D arrays laid along axes 0..g-1 of the broadcast grid, whose
+    C-order ravel is the lexicographic order of the points."""
+    g = len(axes)
+    return [x.reshape((-1,) + (1,) * (g - 1 - a)) for a, x in enumerate(axes)]
+
+
+def _quadratic(v: Sequence[np.ndarray], quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """sum_a v_a (quad_aa v_a / 2 + lin_a + sum_{b>a} quad_ab v_b) on the
+    broadcast grid of the axis arrays v, accumulated from the last axis."""
+    v = _on_grid(v)
+    total = 0.0
+    for a in reversed(range(len(v))):
+        inner = 0.5 * quad[a, a] * v[a] + lin[a]
+        for b in range(a + 1, len(v)):
+            inner = inner + quad[a, b] * v[b]
+        total = v[a] * inner + total
+    return total
+
+
+def _grid_terms(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Series terms e[(1/2) v tau . v + v . shift] on the broadcast grid of
+    the axis arrays v, from one complex exp; 2 pi i is folded into tau
+    and shift before the grid is formed."""
+    return np.exp(_quadratic(v, (TWO_PI * 1j) * tau, (TWO_PI * 1j) * shift))
+
+
+def _gamma(n: int) -> float:
+    """gamma_n = n u / (1 - n u): the relative error of n roundings."""
+    return n * _U / (1.0 - n * _U)
+
+
+def _halving_sum(terms: np.ndarray) -> tuple[complex, int]:
+    """(sum, L) of a 1-D complex array in a fixed pairwise order.
+
+    The terms are zero-padded to 2^L, L = ceil(log2 N); then L times the
+    upper half of the buffer is added onto its lower half.  Every term
+    passes through exactly L additions, so the real and imaginary parts
+    of the result are each within gamma_L * sum |part| of the exact sum
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 4.2).
+    """
+    depth = (terms.size - 1).bit_length()
+    buf = np.zeros(1 << depth, dtype=complex)
+    buf[: terms.size] = terms
+    n = buf.size
+    while n > 1:
+        n //= 2
+        buf[:n] += buf[n : 2 * n]
+    return complex(buf[0]), depth
 
 
 def _box_sum(
@@ -216,18 +270,49 @@ def _box_sum(
     tau: np.ndarray,
     radius: int,
 ) -> tuple[complex, float]:
-    """Lattice sum over the box, lexicographic order, exactly-rounded accumulation.
+    """Sum of the series terms over the box max_a |xi_a + mu'_a| <= radius.
 
-    Returns (value, noise_bound) where noise_bound estimates the rounding
-    error of the computed terms: the accumulation itself is exactly
-    rounded, so per-term error |term| * (|phase| + 2) * O(eps) dominates.
+    Returns (value, rounding_bound).  rounding_bound bounds |value - S|,
+    S the exact sum of the same terms, with z and tau taken as the exact
+    values of their floats and mu exact.  Each term is t = e^P, where the
+    exponent P = 2 pi i ((1/2) v tau . v + v . (z + mu'')) is a sum of
+    products of 2 pi i with entries of v, tau, z and mu''.  As _quadratic
+    computes it, every product passes through at most g + 7 roundings
+    (2 for 2 pi i times an entry, 2 for each factor v_a: its division
+    and its product, and g + 1 additions), so
+
+        |P_hat - P| <= gamma_{g+7} * 2 pi * M,
+        M = sum_a |v_a| (w_aa |v_a| / 2 + s_a + sum_{b>a} w_ab |v_b|),
+
+    with w = |Re tau| + |Im tau| and s_a = |Re z_a| + |Im z_a| + |mu''_a|.
+    Then |e^P_hat - e^P| <= |e^P_hat| * expm1(|P_hat - P|), and the
+    complex exp adds at most 10u to each part (exp, cos and sin each
+    within 2 ulps; glibc's are within 1).  With |t|_1 = |Re t| + |Im t|
+    and the halving sum of depth L, the bound is
+
+        1.01 * sum over terms of |t|_1 (gamma_L + 10u
+                                        + expm1(gamma_{g+7} 2 pi M))
+        + N * 2^-1070,
+
+    where the factor 1.01 covers the rounding of the bound itself and of
+    M, and the last term the terms that underflow to subnormals.
     """
-    v = _box(mu_top, radius).astype(float) + np.array([float(m) for m in mu_top])
-    terms, phase = _terms(v, z + np.array([float(m) for m in mu_bottom]), tau)
-    value = complex(math.fsum(terms.real), math.fsum(terms.imag))
-    eps = np.finfo(float).eps
-    noise = 5.0 * eps * math.fsum(np.abs(terms) * (np.abs(phase) + 2.0))
-    return value, noise
+    bottom = np.array([float(m) for m in mu_bottom])
+    _, v = _axes(mu_top, radius)
+    terms = _grid_terms(v, z + bottom, tau).ravel()
+    value, depth = _halving_sum(terms)
+    weight = _quadratic(
+        [np.abs(x) for x in v],
+        np.abs(tau.real) + np.abs(tau.imag),
+        np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
+    ).ravel()
+    size = np.abs(terms.real) + np.abs(terms.imag)
+    # An exponent error beyond expm1's range leaves no accuracy to claim:
+    # the bound is then inf, also where the term underflowed (0 * inf).
+    with np.errstate(over="ignore", invalid="ignore"):
+        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight)
+        bound = 1.01 * float((size * per_term).sum()) + terms.size * 2.0**-1070
+    return value, math.inf if math.isnan(bound) else bound
 
 
 def _truncation(
@@ -264,15 +349,19 @@ def theta(
     tau: PeriodMatrix,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> ThetaValue:
-    """Evaluate theta_mu(z, tau) to the absolute error TARGET_ABS_ERROR.
+    """Evaluate theta_mu(z, tau) with a bound on its absolute error.
 
     z may be a complex scalar (genus 1) or a length-g complex vector.
-    Raises TruncationError when no radius up to settings.max_radius
-    brings the tail envelope below TARGET_ABS_ERROR.
+    The box radius is the first whose tail envelope meets
+    TARGET_ABS_ERROR; tail_bound is that envelope plus the rounding
+    bound of the box sum (see _box_sum), so it bounds |value - theta|
+    whatever the rounding contributes.  Raises TruncationError when no
+    radius up to settings.max_radius brings the envelope below
+    TARGET_ABS_ERROR.
     """
     z, radius, bound = _truncation(mu, z, tau, settings)
-    value, noise = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)
-    return ThetaValue(value, radius, max(bound, noise))
+    value, rounding = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)
+    return ThetaValue(value, radius, bound + rounding)
 
 
 def theta_shift_table(
@@ -293,7 +382,8 @@ def theta_shift_table(
                           T(k) * e[k.b/lam^2],
         T(k) = e[(1/2) v tau . v + v . (w + nu'')].
 
-    The terms T(k) are computed once and binned by k mod lam^2; per axis,
+    The terms T(k) are computed once, by the grid kernel theta() uses,
+    and binned by the per-axis residues k_a mod lam^2; per axis,
     one lam^2 x lam^2 root-of-unity matrix then picks the coset and
     applies the phase.  R comes from the same search as theta(), so each
     entry sums exactly the points theta(nu + a, w) sums, and its omitted
@@ -306,18 +396,18 @@ def theta_shift_table(
     w, radius, _ = _truncation(nu, w, tau, settings)
     g = tau.genus
     sq = lam * lam
-    k = _box(nu.top, radius, lam)
-    top = np.array([float(m) for m in nu.top])
+    ks, v = _axes(nu.top, radius, lam)
     bottom = np.array([float(m) for m in nu.bottom])
-    terms, _ = _terms(k / lam + top, w + bottom, tau.entries)
-    bins = np.ravel_multi_index(tuple((k % sq).T), (sq,) * g)
+    terms = _grid_terms(v, w + bottom, tau.entries).ravel()
+    residues = [np.arange(k.start, k.stop) % sq * sq ** (g - 1 - a) for a, k in enumerate(ks)]
+    bins = sum(_on_grid(residues)).ravel()
     table = (
         np.bincount(bins, terms.real, sq**g) + 1j * np.bincount(bins, terms.imag, sq**g)
     ).reshape((sq,) * g)
     r = np.arange(sq)[:, None, None]
     c = np.arange(lam)[None, :, None]
     b = np.arange(lam)[None, None, :]
-    for m in top:
+    for m in map(float, nu.top):
         # [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + nu'_a) / lam]; the
         # contracted axis is always the leading one, the new (c, b) pair
         # goes to the end.

@@ -58,7 +58,7 @@ def test_emit_json_81_terms_genus2(capsys):
     assert len(json.loads(out)["terms"]) == 81
 
 
-def test_emit_json_roundtrip(capsys):
+def test_emit_json_roundtrip(capsys, assert_same):
     code, out, _ = run_cli(
         capsys, "emit", "--n", "6", "--g", "1", "--format", "json",
         "--mu", "1/3;0", "--mu", "0;2/3", "--mu", "2/3;1/3",
@@ -66,7 +66,7 @@ def test_emit_json_roundtrip(capsys):
     )
     assert code == 0
     spec, terms = parse_terms_json(out)
-    assert dumps(terms_to_json_obj(spec, terms)) + "\n" == out
+    assert_same(dumps(terms_to_json_obj(spec, terms)) + "\n", out)
 
 
 @pytest.mark.parametrize(
@@ -79,11 +79,11 @@ def test_emit_json_roundtrip(capsys):
     ],
     ids=["6-1-nonstandard", "7-2"],
 )
-def test_emit_json_roundtrip_nonstandard_mu_and_genus_two(capsys, argv):
+def test_emit_json_roundtrip_nonstandard_mu_and_genus_two(capsys, argv, assert_same):
     code, out, _ = run_cli(capsys, "emit", "--format", "json", *argv)
     assert code == 0
     spec, terms = parse_terms_json(out)
-    assert dumps(terms_to_json_obj(spec, terms)) + "\n" == out
+    assert_same(dumps(terms_to_json_obj(spec, terms)) + "\n", out)
 
 
 def test_emit_text_format(capsys):
@@ -168,6 +168,49 @@ def test_verify_bad_tau(capsys):
     assert code == 64  # lower half-plane
     code, _, err = run_cli(capsys, "verify", "--n", "3", "--g", "2", "--tau", "0.2+0.9i")
     assert code == 64
+
+
+def test_verify_genus_one_tau_forms_give_the_same_bytes(capsys):
+    outs = {
+        run_cli(capsys, "verify", "--n", "3", "--trials", "2", "--tau", tau)[1]
+        for tau in ["0.3+1.1i", "  0.3+1.1i ", "0.3+1.1j"]
+    }
+    assert len(outs) == 1
+    assert all(t["tau"] == [[[0.3, 1.1]]] for t in json.loads(outs.pop())["trials"])
+
+
+def test_verify_genus_two_tau_matrix(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--n", "3", "--g", "2", "--trials", "2",
+        "--tau", "1.1i,0.2+0.3i; 0.2+0.3i,0.9j",
+    )
+    assert (code, err) == (0, "")
+    obj = json.loads(out)
+    assert obj["verdict"] == "pass"
+    expected = [[[0.0, 1.1], [0.2, 0.3]], [[0.2, 0.3], [0.0, 0.9]]]
+    assert all(t["tau"] == expected for t in obj["trials"])
+
+
+@pytest.mark.parametrize(
+    "g, tau, message",
+    [
+        ("2", "1.1i,0.2+0.3i;0.2+0.3i", "need a 2x2 matrix"),           # ragged
+        ("2", "1.1i,0.2;0.2,0.9i,0.1i", "need a 2x2 matrix"),           # ragged
+        ("2", "1.1i,0.2+0.3i;0.2+0.4i,0.9i", "must be symmetric"),
+        ("2", "1.1i,nan+0.3i;nan+0.3i,0.9i", "must be finite"),
+        ("2", "1.1i,inf;inf,0.9i", "must be finite"),
+        ("2", "1.1i,0.2;0.2,-0.9i", "positive definite"),
+        ("2", "1.1i,x;x,0.9i", "cannot parse period"),
+        ("2", "0.2+0.9i", "need a 2x2 matrix"),                        # genus 1 for g=2
+        ("1", "1.1i,0.2;0.2,0.9i", "need a 1x1 matrix"),               # genus 2 for g=1
+        ("2", "1i,0,0;0,1i,0;0,0,1i", "need a 2x2 matrix"),             # genus 3 for g=2
+    ],
+)
+def test_verify_bad_tau_matrix_is_one_line_usage_error(capsys, g, tau, message):
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--g", g, "--tau", tau)
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("tau", ["nan+1i", "0.2+nani"])

@@ -8,9 +8,11 @@ with a small eigenvalue along a lattice diagonal, is where a lam_min
 estimate that overstates the smallest eigenvalue shows.
 """
 
+import importlib.util
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
@@ -18,39 +20,53 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from thetarel import Characteristic, PeriodMatrix, theta
+from thetarel.theta import _box_sum
 
 F = Fraction
 # Terms below e^-CUTOFF of the largest are left out of the oracle sum.
 CUTOFF = 80.0
 
 
-def oracle_theta(mu: Characteristic, z, tau, dps: int = 30) -> complex:
-    """Direct genus-g series sum at elevated precision."""
-    tau = np.asarray(tau, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    g = len(z)
-    lam = float(np.linalg.eigvalsh(tau.imag)[0]) / 2
-    y_norm = float(np.linalg.norm(z.imag))
-    # Smallest R with pi lam R^2 - 2 pi R |Im z| >= CUTOFF.
-    radius = math.ceil((y_norm + math.sqrt(y_norm**2 + lam * CUTOFF / math.pi)) / lam) + 1
-    top = np.array([float(m) for m in mu.top])
+def _box_points(mu: Characteristic, radius: int) -> np.ndarray:
+    """The xi in Z^g with max_a |xi_a + mu'_a| <= radius, lexicographic."""
     lo = [math.ceil(-radius - m) for m in mu.top]
     hi = [math.floor(radius - m) for m in mu.top]
-    xi = np.array(list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
-    v = xi + top
-    log_mag = -math.pi * ((v @ tau.imag) * v).sum(axis=1) - 2 * math.pi * v @ z.imag
-    keep = xi[log_mag >= log_mag.max() - CUTOFF]
+    return np.array(list(itertools.product(*(range(a, b + 1) for a, b in zip(lo, hi)))))
+
+
+def _log_magnitudes(mu: Characteristic, z, tau, xi: np.ndarray) -> np.ndarray:
+    """log |term| at the integer points xi, in floats."""
+    v = xi + np.array([float(m) for m in mu.top])
+    return -math.pi * ((v @ tau.imag) * v).sum(axis=1) - 2 * math.pi * v @ z.imag
+
+
+def _mp_series(mu: Characteristic, z, tau, xi, dps: int):
+    """Sum of the series terms at the integer points xi, in mpmath."""
+    g = len(z)
     with mp.workdps(dps):
         tt = [[mp.mpc(tau[i, j]) for j in range(g)] for i in range(g)]
         frac = [mp.mpf(m.numerator) / m.denominator for m in mu.top + mu.bottom]
         mu_top = frac[:g]
         shift = [mp.mpc(z[a]) + frac[g + a] for a in range(g)]
         total = mp.mpc(0)
-        for k in keep:
+        for k in xi:
             w = [int(k[a]) + mu_top[a] for a in range(g)]
             quad = sum(w[a] * tt[a][b] * w[b] for a in range(g) for b in range(g))
             total += mp.exp(2j * mp.pi * (quad / 2 + sum(w[a] * shift[a] for a in range(g))))
-        return complex(total)
+        return total
+
+
+def oracle_theta(mu: Characteristic, z, tau, dps: int = 30) -> complex:
+    """Direct genus-g series sum at elevated precision."""
+    tau = np.asarray(tau, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    lam = float(np.linalg.eigvalsh(tau.imag)[0]) / 2
+    y_norm = float(np.linalg.norm(z.imag))
+    # Smallest R with pi lam R^2 - 2 pi R |Im z| >= CUTOFF.
+    radius = math.ceil((y_norm + math.sqrt(y_norm**2 + lam * CUTOFF / math.pi)) / lam) + 1
+    xi = _box_points(mu, radius)
+    log_mag = _log_magnitudes(mu, z, tau, xi)
+    return complex(_mp_series(mu, z, tau, xi[log_mag >= log_mag.max() - CUTOFF], dps))
 
 
 @pytest.mark.parametrize("off", [0.8j, 0.85j])
@@ -97,3 +113,83 @@ def test_skewed_genus2_within_tail_bound(direction, lam, cond, re, z, top, botto
     zv = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
     tv = theta(mu, zv, PeriodMatrix(tau))
     assert abs(tv.value - oracle_theta(mu, zv, tau)) <= tv.tail_bound
+
+
+def _draw(rng, g):
+    """(mu, z, tau): eigenvalues of Im tau in [0.15, 3] along a random
+    orthogonal frame, |Im z|_2 up to 1.5, and characteristics p/q with
+    q <= 12 and values in [-2, 2], so outside [0, 1) and with
+    denominators that need not divide anything."""
+    q, r = np.linalg.qr(rng.standard_normal((g, g)))
+    q = q * np.sign(np.diagonal(r))
+    im = (q * rng.uniform(0.15, 3.0, g)) @ q.T
+    re = rng.uniform(-0.5, 0.5, (g, g))
+    tau = np.triu(re) + np.triu(re, 1).T + 1j * (im + im.T) / 2
+    d = rng.standard_normal(g)
+    z = rng.uniform(-0.5, 0.5, g) + 1j * rng.uniform(0.0, 1.5) * d / np.linalg.norm(d)
+    den = rng.integers(1, 13, 2 * g)
+    vals = [F(int(p), int(q)) for p, q in zip(rng.integers(-2 * den, 2 * den + 1), den)]
+    return Characteristic(tuple(vals[:g]), tuple(vals[g:])), z, tau
+
+
+# Box terms below e^-BOX_CUTOFF of the largest are left out of the
+# 50-digit sum; their total is added to the allowance, so the comparison
+# is with the exact sum of the whole box to about 45 digits.
+BOX_CUTOFF = 110.0
+
+
+@pytest.mark.parametrize("g, draws", [(1, 100), (2, 60), (3, 16)])
+def test_box_sum_rounding_bound(g, draws):
+    """|_box_sum value - exact sum of the same box| <= its rounding bound,
+    at the searched radius and at radius + 4 (where the rounding, not
+    the tail, is all that separates the two)."""
+    rng = np.random.default_rng([20261018, g])
+    worst = 0.0
+    for _ in range(draws):
+        mu, z, tau = _draw(rng, g)
+        radius = theta(mu, z, PeriodMatrix(tau)).truncation_radius
+        for r in (radius, radius + 4):
+            value, bound = _box_sum(mu.top, mu.bottom, z, tau, r)
+            xi = _box_points(mu, r)
+            log_mag = _log_magnitudes(mu, z, tau, xi)
+            keep = log_mag >= log_mag.max() - BOX_CUTOFF
+            skipped = int((~keep).sum()) * math.exp(log_mag.max() - BOX_CUTOFF + 1.0)
+            with mp.workdps(50):
+                error = abs(mp.mpc(value) - _mp_series(mu, z, tau, xi[keep], 50))
+                ratio = float(error / (bound + skipped))
+            worst = max(worst, ratio)
+            assert ratio <= 1.0, (mu, z, tau, r, float(error), bound)
+    print(f"g={g}: worst |value - exact box sum| / bound = {worst:.3g}")
+
+
+def _load_reference():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_stress_against_reference(g):
+    """theta() against perfbench/reference.py, an independent numpy sum
+    over a larger box with its own rounding bound, on 200 draws."""
+    reference_theta = _load_reference().reference_theta
+    rng = np.random.default_rng([1729, g])
+    worst = 0.0
+    for _ in range(200):
+        mu, z, tau = _draw(rng, g)
+        tv = theta(mu, z, PeriodMatrix(tau))
+        ref, ref_rounding = reference_theta(mu.top, mu.bottom, z, tau)
+        ratio = abs(tv.value - ref) / (tv.tail_bound + 2.0 * ref_rounding)
+        worst = max(worst, ratio)
+        assert ratio <= 1.0, (mu, z, tau, abs(tv.value - ref), tv.tail_bound)
+    print(f"g={g}: worst |value - ref| / (tail_bound + 2 ref_rounding) = {worst:.3g}")
+
+
+@pytest.mark.parametrize("t", [0.3 + 1e300j, 1e20 + 1000j, 1e20 + 1j])
+def test_rounding_bound_is_inf_not_nan_when_the_exponent_error_overflows(t):
+    # The terms off the origin underflow to 0 while the bound of their
+    # exponent error overflows expm1; 0 * inf must not make it NaN.
+    tv = theta(Characteristic.parse("0;0"), 0.1 + 0.1j, PeriodMatrix(np.array([[t]])))
+    assert tv.tail_bound == math.inf

@@ -31,6 +31,7 @@ from .identities import (
 from .relations import (
     DEFAULT_SEED,
     CoefficientMode,
+    Relation,
     RelationSpec,
     RelationTerm,
     TrialSampler,

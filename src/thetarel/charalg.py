@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "Characteristic",
@@ -128,33 +128,6 @@ def _half_text(half: tuple[Fraction, ...]) -> str:
     return ",".join(map(str, half))
 
 
-def _memo(fmt: Callable) -> Callable:
-    """fmt, computed once per distinct object for as long as the returned
-    function lives (one rendering call).
-
-    Keyed on id(v), not on v: hashing a tuple of Fractions costs more
-    than formatting it, while the halves of a relation's terms are
-    shared objects (see relations.RelationSpec._digit_table).  Each entry
-    holds v, so its id cannot be reused by another object meanwhile."""
-    seen: dict[int, tuple] = {}
-
-    def get(v):
-        try:
-            return seen[id(v)][1]
-        except KeyError:
-            value = fmt(v)
-            seen[id(v)] = (v, value)
-            return value
-
-    return get
-
-
-def _char_text() -> Callable[[Characteristic], str]:
-    """str(c) for one rendering call, each half object formatted once."""
-    half = _memo(_half_text)
-    return lambda c: f"{half(c.top)};{half(c.bottom)}"
-
-
 def _is_rational_token(token: str) -> bool:
     try:
         Fraction(token)
@@ -243,7 +216,11 @@ def char_linear_combine(
     for c in chars:
         if c.genus != genus:
             raise ValueError("genus mismatch inside combination")
-    result = Fraction(coeffs[0]) * chars[0]
-    for c, ch in zip(coeffs[1:], chars[1:]):
-        result = result + Fraction(c) * ch
-    return result
+    scalars = [Fraction(c) for c in coeffs]
+
+    def combine(halves):
+        return tuple(sum(map(Fraction.__mul__, scalars, column)) for column in zip(*halves))
+
+    return Characteristic(
+        combine([ch.top for ch in chars]), combine([ch.bottom for ch in chars])
+    )

@@ -12,6 +12,7 @@ evaluator's radius cap.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -51,7 +52,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _seed(text: str) -> int:
-    return int(text, 0)
+    seed = int(text, 0)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return seed
+
+
+def _tol(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _build_parser() -> _Parser:
@@ -66,7 +77,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--mode", choices=["modified", "naive"], default="modified")
         if trials_default is not None:
             sp.add_argument("--trials", type=int, default=trials_default)
-            sp.add_argument("--tol", type=float, default=tol_default)
+            sp.add_argument("--tol", type=_tol, default=tol_default)
             sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
             sp.add_argument("--tau", default=None, metavar="MATRIX",
                             help="fixed period matrix, entries like 0.3+1.1i "

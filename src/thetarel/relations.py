@@ -57,16 +57,19 @@ mod 1, once per instance.  build_relation's exact Fraction term list
 (emit and the reports) and rhs_value's float coefficient table, which
 adds the two parts in floating point only, are both read from them.
 
-The exact term list needs no Fraction sum per term.  Each half of
-nu_j + a depends on one digit vector only (the top half on c, the
-bottom half on b), so RelationSpec also holds a digit table: for each
-d in {0..lambda-1}^g, lexicographic, the rows (d/lambda,
+The exact term list is a Relation: a read-only sequence over the spec
+that builds term i only when it is accessed, with no Fraction sum.  Each
+half of nu_j + a depends on one digit vector only (the top half on c,
+the bottom half on b), so RelationSpec also holds a digit table: for
+each d in {0..lambda-1}^g, lexicographic, the rows (d/lambda,
 nu_1 + d/lambda, ..., nu_n + d/lambda) of top and of bottom halves,
 built with (n+1) g lambda Fraction additions per axis.  Term (c, b)
 pairs top row c with bottom row b, and with drift[b] = p/q, q common to
 all b, its exponent is the single integer numerator
--(cross[c, b] q + p lambda^2) mod lambda^2 q over lambda^2 q; terms with
-equal numerators share one Fraction.
+-(cross[c, b] q + p lambda^2) mod lambda^2 q over lambda^2 q; a Relation
+computes these numerators once.  The renderers read a Relation row by
+row (_term_texts): each row half and each distinct exponent is
+formatted once, and no Characteristic or RelationTerm is built.
 """
 
 from __future__ import annotations
@@ -75,13 +78,15 @@ import enum
 import functools
 import itertools
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from .charalg import Characteristic, _char_text, _memo, cycle_number
+from .charalg import Characteristic, _half_text, cycle_number
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -96,6 +101,7 @@ __all__ = [
     "CoefficientMode",
     "RelationSpec",
     "RelationTerm",
+    "Relation",
     "VerificationReport",
     "TrialSampler",
     "coefficient_kappa",
@@ -238,32 +244,100 @@ class RelationTerm:
         return complex(np.exp(2j * math.pi * float(self.exponent)))
 
 
-def build_relation(spec: RelationSpec) -> list[RelationTerm]:
+class Relation(Sequence):
+    """The term list of one spec, in enumerate_shifts order, read-only.
+
+    Supports len, int and slice indexing (a slice is a list), iteration
+    and element-wise == with any sequence of terms; like a list it is
+    unhashable.  Term i = (c, b) is built when it is accessed, from
+    spec._digit_table and the exponent numerators, which are computed
+    once per Relation (see the module docstring).
+    """
+
+    __slots__ = ("spec", "_numerators", "_denominator")
+
+    def __init__(self, spec: RelationSpec):
+        self.spec = spec
+        cross, drift = spec._exponent_parts
+        sq = spec.lam * spec.lam
+        # drift[b] = p/q over the common denominator q:
+        # x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
+        q = math.lcm(*(d.denominator for d in drift))
+        drift_sq = [d.numerator * (q // d.denominator) * sq for d in drift]
+        self._denominator = den = sq * q
+        self._numerators = [
+            -(x * q + p_sq) % den
+            for row in cross.tolist()
+            for x, p_sq in zip(row, drift_sq)
+        ]
+
+    def __len__(self) -> int:
+        return len(self._numerators)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self._term(i) for i in range(*index.indices(len(self)))]
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("relation term index out of range")
+        return self._term(i)
+
+    def __iter__(self) -> Iterator[RelationTerm]:
+        return map(self._term, range(len(self)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"Relation({self.spec!r})"
+
+    def _term(self, i: int) -> RelationTerm:
+        tops, bottoms = self.spec._digit_table
+        c, b = divmod(i, len(bottoms))
+        shift, *nu_shifted = map(Characteristic._unchecked, tops[c], bottoms[b])
+        exponent = Fraction(self._numerators[i], self._denominator)
+        return RelationTerm(shift, exponent, tuple(nu_shifted))
+
+
+def build_relation(spec: RelationSpec) -> Relation:
     """Term list of the relation, in enumerate_shifts order.
 
     Exactly lam^(2g) terms; exponents are exact rationals whose
     denominator divides lambda^2 whenever the mu_j are in standard form
-    (coordinates multiples of 1/lambda).
+    (coordinates multiples of 1/lambda).  Terms are built when they are
+    accessed, so two accesses give equal terms, not the same objects.
     """
-    tops, bottoms = spec._digit_table
-    cross, drift = spec._exponent_parts
-    sq = spec.lam * spec.lam
-    # drift[b] = p/q over the common denominator q:
-    # x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
-    q = math.lcm(*(d.denominator for d in drift))
-    drift_sq = [d.numerator * (q // d.denominator) * sq for d in drift]
-    exponents: dict[int, Fraction] = {}
-    make = Characteristic._unchecked
-    terms = []
-    for top, row in zip(tops, cross.tolist()):
-        for bottom, x, p_sq in zip(bottoms, row, drift_sq):
-            shift, *nu_shifted = map(make, top, bottom)
-            k = -(x * q + p_sq) % (sq * q)
-            exponent = exponents.get(k)
-            if exponent is None:
-                exponent = exponents[k] = Fraction(k, sq * q)
-            terms.append(RelationTerm(shift, exponent, tuple(nu_shifted)))
-    return terms
+    return Relation(spec)
+
+
+def _term_texts(
+    terms: Sequence[RelationTerm], half: Callable = _half_text, exponent: Callable = str
+) -> Iterator[tuple]:
+    """For each term, (exponent(t.exponent), top texts, bottom texts): the
+    half(...) texts of the shift and then of the n nu_shifted.
+
+    A Relation is read row by row: each of its 2 lambda^g (n+1) row
+    halves and each distinct exponent is formatted once.  Any other
+    sequence is formatted term by term."""
+    if isinstance(terms, Relation):
+        tops, bottoms = terms.spec._digit_table
+        den = terms._denominator
+        texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
+        rows = itertools.product(
+            [[half(h) for h in row] for row in tops],
+            [[half(h) for h in row] for row in bottoms],
+        )
+        for k, (top, bottom) in zip(terms._numerators, rows):
+            yield texts[k], top, bottom
+        return
+    for t in terms:
+        chars = (t.shift, *t.nu_shifted)
+        tops, bottoms = [half(c.top) for c in chars], [half(c.bottom) for c in chars]
+        yield exponent(t.exponent), tops, bottoms
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
@@ -463,10 +537,11 @@ def verify_jacobi_a(
 
 
 def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
-    """The "spec"/"terms" object shared by relation_report and emit.
-
-    Each shared half and exponent is formatted once (charalg._memo)."""
-    char, exponent = _char_text(), _memo(str)
+    """The "spec"/"terms" object shared by relation_report and emit."""
+    rows = []
+    for exponent, tops, bottoms in _term_texts(terms):
+        shift, *nu_shifted = map("{};{}".format, tops, bottoms)
+        rows.append({"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted})
     return {
         "spec": {
             "n": spec.n,
@@ -475,14 +550,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
             "mode": spec.mode.value,
             "mu": [str(m) for m in spec.mu],
         },
-        "terms": [
-            {
-                "shift": char(t.shift),
-                "exponent": exponent(t.exponent),
-                "nu_shifted": [char(c) for c in t.nu_shifted],
-            }
-            for t in terms
-        ],
+        "terms": rows,
     }
 
 

@@ -7,28 +7,30 @@ binomial-style characteristic stacks; coefficients render as omega
 powers for lambda = 3, as bare signs when they are exactly +-1, and as
 e[p/q] otherwise.
 
-Each renderer of a term list (JSON, LaTeX, text) formats each distinct
-top or bottom half, and each exponent, once per call.  The top halves
-of build_relation's terms depend on the top digit vector only, so each
-is one object shared by lambda^g terms, and likewise the bottom halves:
-at (7,2) the 19,208 characteristics have 784 distinct halves.  The
-memo is keyed on object identity, because hashing a tuple of Fractions
-costs more than formatting it; it holds every object it has seen, so no
-id is reused during the call, and it is dropped when the call returns.
-A term list whose halves are not shared simply misses every time.
+Each renderer of a term list (JSON, LaTeX, text) reads it through
+relations._term_texts.  A Relation (what build_relation returns) is
+rendered row by row: each top and bottom half of its digit table, and
+each distinct exponent, is formatted once per call, and the term
+strings are composed from those texts by index, so no Characteristic
+or RelationTerm is built.  At (7,2) the 2,401 terms have 784 row halves.
+Any other sequence of terms is formatted term by term, to the same
+bytes.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from typing import Sequence
 
-from .charalg import Characteristic, _char_text, _memo, cycle_number
+from .charalg import Characteristic, cycle_number
 from .relations import (
     CoefficientMode,
+    Relation,
     RelationSpec,
     RelationTerm,
+    _term_texts,
     _terms_json_obj,
     build_relation,
 )
@@ -65,13 +67,16 @@ def dumps(obj, indent: int = 0) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {_encode_str(str(k))}: {dumps(v, indent + 2)}"
+            f"{pad}  {_encode_str(str(k))}: "
+            + (_encode_str(v) if type(v) is str else dumps(v, indent + 2))
             for k, v in obj.items()
         )
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
+        if all(type(v) is str for v in obj):
+            return "[" + ", ".join(map(_encode_str, obj)) + "]"
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
         if scalars:
             return "[" + ", ".join(dumps(v) for v in obj) + "]"
@@ -93,7 +98,7 @@ def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict
     return _terms_json_obj(spec, terms)
 
 
-def parse_terms_json(text: str) -> tuple[RelationSpec, list[RelationTerm]]:
+def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     """Inverse of terms_to_json_obj + dumps; round-trips byte-identically.
 
     Only "spec" is parsed: the terms are rebuilt from it, and a "terms"
@@ -141,8 +146,8 @@ def _latex_half(half: tuple[Fraction, ...]) -> str:
     return "\\,".join(map(_latex_rational, half))
 
 
-def _latex_stack(c: Characteristic, half=_latex_half) -> str:
-    return f"\\binom{{{half(c.top)}}}{{{half(c.bottom)}}}"
+def _latex_stack(c: Characteristic) -> str:
+    return f"\\binom{{{_latex_half(c.top)}}}{{{_latex_half(c.bottom)}}}"
 
 
 def _latex_coefficient(exponent: Fraction, lam: int) -> tuple[str, str]:
@@ -174,13 +179,13 @@ def relation_to_latex(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
     else:
         factors = "".join(_latex_stack(m) for m in spec.mu)
         lhs = f"{lam_pow}\\cdot {factors}"
-    half = _memo(_latex_half)
-    coefficient = _memo(lambda e: _latex_coefficient(e, spec.lam))
+    coefficient = functools.partial(_latex_coefficient, lam=spec.lam)
     pieces = []
-    for i, term in enumerate(terms):
-        sep, prefix = coefficient(term.exponent)
+    for i, ((sep, prefix), tops, bottoms) in enumerate(
+        _term_texts(terms, _latex_half, coefficient)
+    ):
         # str(Fraction) is canonical, so equal stacks mean equal factors.
-        stacks = [_latex_stack(c, half) + "'" for c in term.nu_shifted]
+        stacks = [f"\\binom{{{t}}}{{{b}}}'" for t, b in zip(tops[1:], bottoms[1:])]
         body = stacks[0] if stacks.count(stacks[0]) == len(stacks) else "".join(stacks)
         if i == 0 and sep == "+":
             pieces.append(f"{prefix}{body}")
@@ -195,8 +200,7 @@ def terms_to_text(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
         f"terms={len(terms)}",
         f"{'shift':>16s}  {'exponent':>10s}  nu+a",
     ]
-    char, exponent = _char_text(), _memo(str)
-    for t in terms:
-        nu = " ".join(map(char, t.nu_shifted))
-        lines.append(f"{char(t.shift):>16s}  {exponent(t.exponent):>10s}  {nu}")
+    for exponent, tops, bottoms in _term_texts(terms):
+        shift, *nu_shifted = map("{};{}".format, tops, bottoms)
+        lines.append(f"{shift:>16s}  {exponent:>10s}  {' '.join(nu_shifted)}")
     return "\n".join(lines) + "\n"

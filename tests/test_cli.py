@@ -232,6 +232,36 @@ def test_verify_tau_keeps_non_unit_i(capsys, tau):
     assert "cannot parse" not in err
 
 
+def _usage_exit(capsys, *argv) -> str:
+    """Run an argv that argparse must refuse; return its one stderr line."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert info.value.code == 64 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--n", "3"], ["falsify"], ["suite"]], ids=lambda argv: argv[0]
+)
+def test_negative_seed_is_usage_error(capsys, argv):
+    assert "--seed" in _usage_exit(capsys, *argv, "--seed", "-5")
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1e-9", "-inf"])
+@pytest.mark.parametrize("command", [["verify", "--n", "3"], ["falsify"]],
+                         ids=lambda argv: argv[0])
+def test_bad_tol_is_usage_error(capsys, command, tol):
+    assert "--tol" in _usage_exit(capsys, *command, f"--tol={tol}")
+
+
+def test_zero_tol_is_valid(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "3", "--trials", "1", "--tol", "0")
+    assert code in (0, 1) and err == ""
+    assert json.loads(out)["verdict"] in ("pass", "fail")
+
+
 def test_verify_truncation_exit_two(capsys, monkeypatch):
     monkeypatch.setenv("THETA_MAX_RADIUS", "1")
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--trials", "2")

@@ -186,6 +186,30 @@ def test_term_counts(n, g):
     assert len(terms) == lam ** (2 * g)
 
 
+def test_relation_is_a_read_only_sequence():
+    spec = RelationSpec.create(3, 2)
+    relation = build_relation(spec)
+    terms = list(relation)
+    assert len(relation) == len(terms) == 81
+    assert relation[-1] == relation[80] == terms[-1]
+    assert relation[-81] == terms[0]
+    assert relation[70:75] == terms[70:75] and relation[::-9] == terms[::-9]
+    with pytest.raises(IndexError):
+        relation[81]
+    with pytest.raises(IndexError):
+        relation[-82]
+    assert [relation[i] for i in range(len(relation))] == terms
+    assert relation == terms and terms == relation
+    assert relation == build_relation(RelationSpec.create(3, 2))
+    assert relation != terms[:-1] and relation != terms[::-1]
+    naive = RelationSpec.create(3, 2, mode=CoefficientMode.NAIVE)
+    assert relation != build_relation(naive)
+    with pytest.raises(TypeError):
+        hash(relation)
+    # Built on access: equal terms, not the same objects.
+    assert relation[5] == relation[5] and relation[5] is not relation[5]
+
+
 def test_nine_term_coefficients_verified_assignment():
     """The n=3 all-zero relation carries omega on (1/3;1/3) and (2/3;2/3)
     and omega^2 on (1/3;2/3) and (2/3;1/3); the conjugate assignment,

@@ -1,5 +1,6 @@
-"""Renderers format each shared half once per call; output must not depend
-on which term objects share their halves."""
+"""Renderers read a Relation row by row and any other term sequence term
+by term; both must give the same bytes, whichever term objects share
+their halves."""
 
 from collections.abc import Sequence
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 from thetarel import (
     Characteristic,
     CoefficientMode,
+    Relation,
     RelationSpec,
     RelationTerm,
     build_relation,
@@ -80,6 +82,45 @@ def test_output_does_not_depend_on_shared_halves(key, fmt, assert_same):
     expected = render(spec, terms)
     assert_same(render(spec, [_fresh(t) for t in terms]), expected)
     assert_same(render(spec, FreshOnAccess(terms)), expected)
+
+
+ROW_SPECS = {
+    **SPECS,
+    "3-3": RelationSpec.create(3, 3),
+    "9-1-naive": RelationSpec.create(9, 1, mode=CoefficientMode.NAIVE),
+}
+
+
+@pytest.mark.parametrize("fmt", RENDERERS)
+@pytest.mark.parametrize("key", ROW_SPECS)
+def test_row_rendering_matches_term_by_term(key, fmt, assert_same):
+    spec, render = ROW_SPECS[key], RENDERERS[fmt]
+    relation = build_relation(spec)
+    assert type(relation) is Relation
+    assert_same(render(spec, relation), render(spec, list(relation)))
+
+
+def test_rendering_a_relation_builds_no_terms(monkeypatch):
+    spec = SPECS["7-2"]
+    relation = build_relation(spec)
+    spec._digit_table  # deriving nu builds the n nu_j; that is not rendering
+    built = []
+
+    def counted(name, make):
+        def wrapper(*args, **kwargs):
+            built.append(name)
+            return make(*args, **kwargs)
+        return wrapper
+
+    unchecked = counted("_unchecked", Characteristic._unchecked.__func__)
+    monkeypatch.setattr(Characteristic, "_unchecked", classmethod(unchecked))
+    for cls in (Characteristic, RelationTerm):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    for render in RENDERERS.values():
+        render(spec, relation)
+    assert built == []
+    relation[0]  # the counters do see a term being built
+    assert built == ["_unchecked"] * (spec.n + 1) + ["RelationTerm"]
 
 
 def test_latex_abbreviates_only_equal_factors():

@@ -7,11 +7,18 @@ exact (`fractions.Fraction`); characteristics are deliberately NOT
 reduced mod 1, because shifted characteristics appearing inside theta
 relations must keep their unreduced values (reduction changes the theta
 value by a root-of-unity phase, which is handled in the evaluator).
+
+char_linear_combine sums each coordinate as one integer numerator over a
+common denominator and builds one Fraction from it.  _fraction_text and
+_latex_fraction write a rational given as integers p/q, reduced with one
+gcd, as str(Fraction) and the LaTeX renderer do; the renderers use them
+to write shifted coordinates without building Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -128,6 +135,22 @@ def _half_text(half: tuple[Fraction, ...]) -> str:
     return ",".join(map(str, half))
 
 
+def _fraction_text(p: int, q: int) -> str:
+    """str(Fraction(p, q)) for q >= 1, reduced with one gcd."""
+    d = math.gcd(p, q)
+    return str(p // d) if d == q else f"{p // d}/{q // d}"
+
+
+def _latex_fraction(p: int, q: int) -> str:
+    """p/q for q >= 1 in LaTeX, reduced with one gcd: an integer, or
+    [-]\\frac{|p|}{q}."""
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
+    if q == 1:
+        return str(p)
+    return f"{'-' if p < 0 else ''}\\frac{{{abs(p)}}}{{{q}}}"
+
+
 def _is_rational_token(token: str) -> bool:
     try:
         Fraction(token)
@@ -207,7 +230,10 @@ def enumerate_shifts(g: int, lam: int) -> list[Characteristic]:
 def char_linear_combine(
     coeffs: Sequence, chars: Sequence[Characteristic]
 ) -> Characteristic:
-    """Exact rational linear combination sum_i coeffs[i] * chars[i]."""
+    """Exact rational linear combination sum_i coeffs[i] * chars[i].
+
+    Each coordinate is summed as one integer numerator over the lcm of
+    its products' denominators, and one Fraction is built from it."""
     if len(coeffs) != len(chars):
         raise ValueError(f"length mismatch: {len(coeffs)} coeffs, {len(chars)} chars")
     if not chars:
@@ -218,9 +244,16 @@ def char_linear_combine(
             raise ValueError("genus mismatch inside combination")
     scalars = [Fraction(c) for c in coeffs]
 
-    def combine(halves):
-        return tuple(sum(map(Fraction.__mul__, scalars, column)) for column in zip(*halves))
+    def combine(column):
+        dens = [s.denominator * v.denominator for s, v in zip(scalars, column)]
+        den = math.lcm(*dens)
+        num = sum(
+            s.numerator * v.numerator * (den // d)
+            for s, v, d in zip(scalars, column, dens)
+        )
+        return Fraction(num, den)
 
-    return Characteristic(
-        combine([ch.top for ch in chars]), combine([ch.bottom for ch in chars])
+    return Characteristic._unchecked(
+        tuple(map(combine, zip(*(ch.top for ch in chars)))),
+        tuple(map(combine, zip(*(ch.bottom for ch in chars)))),
     )

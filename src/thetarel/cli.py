@@ -47,6 +47,28 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Exits 64 on a usage error.  argparse reads a value that starts
+    with "-" (and is no negative number) as an option, and "--opt=value"
+    as a value; an option in dash_value_options is rewritten to the =
+    form when such a value follows it."""
+
+    dash_value_options: tuple[str, ...] = ()
+
+    def parse_known_args(self, args=None, namespace=None):
+        args = sys.argv[1:] if args is None else list(args)
+        joined = []
+        for i, arg in enumerate(args):
+            if arg == "--":
+                joined += args[i:]
+                break
+            # A value cannot start with "--" or "-h", which stay options.
+            if (joined and joined[-1] in self.dash_value_options
+                    and re.match("-[^-h]", arg)):
+                joined[-1] += "=" + arg
+            else:
+                joined.append(arg)
+        return super().parse_known_args(joined, namespace)
+
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
@@ -85,6 +107,9 @@ def _build_parser() -> _Parser:
                             "'1.1i,0.2+0.3i;0.2+0.3i,0.9i'")
         sp.add_argument("--format", choices=["json", "latex", "text"], default=None)
         sp.add_argument("--out", default=None)
+        # A negative Re tau, a negative coordinate or -inf starts with "-".
+        sp.dash_value_options = ("--mu",) if trials_default is None else (
+            "--mu", "--tol", "--tau")
 
     common(sub.add_parser("emit", help="render the term list"))
     common(sub.add_parser("verify", help="randomized verification"),

@@ -53,23 +53,32 @@ theta() bounds it as before.
 
 RelationSpec derives lambda, nu and the two exact parts of x(a), the
 integers kappa c.b mod lambda^2 and the Fractions sum_j mu'_j.b/lambda
-mod 1, once per instance.  build_relation's exact Fraction term list
-(emit and the reports) and rhs_value's float coefficient table, which
-adds the two parts in floating point only, are both read from them.
+mod 1, once per instance; nu (charalg.char_linear_combine) and that
+drift are summed as integer numerators over one common denominator.
+build_relation's exact term list (emit and the reports) and rhs_value's
+float coefficient table, which adds the two parts in floating point
+only, are both read from them.
 
 The exact term list is a Relation: a read-only sequence over the spec
 that builds term i only when it is accessed, with no Fraction sum.  Each
 half of nu_j + a depends on one digit vector only (the top half on c,
-the bottom half on b), so RelationSpec also holds a digit table: for
-each d in {0..lambda-1}^g, lexicographic, the rows (d/lambda,
-nu_1 + d/lambda, ..., nu_n + d/lambda) of top and of bottom halves,
-built with (n+1) g lambda Fraction additions per axis.  Term (c, b)
-pairs top row c with bottom row b, and with drift[b] = p/q, q common to
-all b, its exponent is the single integer numerator
--(cross[c, b] q + p lambda^2) mod lambda^2 q over lambda^2 q; a Relation
-computes these numerators once.  The renderers read a Relation row by
-row (_term_texts): each row half and each distinct exponent is
-formatted once, and no Characteristic or RelationTerm is built.
+the bottom half on b), so RelationSpec also holds a digit table, derived
+only when a term is accessed: for each d in {0..lambda-1}^g,
+lexicographic, the rows (d/lambda, nu_1 + d/lambda, ..., nu_n + d/lambda)
+of top and of bottom halves.  Term (c, b) pairs top row c with bottom
+row b, and with drift[b] = p/q, q common to all b, its exponent is the
+single integer numerator -(cross[c, b] q + p lambda^2) mod lambda^2 q
+over lambda^2 q; a Relation computes these numerators once.
+
+The renderers read the same rows as texts, which RelationSpec derives
+from integers once per instance (_text_rows, _latex_rows): a coordinate
+p/q of 0 or of nu_j is (p lambda + k q)/(q lambda) at digit k, reduced
+with one gcd and written once, and the coordinate texts are joined per
+digit vector, each top half already followed by ";" (or opening a
+primed LaTeX stack).  _term_rows then joins each characteristic of a
+term from its top and bottom row with one string addition and writes
+each distinct exponent once; no Characteristic, RelationTerm or Fraction
+sum is built.
 """
 
 from __future__ import annotations
@@ -86,7 +95,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charalg import Characteristic, _half_text, cycle_number
+from .charalg import Characteristic, _fraction_text, _latex_fraction, cycle_number
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -116,6 +125,13 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0xA11CE
+
+# How the renderers write a characteristic: (rational(p, q), coordinate
+# separator, top prefix, top suffix, bottom suffix), the text being
+# top prefix + top half + top suffix + bottom half + bottom suffix.
+# JSON and text write "top;bottom", LaTeX a primed stack.
+_TEXT_STYLE = (_fraction_text, ",", "", ";", "")
+_LATEX_STYLE = (_latex_fraction, "\\,", "\\binom{", "}{", "}'")
 
 # Both sides below this are reported "degenerate-pass" and excluded
 # from the max relative error.
@@ -186,7 +202,9 @@ class RelationSpec:
         """(tops, bottoms): for each digit vector d in {0..lambda-1}^g,
         lexicographic, the row (d/lambda, nu_1 + d/lambda, ...,
         nu_n + d/lambda) of top halves resp. bottom halves, as
-        all-Fraction g-tuples.  Term (c, b) is (tops[c]; bottoms[b])."""
+        all-Fraction g-tuples.  Term (c, b) is (tops[c]; bottoms[b]).
+        Only Relation._term reads it; the renderers read _text_rows and
+        _latex_rows."""
         lam, g = self.lam, self.genus
         steps = [Fraction(k, lam) for k in range(lam)]
         zero = (Fraction(0),) * g
@@ -212,9 +230,55 @@ class RelationSpec:
         digits = np.indices((lam,) * g).reshape(g, -1).T
         cross = (coefficient_kappa(self.n, self.mode) * (digits @ digits.T)) % (lam * lam)
         cross.flags.writeable = False
-        sum_top = [sum(m.top[a] for m in self.mu) for a in range(g)]
-        drift = tuple(sum(s * int(d) for s, d in zip(sum_top, b)) / lam % 1 for b in digits)
+        # sum_j mu'_j = tops / q, so drift[b] = (tops.b mod q lambda) / q lambda.
+        q = math.lcm(*(v.denominator for m in self.mu for v in m.top))
+        tops = [
+            sum(v.numerator * (q // v.denominator) for v in column)
+            for column in zip(*(m.top for m in self.mu))
+        ]
+        den = q * lam
+        drift = tuple(
+            Fraction(sum(map(operator.mul, tops, b)) % den, den) for b in digits.tolist()
+        )
         return cross, drift
+
+    def _row_texts(self, style: tuple) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+        """_digit_table's rows as texts in a style (_TEXT_STYLE or
+        _LATEX_STYLE), with the top prefix and suffix on each top half and
+        the bottom suffix on each bottom half, so that a characteristic's
+        text is tops[c][j] + bottoms[b][j].  A coordinate v = p/q of a row
+        is (p lambda + k q)/(q lambda) at digit k; each is reduced with one
+        gcd and written once, and no Fraction sum runs."""
+        rational, sep, top_prefix, top_suffix, bottom_suffix = style
+        lam, zero = self.lam, (Fraction(0),) * self.genus
+
+        def rows(halves, prefix, suffix):
+            per_half = []
+            for half in halves:
+                coordinates = [
+                    [rational(v.numerator * lam + k * v.denominator, v.denominator * lam)
+                     for k in range(lam)]
+                    for v in half
+                ]
+                per_half.append(
+                    [prefix + sep.join(t) + suffix for t in itertools.product(*coordinates)]
+                )
+            return list(zip(*per_half))
+
+        return (
+            rows([zero, *(v.top for v in self._nu)], top_prefix, top_suffix),
+            rows([zero, *(v.bottom for v in self._nu)], "", bottom_suffix),
+        )
+
+    @functools.cached_property
+    def _text_rows(self) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+        """_row_texts(_TEXT_STYLE), for JSON and text."""
+        return self._row_texts(_TEXT_STYLE)
+
+    @functools.cached_property
+    def _latex_rows(self) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
+        """_row_texts(_LATEX_STYLE)."""
+        return self._row_texts(_LATEX_STYLE)
 
     @functools.cached_property
     def _coefficients(self) -> np.ndarray:
@@ -314,30 +378,38 @@ def build_relation(spec: RelationSpec) -> Relation:
     return Relation(spec)
 
 
-def _term_texts(
-    terms: Sequence[RelationTerm], half: Callable = _half_text, exponent: Callable = str
-) -> Iterator[tuple]:
-    """For each term, (exponent(t.exponent), top texts, bottom texts): the
-    half(...) texts of the shift and then of the n nu_shifted.
+def _term_rows(
+    terms: Sequence[RelationTerm], latex: bool = False, exponent: Callable = str
+) -> Iterator[tuple[str, str, list[str]]]:
+    """For each term, (exponent(t.exponent), shift text, nu_shifted texts),
+    each characteristic written "top;bottom", or as a primed LaTeX stack
+    when latex is true.
 
-    A Relation is read row by row: each of its 2 lambda^g (n+1) row
-    halves and each distinct exponent is formatted once.  Any other
-    sequence is formatted term by term."""
+    A Relation is read from its spec's row texts: a term's texts are
+    joined from its top and bottom row, and each distinct exponent is
+    formatted once.  Any other sequence is formatted term by term."""
     if isinstance(terms, Relation):
-        tops, bottoms = terms.spec._digit_table
+        spec = terms.spec
+        tops, bottoms = spec._latex_rows if latex else spec._text_rows
         den = terms._denominator
         texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
-        rows = itertools.product(
-            [[half(h) for h in row] for row in tops],
-            [[half(h) for h in row] for row in bottoms],
-        )
-        for k, (top, bottom) in zip(terms._numerators, rows):
-            yield texts[k], top, bottom
+        for k, (top, bottom) in zip(terms._numerators, itertools.product(tops, bottoms)):
+            shift, *nu_shifted = map(str.__add__, top, bottom)
+            yield texts[k], shift, nu_shifted
         return
+    rational, sep, top_prefix, top_suffix, bottom_suffix = (
+        _LATEX_STYLE if latex else _TEXT_STYLE
+    )
+
+    def half(values):
+        return sep.join([rational(v.numerator, v.denominator) for v in values])
+
     for t in terms:
-        chars = (t.shift, *t.nu_shifted)
-        tops, bottoms = [half(c.top) for c in chars], [half(c.bottom) for c in chars]
-        yield exponent(t.exponent), tops, bottoms
+        shift, *nu_shifted = [
+            top_prefix + half(c.top) + top_suffix + half(c.bottom) + bottom_suffix
+            for c in (t.shift, *t.nu_shifted)
+        ]
+        yield exponent(t.exponent), shift, nu_shifted
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
@@ -538,10 +610,10 @@ def verify_jacobi_a(
 
 def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
     """The "spec"/"terms" object shared by relation_report and emit."""
-    rows = []
-    for exponent, tops, bottoms in _term_texts(terms):
-        shift, *nu_shifted = map("{};{}".format, tops, bottoms)
-        rows.append({"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted})
+    rows = [
+        {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
+        for exponent, shift, nu_shifted in _term_rows(terms)
+    ]
     return {
         "spec": {
             "n": spec.n,

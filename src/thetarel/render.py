@@ -8,13 +8,17 @@ powers for lambda = 3, as bare signs when they are exactly +-1, and as
 e[p/q] otherwise.
 
 Each renderer of a term list (JSON, LaTeX, text) reads it through
-relations._term_texts.  A Relation (what build_relation returns) is
-rendered row by row: each top and bottom half of its digit table, and
-each distinct exponent, is formatted once per call, and the term
-strings are composed from those texts by index, so no Characteristic
-or RelationTerm is built.  At (7,2) the 2,401 terms have 784 row halves.
-Any other sequence of terms is formatted term by term, to the same
-bytes.
+relations._term_rows.  A Relation (what build_relation returns) is
+rendered from its spec's row texts, derived from integer numerators once
+per spec: each characteristic text is one string addition of a top and
+a bottom row half, and each distinct exponent is written once per call,
+so no Characteristic, RelationTerm or Fraction sum is built.  At (7,2)
+the 2,401 terms have 784 row halves.  Any other sequence of terms is
+formatted term by term, to the same bytes.  parse_terms_json checks a
+document's terms against those rows directly.
+
+dumps is the one JSON writer: a single loop appends the document to one
+list of strings and keeps the containers still open on a stack.
 """
 
 from __future__ import annotations
@@ -24,13 +28,13 @@ import json
 from fractions import Fraction
 from typing import Sequence
 
-from .charalg import Characteristic, cycle_number
+from .charalg import Characteristic, _latex_fraction, cycle_number
 from .relations import (
     CoefficientMode,
     Relation,
     RelationSpec,
     RelationTerm,
-    _term_texts,
+    _term_rows,
     _terms_json_obj,
     build_relation,
 )
@@ -46,6 +50,8 @@ __all__ = [
 
 # What json.dumps(str) calls under its default ensure_ascii=True.
 _encode_str = json.encoder.encode_basestring_ascii
+# The item types of a list of strings only.
+_STR = {str}
 
 
 def _format_float(x: float) -> str:
@@ -54,43 +60,71 @@ def _format_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _scalar(x) -> str:
+    if isinstance(x, bool) or x is None:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return str(x)
+    if isinstance(x, float):
+        return _format_float(x)
+    if isinstance(x, (Fraction, str)):
+        return _encode_str(str(x))
+    raise TypeError(f"cannot render {type(x)!r}")
+
+
 def dumps(obj, indent: int = 0) -> str:
     """Deterministic JSON text with fixed float formatting.
 
-    Supports dicts (insertion order preserved), lists, strings, ints,
-    bools, None and floats; Fractions render as "p/q" strings.
+    Supports dicts (insertion order preserved), lists, tuples, strings,
+    ints, bools, None and floats; Fractions render as "p/q" strings.  A
+    dict, and a list holding a container, is written one item per line,
+    indented by two spaces per level; any other list on one line.
     """
-    if type(obj) is str:
-        return _encode_str(obj)
-    pad = " " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {_encode_str(str(k))}: "
-            + (_encode_str(v) if type(v) is str else dumps(v, indent + 2))
-            for k, v in obj.items()
-        )
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(type(v) is str for v in obj):
-            return "[" + ", ".join(map(_encode_str, obj)) + "]"
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if scalars:
-            return "[" + ", ".join(dumps(v) for v in obj) + "]"
-        inner = ",\n".join(f"{pad}  {dumps(v, indent + 2)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _format_float(obj)
-    if isinstance(obj, (Fraction, str)):
-        return _encode_str(str(obj))
-    raise TypeError(f"cannot render {type(obj)!r}")
+    out: list[str] = []
+    put = out.append
+    # The innermost open container: (enumerated items, keyed, lead of the
+    # first item, lead of the others, closing text, padding of the items).
+    # The document itself is the one item of a container without brackets.
+    frame = (enumerate((obj,)), False, "", "", "", " " * indent)
+    stack: list[tuple] = []
+    while True:
+        items, keyed, first, lead, close, pad = frame
+        for i, x in items:
+            put(lead if i else first)
+            if keyed:
+                key, x = x
+                put(_encode_str(str(key)) + ": ")
+            if type(x) is str:
+                put(_encode_str(x))
+            elif isinstance(x, dict):
+                if x:
+                    inner = pad + "  "
+                    stack.append(frame)
+                    frame = (enumerate(x.items()), True, "{\n" + inner, ",\n" + inner,
+                             "\n" + pad + "}", inner)
+                    break
+                put("{}")
+            elif isinstance(x, (list, tuple)):
+                types = set(map(type, x))
+                if not x:
+                    put("[]")
+                elif types == _STR:
+                    put("[" + ", ".join(map(_encode_str, x)) + "]")
+                elif not any(issubclass(t, (dict, list, tuple)) for t in types):
+                    put("[" + ", ".join(map(_scalar, x)) + "]")
+                else:
+                    inner = pad + "  "
+                    stack.append(frame)
+                    frame = (enumerate(x), False, "[\n" + inner, ",\n" + inner,
+                             "\n" + pad + "]", inner)
+                    break
+            else:
+                put(_scalar(x))
+        else:
+            put(close)
+            if not stack:
+                return "".join(out)
+            frame = stack.pop()
 
 
 def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
@@ -130,20 +164,25 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
         mode=CoefficientMode(s["mode"]),
     )
     terms = build_relation(spec)
-    if obj["terms"] != _terms_json_obj(spec, terms)["terms"]:
+    rows = obj["terms"]
+    if not (
+        type(rows) is list
+        and len(rows) == len(terms)
+        and all(
+            type(t) is dict
+            and len(t) == 3
+            and t.get("shift") == shift
+            and t.get("exponent") == exponent
+            and t.get("nu_shifted") == nu_shifted
+            for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(terms))
+        )
+    ):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
 
 
-def _latex_rational(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    sign = "-" if v < 0 else ""
-    return f"{sign}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
-
-
 def _latex_half(half: tuple[Fraction, ...]) -> str:
-    return "\\,".join(map(_latex_rational, half))
+    return "\\,".join([_latex_fraction(v.numerator, v.denominator) for v in half])
 
 
 def _latex_stack(c: Characteristic) -> str:
@@ -181,11 +220,10 @@ def relation_to_latex(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
         lhs = f"{lam_pow}\\cdot {factors}"
     coefficient = functools.partial(_latex_coefficient, lam=spec.lam)
     pieces = []
-    for i, ((sep, prefix), tops, bottoms) in enumerate(
-        _term_texts(terms, _latex_half, coefficient)
+    for i, ((sep, prefix), _, stacks) in enumerate(
+        _term_rows(terms, latex=True, exponent=coefficient)
     ):
-        # str(Fraction) is canonical, so equal stacks mean equal factors.
-        stacks = [f"\\binom{{{t}}}{{{b}}}'" for t, b in zip(tops[1:], bottoms[1:])]
+        # Stacks are written in lowest terms, so equal stacks mean equal factors.
         body = stacks[0] if stacks.count(stacks[0]) == len(stacks) else "".join(stacks)
         if i == 0 and sep == "+":
             pieces.append(f"{prefix}{body}")
@@ -200,7 +238,6 @@ def terms_to_text(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
         f"terms={len(terms)}",
         f"{'shift':>16s}  {'exponent':>10s}  nu+a",
     ]
-    for exponent, tops, bottoms in _term_texts(terms):
-        shift, *nu_shifted = map("{};{}".format, tops, bottoms)
+    for exponent, shift, nu_shifted in _term_rows(terms):
         lines.append(f"{shift:>16s}  {exponent:>10s}  {' '.join(nu_shifted)}")
     return "\n".join(lines) + "\n"

@@ -52,7 +52,14 @@ class TransformMatrix:
         return len(self.entries)
 
     def as_float(self) -> np.ndarray:
-        return np.array([[float(v) for v in row] for row in self.entries])
+        """The entries as a read-only float array, built once per matrix."""
+        return self._float
+
+    @functools.cached_property
+    def _float(self) -> np.ndarray:
+        m = np.array([[float(v) for v in row] for row in self.entries])
+        m.flags.writeable = False
+        return m
 
     def column(self, k: int) -> tuple[Fraction, ...]:
         return tuple(self.entries[j][k] for j in range(self.n))

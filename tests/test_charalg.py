@@ -2,7 +2,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from thetarel.charalg import _fraction_text, _latex_fraction
 from thetarel import (
     Characteristic,
     CycleClass,
@@ -84,6 +86,39 @@ def test_char_linear_combine_examples():
     one = Characteristic((1,), (0,))
     out = char_linear_combine([F(-1, 3), F(2, 3), F(2, 3)], [one, zero, zero])
     assert out == Characteristic((F(-1, 3),), (0,))
+
+
+rationals = st.builds(F, st.integers(-400, 400), st.integers(1, 60))
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_char_linear_combine_equals_the_fraction_sum(g, data):
+    n = data.draw(st.integers(1, 7))
+    coeffs = data.draw(st.lists(st.one_of(rationals, st.integers(-5, 5)), min_size=n, max_size=n))
+    halves = st.tuples(*[rationals] * g)
+    chars = [Characteristic(data.draw(halves), data.draw(halves)) for _ in range(n)]
+    expected = Characteristic(
+        tuple(sum(F(c) * ch.top[a] for c, ch in zip(coeffs, chars)) for a in range(g)),
+        tuple(sum(F(c) * ch.bottom[a] for c, ch in zip(coeffs, chars)) for a in range(g)),
+    )
+    got = char_linear_combine(coeffs, chars)
+    assert got == expected
+    assert all(type(v) is F for v in got.top + got.bottom)
+
+
+def _latex_reference(v):
+    if v.denominator == 1:
+        return str(v.numerator)
+    return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 10**4))
+def test_integer_rational_texts_equal_the_fraction_texts(p, q):
+    assert _fraction_text(p, q) == str(F(p, q))
+    assert _latex_fraction(p, q) == _latex_reference(F(p, q))
 
 
 def test_char_linear_combine_errors():

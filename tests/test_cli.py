@@ -256,6 +256,34 @@ def test_bad_tol_is_usage_error(capsys, command, tol):
     assert "--tol" in _usage_exit(capsys, *command, f"--tol={tol}")
 
 
+def test_tau_value_may_start_with_a_minus(capsys):
+    argv = ["verify", "--n", "3", "--trials", "2"]
+    spaced = run_cli(capsys, *argv, "--tau", "-0.2+1.1i")
+    assert spaced == run_cli(capsys, *argv, "--tau=-0.2+1.1i")
+    code, out, err = spaced
+    assert (code, err) == (0, "")
+    assert all(t["tau"] == [[[-0.2, 1.1]]] for t in json.loads(out)["trials"])
+
+
+def test_mu_value_may_start_with_a_minus(capsys):
+    mu = ["-1/3;0", "0;-2/3", "1/3;0"]
+    spaced = run_cli(capsys, "emit", "--n", "3", "--format", "json",
+                     *[a for m in mu for a in ("--mu", m)])
+    assert spaced == run_cli(capsys, "emit", "--n", "3", "--format", "json",
+                             *[f"--mu={m}" for m in mu])
+    code, out, err = spaced
+    assert (code, err) == (0, "")
+    assert json.loads(out)["spec"]["mu"] == mu
+
+
+def test_tol_value_may_start_with_a_minus(capsys):
+    spaced = _usage_exit(capsys, "verify", "--n", "3", "--tol", "-inf")
+    assert spaced == _usage_exit(capsys, "verify", "--n", "3", "--tol=-inf")
+    assert "must be finite" in spaced
+    # An option after the flag is still read as an option.
+    assert "expected one argument" in _usage_exit(capsys, "verify", "--tol", "--n", "3")
+
+
 def test_zero_tol_is_valid(capsys):
     code, out, err = run_cli(capsys, "verify", "--n", "3", "--trials", "1", "--tol", "0")
     assert code in (0, 1) and err == ""

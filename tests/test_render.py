@@ -84,10 +84,29 @@ def test_output_does_not_depend_on_shared_halves(key, fmt, assert_same):
     assert_same(render(spec, FreshOnAccess(terms)), expected)
 
 
+# Negative tops and mixed denominators, so that the row texts, built from
+# integer numerators, must reduce and sign each coordinate themselves.
+MIXED = [F(-9, 4), F(5, 3), F(-4, 3), F(3, 11), F(1, 7)]
+
+
+def _mixed_mu(n, g):
+    return [
+        Characteristic(
+            tuple(MIXED[(j + a) % 5] for a in range(g)),
+            tuple(MIXED[(j + 2 * a + 3) % 5] for a in range(g)),
+        )
+        for j in range(n)
+    ]
+
+
 ROW_SPECS = {
     **SPECS,
     "3-3": RelationSpec.create(3, 3),
     "9-1-naive": RelationSpec.create(9, 1, mode=CoefficientMode.NAIVE),
+    "5-2-mixed": RelationSpec.create(5, 2, _mixed_mu(5, 2)),
+    "4-2-mixed-naive": RelationSpec.create(4, 2, _mixed_mu(4, 2), CoefficientMode.NAIVE),
+    "4-3-mixed": RelationSpec.create(4, 3, _mixed_mu(4, 3)),
+    "3-3-mixed-naive": RelationSpec.create(3, 3, _mixed_mu(3, 3), CoefficientMode.NAIVE),
 }
 
 
@@ -103,7 +122,7 @@ def test_row_rendering_matches_term_by_term(key, fmt, assert_same):
 def test_rendering_a_relation_builds_no_terms(monkeypatch):
     spec = SPECS["7-2"]
     relation = build_relation(spec)
-    spec._digit_table  # deriving nu builds the n nu_j; that is not rendering
+    spec._nu  # deriving nu builds the n nu_j; that is not rendering
     built = []
 
     def counted(name, make):
@@ -121,6 +140,16 @@ def test_rendering_a_relation_builds_no_terms(monkeypatch):
     assert built == []
     relation[0]  # the counters do see a term being built
     assert built == ["_unchecked"] * (spec.n + 1) + ["RelationTerm"]
+
+
+def test_rendering_a_relation_leaves_the_digit_table_underived():
+    spec = RelationSpec.create(5, 2, _mixed_mu(5, 2))
+    relation = build_relation(spec)
+    for render in RENDERERS.values():
+        render(spec, relation)
+    assert "_digit_table" not in vars(spec)
+    relation[7]
+    assert "_digit_table" in vars(spec)
 
 
 def test_latex_abbreviates_only_equal_factors():

@@ -74,6 +74,18 @@ def test_apply_to_args_fixed_point_and_explicit_row():
     assert abs(w[2][0] - (2 * x1 + 2 * x2 - x3) / 3) < 1e-15
 
 
+def test_float_matrix_is_built_once_read_only_with_the_same_bits():
+    for m in (smith_matrix(5), jacobi_a_matrix()):
+        fresh = np.array([[float(v) for v in row] for row in m.entries])
+        assert m.as_float() is m.as_float()
+        assert not m.as_float().flags.writeable
+        assert np.array_equal(m.as_float(), fresh)
+        zs = tuple(np.array([0.1 * k + 0.3j, -0.7 + 0.01j * k]) for k in range(m.n))
+        expected = fresh.T @ np.stack(zs)
+        got = apply_to_args(m, zs)
+        assert all(np.array_equal(w, e) for w, e in zip(got, expected))
+
+
 def test_apply_to_args_length_mismatch():
     with pytest.raises(ValueError):
         apply_to_args(smith_matrix(3), (0.1, 0.2))

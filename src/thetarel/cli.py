@@ -49,8 +49,9 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """Exits 64 on a usage error.  argparse reads a value that starts
     with "-" (and is no negative number) as an option, and "--opt=value"
-    as a value; an option in dash_value_options is rewritten to the =
-    form when such a value follows it."""
+    as a value; an option in dash_value_options, or a prefix of one, is
+    rewritten to the = form when such a value follows it.  argparse then
+    resolves the prefix, or reports it ambiguous."""
 
     dash_value_options: tuple[str, ...] = ()
 
@@ -62,8 +63,8 @@ class _Parser(argparse.ArgumentParser):
                 joined += args[i:]
                 break
             # A value cannot start with "--" or "-h", which stay options.
-            if (joined and joined[-1] in self.dash_value_options
-                    and re.match("-[^-h]", arg)):
+            if (joined and joined[-1].startswith("--") and re.match("-[^-h]", arg)
+                    and any(o.startswith(joined[-1]) for o in self.dash_value_options)):
                 joined[-1] += "=" + arg
             else:
                 joined.append(arg)

@@ -51,34 +51,11 @@ theta(nu_j + a, w_j) sums, so the omitted tail of an entry is that
 coset's exterior times unit-modulus phases, and the w_j tail envelope of
 theta() bounds it as before.
 
-RelationSpec derives lambda, nu and the two exact parts of x(a), the
-integers kappa c.b mod lambda^2 and the Fractions sum_j mu'_j.b/lambda
-mod 1, once per instance; nu (charalg.char_linear_combine) and that
-drift are summed as integer numerators over one common denominator.
-build_relation's exact term list (emit and the reports) and rhs_value's
-float coefficient table, which adds the two parts in floating point
-only, are both read from them.
-
-The exact term list is a Relation: a read-only sequence over the spec
-that builds term i only when it is accessed, with no Fraction sum.  Each
-half of nu_j + a depends on one digit vector only (the top half on c,
-the bottom half on b), so RelationSpec also holds a digit table, derived
-only when a term is accessed: for each d in {0..lambda-1}^g,
-lexicographic, the rows (d/lambda, nu_1 + d/lambda, ..., nu_n + d/lambda)
-of top and of bottom halves.  Term (c, b) pairs top row c with bottom
-row b, and with drift[b] = p/q, q common to all b, its exponent is the
-single integer numerator -(cross[c, b] q + p lambda^2) mod lambda^2 q
-over lambda^2 q; a Relation computes these numerators once.
-
-The renderers read the same rows as texts, which RelationSpec derives
-from integers once per instance (_text_rows, _latex_rows): a coordinate
-p/q of 0 or of nu_j is (p lambda + k q)/(q lambda) at digit k, reduced
-with one gcd and written once, and the coordinate texts are joined per
-digit vector, each top half already followed by ";" (or opening a
-primed LaTeX stack).  _term_rows then joins each characteristic of a
-term from its top and bottom row with one string addition and writes
-each distinct exponent once; no Characteristic, RelationTerm or Fraction
-sum is built.
+The top half of nu_j + a depends on c only and the bottom half on b
+only, so RelationSpec._rows derives each half once per digit vector, as
+Fractions (_digit_table, for the terms of a Relation) or as texts
+(_text_rows, _latex_rows, for the renderers); term (c, b) pairs top
+row c with bottom row b.
 """
 
 from __future__ import annotations
@@ -125,13 +102,6 @@ __all__ = [
 ]
 
 DEFAULT_SEED = 0xA11CE
-
-# How the renderers write a characteristic: (rational(p, q), coordinate
-# separator, top prefix, top suffix, bottom suffix), the text being
-# top prefix + top half + top suffix + bottom half + bottom suffix.
-# JSON and text write "top;bottom", LaTeX a primed stack.
-_TEXT_STYLE = (_fraction_text, ",", "", ";", "")
-_LATEX_STYLE = (_latex_fraction, "\\,", "\\binom{", "}{", "}'")
 
 # Both sides below this are reported "degenerate-pass" and excluded
 # from the max relative error.
@@ -197,62 +167,15 @@ class RelationSpec:
         """nu = mu S_n."""
         return apply_to_chars(smith_matrix(self.n), self.mu)
 
-    @functools.cached_property
-    def _digit_table(self) -> tuple[list[tuple], list[tuple]]:
+    def _rows(self, rational: Callable, top: Callable, bottom: Callable) -> tuple[list, list]:
         """(tops, bottoms): for each digit vector d in {0..lambda-1}^g,
-        lexicographic, the row (d/lambda, nu_1 + d/lambda, ...,
-        nu_n + d/lambda) of top halves resp. bottom halves, as
-        all-Fraction g-tuples.  Term (c, b) is (tops[c]; bottoms[b]).
-        Only Relation._term reads it; the renderers read _text_rows and
-        _latex_rows."""
-        lam, g = self.lam, self.genus
-        steps = [Fraction(k, lam) for k in range(lam)]
-        zero = (Fraction(0),) * g
-
-        def rows(halves):
-            sums = [[[h[i] + s for s in steps] for i in range(g)] for h in halves]
-            return [
-                tuple(tuple(per[i][k] for i, k in enumerate(d)) for per in sums)
-                for d in itertools.product(range(lam), repeat=g)
-            ]
-
-        return (
-            rows([zero] + [v.top for v in self._nu]),
-            rows([zero] + [v.bottom for v in self._nu]),
-        )
-
-    @functools.cached_property
-    def _exponent_parts(self) -> tuple[np.ndarray, tuple[Fraction, ...]]:
-        """x(a) = -(cross[c, b]/lambda^2 + drift[b]) at a = (c/lambda; b/lambda)
-        with c and b lexicographic: cross = kappa c.b mod lambda^2 as
-        integers, drift = sum_j mu'_j.b/lambda mod 1 as Fractions."""
-        lam, g = self.lam, self.genus
-        digits = np.indices((lam,) * g).reshape(g, -1).T
-        cross = (coefficient_kappa(self.n, self.mode) * (digits @ digits.T)) % (lam * lam)
-        cross.flags.writeable = False
-        # sum_j mu'_j = tops / q, so drift[b] = (tops.b mod q lambda) / q lambda.
-        q = math.lcm(*(v.denominator for m in self.mu for v in m.top))
-        tops = [
-            sum(v.numerator * (q // v.denominator) for v in column)
-            for column in zip(*(m.top for m in self.mu))
-        ]
-        den = q * lam
-        drift = tuple(
-            Fraction(sum(map(operator.mul, tops, b)) % den, den) for b in digits.tolist()
-        )
-        return cross, drift
-
-    def _row_texts(self, style: tuple) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-        """_digit_table's rows as texts in a style (_TEXT_STYLE or
-        _LATEX_STYLE), with the top prefix and suffix on each top half and
-        the bottom suffix on each bottom half, so that a characteristic's
-        text is tops[c][j] + bottoms[b][j].  A coordinate v = p/q of a row
-        is (p lambda + k q)/(q lambda) at digit k; each is reduced with one
-        gcd and written once, and no Fraction sum runs."""
-        rational, sep, top_prefix, top_suffix, bottom_suffix = style
+        lexicographic, the row of halves (d/lambda, nu_1 + d/lambda, ...,
+        nu_n + d/lambda), top halves joined by top and bottom halves by
+        bottom.  A coordinate p/q of 0 or of nu_j is
+        rational(p lambda + k q, q lambda) at digit k, made once per k."""
         lam, zero = self.lam, (Fraction(0),) * self.genus
 
-        def rows(halves, prefix, suffix):
+        def rows(halves, join):
             per_half = []
             for half in halves:
                 coordinates = [
@@ -260,31 +183,58 @@ class RelationSpec:
                      for k in range(lam)]
                     for v in half
                 ]
-                per_half.append(
-                    [prefix + sep.join(t) + suffix for t in itertools.product(*coordinates)]
-                )
+                per_half.append(list(map(join, itertools.product(*coordinates))))
             return list(zip(*per_half))
 
         return (
-            rows([zero, *(v.top for v in self._nu)], top_prefix, top_suffix),
-            rows([zero, *(v.bottom for v in self._nu)], "", bottom_suffix),
+            rows([zero, *(v.top for v in self._nu)], top),
+            rows([zero, *(v.bottom for v in self._nu)], bottom),
         )
 
     @functools.cached_property
-    def _text_rows(self) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-        """_row_texts(_TEXT_STYLE), for JSON and text."""
-        return self._row_texts(_TEXT_STYLE)
+    def _digit_table(self) -> tuple[list, list]:
+        """_rows as Fraction g-tuples, for the terms of a Relation."""
+        return self._rows(Fraction, tuple, tuple)
 
     @functools.cached_property
-    def _latex_rows(self) -> tuple[list[tuple[str, ...]], list[tuple[str, ...]]]:
-        """_row_texts(_LATEX_STYLE)."""
-        return self._row_texts(_LATEX_STYLE)
+    def _text_rows(self) -> tuple[list, list]:
+        """_rows as "top;" and "bottom" texts, for JSON and text."""
+        return self._rows(_fraction_text, lambda t: ",".join(t) + ";", ",".join)
+
+    @functools.cached_property
+    def _latex_rows(self) -> tuple[list, list]:
+        """_rows as the two parts of a primed LaTeX stack."""
+        return self._rows(
+            _latex_fraction,
+            lambda t: "\\binom{" + "\\,".join(t) + "}{",
+            lambda t: "\\,".join(t) + "}'",
+        )
+
+    @functools.cached_property
+    def _exponent_parts(self) -> tuple[np.ndarray, tuple[int, ...], int]:
+        """(cross, drift, den): x(a) = -(cross[c, b]/lambda^2 + drift[b]/den)
+        at a = (c/lambda; b/lambda) with c and b lexicographic, where
+        cross = kappa c.b mod lambda^2 and drift[b]/den =
+        sum_j mu'_j.b/lambda mod 1, all integers."""
+        lam, g = self.lam, self.genus
+        digits = np.indices((lam,) * g).reshape(g, -1).T
+        cross = (coefficient_kappa(self.n, self.mode) * (digits @ digits.T)) % (lam * lam)
+        cross.flags.writeable = False
+        # sum_j mu'_j = tops / q, so drift[b] = tops.b mod q lambda over q lambda.
+        q = math.lcm(*(v.denominator for m in self.mu for v in m.top))
+        tops = [
+            sum(v.numerator * (q // v.denominator) for v in column)
+            for column in zip(*(m.top for m in self.mu))
+        ]
+        den = q * lam
+        drift = tuple(sum(map(operator.mul, tops, b)) % den for b in digits.tolist())
+        return cross, drift, den
 
     @functools.cached_property
     def _coefficients(self) -> np.ndarray:
         """Read-only e[x(a)], flat in enumerate_shifts order."""
-        cross, drift = self._exponent_parts
-        x = cross / (self.lam * self.lam) + np.array([float(d) for d in drift])
+        cross, drift, den = self._exponent_parts
+        x = cross / (self.lam * self.lam) + np.array([p / den for p in drift])
         table = np.exp(-2j * math.pi * x).reshape(-1)
         table.flags.writeable = False
         return table
@@ -322,17 +272,12 @@ class Relation(Sequence):
 
     def __init__(self, spec: RelationSpec):
         self.spec = spec
-        cross, drift = spec._exponent_parts
+        cross, drift, q = spec._exponent_parts
         sq = spec.lam * spec.lam
-        # drift[b] = p/q over the common denominator q:
-        # x(a) = (-(cross q + p lambda^2) mod lambda^2 q) / lambda^2 q
-        q = math.lcm(*(d.denominator for d in drift))
-        drift_sq = [d.numerator * (q // d.denominator) * sq for d in drift]
+        # x(a) = (-(cross q + drift lambda^2) mod lambda^2 q) / lambda^2 q
         self._denominator = den = sq * q
         self._numerators = [
-            -(x * q + p_sq) % den
-            for row in cross.tolist()
-            for x, p_sq in zip(row, drift_sq)
+            -(x * q + p * sq) % den for row in cross.tolist() for x, p in zip(row, drift)
         ]
 
     def __len__(self) -> int:
@@ -379,37 +324,22 @@ def build_relation(spec: RelationSpec) -> Relation:
 
 
 def _term_rows(
-    terms: Sequence[RelationTerm], latex: bool = False, exponent: Callable = str
+    terms: Relation, latex: bool = False, exponent: Callable = str
 ) -> Iterator[tuple[str, str, list[str]]]:
-    """For each term, (exponent(t.exponent), shift text, nu_shifted texts),
-    each characteristic written "top;bottom", or as a primed LaTeX stack
-    when latex is true.
-
-    A Relation is read from its spec's row texts: a term's texts are
-    joined from its top and bottom row, and each distinct exponent is
-    formatted once.  Any other sequence is formatted term by term."""
-    if isinstance(terms, Relation):
-        spec = terms.spec
-        tops, bottoms = spec._latex_rows if latex else spec._text_rows
-        den = terms._denominator
-        texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
-        for k, (top, bottom) in zip(terms._numerators, itertools.product(tops, bottoms)):
-            shift, *nu_shifted = map(str.__add__, top, bottom)
-            yield texts[k], shift, nu_shifted
-        return
-    rational, sep, top_prefix, top_suffix, bottom_suffix = (
-        _LATEX_STYLE if latex else _TEXT_STYLE
+    """For each term of a Relation, (exponent(t.exponent), shift text,
+    nu_shifted texts), each characteristic written "top;bottom", or as a
+    primed LaTeX stack when latex is true.  A term's texts are joined
+    from its top and bottom row of the spec's row texts, and each
+    distinct exponent is formatted once."""
+    if not isinstance(terms, Relation):
+        raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
+    tops, bottoms = terms.spec._latex_rows if latex else terms.spec._text_rows
+    den = terms._denominator
+    texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
+    return (
+        (texts[k], top[0] + bottom[0], list(map(str.__add__, top[1:], bottom[1:])))
+        for k, (top, bottom) in zip(terms._numerators, itertools.product(tops, bottoms))
     )
-
-    def half(values):
-        return sep.join([rational(v.numerator, v.denominator) for v in values])
-
-    for t in terms:
-        shift, *nu_shifted = [
-            top_prefix + half(c.top) + top_suffix + half(c.bottom) + bottom_suffix
-            for c in (t.shift, *t.nu_shifted)
-        ]
-        yield exponent(t.exponent), shift, nu_shifted
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
@@ -608,7 +538,7 @@ def verify_jacobi_a(
     return _compare(lhs, rhs, zs, tau)
 
 
-def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
+def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
     """The "spec"/"terms" object shared by relation_report and emit."""
     rows = [
         {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
@@ -628,7 +558,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
 
 def relation_report(
     spec: RelationSpec,
-    terms: Sequence[RelationTerm],
+    terms: Relation,
     reports: Sequence[VerificationReport],
     tol: float,
 ) -> dict:

@@ -7,18 +7,9 @@ binomial-style characteristic stacks; coefficients render as omega
 powers for lambda = 3, as bare signs when they are exactly +-1, and as
 e[p/q] otherwise.
 
-Each renderer of a term list (JSON, LaTeX, text) reads it through
-relations._term_rows.  A Relation (what build_relation returns) is
-rendered from its spec's row texts, derived from integer numerators once
-per spec: each characteristic text is one string addition of a top and
-a bottom row half, and each distinct exponent is written once per call,
-so no Characteristic, RelationTerm or Fraction sum is built.  At (7,2)
-the 2,401 terms have 784 row halves.  Any other sequence of terms is
-formatted term by term, to the same bytes.  parse_terms_json checks a
-document's terms against those rows directly.
-
-dumps is the one JSON writer: a single loop appends the document to one
-list of strings and keeps the containers still open on a stack.
+The JSON, LaTeX and text renderers take a Relation (what
+build_relation returns) and read it through relations._term_rows.
+dumps is the one JSON writer.
 """
 
 from __future__ import annotations
@@ -26,14 +17,12 @@ from __future__ import annotations
 import functools
 import json
 from fractions import Fraction
-from typing import Sequence
 
 from .charalg import Characteristic, _latex_fraction, cycle_number
 from .relations import (
     CoefficientMode,
     Relation,
     RelationSpec,
-    RelationTerm,
     _term_rows,
     _terms_json_obj,
     build_relation,
@@ -127,7 +116,7 @@ def dumps(obj, indent: int = 0) -> str:
             frame = stack.pop()
 
 
-def terms_to_json_obj(spec: RelationSpec, terms: Sequence[RelationTerm]) -> dict:
+def terms_to_json_obj(spec: RelationSpec, terms: Relation) -> dict:
     """The emit JSON object: relation_report's "spec" and "terms" part."""
     return _terms_json_obj(spec, terms)
 
@@ -163,19 +152,18 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
         mu=tuple(Characteristic.parse(m) for m in s["mu"]),
         mode=CoefficientMode(s["mode"]),
     )
-    terms = build_relation(spec)
     rows = obj["terms"]
-    if not (
-        type(rows) is list
-        and len(rows) == len(terms)
-        and all(
-            type(t) is dict
-            and len(t) == 3
-            and t.get("shift") == shift
-            and t.get("exponent") == exponent
-            and t.get("nu_shifted") == nu_shifted
-            for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(terms))
-        )
+    # Checked before build_relation, whose cost grows as lambda^(2g).
+    if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
+        raise ValueError("terms do not match the relation of their spec")
+    terms = build_relation(spec)
+    if not all(
+        type(t) is dict
+        and len(t) == 3
+        and t.get("shift") == shift
+        and t.get("exponent") == exponent
+        and t.get("nu_shifted") == nu_shifted
+        for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(terms))
     ):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
@@ -203,7 +191,7 @@ def _latex_coefficient(exponent: Fraction, lam: int) -> tuple[str, str]:
     return "+", f"{{\\bf e}}\\left({exponent}\\right) "
 
 
-def relation_to_latex(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
+def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
     """Standalone math fragment for the relation.
 
     A term whose shifted characteristics all coincide is abbreviated as a
@@ -232,7 +220,7 @@ def relation_to_latex(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
     return lhs + " = " + " ".join(pieces)
 
 
-def terms_to_text(spec: RelationSpec, terms: Sequence[RelationTerm]) -> str:
+def terms_to_text(spec: RelationSpec, terms: Relation) -> str:
     lines = [
         f"n={spec.n} g={spec.genus} lambda={spec.lam} mode={spec.mode.value} "
         f"terms={len(terms)}",

@@ -284,6 +284,29 @@ def test_tol_value_may_start_with_a_minus(capsys):
     assert "expected one argument" in _usage_exit(capsys, "verify", "--tol", "--n", "3")
 
 
+@pytest.mark.parametrize("command", [["verify", "--n", "3"], ["falsify"]],
+                         ids=lambda argv: argv[0])
+def test_abbreviated_option_value_may_start_with_a_minus(capsys, command):
+    argv = [*command, "--trials", "2"]
+    spaced = run_cli(capsys, *argv, "--ta", "-0.2+1.1i")
+    assert spaced == run_cli(capsys, *argv, "--tau=-0.2+1.1i")
+    assert spaced[2] == "" and json.loads(spaced[1])["trials"][0]["tau"] == [[[-0.2, 1.1]]]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--to", "-inf"], "argument --tol: must be finite"),
+        # --m is a prefix of --mu and of --mode, and argparse says so.
+        (["--m", "-1/3;0"], "ambiguous option: --m"),
+        (["--t", "-1"], "ambiguous option: --t"),
+    ],
+    ids=["to", "m", "t"],
+)
+def test_abbreviated_option_with_a_minus_value_is_resolved_by_argparse(capsys, argv, message):
+    assert message in _usage_exit(capsys, "verify", "--n", "3", *argv)
+
+
 def test_zero_tol_is_valid(capsys):
     code, out, err = run_cli(capsys, "verify", "--n", "3", "--trials", "1", "--tol", "0")
     assert code in (0, 1) and err == ""

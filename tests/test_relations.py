@@ -4,6 +4,7 @@ import cmath
 import dataclasses
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -136,6 +137,22 @@ def test_parse_rejects_malformed_documents(alter, match):
     obj = terms_to_json_obj(spec, build_relation(spec))
     with pytest.raises(ValueError, match=match):
         parse_terms_json(json.dumps(alter(obj)))
+
+
+def test_parse_checks_the_term_count_before_building_the_relation():
+    # n=3, g=7 has 3^14 terms; a document of 173 bytes that lists none is
+    # rejected without deriving its 2187 x 2187 exponent table.
+    zero = ";".join([",".join(["0"] * 7)] * 2)
+    spec = {"n": 3, "g": 7, "lambda": 3, "mode": "modified", "mu": [zero] * 3}
+    tracemalloc.start()
+    try:
+        for terms in ([], {}, [{}] * 2):
+            with pytest.raises(ValueError, match="terms do not match"):
+                parse_terms_json(json.dumps({"spec": spec, "terms": terms}))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 def test_spec_fields_and_derived_lambda():

@@ -1,8 +1,7 @@
-"""Renderers read a Relation row by row and any other term sequence term
-by term; both must give the same bytes, whichever term objects share
-their halves."""
+"""Renderers read a Relation row by row from its spec's row texts; a
+term-by-term formatter of the built terms is their oracle."""
 
-from collections.abc import Sequence
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,35 +14,31 @@ from thetarel import (
     RelationTerm,
     build_relation,
     cycle_number,
+    relation_report,
 )
+from thetarel import relations, render
 from thetarel.render import dumps, relation_to_latex, terms_to_json_obj, terms_to_text
 
 F = Fraction
 
 
-def _fresh_char(c):
-    return Characteristic(tuple([*c.top]), tuple([*c.bottom]))
+def _latex_rational(v):
+    if v.denominator == 1:
+        return str(v)
+    return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _fresh(term):
-    """An equal term that shares no half, exponent or characteristic."""
-    return RelationTerm(
-        _fresh_char(term.shift), F(term.exponent), tuple(map(_fresh_char, term.nu_shifted))
-    )
+def _term_rows_term_by_term(terms, latex=False, exponent=str):
+    """Oracle for relations._term_rows: builds every term and writes each
+    coordinate of each Characteristic from its Fraction."""
+    def text(c):
+        if latex:
+            top, bottom = ("\\,".join(map(_latex_rational, h)) for h in (c.top, c.bottom))
+            return f"\\binom{{{top}}}{{{bottom}}}'"
+        return ",".join(map(str, c.top)) + ";" + ",".join(map(str, c.bottom))
 
-
-class FreshOnAccess(Sequence):
-    """Builds a new term on every access, so the objects of a term already
-    rendered are freed and their ids can come back for other values."""
-
-    def __init__(self, terms):
-        self._terms = terms
-
-    def __len__(self):
-        return len(self._terms)
-
-    def __getitem__(self, i):
-        return _fresh(self._terms[i])
+    for t in terms:
+        yield exponent(t.exponent), text(t.shift), [text(c) for c in t.nu_shifted]
 
 
 RENDERERS = {
@@ -77,11 +72,17 @@ SPECS = {
 @pytest.mark.parametrize("fmt", RENDERERS)
 @pytest.mark.parametrize("key", SPECS)
 def test_output_does_not_depend_on_shared_halves(key, fmt, assert_same):
-    spec, render = SPECS[key], RENDERERS[fmt]
-    terms = build_relation(spec)
-    expected = render(spec, terms)
-    assert_same(render(spec, [_fresh(t) for t in terms]), expected)
-    assert_same(render(spec, FreshOnAccess(terms)), expected)
+    # Every term shares its row halves with other terms, and every render
+    # of a spec, whichever Relation it reads, shares the spec's cached rows.
+    spec, write = SPECS[key], RENDERERS[fmt]
+    fresh = replace(spec)
+    expected = write(fresh, build_relation(fresh))
+    relation = build_relation(spec)
+    list(relation)
+    for other in RENDERERS.values():
+        other(spec, relation)
+    assert_same(write(spec, relation), expected)
+    assert_same(write(spec, build_relation(spec)), expected)
 
 
 # Negative tops and mixed denominators, so that the row texts, built from
@@ -112,11 +113,30 @@ ROW_SPECS = {
 
 @pytest.mark.parametrize("fmt", RENDERERS)
 @pytest.mark.parametrize("key", ROW_SPECS)
-def test_row_rendering_matches_term_by_term(key, fmt, assert_same):
-    spec, render = ROW_SPECS[key], RENDERERS[fmt]
+def test_row_rendering_matches_term_by_term(key, fmt, assert_same, monkeypatch):
+    spec, write = ROW_SPECS[key], RENDERERS[fmt]
     relation = build_relation(spec)
     assert type(relation) is Relation
-    assert_same(render(spec, relation), render(spec, list(relation)))
+    rows = write(spec, relation)
+    for module in (relations, render):
+        monkeypatch.setattr(module, "_term_rows", _term_rows_term_by_term)
+    assert_same(rows, write(spec, relation))
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        terms_to_json_obj,
+        relation_to_latex,
+        terms_to_text,
+        lambda spec, terms: relation_report(spec, terms, [], 1e-9),
+    ],
+    ids=["terms_to_json_obj", "relation_to_latex", "terms_to_text", "relation_report"],
+)
+def test_renderers_take_only_a_relation(write):
+    spec = SPECS["3-1"]
+    with pytest.raises(TypeError, match="must be a Relation, got list"):
+        write(spec, list(build_relation(spec)))
 
 
 def test_rendering_a_relation_builds_no_terms(monkeypatch):
@@ -135,8 +155,8 @@ def test_rendering_a_relation_builds_no_terms(monkeypatch):
     monkeypatch.setattr(Characteristic, "_unchecked", classmethod(unchecked))
     for cls in (Characteristic, RelationTerm):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
-    for render in RENDERERS.values():
-        render(spec, relation)
+    for write in RENDERERS.values():
+        write(spec, relation)
     assert built == []
     relation[0]  # the counters do see a term being built
     assert built == ["_unchecked"] * (spec.n + 1) + ["RelationTerm"]
@@ -145,22 +165,24 @@ def test_rendering_a_relation_builds_no_terms(monkeypatch):
 def test_rendering_a_relation_leaves_the_digit_table_underived():
     spec = RelationSpec.create(5, 2, _mixed_mu(5, 2))
     relation = build_relation(spec)
-    for render in RENDERERS.values():
-        render(spec, relation)
+    for write in RENDERERS.values():
+        write(spec, relation)
     assert "_digit_table" not in vars(spec)
     relation[7]
     assert "_digit_table" in vars(spec)
 
 
 def test_latex_abbreviates_only_equal_factors():
-    spec = RelationSpec.create(3, 2)
+    # n = 3 gives nu = (c + 2d, 4c - d, c + 2d)/3 for mu = (c, d, c): every
+    # term has two equal factors and one other, so none is abbreviated.
+    # With all mu equal, all nu are equal and every term is abbreviated.
     c = Characteristic((F(1, 3), F(2, 3)), (F(0), F(1, 3)))
     d = Characteristic((F(1, 3), F(2, 3)), (F(0), F(2, 3)))
-    zero = Characteristic.zero(2)
-    terms = [
-        RelationTerm(zero, F(0), (c, _fresh_char(c), c)),
-        RelationTerm(zero, F(0), (c, d, c)),
-    ]
-    s = "\\binom{\\frac{1}{3}\\,\\frac{2}{3}}{0\\,\\frac{1}{3}}'"
-    t = "\\binom{\\frac{1}{3}\\,\\frac{2}{3}}{0\\,\\frac{2}{3}}'"
-    assert relation_to_latex(spec, terms).split(" = ")[1] == f"{s} + {s}{t}{s}"
+    for mu, abbreviated in (((c, d, c), False), ((c, c, c), True)):
+        spec = RelationSpec.create(3, 2, mu)
+        relation = build_relation(spec)
+        rhs = relation_to_latex(spec, relation).split(" = ")[1]
+        assert rhs.count("\\binom") == len(relation) * (1 if abbreviated else 3)
+        for _, _, (s, t, u) in _term_rows_term_by_term(relation, latex=True):
+            assert (s == t == u) if abbreviated else (s == u != t)
+            assert (s if abbreviated else s + t + s) in rhs

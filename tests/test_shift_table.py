@@ -48,12 +48,14 @@ def _rhs_per_term(spec, z, tau, settings=EvalSettings()):
 
 
 def _exponents_per_term(spec):
-    """Reference exponents: one Fraction sum -(cross/lambda^2 + drift) mod 1
-    per term."""
-    cross, drift = spec._exponent_parts
+    """Reference exponents: one Fraction sum
+    -(cross/lambda^2 + drift/den) mod 1 per term."""
+    cross, drift, den = spec._exponent_parts
     sq = spec.lam * spec.lam
     return [
-        -(Fraction(x, sq) + d) % 1 for row in cross.tolist() for x, d in zip(row, drift)
+        -(Fraction(x, sq) + Fraction(p, den)) % 1
+        for row in cross.tolist()
+        for x, p in zip(row, drift)
     ]
 
 

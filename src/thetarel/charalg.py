@@ -89,17 +89,15 @@ class Characteristic:
         parts = text.split(";")
         if len(parts) != 2:
             raise ValueError(f"characteristic needs exactly one ';': {text!r}")
-        vectors = []
-        for part in parts:
-            tokens = [t.strip() for t in part.split(",")]
+
+        def rational(token):
             try:
-                vectors.append(tuple(Fraction(t) for t in tokens))
+                return Fraction(token)
             except (ValueError, ZeroDivisionError):
-                bad = next(
-                    (t for t in tokens if not _is_rational_token(t)), part.strip()
-                )
-                raise ValueError(f"bad rational token {bad!r} in {text!r}") from None
-        return cls(vectors[0], vectors[1])
+                raise ValueError(f"bad rational token {token!r} in {text!r}") from None
+
+        top, bottom = (tuple(rational(t.strip()) for t in part.split(",")) for part in parts)
+        return cls(top, bottom)
 
     def __str__(self) -> str:
         return f"{_half_text(self.top)};{_half_text(self.bottom)}"
@@ -149,14 +147,6 @@ def _latex_fraction(p: int, q: int) -> str:
     if q == 1:
         return str(p)
     return f"{'-' if p < 0 else ''}\\frac{{{abs(p)}}}{{{q}}}"
-
-
-def _is_rational_token(token: str) -> bool:
-    try:
-        Fraction(token)
-        return True
-    except (ValueError, ZeroDivisionError):
-        return False
 
 
 @dataclass(frozen=True)

@@ -261,11 +261,12 @@ class RelationTerm:
 class Relation(Sequence):
     """The term list of one spec, in enumerate_shifts order, read-only.
 
-    Supports len, int and slice indexing (a slice is a list), iteration
-    and element-wise == with any sequence of terms; like a list it is
-    unhashable.  Term i = (c, b) is built when it is accessed, from
-    spec._digit_table and the exponent numerators, which are computed
-    once per Relation (see the module docstring).
+    Supports len, int and slice indexing with the index rules of
+    range(len(self)) (a slice is a list), iteration and element-wise ==
+    with any sequence of terms; like a list it is unhashable.  Term
+    i = (c, b) is built when it is accessed, from spec._digit_table and
+    the exponent numerators, which are computed once per Relation (see
+    the module docstring).
     """
 
     __slots__ = ("spec", "_numerators", "_denominator")
@@ -284,14 +285,8 @@ class Relation(Sequence):
         return len(self._numerators)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self._term(i) for i in range(*index.indices(len(self)))]
-        i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError("relation term index out of range")
-        return self._term(i)
+        i = range(len(self))[index]
+        return list(map(self._term, i)) if isinstance(i, range) else self._term(i)
 
     def __iter__(self) -> Iterator[RelationTerm]:
         return map(self._term, range(len(self)))
@@ -324,15 +319,18 @@ def build_relation(spec: RelationSpec) -> Relation:
 
 
 def _term_rows(
-    terms: Relation, latex: bool = False, exponent: Callable = str
+    spec: RelationSpec, terms: Relation, latex: bool = False, exponent: Callable = str
 ) -> Iterator[tuple[str, str, list[str]]]:
-    """For each term of a Relation, (exponent(t.exponent), shift text,
-    nu_shifted texts), each characteristic written "top;bottom", or as a
-    primed LaTeX stack when latex is true.  A term's texts are joined
-    from its top and bottom row of the spec's row texts, and each
-    distinct exponent is formatted once."""
+    """For each term of a Relation of spec, (exponent(t.exponent), shift
+    text, nu_shifted texts), each characteristic written "top;bottom", or
+    as a primed LaTeX stack when latex is true.  A term's texts are
+    joined from its top and bottom row of the spec's row texts, and each
+    distinct exponent is formatted once.  Raises TypeError for terms that
+    are not a Relation and ValueError for a Relation of another spec."""
     if not isinstance(terms, Relation):
         raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
+    if terms.spec != spec:
+        raise ValueError("terms are the relation of another spec")
     tops, bottoms = terms.spec._latex_rows if latex else terms.spec._text_rows
     den = terms._denominator
     texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
@@ -431,22 +429,22 @@ class TrialSampler:
             u = rng.uniform(-0.5, 0.5)
             v = rng.uniform(0.8, 1.6)
             return PeriodMatrix(np.array([[u + 1j * v]]))
+        upper = np.triu_indices(genus)
+
+        def symmetric(lo, hi):
+            # One draw per upper-triangle entry, row by row.
+            m = np.zeros((genus, genus))
+            m[upper] = m.T[upper] = rng.uniform(lo, hi, len(upper[0]))
+            return m
+
         while True:
             d = rng.uniform(0.9, 1.4, genus)
-            w = np.zeros((genus, genus))
-            for i in range(genus):
-                for j in range(i, genus):
-                    w[i, j] = w[j, i] = rng.uniform(-1.0, 1.0)
-            im = np.diag(d) + 0.2 * w
+            im = np.diag(d) + 0.2 * symmetric(-1.0, 1.0)
             try:
                 np.linalg.cholesky(im)
             except np.linalg.LinAlgError:
                 continue
-            re = np.zeros((genus, genus))
-            for i in range(genus):
-                for j in range(i, genus):
-                    re[i, j] = re[j, i] = rng.uniform(-0.3, 0.3)
-            return PeriodMatrix(re + 1j * im)
+            return PeriodMatrix(symmetric(-0.3, 0.3) + 1j * im)
 
     def draw_args(
         self, rng: np.random.Generator, n: int, genus: int
@@ -542,7 +540,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
     """The "spec"/"terms" object shared by relation_report and emit."""
     rows = [
         {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
-        for exponent, shift, nu_shifted in _term_rows(terms)
+        for exponent, shift, nu_shifted in _term_rows(spec, terms)
     ]
     return {
         "spec": {

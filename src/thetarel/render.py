@@ -158,12 +158,8 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
         raise ValueError("terms do not match the relation of their spec")
     terms = build_relation(spec)
     if not all(
-        type(t) is dict
-        and len(t) == 3
-        and t.get("shift") == shift
-        and t.get("exponent") == exponent
-        and t.get("nu_shifted") == nu_shifted
-        for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(terms))
+        t == {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
+        for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(spec, terms))
     ):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
@@ -209,7 +205,7 @@ def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
     coefficient = functools.partial(_latex_coefficient, lam=spec.lam)
     pieces = []
     for i, ((sep, prefix), _, stacks) in enumerate(
-        _term_rows(terms, latex=True, exponent=coefficient)
+        _term_rows(spec, terms, latex=True, exponent=coefficient)
     ):
         # Stacks are written in lowest terms, so equal stacks mean equal factors.
         body = stacks[0] if stacks.count(stacks[0]) == len(stacks) else "".join(stacks)
@@ -226,6 +222,6 @@ def terms_to_text(spec: RelationSpec, terms: Relation) -> str:
         f"terms={len(terms)}",
         f"{'shift':>16s}  {'exponent':>10s}  nu+a",
     ]
-    for exponent, shift, nu_shifted in _term_rows(terms):
+    for exponent, shift, nu_shifted in _term_rows(spec, terms):
         lines.append(f"{shift:>16s}  {exponent:>10s}  {' '.join(nu_shifted)}")
     return "\n".join(lines) + "\n"

@@ -86,7 +86,10 @@ class TruncationError(ArithmeticError):
 
 @dataclass(frozen=True, eq=False)
 class PeriodMatrix:
-    """Symmetric g x g complex matrix with positive-definite imaginary part."""
+    """Symmetric g x g complex matrix with positive-definite imaginary part.
+
+    Positive definiteness is decided by the certified bound lam_min > 0,
+    so every accepted matrix has a finite tail envelope."""
 
     entries: np.ndarray
 
@@ -98,14 +101,16 @@ class PeriodMatrix:
             raise ValueError("period matrix entries must be finite")
         if not np.array_equal(arr, arr.T):
             raise ValueError("period matrix must be symmetric")
-        try:
-            np.linalg.cholesky(arr.imag)
-        except np.linalg.LinAlgError:
-            raise ValueError("imaginary part must be positive definite") from None
+        lam_min = _min_eig_lower(arr.imag)
+        if not lam_min > 0.0:
+            raise ValueError(
+                "imaginary part must be positive definite: its certified "
+                f"smallest-eigenvalue bound {lam_min:.3e} is not positive"
+            )
         arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "entries", arr)
-        object.__setattr__(self, "_lam_min", _min_eig_lower(arr.imag))
+        object.__setattr__(self, "_lam_min", lam_min)
 
     @property
     def genus(self) -> int:
@@ -114,7 +119,8 @@ class PeriodMatrix:
     @property
     def lam_min(self) -> float:
         """Certified lower bound on the smallest eigenvalue of Im tau
-        (eigvalsh minus a backward-error margin, see _min_eig_lower)."""
+        (eigvalsh minus a backward-error margin, see _min_eig_lower);
+        always positive, as the constructor refuses any other matrix."""
         return self._lam_min
 
 
@@ -168,10 +174,9 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     each contributes at most (2(radius+k)+3)^g points, every one with
     l2-norm above radius+k.  Monotonicity of the per-point bound needs
     r >= y_norm/lam_min, below which the bound is reported as infinite
-    (forcing the radius search onward).
+    (forcing the radius search onward).  lam_min is a PeriodMatrix's,
+    so it is positive.
     """
-    if lam_min <= 0.0:
-        return math.inf
     if radius < y_norm / lam_min:
         return math.inf
     total = 0.0

@@ -38,8 +38,8 @@ class TransformMatrix:
     entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
-        if any(len(r) != self.n for r in self.entries):
-            raise ValueError("entries must form an n x n matrix")
+        if not self.entries or any(len(r) != self.n for r in self.entries):
+            raise ValueError("entries must form an n x n matrix, n >= 1")
         # Involution check, exact: M @ M == identity.
         for i in range(self.n):
             for j in range(self.n):
@@ -143,13 +143,8 @@ def apply_to_args(m: TransformMatrix, args: Sequence):
 def apply_to_chars(
     m: TransformMatrix, chars: Sequence[Characteristic]
 ) -> tuple[Characteristic, ...]:
-    """Transform a length-n tuple of characteristics, exactly."""
-    if len(chars) != m.n:
-        raise ValueError(f"expected {m.n} characteristics, got {len(chars)}")
-    genus = chars[0].genus
-    for c in chars:
-        if c.genus != genus:
-            raise ValueError("characteristics must share one genus")
-    return tuple(
-        char_linear_combine(m.column(k), list(chars)) for k in range(m.n)
-    )
+    """Transform a length-n tuple of characteristics, exactly.
+
+    Each column is one char_linear_combine, which raises ValueError when
+    the count of chars is not n or their genera differ."""
+    return tuple(char_linear_combine(m.column(k), chars) for k in range(m.n))

@@ -147,6 +147,11 @@ def test_characteristic_parse_errors():
         Characteristic.parse("bogus;0")
     with pytest.raises(ValueError):
         Characteristic.parse("1/0;0")
+    # The first token that is no rational is named, whichever half holds it.
+    for text, bad in [("1/3,x;0", "'x'"), ("1/0;0", "'1/0'"), ("1/3;", "''"), (",;0", "''")]:
+        with pytest.raises(ValueError) as info:
+            Characteristic.parse(text)
+        assert str(info.value) == f"bad rational token {bad} in {text!r}"
 
 
 def test_characteristic_stays_unreduced():

@@ -200,6 +200,7 @@ def test_verify_genus_two_tau_matrix(capsys):
         ("2", "1.1i,nan+0.3i;nan+0.3i,0.9i", "must be finite"),
         ("2", "1.1i,inf;inf,0.9i", "must be finite"),
         ("2", "1.1i,0.2;0.2,-0.9i", "positive definite"),
+        ("2", "1i,1i;1i,1.000000000000001i", "smallest-eigenvalue bound"),
         ("2", "1.1i,x;x,0.9i", "cannot parse period"),
         ("2", "0.2+0.9i", "need a 2x2 matrix"),                        # genus 1 for g=2
         ("1", "1.1i,0.2;0.2,0.9i", "need a 1x1 matrix"),               # genus 2 for g=1

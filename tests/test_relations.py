@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -87,9 +88,24 @@ def _reorder_terms(terms):
     terms[1], terms[2] = terms[2], terms[1]
 
 
+def _add_key(terms):
+    terms[5]["note"] = "extra"
+
+
+def _drop_key(terms):
+    del terms[5]["exponent"]
+
+
+def _row_as_list(terms):
+    terms[5] = [terms[5]["shift"], terms[5]["exponent"], terms[5]["nu_shifted"]]
+
+
 @pytest.mark.parametrize(
     "alter",
-    [_alter_exponent, _alter_nu_shifted, _alter_shift, _drop_term, _reorder_terms],
+    [
+        _alter_exponent, _alter_nu_shifted, _alter_shift, _drop_term, _reorder_terms,
+        _add_key, _drop_key, _row_as_list,
+    ],
 )
 def test_parse_rejects_terms_that_do_not_match_the_spec(alter):
     spec = RelationSpec.create(3, 1)
@@ -208,13 +224,22 @@ def test_relation_is_a_read_only_sequence():
     relation = build_relation(spec)
     terms = list(relation)
     assert len(relation) == len(terms) == 81
-    assert relation[-1] == relation[80] == terms[-1]
-    assert relation[-81] == terms[0]
-    assert relation[70:75] == terms[70:75] and relation[::-9] == terms[::-9]
-    with pytest.raises(IndexError):
-        relation[81]
-    with pytest.raises(IndexError):
-        relation[-82]
+    # Every integer index, and slices with any bounds and steps, behave
+    # as on the list of the same terms; a slice is a list.
+    for i in range(-82, 82):
+        if -81 <= i < 81:
+            assert relation[i] == terms[i]
+        else:
+            with pytest.raises(IndexError):
+                relation[i]
+    bounds, steps = [None, -100, -5, 0, 3, 80, 100], [None, 1, 2, -1, -9]
+    for start, stop, step in itertools.product(bounds, bounds, steps):
+        part = relation[start:stop:step]
+        assert type(part) is list and part == terms[start:stop:step]
+    with pytest.raises(TypeError):
+        relation[1.0]
+    with pytest.raises(TypeError):
+        relation["0"]
     assert [relation[i] for i in range(len(relation))] == terms
     assert relation == terms and terms == relation
     assert relation == build_relation(RelationSpec.create(3, 2))
@@ -452,6 +477,43 @@ def test_verify_deterministic():
     b = verify(spec, 4)
     assert [r.lhs for r in a] == [r.lhs for r in b]
     assert [r.rel_error for r in a] == [r.rel_error for r in b]
+
+
+def _draw_tau_entry_by_entry(rng, genus):
+    """Oracle for TrialSampler.draw_tau: one scalar draw per upper-triangle
+    entry, in nested loops."""
+    if genus == 1:
+        u = rng.uniform(-0.5, 0.5)
+        v = rng.uniform(0.8, 1.6)
+        return np.array([[u + 1j * v]])
+    while True:
+        d = rng.uniform(0.9, 1.4, genus)
+        w = np.zeros((genus, genus))
+        for i in range(genus):
+            for j in range(i, genus):
+                w[i, j] = w[j, i] = rng.uniform(-1.0, 1.0)
+        im = np.diag(d) + 0.2 * w
+        try:
+            np.linalg.cholesky(im)
+        except np.linalg.LinAlgError:
+            continue
+        re = np.zeros((genus, genus))
+        for i in range(genus):
+            for j in range(i, genus):
+                re[i, j] = re[j, i] = rng.uniform(-0.3, 0.3)
+        return re + 1j * im
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3, 4])
+def test_draw_tau_matches_entry_by_entry_draws(genus):
+    # Same matrices bit for bit, and the generator left in the same state.
+    for seed in range(50):
+        sampler = TrialSampler(seed)
+        rng, oracle = sampler.make_rng(), np.random.default_rng(seed)
+        for _ in range(3):
+            got = sampler.draw_tau(rng, genus).entries
+            assert got.tobytes() == _draw_tau_entry_by_entry(oracle, genus).tobytes()
+        assert rng.random() == oracle.random()
 
 
 def test_verify_jacobi_a_passes(sampled_taus):

@@ -28,9 +28,10 @@ def _latex_rational(v):
     return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _term_rows_term_by_term(terms, latex=False, exponent=str):
+def _term_rows_term_by_term(spec, terms, latex=False, exponent=str):
     """Oracle for relations._term_rows: builds every term and writes each
     coordinate of each Characteristic from its Fraction."""
+    assert terms.spec == spec
     def text(c):
         if latex:
             top, bottom = ("\\,".join(map(_latex_rational, h)) for h in (c.top, c.bottom))
@@ -137,6 +138,12 @@ def test_renderers_take_only_a_relation(write):
     spec = SPECS["3-1"]
     with pytest.raises(TypeError, match="must be a Relation, got list"):
         write(spec, list(build_relation(spec)))
+    # Nor a Relation of another spec; an equal spec need not be the same object.
+    relation = build_relation(spec)
+    for other in (RelationSpec.create(5, 1), replace(spec, mode=CoefficientMode.NAIVE)):
+        with pytest.raises(ValueError, match="relation of another spec"):
+            write(other, relation)
+    assert write(replace(spec), relation) == write(spec, relation)
 
 
 def test_rendering_a_relation_builds_no_terms(monkeypatch):
@@ -183,6 +190,6 @@ def test_latex_abbreviates_only_equal_factors():
         relation = build_relation(spec)
         rhs = relation_to_latex(spec, relation).split(" = ")[1]
         assert rhs.count("\\binom") == len(relation) * (1 if abbreviated else 3)
-        for _, _, (s, t, u) in _term_rows_term_by_term(relation, latex=True):
+        for _, _, (s, t, u) in _term_rows_term_by_term(spec, relation, latex=True):
             assert (s == t == u) if abbreviated else (s == u != t)
             assert (s if abbreviated else s + t + s) in rhs

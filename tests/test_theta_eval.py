@@ -222,11 +222,20 @@ def test_period_matrix_validation():
         PeriodMatrix(np.array([[1 + 1j, 2j], [2j, 1 + 1j]]))
     with pytest.raises(ValueError):
         PeriodMatrix(np.array([[-1j]]))
+    # Im tau = [[1, 1], [1, 1 + 1e-15]] passes a Cholesky factorisation,
+    # but its certified eigenvalue bound is negative, so no radius could
+    # ever meet the tail target.
+    assert np.linalg.cholesky(np.array([[1, 1], [1, 1.000000000000001]]))[1, 1] > 0
+    with pytest.raises(ValueError, match="certified smallest-eigenvalue bound .* not positive"):
+        PeriodMatrix(np.array([[1j, 1j], [1j, 1.000000000000001j]]))
     pm = PeriodMatrix(np.array([[0.1 + 1.3j, 0.2j], [0.2j, 1.1j]]))
     assert pm.genus == 2
     true_min = float(np.linalg.eigvalsh(pm.entries.imag)[0])
     assert pm.lam_min <= true_min
     assert pm.lam_min >= 0.95 * true_min
+    # The bound is eigvalsh's minimum less its margin, to the bit.
+    eig = np.linalg.eigvalsh(pm.entries.imag)
+    assert pm.lam_min == float(eig[0]) - 16 * np.finfo(float).eps * float(np.abs(eig).max())
 
 
 @pytest.mark.parametrize("bad", [complex(math.inf, 1), complex(math.nan, 1),

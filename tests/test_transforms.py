@@ -41,6 +41,9 @@ def test_involution_enforced_by_constructor():
     bad = ((F(1), F(1)), (F(0), F(1)))
     with pytest.raises(ValueError):
         TransformMatrix(bad)
+    # An empty matrix would map any tuple of characteristics to ().
+    with pytest.raises(ValueError, match="n >= 1"):
+        TransformMatrix(())
 
 
 def test_smith_matrix_is_cached_and_check_still_runs():
@@ -189,10 +192,13 @@ def test_apply_to_chars_conservation_and_denominators():
 
 
 def test_apply_to_chars_errors():
+    # Each column's char_linear_combine checks the count and the genera.
     s3 = smith_matrix(3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length mismatch: 3 coeffs, 2 chars"):
         apply_to_chars(s3, (Characteristic.zero(1), Characteristic.zero(1)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="length mismatch: 3 coeffs, 0 chars"):
+        apply_to_chars(s3, ())
+    with pytest.raises(ValueError, match="genus mismatch"):
         apply_to_chars(
             s3,
             (

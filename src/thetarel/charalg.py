@@ -8,11 +8,14 @@ reduced mod 1, because shifted characteristics appearing inside theta
 relations must keep their unreduced values (reduction changes the theta
 value by a root-of-unity phase, which is handled in the evaluator).
 
-char_linear_combine sums each coordinate as one integer numerator over a
-common denominator and builds one Fraction from it.  _fraction_text and
-_latex_fraction write a rational given as integers p/q, reduced with one
-gcd, as str(Fraction) and the LaTeX renderer do; the renderers use them
-to write shifted coordinates without building Fractions.
+One exact-combination routine, _combine, sums a coordinate as one
+integer numerator over a common denominator and builds one Fraction from
+it.  It serves char_linear_combine, the Characteristic arithmetic (+, -
+and scalar *, each one char_linear_combine) and the exact path of
+transforms.apply_to_args.  _fraction_text and _latex_fraction write a
+rational given as integers p/q, reduced with one gcd, as str(Fraction)
+and the LaTeX renderer do; the renderers use them to write shifted
+coordinates without building Fractions.
 """
 
 from __future__ import annotations
@@ -103,30 +106,15 @@ class Characteristic:
         return f"{_half_text(self.top)};{_half_text(self.bottom)}"
 
     def __add__(self, other: "Characteristic") -> "Characteristic":
-        self._check_genus(other)
-        return Characteristic(
-            tuple(a + b for a, b in zip(self.top, other.top)),
-            tuple(a + b for a, b in zip(self.bottom, other.bottom)),
-        )
+        return char_linear_combine((1, 1), (self, other))
 
     def __sub__(self, other: "Characteristic") -> "Characteristic":
-        self._check_genus(other)
-        return Characteristic(
-            tuple(a - b for a, b in zip(self.top, other.top)),
-            tuple(a - b for a, b in zip(self.bottom, other.bottom)),
-        )
+        return char_linear_combine((1, -1), (self, other))
 
     def __mul__(self, scalar) -> "Characteristic":
-        c = Fraction(scalar)
-        return Characteristic(
-            tuple(c * v for v in self.top), tuple(c * v for v in self.bottom)
-        )
+        return char_linear_combine((scalar,), (self,))
 
     __rmul__ = __mul__
-
-    def _check_genus(self, other: "Characteristic") -> None:
-        if self.genus != other.genus:
-            raise ValueError(f"genus mismatch: {self.genus} != {other.genus}")
 
 
 def _half_text(half: tuple[Fraction, ...]) -> str:
@@ -233,17 +221,18 @@ def char_linear_combine(
         if c.genus != genus:
             raise ValueError("genus mismatch inside combination")
     scalars = [Fraction(c) for c in coeffs]
-
-    def combine(column):
-        dens = [s.denominator * v.denominator for s, v in zip(scalars, column)]
-        den = math.lcm(*dens)
-        num = sum(
-            s.numerator * v.numerator * (den // d)
-            for s, v, d in zip(scalars, column, dens)
-        )
-        return Fraction(num, den)
-
     return Characteristic._unchecked(
-        tuple(map(combine, zip(*(ch.top for ch in chars)))),
-        tuple(map(combine, zip(*(ch.bottom for ch in chars)))),
+        tuple(_combine(scalars, col) for col in zip(*(ch.top for ch in chars))),
+        tuple(_combine(scalars, col) for col in zip(*(ch.bottom for ch in chars))),
     )
+
+
+def _combine(scalars: Sequence[Fraction], values: Sequence[Fraction]) -> Fraction:
+    """sum_i scalars[i] * values[i] as one integer numerator over the lcm
+    of the products' denominators, built into one Fraction."""
+    dens = [s.denominator * v.denominator for s, v in zip(scalars, values)]
+    den = math.lcm(*dens)
+    num = sum(
+        s.numerator * v.numerator * (den // d) for s, v, d in zip(scalars, values, dens)
+    )
+    return Fraction(num, den)

@@ -92,12 +92,12 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="thetarel", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def common(sp, trials_default=None, tol_default=None):
+    def common(sp, trials_default=None, tol_default=None, modes=("modified", "naive")):
         sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--g", type=int, default=1)
         sp.add_argument("--mu", action="append", default=None, metavar="CHAR",
                         help='characteristic "p/q,...;p/q,..."; repeat n times')
-        sp.add_argument("--mode", choices=["modified", "naive"], default="modified")
+        sp.add_argument("--mode", choices=modes, default=modes[0])
         if trials_default is not None:
             sp.add_argument("--trials", type=int, default=trials_default)
             sp.add_argument("--tol", type=_tol, default=tol_default)
@@ -117,7 +117,7 @@ def _build_parser() -> _Parser:
            trials_default=20, tol_default=1e-9)
     common(sub.add_parser("falsify", help="demonstrate the uncorrected "
                           "coefficient failing"), trials_default=10,
-           tol_default=0.01)
+           tol_default=0.01, modes=("naive",))
 
     ps = sub.add_parser("suite", help="curated identity checks")
     ps.add_argument("--trials", type=int, default=10)
@@ -228,15 +228,13 @@ def _report_text(report: dict) -> str:
 
 
 def _cmd_verify(args) -> int:
-    """verify and falsify; falsify forces naive mode, defaults --n to 4
+    """verify and falsify; falsify runs naive mode only, defaults --n to 4
     and succeeds only when some ok trial exceeds --tol."""
     if args.format == "latex":
         raise UsageError("latex output applies to emit only")
     falsify = args.command == "falsify"
-    if falsify:
-        args.mode = "naive"
-        if args.n is None:
-            args.n = 4
+    if falsify and args.n is None:
+        args.n = 4
     spec = _spec_from_args(args)
     settings = _settings()
     tau = _parse_tau(args.tau, args.g) if args.tau else None

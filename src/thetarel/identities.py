@@ -8,6 +8,11 @@ machinery covers them, so the suite exercises two independent code
 paths; hard-coded coefficient multisets appear only in the tests as
 cross-checks.  DEFAULT_CASES is the one table of named specializations
 that run_suite walks.
+
+Each job is done in one place: a check of a whole relation is one
+relations._check (lhs_value, rhs_value, _compare), a genus-1 theta value
+is one _theta1, and ternary_constants_check evaluates each of the nine
+theta-constant cubes once, in its one pass over the n=3 term list.
 """
 
 from __future__ import annotations
@@ -25,10 +30,10 @@ from .relations import (
     TrialSampler,
     VerificationReport,
     build_relation,
-    lhs_value,
     rhs_value,
     verify_jacobi_a,
     DEFAULT_SEED,
+    _check,
     _compare,
 )
 from .theta import (
@@ -62,6 +67,11 @@ _TERNARY = RelationSpec.create(3, 1)
 _SMITH = RelationSpec.create(4, 1)
 
 
+def _theta1(top, bottom, tau: PeriodMatrix, settings: EvalSettings, arg=0j) -> complex:
+    """theta_(top; bottom)(arg, tau) at genus 1; the theta constant by default."""
+    return theta(Characteristic((top,), (bottom,)), arg, tau, settings).value
+
+
 def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
     """Report for a multi-part identity: the evaluable comparison with the
     worst relative error wins; degenerate pairs only surface when every
@@ -78,10 +88,7 @@ def ternary_cube_check(
     sum of the nine shifted cubes, obtained from the n=3 relation at
     z = (x, x, x) (a fixed point of the transform).  At x = 0 it is the
     nine-term constants relation, the suite's constants_zero case."""
-    z = (x, x, x)
-    lhs = lhs_value(_TERNARY, z, tau, settings)
-    rhs = rhs_value(_TERNARY, z, tau, settings)
-    return _compare(lhs, rhs, z, tau)
+    return _check(_TERNARY, (x, x, x), tau, settings)
 
 
 def ternary_constants_check(
@@ -94,27 +101,20 @@ def ternary_constants_check(
     generated term list (not hard-coded), keeping this path consistent
     with the relation engine.
     """
-    terms = {str(t.shift): t.coefficient for t in build_relation(_TERNARY)}
-
-    def const(top, bottom):
-        return theta_constant(
-            Characteristic((Fraction(top),), (Fraction(bottom),)), tau, settings
-        ).value
-
-    pairs = []
+    coefficient, cube = {}, {}
+    for t in build_relation(_TERNARY):
+        coefficient[str(t.shift)] = t.coefficient
+        cube[str(t.shift)] = theta_constant(t.shift, tau, settings).value ** 3
     # Pairing equalities between cubes.
-    pairs.append((const("1/3", "0") ** 3, const("2/3", "0") ** 3))
-    pairs.append((const("0", "1/3") ** 3, const("0", "2/3") ** 3))
-    pairs.append((const("1/3", "1/3") ** 3, const("2/3", "2/3") ** 3))
-    pairs.append((const("2/3", "1/3") ** 3, const("1/3", "2/3") ** 3))
+    pairs = [
+        (cube[a], cube[b])
+        for a, b in [("1/3;0", "2/3;0"), ("0;1/3", "0;2/3"),
+                     ("1/3;1/3", "2/3;2/3"), ("2/3;1/3", "1/3;2/3")]
+    ]
     # Reduced identity (the nine-term relation after pairing).
-    reduced = (
-        const("0", "1/3") ** 3
-        + const("1/3", "0") ** 3
-        + terms["1/3;2/3"] * const("1/3", "2/3") ** 3
-        + terms["1/3;1/3"] * const("1/3", "1/3") ** 3
-    )
-    pairs.append((const("0", "0") ** 3, reduced))
+    reduced = cube["0;1/3"] + cube["1/3;0"] + coefficient["1/3;2/3"] * cube["1/3;2/3"]
+    reduced += coefficient["1/3;1/3"] * cube["1/3;1/3"]
+    pairs.append((cube["0;0"], reduced))
     zero = np.zeros(1, dtype=complex)
     return _report(pairs, (zero,) * 3, tau)
 
@@ -124,16 +124,13 @@ def jacobi_quartic_check(
 ) -> VerificationReport:
     """Quartic identity t00^4(x) + t11^4(x) = t01^4(x) + t10^4(x) and its
     x = 0 constants form t00^4 = t01^4 + t10^4."""
-    half = Fraction(1, 2)
-
-    def t(top, bottom, arg):
-        return theta(Characteristic((top,), (bottom,)), arg, tau, settings).value
-
+    h = Fraction(1, 2)
     pairs = []
     for arg in (x, 0.0):
-        lhs = t(0, 0, arg) ** 4 + t(half, half, arg) ** 4
-        rhs = t(0, half, arg) ** 4 + t(half, 0, arg) ** 4
-        pairs.append((lhs, rhs))
+        t00, t01, t10, t11 = (
+            _theta1(top, bottom, tau, settings, arg) for top in (0, h) for bottom in (0, h)
+        )
+        pairs.append((t00**4 + t11**4, t01**4 + t10**4))
     return _report(pairs, (x,), tau)
 
 
@@ -142,9 +139,7 @@ def smith_relation_check(
 ) -> VerificationReport:
     """Four-term signed relation 2(00) = (00)'+(01)'+(10)'-(11)' under the
     sum-preserving involution, via the general n=4 machinery."""
-    lhs = lhs_value(_SMITH, z, tau, settings)
-    rhs = rhs_value(_SMITH, z, tau, settings)
-    return _compare(lhs, rhs, tuple(z), tau)
+    return _check(_SMITH, z, tau, settings)
 
 
 def constant_symmetries_check(
@@ -159,15 +154,11 @@ def constant_symmetries_check(
         [1-a; b] = exp(-2 pi i a) [a; 1-b].
     """
     a, b = Fraction(alpha), Fraction(beta)
-
-    def const(top, bottom):
-        return theta_constant(Characteristic((top,), (bottom,)), tau, settings).value
-
     phase = complex(np.exp(-2j * math.pi * float(a)))
     pairs = [
-        (const(1 - a, 0), const(a, 0)),
-        (const(0, 1 - b), const(0, b)),
-        (const(1 - a, b), phase * const(a, 1 - b)),
+        (_theta1(1 - a, 0, tau, settings), _theta1(a, 0, tau, settings)),
+        (_theta1(0, 1 - b, tau, settings), _theta1(0, b, tau, settings)),
+        (_theta1(1 - a, b, tau, settings), phase * _theta1(a, 1 - b, tau, settings)),
     ]
     zero = np.zeros(1, dtype=complex)
     return _report(pairs, (zero,), tau)

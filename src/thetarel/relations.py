@@ -72,7 +72,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charalg import Characteristic, _fraction_text, _latex_fraction, cycle_number
+from .charalg import (
+    Characteristic, _fraction_text, _latex_fraction, cycle_number, enumerate_shifts,
+)
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -406,6 +408,15 @@ def _compare(
     return VerificationReport(lhs, rhs, abs_error, rel_error, z, tau, status, seed_index)
 
 
+def _check(
+    spec: RelationSpec, z, tau: PeriodMatrix, settings: EvalSettings, seed_index: int = 0
+) -> VerificationReport:
+    """The one relation check: lhs_value, then rhs_value, then _compare."""
+    lhs = lhs_value(spec, z, tau, settings)
+    rhs = rhs_value(spec, z, tau, settings)
+    return _compare(lhs, rhs, tuple(z), tau, seed_index)
+
+
 @dataclass
 class TrialSampler:
     """Seeded sampler of trial points (z-tuple, tau).
@@ -483,15 +494,13 @@ def verify(
             zs = sampler.draw_args(rng, spec.n, spec.genus)
             trial_tau = tau if tau is not None else sampler.draw_tau(rng, spec.genus)
             try:
-                lhs = lhs_value(spec, zs, trial_tau, settings)
-                rhs = rhs_value(spec, zs, trial_tau, settings)
+                report = _check(spec, zs, trial_tau, settings, idx)
             except TruncationError:
                 nan = complex(math.nan)
                 report = VerificationReport(
                     nan, nan, math.nan, math.nan, zs, trial_tau, "eval-failed", idx
                 )
                 break
-            report = _compare(lhs, rhs, zs, trial_tau, idx)
             if not naive or report.status != "ok" or report.rel_error >= GENERIC_GAP:
                 break
             report = replace(report, status="flagged")
@@ -510,6 +519,10 @@ def overall_verdict(reports: Sequence[VerificationReport], tol: float) -> str:
     return "pass" if max(errors) <= tol else "fail"
 
 
+# The all-zero n = 4 spec: its lhs_value is 2 prod_j theta_0(z_j).
+_QUADRUPLE = RelationSpec.create(4, 1)
+
+
 def verify_jacobi_a(
     z,
     tau: PeriodMatrix,
@@ -520,19 +533,18 @@ def verify_jacobi_a(
         2 prod_j theta_{(0;0)}(z_j) = sum over (alpha, beta) in {0,1}^2
             of prod_j theta_{(alpha/2; beta/2)}(w_j),   w = z A,
 
-    all four summands entering with coefficient +1.
+    all four summands entering with coefficient +1.  The left side is
+    lhs_value of the all-zero (4, 1) spec; the four characteristics are
+    enumerate_shifts(1, 2), alpha major.
     """
     if tau.genus != 1:
         raise ValueError("the quadruple relation is a genus-1 statement")
     zs = _as_arg_tuple(4, 1, z)
     ws = apply_to_args(jacobi_a_matrix(), zs)
-    zero = Characteristic.zero(1)
-    lhs = 2.0 * math.prod(theta(zero, zj, tau, settings).value for zj in zs)
+    lhs = lhs_value(_QUADRUPLE, zs, tau, settings)
     rhs = 0j
-    for alpha in (0, 1):
-        for beta in (0, 1):
-            chi = Characteristic((Fraction(alpha, 2),), (Fraction(beta, 2),))
-            rhs += math.prod(theta(chi, wj, tau, settings).value for wj in ws)
+    for chi in enumerate_shifts(1, 2):
+        rhs += math.prod(theta(chi, wj, tau, settings).value for wj in ws)
     return _compare(lhs, rhs, zs, tau)
 
 

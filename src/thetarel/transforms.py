@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .charalg import Characteristic, char_linear_combine
+from .charalg import Characteristic, _combine, char_linear_combine
 
 __all__ = [
     "TransformMatrix",
@@ -111,7 +111,8 @@ def apply_to_args(m: TransformMatrix, args: Sequence):
 
     Accepts either complex scalars/arrays (double-precision path) or
     Fraction scalars/tuples (exact path, used by the conservation and
-    involution property checks).  Returns a tuple in the same style.
+    involution property checks; each coordinate is one charalg._combine).
+    Returns a tuple in the same style.
     """
     if len(args) != m.n:
         raise ValueError(f"expected {m.n} arguments, got {len(args)}")
@@ -123,14 +124,8 @@ def apply_to_args(m: TransformMatrix, args: Sequence):
         g = len(vecs[0])
         if any(len(v) != g for v in vecs):
             raise ValueError("argument vectors must share one genus")
-        out = []
-        for k in range(m.n):
-            col = m.column(k)
-            w = tuple(
-                sum(col[j] * vecs[j][i] for j in range(m.n)) for i in range(g)
-            )
-            out.append(w[0] if scalar else w)
-        return tuple(out)
+        out = (tuple(_combine(m.column(k), x) for x in zip(*vecs)) for k in range(m.n))
+        return tuple(w[0] if scalar else w for w in out)
     vecs = [np.atleast_1d(np.asarray(a, dtype=complex)) for a in args]
     g = vecs[0].shape[0]
     if any(v.shape != (g,) for v in vecs):

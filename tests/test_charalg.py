@@ -173,13 +173,35 @@ def test_characteristic_validation():
 
 def test_rational_arithmetic_exactness():
     rng = np.random.default_rng(11)
+
+    def rational():
+        return F(int(rng.integers(-50, 51)), int(rng.integers(1, 17)))
+
     for _ in range(200):
-        a = F(int(rng.integers(-50, 51)), int(rng.integers(1, 17)))
-        b = F(int(rng.integers(-50, 51)), int(rng.integers(1, 17)))
+        a = rational()
+        b = rational()
         assert (a + b) - b == a
         ca = Characteristic((a,), (b,))
         cb = Characteristic((b,), (a,))
         assert (ca + cb) - cb == ca
+    # +, -, * and scalar * on the left against coordinate-wise Fractions.
+    for g in (1, 2, 3):
+        for _ in range(50):
+            x = Characteristic(*(tuple(rational() for _ in range(g)) for _ in range(2)))
+            y = Characteristic(*(tuple(rational() for _ in range(g)) for _ in range(2)))
+            c = rational() if rng.integers(2) else int(rng.integers(-5, 6))
+            for got, op in [(x + y, F.__add__), (x - y, F.__sub__)]:
+                assert got.top == tuple(map(op, x.top, y.top))
+                assert got.bottom == tuple(map(op, x.bottom, y.bottom))
+                assert all(type(v) is F for v in got.top + got.bottom)
+            for got in (x * c, c * x):
+                assert got == Characteristic(
+                    tuple(c * v for v in x.top), tuple(c * v for v in x.bottom)
+                )
+                assert all(type(v) is F for v in got.top + got.bottom)
+        for op in (Characteristic.__add__, Characteristic.__sub__):
+            with pytest.raises(ValueError, match="genus mismatch"):
+                op(Characteristic.zero(g), Characteristic.zero(g + 1))
 
 
 def test_transformed_integer_tuples_share_class():

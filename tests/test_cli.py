@@ -340,6 +340,17 @@ def test_falsify_defaults_demonstrate_failure(capsys):
     ) > 0.01
 
 
+def test_falsify_runs_naive_mode_only(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["falsify", "--mode", "modified"])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (64, "")
+    assert "argument --mode: invalid choice: 'modified'" in err
+    default = run_cli(capsys, "falsify", "--trials", "3")
+    assert default == run_cli(capsys, "falsify", "--mode", "naive", "--trials", "3")
+    assert json.loads(default[1])["spec"]["mode"] == "naive"
+
+
 def test_falsify_cannot_break_true_identity(capsys):
     # n=2 naive relation is genuinely true: no counterexample, exit 1.
     code, out, _ = run_cli(capsys, "falsify", "--n", "2", "--trials", "2")

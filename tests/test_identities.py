@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
+import importlib
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from thetarel import (
     Characteristic,
@@ -25,6 +28,8 @@ from thetarel import (
 )
 from thetarel import identities, relations
 from thetarel.identities import _report
+from thetarel.relations import _compare
+from thetarel.transforms import apply_to_args, jacobi_a_matrix
 
 F = Fraction
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -219,3 +224,152 @@ def test_suite_truncation_shows_as_eval_failure_not_identity_failure():
 def test_default_cases_are_eight_unique():
     assert len(DEFAULT_CASES) == 8
     assert len({c.name for c in DEFAULT_CASES}) == 8
+
+
+# Term-by-term forms of four checks, as they were written before the
+# checks shared relations._check, identities._theta1 and one cube per
+# shift: each theta value is computed where it is used.
+
+
+def _ternary_constants_oracle(tau, settings):
+    terms = {str(t.shift): t.coefficient for t in build_relation(RelationSpec.create(3, 1))}
+
+    def const(top, bottom):
+        return theta_constant(
+            Characteristic((Fraction(top),), (Fraction(bottom),)), tau, settings
+        ).value
+
+    pairs = []
+    pairs.append((const("1/3", "0") ** 3, const("2/3", "0") ** 3))
+    pairs.append((const("0", "1/3") ** 3, const("0", "2/3") ** 3))
+    pairs.append((const("1/3", "1/3") ** 3, const("2/3", "2/3") ** 3))
+    pairs.append((const("2/3", "1/3") ** 3, const("1/3", "2/3") ** 3))
+    reduced = (
+        const("0", "1/3") ** 3
+        + const("1/3", "0") ** 3
+        + terms["1/3;2/3"] * const("1/3", "2/3") ** 3
+        + terms["1/3;1/3"] * const("1/3", "1/3") ** 3
+    )
+    pairs.append((const("0", "0") ** 3, reduced))
+    zero = np.zeros(1, dtype=complex)
+    return identities._report(pairs, (zero,) * 3, tau)
+
+
+def _jacobi_a_oracle(z, tau, settings):
+    zs = relations._as_arg_tuple(4, 1, z)
+    ws = apply_to_args(jacobi_a_matrix(), zs)
+    zero = Characteristic.zero(1)
+    lhs = 2.0 * math.prod(theta(zero, zj, tau, settings).value for zj in zs)
+    rhs = 0j
+    for alpha in (0, 1):
+        for beta in (0, 1):
+            chi = Characteristic((Fraction(alpha, 2),), (Fraction(beta, 2),))
+            rhs += math.prod(theta(chi, wj, tau, settings).value for wj in ws)
+    return _compare(lhs, rhs, zs, tau)
+
+
+def _jacobi_quartic_oracle(tau, x, settings):
+    half = Fraction(1, 2)
+
+    def t(top, bottom, arg):
+        return theta(Characteristic((top,), (bottom,)), arg, tau, settings).value
+
+    pairs = []
+    for arg in (x, 0.0):
+        lhs = t(0, 0, arg) ** 4 + t(half, half, arg) ** 4
+        rhs = t(0, half, arg) ** 4 + t(half, 0, arg) ** 4
+        pairs.append((lhs, rhs))
+    return identities._report(pairs, (x,), tau)
+
+
+def _constant_symmetries_oracle(tau, a, b, settings):
+    def const(top, bottom):
+        return theta_constant(Characteristic((top,), (bottom,)), tau, settings).value
+
+    phase = complex(np.exp(-2j * math.pi * float(a)))
+    pairs = [
+        (const(1 - a, 0), const(a, 0)),
+        (const(0, 1 - b), const(0, b)),
+        (const(1 - a, b), phase * const(a, 1 - b)),
+    ]
+    zero = np.zeros(1, dtype=complex)
+    return identities._report(pairs, (zero,), tau)
+
+
+def _bits(value):
+    """value with every float held exactly: by repr, which round-trips and
+    keeps the sign of zero, and every array by dtype, shape and bytes."""
+    if isinstance(value, PeriodMatrix):
+        return _bits(value.entries)
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, tuple):
+        return tuple(map(_bits, value))
+    return type(value).__name__, repr(value)
+
+
+# name: (check, its oracle, draw(rng, sampler, tau) -> the arguments
+# before settings)
+ORACLES = {
+    "constant_symmetries": (
+        constant_symmetries_check, _constant_symmetries_oracle,
+        lambda rng, sampler, tau: (
+            tau, identities._draw_twelfth(rng), identities._draw_twelfth(rng)),
+    ),
+    "jacobi_quadruple": (
+        verify_jacobi_a, _jacobi_a_oracle,
+        lambda rng, sampler, tau: (sampler.draw_args(rng, 4, 1), tau),
+    ),
+    "jacobi_quartic": (
+        jacobi_quartic_check, _jacobi_quartic_oracle,
+        lambda rng, sampler, tau: (tau, identities._draw_x(rng, sampler)),
+    ),
+    "ternary_constants": (
+        ternary_constants_check, _ternary_constants_oracle, lambda rng, sampler, tau: (tau,),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_checks_match_their_term_by_term_oracles(name, settings, monkeypatch):
+    # Over 50 sampler draws every report field is the same to the bit, and
+    # so is every pair of sides that a multi-part report is chosen from.
+    check, oracle, draw = ORACLES[name]
+    report = identities._report
+    pairs = []
+
+    def recording(sides, z, tau):
+        pairs.append(_bits(tuple(map(tuple, sides))))
+        return report(sides, z, tau)
+
+    monkeypatch.setattr(identities, "_report", recording)
+    sampler = TrialSampler(61)
+    rng = sampler.make_rng()
+    for _ in range(50):
+        args = draw(rng, sampler, sampler.draw_tau(rng, 1))
+        got = check(*args, settings)
+        got_pairs = pairs[:]
+        pairs.clear()
+        expected = oracle(*args, settings)
+        assert got_pairs == pairs
+        pairs.clear()
+        assert [_bits(getattr(got, f.name)) for f in dataclasses.fields(got)] == [
+            _bits(getattr(expected, f.name)) for f in dataclasses.fields(expected)
+        ]
+
+
+def test_ternary_constants_evaluates_each_cube_once(monkeypatch, tau_i):
+    # One theta value per shift of the nine-term relation: 9 box sums.
+    theta_module = importlib.import_module("thetarel.theta")
+    box_sum = theta_module._box_sum
+    summed = []
+
+    def counted(mu_top, mu_bottom, *args):
+        summed.append(Characteristic(mu_top, mu_bottom))
+        return box_sum(mu_top, mu_bottom, *args)
+
+    monkeypatch.setattr(theta_module, "_box_sum", counted)
+    ternary_constants_check(tau_i)
+    assert sorted(map(str, summed)) == sorted(
+        str(t.shift) for t in build_relation(RelationSpec.create(3, 1))
+    )

@@ -94,6 +94,28 @@ def test_apply_to_args_length_mismatch():
         apply_to_args(smith_matrix(3), (0.1, 0.2))
     with pytest.raises(ValueError):
         apply_to_args(smith_matrix(3), (np.zeros(2), np.zeros(1), np.zeros(2)))
+    # The exact path refuses vectors of mixed lengths too.
+    for args in [((F(1, 3), 0), (F(2),), (0, F(1, 5))), ((1,), (1, 2), (1, 2, 3))]:
+        with pytest.raises(ValueError, match="share one genus"):
+            apply_to_args(smith_matrix(3), args)
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_apply_to_args_exact_vectors_equal_the_per_coordinate_sums(g):
+    rng = np.random.default_rng(24 + g)
+    for _ in range(100):
+        n = int(rng.integers(2, 9))
+        m = smith_matrix(n) if n != 4 or rng.integers(2) else jacobi_a_matrix()
+        z = tuple(
+            tuple(F(int(rng.integers(-30, 31)), int(rng.integers(1, 13))) for _ in range(g))
+            for _ in range(n)
+        )
+        w = apply_to_args(m, z)
+        assert w == tuple(
+            tuple(sum(m.entries[j][k] * z[j][i] for j in range(n)) for i in range(g))
+            for k in range(n)
+        )
+        assert all(type(v) is F for wk in w for v in wk)
 
 
 def test_involution_exact_on_rationals():

@@ -1,0 +1,153 @@
+"""Digests of the thetarel command line over a fixed set of argv.
+
+Usage: python3 tools/cli_digest.py [ROOT]
+
+Imports thetarel.cli from ROOT/src (default: the repository that holds
+this script) and runs every argv of CASES in-process through main().
+For each it prints the sha256 of the exit code, stdout and stderr,
+then the argv; the last line is the sha256 of all the lines before it.
+Two trees whose command line behaves the same print the same lines, so
+a refactor that must keep every output byte can be checked with
+
+    diff <(python3 tools/cli_digest.py OLD) <(python3 tools/cli_digest.py NEW)
+
+A leading NAME=VALUE token sets that environment variable for one run,
+as in a shell.  THETA_MAX_RADIUS is unset for every other run.  Stdlib
+only.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import shlex
+import sys
+from pathlib import Path
+
+SEEDS = ("1", "7", "123")
+MU = {
+    1: {
+        "standard": ["1/3;0", "0;2/3", "2/3;1/3"],
+        "mixed": ["1/2;1/3", "-1/4;5/6", "0;1/5"],
+    },
+    2: {
+        "standard": ["1/3,0;0,2/3", "0,2/3;1/3,0", "2/3,1/3;0,0"],
+        "mixed": ["1/2,1/3;-1/4,0", "0,5/6;1/5,-1/2", "1/7,0;0,3/4"],
+    },
+}
+
+
+def _emit_cases() -> list[list[str]]:
+    cases = []
+    for g in (1, 2):
+        for mu in (None, "standard", "mixed"):
+            mu_args = [a for m in MU[g][mu] for a in ("--mu", m)] if mu else []
+            for fmt in ("json", "latex", "text"):
+                cases.append(["emit", "--n", "3", "--g", str(g), *mu_args, "--format", fmt])
+    cases += [
+        ["emit", "--n", "4"],
+        ["emit", "--n", "5", "--mode", "naive", "--format", "text"],
+        ["emit", "--n", "4", "--g", "2", "--mu", "1/2,0;0,1/2", "--mu", "0,1/2;1/2,0",
+         "--mu", "1/4,0;0,-1/3", "--mu", "0,0;0,0", "--format", "json"],
+    ]
+    return cases
+
+
+def _run_cases() -> list[list[str]]:
+    cases = []
+    for seed in SEEDS:
+        for fmt in ("json", "text"):
+            common = ["--seed", seed, "--format", fmt]
+            cases += [
+                ["verify", "--n", "3", "--trials", "3", *common],
+                ["verify", "--n", "3", "--g", "2", "--trials", "2", *common],
+                ["verify", "--n", "3", "--trials", "2", "--mode", "naive", *common],
+                ["verify", "--n", "3", "--trials", "2", *common,
+                 *(a for m in MU[1]["mixed"] for a in ("--mu", m))],
+                ["falsify", "--trials", "3", *common],
+                ["suite", "--trials", "2", "--seed", seed, "--format", fmt],
+            ]
+    cases += [
+        ["verify", "--n", "5", "--trials", "2", "--tau", "0.1+1.2i"],
+        ["verify", "--n", "3", "--g", "2", "--trials", "2", "--tau",
+         "-0.2+1.1i,0.1+0.2i;0.1+0.2i,0.9i"],
+        ["falsify", "--n", "2", "--trials", "2"],
+        ["falsify", "--mode", "naive", "--trials", "2", "--format", "text"],
+        ["falsify", "--mode", "modified", "--trials", "2"],
+        ["table"],
+        ["table", "--range", "2..12", "--format", "json"],
+    ]
+    return cases
+
+
+MALFORMED = [
+    ["emit"],
+    ["emit", "--n", "1"],
+    ["emit", "--n", "3", "--g", "0"],
+    ["emit", "--n", "3", "--mu", "0;0", "--mu", "oops;0", "--mu", "0;0"],
+    ["emit", "--n", "3", "--mu", "0;0"],
+    ["emit", "--n", "3", "--mu", "0,0;0,0", "--mu", "0;0", "--mu", "0;0"],
+    ["verify", "--n", "3", "--format", "latex"],
+    ["verify", "--n", "3", "--tau", "junk"],
+    ["verify", "--n", "3", "--g", "2", "--tau", "1i,1i;1i,1i"],
+    ["verify", "--n", "3", "--tol", "nan"],
+    ["verify", "--n", "3", "--trials", "0"],
+    ["verify", "--n", "3", "--mode", "bogus"],
+    ["falsify", "--seed", "-1"],
+    ["table", "--range", "junk"],
+    ["table", "--range", "5..3"],
+    ["bogus"],
+    ["THETA_MAX_RADIUS=1000", "verify", "--n", "3", "--trials", "2"],
+    ["THETA_MAX_RADIUS=4", "verify", "--n", "3", "--trials", "2", "--tau", "0.3+0.05i"],
+]
+
+CASES = _emit_cases() + _run_cases() + MALFORMED
+
+
+def _load_main(root: Path):
+    src = (root / "src").resolve()
+    sys.path.insert(0, str(src))
+    from thetarel import cli
+
+    if Path(cli.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"imported thetarel from {cli.__file__}, not from {src}")
+    return cli.main
+
+
+def digest(main, case: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr of one in-process run."""
+    env = {}
+    argv = list(case)
+    while argv and "=" in argv[0]:
+        name, value = argv.pop(0).split("=", 1)
+        env[name] = value
+    os.environ.pop("THETA_MAX_RADIUS", None)
+    os.environ.update(env)
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        for name in env:
+            os.environ.pop(name, None)
+    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def main(argv: list[str]) -> int:
+    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    cli_main = _load_main(root)
+    lines = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
+    total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    print("\n".join(lines))
+    print(f"{total}  total")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))

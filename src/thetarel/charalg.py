@@ -16,12 +16,19 @@ transforms.apply_to_args.  _fraction_text and _latex_fraction write a
 rational given as integers p/q, reduced with one gcd, as str(Fraction)
 and the LaTeX renderer do; the renderers use them to write shifted
 coordinates without building Fractions.
+
+One private helper, _rational, decides what is exact: a numbers.Rational
+or a rational string becomes a Fraction, anything else (a float
+included) raises TypeError.  Characteristic coordinates and the scalars
+of char_linear_combine both go through it, and + and - take only
+Characteristics, * only a numbers.Rational.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -40,12 +47,22 @@ class MixedClassError(ValueError):
     """Entries do not all lie in a single class Z + l/lambda."""
 
 
+def _rational(v) -> Fraction:
+    """v as an exact Fraction: any numbers.Rational, or a rational string.
+    Anything else, a float included, raises TypeError."""
+    if isinstance(v, (numbers.Rational, str)):
+        return Fraction(v)
+    raise TypeError(
+        f"exact rational needed (int, Fraction or rational string), got {v!r}"
+    )
+
+
 def _coerce_vector(values) -> tuple[Fraction, ...]:
     if isinstance(values, (int, str, Fraction)):
         values = (values,)
     if type(values) is tuple and all(type(v) is Fraction for v in values):
         return values
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(_rational, values))
 
 
 @dataclass(frozen=True)
@@ -106,12 +123,18 @@ class Characteristic:
         return f"{_half_text(self.top)};{_half_text(self.bottom)}"
 
     def __add__(self, other: "Characteristic") -> "Characteristic":
+        if not isinstance(other, Characteristic):
+            return NotImplemented
         return char_linear_combine((1, 1), (self, other))
 
     def __sub__(self, other: "Characteristic") -> "Characteristic":
+        if not isinstance(other, Characteristic):
+            return NotImplemented
         return char_linear_combine((1, -1), (self, other))
 
     def __mul__(self, scalar) -> "Characteristic":
+        if not isinstance(scalar, numbers.Rational):
+            return NotImplemented
         return char_linear_combine((scalar,), (self,))
 
     __rmul__ = __mul__
@@ -209,6 +232,7 @@ def char_linear_combine(
     coeffs: Sequence, chars: Sequence[Characteristic]
 ) -> Characteristic:
     """Exact rational linear combination sum_i coeffs[i] * chars[i].
+    The coeffs must be exact (see _rational); a float raises TypeError.
 
     Each coordinate is summed as one integer numerator over the lcm of
     its products' denominators, and one Fraction is built from it."""
@@ -220,7 +244,7 @@ def char_linear_combine(
     for c in chars:
         if c.genus != genus:
             raise ValueError("genus mismatch inside combination")
-    scalars = [Fraction(c) for c in coeffs]
+    scalars = [_rational(c) for c in coeffs]
     return Characteristic._unchecked(
         tuple(_combine(scalars, col) for col in zip(*(ch.top for ch in chars))),
         tuple(_combine(scalars, col) for col in zip(*(ch.bottom for ch in chars))),

@@ -3,6 +3,9 @@
 Subcommands: emit (render a relation), verify (randomized numerical
 verification), falsify (demonstrate failure of the uncorrected
 coefficient), suite (curated identity checks), table (cycle numbers).
+Each subparser declares its handler and its defaults in one
+set_defaults call; a handler returns its text and exit code, and main
+writes the text in one place.
 
 Exit codes: 0 pass, 1 identity failure, 2 evaluation failure
 (truncation), 64 usage error.  THETA_MAX_RADIUS overrides the
@@ -111,24 +114,29 @@ def _build_parser() -> _Parser:
         # A negative Re tau, a negative coordinate or -inf starts with "-".
         sp.dash_value_options = ("--mu",) if trials_default is None else (
             "--mu", "--tol", "--tau")
+        return sp
 
-    common(sub.add_parser("emit", help="render the term list"))
+    common(sub.add_parser("emit", help="render the term list")).set_defaults(
+        run=_cmd_emit, format="latex")
     common(sub.add_parser("verify", help="randomized verification"),
-           trials_default=20, tol_default=1e-9)
+           trials_default=20, tol_default=1e-9).set_defaults(run=_cmd_verify, format="json")
     common(sub.add_parser("falsify", help="demonstrate the uncorrected "
                           "coefficient failing"), trials_default=10,
-           tol_default=0.01, modes=("naive",))
+           tol_default=0.01, modes=("naive",)).set_defaults(
+        run=_cmd_verify, format="json", n=4)
 
     ps = sub.add_parser("suite", help="curated identity checks")
     ps.add_argument("--trials", type=int, default=10)
     ps.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     ps.add_argument("--format", choices=["json", "text"], default="json")
     ps.add_argument("--out", default=None)
+    ps.set_defaults(run=_cmd_suite)
 
     pt = sub.add_parser("table", help="cycle numbers for a range of n")
     pt.add_argument("--range", dest="n_range", default="3..10", metavar="A..B")
     pt.add_argument("--format", choices=["json", "text"], default="text")
     pt.add_argument("--out", default=None)
+    pt.set_defaults(run=_cmd_table)
     return p
 
 
@@ -199,18 +207,16 @@ def _write(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _cmd_emit(args) -> int:
+def _cmd_emit(args) -> tuple[str, int]:
     spec = _spec_from_args(args)
     terms = build_relation(spec)
-    fmt = args.format or "latex"
-    if fmt == "latex":
+    if args.format == "latex":
         text = relation_to_latex(spec, terms) + "\n"
-    elif fmt == "json":
+    elif args.format == "json":
         text = dumps(terms_to_json_obj(spec, terms)) + "\n"
     else:
         text = terms_to_text(spec, terms)
-    _write(text, args.out)
-    return EXIT_PASS
+    return text, EXIT_PASS
 
 
 def _report_text(report: dict) -> str:
@@ -227,14 +233,13 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> int:
-    """verify and falsify; falsify runs naive mode only, defaults --n to 4
-    and succeeds only when some ok trial exceeds --tol."""
+def _cmd_verify(args) -> tuple[str, int]:
+    """verify and falsify; falsify runs naive mode only, its parser
+    defaults --n to 4, and it succeeds only when some ok trial exceeds
+    --tol."""
     if args.format == "latex":
         raise UsageError("latex output applies to emit only")
     falsify = args.command == "falsify"
-    if falsify and args.n is None:
-        args.n = 4
     spec = _spec_from_args(args)
     settings = _settings()
     tau = _parse_tau(args.tau, args.g) if args.tau else None
@@ -248,16 +253,14 @@ def _cmd_verify(args) -> int:
         report["falsified"] = any(
             r.status == "ok" and r.rel_error > args.tol for r in reports
         )
-    fmt = args.format or "json"
-    text = _report_text(report) if fmt == "text" else dumps(report) + "\n"
-    _write(text, args.out)
+    text = _report_text(report) if args.format == "text" else dumps(report) + "\n"
     if any(r.status == "eval-failed" for r in reports):
-        return EXIT_EVAL_FAIL
+        return text, EXIT_EVAL_FAIL
     passed = report["falsified"] if falsify else report["verdict"] == "pass"
-    return EXIT_PASS if passed else EXIT_IDENTITY_FAIL
+    return text, EXIT_PASS if passed else EXIT_IDENTITY_FAIL
 
 
-def _cmd_suite(args) -> int:
+def _cmd_suite(args) -> tuple[str, int]:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     report = run_suite(args.trials, args.seed, _settings())
@@ -271,13 +274,12 @@ def _cmd_suite(args) -> int:
         text = "\n".join(lines) + "\n"
     else:
         text = dumps(report) + "\n"
-    _write(text, args.out)
     if any(c["verdict"] == "eval-failed" for c in report["cases"]):
-        return EXIT_EVAL_FAIL
-    return EXIT_PASS if report["verdict"] == "pass" else EXIT_IDENTITY_FAIL
+        return text, EXIT_EVAL_FAIL
+    return text, EXIT_PASS if report["verdict"] == "pass" else EXIT_IDENTITY_FAIL
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> tuple[str, int]:
     try:
         lo_text, hi_text = args.n_range.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -292,24 +294,15 @@ def _cmd_table(args) -> int:
         lines = ["  n  lambda"]
         lines += [f"{r['n']:3d}  {r['lambda']:6d}" for r in rows]
         text = "\n".join(lines) + "\n"
-    _write(text, args.out)
-    return EXIT_PASS
-
-
-_COMMANDS = {
-    "emit": _cmd_emit,
-    "verify": _cmd_verify,
-    "falsify": _cmd_verify,
-    "suite": _cmd_suite,
-    "table": _cmd_table,
-}
+    return text, EXIT_PASS
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        text, code = args.run(args)
+        _write(text, args.out)
+        return code
     except UsageError as exc:
         print(f"thetarel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

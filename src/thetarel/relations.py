@@ -80,6 +80,7 @@ from .theta import (
     EvalSettings,
     PeriodMatrix,
     TruncationError,
+    _min_eig_lower,
     theta,
     theta_shift_table,
 )
@@ -427,7 +428,9 @@ class TrialSampler:
     Re tau symmetric with U[-0.3, 0.3] entries.  Arguments have real and
     imaginary parts U[-0.4, 0.4].  These windows keep the smallest
     eigenvalue of Im tau comfortably above 0.5 so truncation radii stay
-    small.
+    small.  Positive definiteness is decided by the certified test of
+    PeriodMatrix, _min_eig_lower(Im tau) > 0, before Re tau is drawn, so
+    every drawn matrix is one PeriodMatrix accepts.
     """
 
     seed: int = DEFAULT_SEED
@@ -451,11 +454,8 @@ class TrialSampler:
         while True:
             d = rng.uniform(0.9, 1.4, genus)
             im = np.diag(d) + 0.2 * symmetric(-1.0, 1.0)
-            try:
-                np.linalg.cholesky(im)
-            except np.linalg.LinAlgError:
-                continue
-            return PeriodMatrix(symmetric(-0.3, 0.3) + 1j * im)
+            if _min_eig_lower(im) > 0.0:
+                return PeriodMatrix(symmetric(-0.3, 0.3) + 1j * im)
 
     def draw_args(
         self, rng: np.random.Generator, n: int, genus: int
@@ -548,12 +548,15 @@ def verify_jacobi_a(
     return _compare(lhs, rhs, zs, tau)
 
 
+def _json_rows(spec: RelationSpec, terms: Relation) -> Iterator[dict]:
+    """The JSON row of each term, as _terms_json_obj writes it and
+    render.parse_terms_json checks it."""
+    for exponent, shift, nu_shifted in _term_rows(spec, terms):
+        yield {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
+
+
 def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
     """The "spec"/"terms" object shared by relation_report and emit."""
-    rows = [
-        {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
-        for exponent, shift, nu_shifted in _term_rows(spec, terms)
-    ]
     return {
         "spec": {
             "n": spec.n,
@@ -562,7 +565,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
             "mode": spec.mode.value,
             "mu": [str(m) for m in spec.mu],
         },
-        "terms": rows,
+        "terms": list(_json_rows(spec, terms)),
     }
 
 

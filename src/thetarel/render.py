@@ -23,6 +23,7 @@ from .relations import (
     CoefficientMode,
     Relation,
     RelationSpec,
+    _json_rows,
     _term_rows,
     _terms_json_obj,
     build_relation,
@@ -157,10 +158,7 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
         raise ValueError("terms do not match the relation of their spec")
     terms = build_relation(spec)
-    if not all(
-        t == {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
-        for t, (exponent, shift, nu_shifted) in zip(rows, _term_rows(spec, terms))
-    ):
+    if not all(t == row for t, row in zip(rows, _json_rows(spec, terms))):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
 

@@ -131,6 +131,34 @@ def test_char_linear_combine_errors():
         char_linear_combine([], [])
 
 
+_C = Characteristic(("1/3",), (0,))
+
+
+@pytest.mark.parametrize(
+    "inexact",
+    [
+        lambda: Characteristic.zero(1) + 1,
+        lambda: _C - "x",
+        lambda: _C * 0.1,
+        lambda: 0.1 * _C,
+        lambda: Characteristic((0.1,), (0,)),
+        lambda: char_linear_combine((0.1,), (_C,)),
+    ],
+    ids=["add-int", "sub-str", "mul-float", "rmul-float", "float-coordinate",
+         "float-coefficient"],
+)
+def test_characteristic_arithmetic_rejects_inexact_operands(inexact):
+    with pytest.raises(TypeError):
+        inexact()
+
+
+def test_characteristic_arithmetic_takes_exact_scalars():
+    assert _C.top == (F(1, 3),)
+    assert 2 * _C == Characteristic((F(2, 3),), (0,))
+    assert F(1, 3) * _C == Characteristic((F(1, 9),), (0,))
+    assert _C * np.int64(2) == Characteristic((F(2, 3),), (0,))
+
+
 def test_characteristic_text_roundtrip():
     for text in ["1/3,2/3;1/3,0", "0;0", "-1/4;5/4", "1/2,0;0,1/2"]:
         c = Characteristic.parse(text)

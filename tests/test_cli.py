@@ -328,6 +328,20 @@ def test_env_radius_must_be_valid(capsys, monkeypatch):
     assert "THETA_MAX_RADIUS" in err
 
 
+@pytest.mark.parametrize(
+    "argv, explicit",
+    [
+        (["emit", "--n", "3"], ["--format", "latex"]),
+        (["verify", "--n", "3", "--trials", "2"], ["--format", "json"]),
+        (["falsify", "--trials", "2"], ["--n", "4"]),
+    ],
+    ids=["emit-format", "verify-format", "falsify-n"],
+)
+def test_parser_defaults_equal_the_explicit_options(capsys, argv, explicit):
+    # Same stdout, stderr and exit code with the default left out.
+    assert run_cli(capsys, *argv) == run_cli(capsys, *argv, *explicit)
+
+
 def test_falsify_defaults_demonstrate_failure(capsys):
     code, out, _ = run_cli(capsys, "falsify")
     assert code == 0

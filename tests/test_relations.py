@@ -32,6 +32,7 @@ from thetarel import (
 )
 from thetarel import relations
 from thetarel.render import dumps, parse_terms_json, terms_to_json_obj
+from thetarel.theta import _min_eig_lower
 
 F = Fraction
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -493,9 +494,7 @@ def _draw_tau_entry_by_entry(rng, genus):
             for j in range(i, genus):
                 w[i, j] = w[j, i] = rng.uniform(-1.0, 1.0)
         im = np.diag(d) + 0.2 * w
-        try:
-            np.linalg.cholesky(im)
-        except np.linalg.LinAlgError:
+        if not _min_eig_lower(im) > 0.0:
             continue
         re = np.zeros((genus, genus))
         for i in range(genus):
@@ -514,6 +513,31 @@ def test_draw_tau_matches_entry_by_entry_draws(genus):
             got = sampler.draw_tau(rng, genus).entries
             assert got.tobytes() == _draw_tau_entry_by_entry(oracle, genus).tobytes()
         assert rng.random() == oracle.random()
+
+
+class _ScriptedRng:
+    """Stand-in generator: uniform() returns the scripted draws in order,
+    then the draws of a seeded numpy generator."""
+
+    def __init__(self, seed, *draws):
+        self.draws = [np.array(d) for d in draws]
+        self.rng = np.random.default_rng(seed)
+
+    def uniform(self, lo, hi, size=None):
+        return self.draws.pop(0) if self.draws else self.rng.uniform(lo, hi, size)
+
+
+def test_draw_tau_redraws_what_period_matrix_refuses():
+    # Im tau = [[1, 1], [1, 1 + 1e-15]]: a Cholesky factorization succeeds,
+    # but PeriodMatrix refuses it, so draw_tau must draw again, not raise.
+    im = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
+    np.linalg.cholesky(im)
+    with pytest.raises(ValueError, match="positive definite"):
+        PeriodMatrix(1j * im)
+    rng = _ScriptedRng(5, [1.0, 1.0 + 1e-15], [0.0, 5.0, 0.0])
+    got = TrialSampler().draw_tau(rng, 2).entries
+    ordinary = TrialSampler().draw_tau(np.random.default_rng(5), 2).entries
+    assert got.tobytes() == ordinary.tobytes()
 
 
 def test_verify_jacobi_a_passes(sampled_taus):

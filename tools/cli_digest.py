@@ -11,9 +11,12 @@ a refactor that must keep every output byte can be checked with
 
     diff <(python3 tools/cli_digest.py OLD) <(python3 tools/cli_digest.py NEW)
 
-A leading NAME=VALUE token sets that environment variable for one run,
-as in a shell.  THETA_MAX_RADIUS is unset for every other run.  Stdlib
-only.
+The argv cover emit, verify, falsify, suite and table in each output
+format, malformed input that must fail with a usage error, and the
+--help text of the top parser and of each of the five subcommands at
+COLUMNS=80.  A leading NAME=VALUE token sets that environment variable
+for one run, as in a shell.  THETA_MAX_RADIUS is unset for every other
+run.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -103,7 +106,13 @@ MALFORMED = [
     ["THETA_MAX_RADIUS=4", "verify", "--n", "3", "--trials", "2", "--tau", "0.3+0.05i"],
 ]
 
-CASES = _emit_cases() + _run_cases() + MALFORMED
+# argparse wraps help text to the terminal width, read from COLUMNS.
+HELP = [["COLUMNS=80", "--help"]] + [
+    ["COLUMNS=80", command, "--help"]
+    for command in ("emit", "verify", "falsify", "suite", "table")
+]
+
+CASES = _emit_cases() + _run_cases() + MALFORMED + HELP
 
 
 def _load_main(root: Path):

@@ -8,20 +8,18 @@ reduced mod 1, because shifted characteristics appearing inside theta
 relations must keep their unreduced values (reduction changes the theta
 value by a root-of-unity phase, which is handled in the evaluator).
 
-One exact-combination routine, _combine, sums a coordinate as one
-integer numerator over a common denominator and builds one Fraction from
-it.  It serves char_linear_combine, the Characteristic arithmetic (+, -
-and scalar *, each one char_linear_combine) and the exact path of
-transforms.apply_to_args.  _fraction_text and _latex_fraction write a
-rational given as integers p/q, reduced with one gcd, as str(Fraction)
-and the LaTeX renderer do; the renderers use them to write shifted
-coordinates without building Fractions.
+Inputs must be exact: _rational turns a numbers.Rational or a rational
+string into a Fraction, and raises TypeError for anything else, a float
+included.  Characteristic coordinates, the scalars of
+char_linear_combine and the values of class_of go through it; + and -
+take only Characteristics, * only a numbers.Rational.
 
-One private helper, _rational, decides what is exact: a numbers.Rational
-or a rational string becomes a Fraction, anything else (a float
-included) raises TypeError.  Characteristic coordinates and the scalars
-of char_linear_combine both go through it, and + and - take only
-Characteristics, * only a numbers.Rational.
+char_linear_combine (and so +, - and scalar *) and the exact path of
+transforms.apply_to_args sum each coordinate as one integer numerator
+over a common denominator (_combine).  _fraction_text and
+_latex_fraction write a rational given as integers p/q as str(Fraction)
+and the LaTeX renderer do, so shifted coordinates are written without
+building Fractions.
 """
 
 from __future__ import annotations
@@ -189,11 +187,12 @@ def cycle_number(n: int) -> int:
 def class_of(values: Iterable, lam: int) -> CycleClass:
     """Shared class [l] of a tuple whose entries all lie in Z + l/lambda.
 
+    The entries must be exact (see _rational); a float raises TypeError.
     Raises MixedClassError when two entries differ by a non-integer, and
     ValueError when the common fractional part is not a multiple of
     1/lambda.
     """
-    vals = [Fraction(v) for v in values]
+    vals = [_rational(v) for v in values]
     if not vals:
         raise ValueError("empty tuple has no class")
     if lam < 1:

@@ -3,13 +3,11 @@
 Subcommands: emit (render a relation), verify (randomized numerical
 verification), falsify (demonstrate failure of the uncorrected
 coefficient), suite (curated identity checks), table (cycle numbers).
-Each subparser declares its handler and its defaults in one
-set_defaults call; a handler returns its text and exit code, and main
-writes the text in one place.
 
 Exit codes: 0 pass, 1 identity failure, 2 evaluation failure
-(truncation), 64 usage error.  THETA_MAX_RADIUS overrides the
-evaluator's radius cap.
+(truncation), 64 usage error.  An invalid --n, --g or --mu is reported
+with the message of RelationSpec or Characteristic.parse.
+THETA_MAX_RADIUS overrides the evaluator's radius cap.
 """
 
 from __future__ import annotations
@@ -151,29 +149,16 @@ def _settings() -> EvalSettings:
 
 
 def _spec_from_args(args) -> RelationSpec:
+    """The spec of --n, --g, --mu and --mode; RelationSpec decides which
+    are valid, and its ValueError, or that of Characteristic.parse, is
+    the usage error."""
     if args.n is None:
         raise UsageError("--n is required")
-    if args.n < 2:
-        raise UsageError(f"--n must be >= 2, got {args.n}")
-    if args.g < 1:
-        raise UsageError(f"--g must be >= 1, got {args.g}")
-    mode = CoefficientMode(args.mode)
-    mu = None
-    if args.mu:
-        if len(args.mu) != args.n:
-            raise UsageError(f"--mu given {len(args.mu)} times, need {args.n}")
-        parsed = []
-        for text in args.mu:
-            try:
-                c = Characteristic.parse(text)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from None
-            if c.genus != args.g:
-                raise UsageError(f"characteristic {text!r} has genus {c.genus}, "
-                                 f"expected {args.g}")
-            parsed.append(c)
-        mu = tuple(parsed)
-    return RelationSpec.create(args.n, args.g, mu, mode)
+    try:
+        mu = [Characteristic.parse(text) for text in args.mu] if args.mu else None
+        return RelationSpec.create(args.n, args.g, mu, CoefficientMode(args.mode))
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _parse_tau(text: str, genus: int) -> PeriodMatrix:

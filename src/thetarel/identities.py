@@ -6,13 +6,13 @@ VerificationReport; where several equalities make up one named identity
 curated cases are re-derived from build_relation wherever the general
 machinery covers them, so the suite exercises two independent code
 paths; hard-coded coefficient multisets appear only in the tests as
-cross-checks.  DEFAULT_CASES is the one table of named specializations
-that run_suite walks.
+cross-checks.  run_suite walks the named specializations of
+DEFAULT_CASES.
 
-Each job is done in one place: a check of a whole relation is one
-relations._check (lhs_value, rhs_value, _compare), a genus-1 theta value
-is one _theta1, and ternary_constants_check evaluates each of the nine
-theta-constant cubes once, in its one pass over the n=3 term list.
+A check of a whole relation is relations._check (lhs_value, rhs_value,
+_compare) on a spec held once, _TERNARY or relations._QUADRUPLE, and
+ternary_constants_check evaluates each of the nine theta-constant cubes
+once.  Rational inputs must be exact (charalg._rational).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .charalg import Characteristic
+from .charalg import Characteristic, _rational
 from .relations import (
     RelationSpec,
     TrialSampler,
@@ -33,6 +33,7 @@ from .relations import (
     rhs_value,
     verify_jacobi_a,
     DEFAULT_SEED,
+    _QUADRUPLE,
     _check,
     _compare,
 )
@@ -60,11 +61,11 @@ __all__ = [
 # Largest max_rel_error with which a suite case passes.
 SUITE_TOLERANCE = 1e-10
 
-# The all-zero n=3 and n=4 relations that the curated checks specialize,
-# held once so that their per-spec values (nu, the coefficient and digit
-# tables) are derived once rather than on every call.
+# The all-zero n=3 relation that the curated checks specialize, held once
+# so that its per-spec values (nu, the coefficient and digit tables) are
+# derived once rather than on every call; the n=4 one is
+# relations._QUADRUPLE.
 _TERNARY = RelationSpec.create(3, 1)
-_SMITH = RelationSpec.create(4, 1)
 
 
 def _theta1(top, bottom, tau: PeriodMatrix, settings: EvalSettings, arg=0j) -> complex:
@@ -139,7 +140,7 @@ def smith_relation_check(
 ) -> VerificationReport:
     """Four-term signed relation 2(00) = (00)'+(01)'+(10)'-(11)' under the
     sum-preserving involution, via the general n=4 machinery."""
-    return _check(_SMITH, z, tau, settings)
+    return _check(_QUADRUPLE, z, tau, settings)
 
 
 def constant_symmetries_check(
@@ -152,8 +153,11 @@ def constant_symmetries_check(
 
         [1-a; 0] = [a; 0],   [0; 1-b] = [0; b],
         [1-a; b] = exp(-2 pi i a) [a; 1-b].
+
+    alpha and beta must be exact (an int, Fraction or rational string);
+    a float raises TypeError.
     """
-    a, b = Fraction(alpha), Fraction(beta)
+    a, b = _rational(alpha), _rational(beta)
     phase = complex(np.exp(-2j * math.pi * float(a)))
     pairs = [
         (_theta1(1 - a, 0, tau, settings), _theta1(a, 0, tau, settings)),
@@ -236,8 +240,11 @@ def run_suite(
     """Run every case over sampled trial points; failures are data.
 
     Returns {"cases": [{"name", "samples", "max_rel_error", "verdict"}...],
-    "verdict"} with cases ordered by name.
+    "verdict"} with cases ordered by name.  Raises ValueError when
+    tau_samples < 1.
     """
+    if tau_samples < 1:
+        raise ValueError("need at least one tau sample")
     sampler = TrialSampler(seed)
     out = []
     for case in sorted(DEFAULT_CASES, key=lambda c: c.name):

@@ -54,8 +54,8 @@ theta() bounds it as before.
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
 Fractions (_digit_table, for the terms of a Relation) or as texts
-(_text_rows, _latex_rows, for the renderers); term (c, b) pairs top
-row c with bottom row b.
+(_text_rows for JSON and text; render writes its LaTeX rows with the
+same _rows); term (c, b) pairs top row c with bottom row b.
 """
 
 from __future__ import annotations
@@ -72,9 +72,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charalg import (
-    Characteristic, _fraction_text, _latex_fraction, cycle_number, enumerate_shifts,
-)
+from .charalg import Characteristic, _fraction_text, cycle_number, enumerate_shifts
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -147,7 +145,9 @@ class RelationSpec:
             raise ValueError(f"expected {self.n} characteristics, got {len(self.mu)}")
         for m in self.mu:
             if m.genus != self.genus:
-                raise ValueError("all characteristics must have the spec genus")
+                raise ValueError(
+                    f"characteristic {m} has genus {m.genus}, expected {self.genus}"
+                )
 
     @classmethod
     def create(
@@ -203,15 +203,6 @@ class RelationSpec:
     def _text_rows(self) -> tuple[list, list]:
         """_rows as "top;" and "bottom" texts, for JSON and text."""
         return self._rows(_fraction_text, lambda t: ",".join(t) + ";", ",".join)
-
-    @functools.cached_property
-    def _latex_rows(self) -> tuple[list, list]:
-        """_rows as the two parts of a primed LaTeX stack."""
-        return self._rows(
-            _latex_fraction,
-            lambda t: "\\binom{" + "\\,".join(t) + "}{",
-            lambda t: "\\,".join(t) + "}'",
-        )
 
     @functools.cached_property
     def _exponent_parts(self) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -322,19 +313,22 @@ def build_relation(spec: RelationSpec) -> Relation:
 
 
 def _term_rows(
-    spec: RelationSpec, terms: Relation, latex: bool = False, exponent: Callable = str
+    spec: RelationSpec,
+    terms: Relation,
+    rows: Optional[tuple[list, list]] = None,
+    exponent: Callable = str,
 ) -> Iterator[tuple[str, str, list[str]]]:
     """For each term of a Relation of spec, (exponent(t.exponent), shift
-    text, nu_shifted texts), each characteristic written "top;bottom", or
-    as a primed LaTeX stack when latex is true.  A term's texts are
-    joined from its top and bottom row of the spec's row texts, and each
+    text, nu_shifted texts).  A term's texts are joined from its top and
+    bottom row of rows, a spec._rows table of texts, by default
+    spec._text_rows, which writes each characteristic "top;bottom".  Each
     distinct exponent is formatted once.  Raises TypeError for terms that
     are not a Relation and ValueError for a Relation of another spec."""
     if not isinstance(terms, Relation):
         raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
     if terms.spec != spec:
         raise ValueError("terms are the relation of another spec")
-    tops, bottoms = terms.spec._latex_rows if latex else terms.spec._text_rows
+    tops, bottoms = rows or terms.spec._text_rows
     den = terms._denominator
     texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
     return (
@@ -426,11 +420,15 @@ class TrialSampler:
     Genus >= 2: Im tau = D + 0.2 W with D diagonal U[0.9, 1.4] and W
     symmetric with U[-1, 1] entries, redrawn until positive definite;
     Re tau symmetric with U[-0.3, 0.3] entries.  Arguments have real and
-    imaginary parts U[-0.4, 0.4].  These windows keep the smallest
-    eigenvalue of Im tau comfortably above 0.5 so truncation radii stay
-    small.  Positive definiteness is decided by the certified test of
-    PeriodMatrix, _min_eig_lower(Im tau) > 0, before Re tau is drawn, so
-    every drawn matrix is one PeriodMatrix accepts.
+    imaginary parts U[-0.4, 0.4].  By Gershgorin (diagonal at least 0.7,
+    g - 1 off-diagonal entries of at most 0.2) the smallest eigenvalue
+    of Im tau is at least 0.7 - 0.2 (g - 1): 0.5, 0.3 and 0.1 at g = 2,
+    3 and 4, so no draw is redrawn there and truncation radii stay
+    small.  From g = 5 on there is no such floor, and only the redraw
+    keeps Im tau positive definite.  Positive definiteness is decided by
+    the certified test of PeriodMatrix, _min_eig_lower(Im tau) > 0,
+    before Re tau is drawn, so every drawn matrix is one PeriodMatrix
+    accepts.
     """
 
     seed: int = DEFAULT_SEED

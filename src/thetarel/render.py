@@ -163,12 +163,20 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     return spec, terms
 
 
-def _latex_half(half: tuple[Fraction, ...]) -> str:
-    return "\\,".join([_latex_fraction(v.numerator, v.denominator) for v in half])
+def _latex_top(texts) -> str:
+    """The top half of a LaTeX stack, from its coordinate texts."""
+    return "\\binom{" + "\\,".join(texts) + "}{"
+
+
+def _latex_bottom(texts) -> str:
+    """The bottom half of a LaTeX stack, which closes it."""
+    return "\\,".join(texts) + "}"
 
 
 def _latex_stack(c: Characteristic) -> str:
-    return f"\\binom{{{_latex_half(c.top)}}}{{{_latex_half(c.bottom)}}}"
+    top, bottom = ([_latex_fraction(v.numerator, v.denominator) for v in half]
+                   for half in (c.top, c.bottom))
+    return _latex_top(top) + _latex_bottom(bottom)
 
 
 def _latex_coefficient(exponent: Fraction, lam: int) -> tuple[str, str]:
@@ -201,9 +209,11 @@ def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
         factors = "".join(_latex_stack(m) for m in spec.mu)
         lhs = f"{lam_pow}\\cdot {factors}"
     coefficient = functools.partial(_latex_coefficient, lam=spec.lam)
+    # The same stacks, primed, from the spec's rows of LaTeX coordinates.
+    primed = spec._rows(_latex_fraction, _latex_top, lambda t: _latex_bottom(t) + "'")
     pieces = []
     for i, ((sep, prefix), _, stacks) in enumerate(
-        _term_rows(spec, terms, latex=True, exponent=coefficient)
+        _term_rows(spec, terms, primed, exponent=coefficient)
     ):
         # Stacks are written in lowest terms, so equal stacks mean equal factors.
         body = stacks[0] if stacks.count(stacks[0]) == len(stacks) else "".join(stacks)

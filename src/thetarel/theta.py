@@ -325,9 +325,10 @@ def _truncation(
 ) -> tuple[np.ndarray, int, float]:
     """Validated argument vector, truncation radius and tail envelope.
 
-    The radius is the first of 4, 6, 8, ... (capped at
-    settings.max_radius) whose envelope meets TARGET_ABS_ERROR; it
-    depends on Im z and tau.lam_min only, never on the characteristic.
+    The radius is the first of 4, 6, 8, ... below settings.max_radius,
+    then settings.max_radius itself, whose envelope meets
+    TARGET_ABS_ERROR; it depends on Im z and tau.lam_min only, never on
+    the characteristic.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     g = tau.genus
@@ -338,14 +339,11 @@ def _truncation(
     if not np.isfinite(z).all():
         raise ValueError("argument z must be finite")
     y_norm = float(np.linalg.norm(z.imag))
-    radius = min(4, settings.max_radius)
-    bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
-    while bound > TARGET_ABS_ERROR:
-        if radius >= settings.max_radius:
-            raise TruncationError(TARGET_ABS_ERROR, bound, radius)
-        radius = min(radius + 2, settings.max_radius)
+    for radius in [*range(4, settings.max_radius, 2), settings.max_radius]:
         bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
-    return z, radius, bound
+        if bound <= TARGET_ABS_ERROR:
+            return z, radius, bound
+    raise TruncationError(TARGET_ABS_ERROR, bound, radius)
 
 
 def theta(

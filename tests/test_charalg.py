@@ -50,6 +50,21 @@ def test_class_of_examples():
         class_of([F(1, 2), F(1, 3)], 6)
 
 
+@pytest.mark.parametrize("values, lam", [([0.5, 1.5], 2), ([0.1], 10), ([F(1, 3), 0.25], 3)],
+                         ids=["halves", "tenth", "fraction-then-float"])
+def test_class_of_rejects_floats(values, lam):
+    # A float would be read at its binary value: 0.5 and 1.5 exactly, 0.1
+    # as a 55-digit fraction.
+    with pytest.raises(TypeError, match="exact rational needed"):
+        class_of(values, lam)
+
+
+def test_class_of_takes_ints_fractions_and_rational_strings():
+    assert class_of([1, -4, np.int64(3)], 2) == CycleClass(0, 2)
+    assert class_of([F(5, 2), "-1/2"], 2) == CycleClass(1, 2)
+    assert class_of(["4/3", F(1, 3)], 3) == CycleClass(1, 3)
+
+
 def test_class_of_rejects_incompatible_lambda():
     with pytest.raises(ValueError):
         class_of([F(1, 2), F(3, 2)], 3)

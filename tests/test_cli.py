@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from thetarel import Characteristic, RelationSpec
 from thetarel.cli import main
 from thetarel.render import parse_terms_json, dumps, terms_to_json_obj
 
@@ -127,6 +128,42 @@ def test_emit_mu_count_mismatch(capsys):
     code, _, err = run_cli(capsys, "emit", "--n", "3", "--mu", "0;0")
     assert code == 64
     assert "3" in err
+
+
+def _spec_error(n, g, mu):
+    """The ValueError message of Characteristic.parse or RelationSpec.create."""
+    try:
+        RelationSpec.create(n, g, [Characteristic.parse(m) for m in mu] or None)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"n={n} g={g} mu={mu} is a valid spec")
+
+
+@pytest.mark.parametrize(
+    "command, n, g, mu",
+    [
+        ("emit", 1, 1, []),
+        ("emit", 0, 1, []),
+        ("emit", -3, 1, []),
+        ("emit", 3, 0, []),
+        ("emit", 3, -1, []),
+        ("emit", 3, 0, ["0;0"] * 3),
+        ("emit", 3, 1, ["0;0"]),
+        ("emit", 3, 1, ["0,0;0,0", "0;0", "0;0"]),
+        ("emit", 3, 2, ["0,0;0,0", "0;0", "0,0;0,0"]),
+        ("emit", 3, 1, ["0;0", "oops;0", "0;0"]),
+        ("emit", 2, 1, ["0;1/0", "0;0"]),
+        ("emit", 2, 1, ["0,0;0", "0;0"]),
+        ("verify", 4, 1, ["0;0"]),
+        ("falsify", 4, 1, ["0;0"] * 5),
+    ],
+    ids=["n-1", "n-0", "n-minus-3", "g-0", "g-minus-1", "g-0-with-mu", "mu-count",
+         "genus-2-at-g-1", "genus-1-at-g-2", "bad-token", "zero-denominator",
+         "half-lengths", "verify-mu-count", "falsify-mu-count"],
+)
+def test_spec_errors_are_the_messages_of_relation_spec(capsys, command, n, g, mu):
+    argv = [command, "--n", str(n), "--g", str(g), *(a for m in mu for a in ("--mu", m))]
+    assert run_cli(capsys, *argv) == (64, "", f"thetarel: error: {_spec_error(n, g, mu)}\n")
 
 
 def test_verify_passes_and_exit_zero(capsys):

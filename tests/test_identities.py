@@ -156,6 +156,25 @@ def test_constant_symmetries_check(sampled_taus):
         assert rep.rel_error <= 1e-10
 
 
+@pytest.mark.parametrize("alpha, beta", [(0.1, 0.2), (F(1, 12), 0.25), (0.5, "1/3")])
+def test_constant_symmetries_check_rejects_floats(tau_i, alpha, beta):
+    with pytest.raises(TypeError, match="exact rational needed"):
+        constant_symmetries_check(tau_i, alpha, beta)
+
+
+def test_constant_symmetries_check_takes_ints_fractions_and_rational_strings(tau_i):
+    exact = constant_symmetries_check(tau_i, F(1, 6), F(1, 4))
+    assert constant_symmetries_check(tau_i, "1/6", "1/4") == exact
+    assert exact.rel_error <= 1e-10
+    assert constant_symmetries_check(tau_i, 1, 0).rel_error <= 1e-10
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_suite_needs_a_sample(samples):
+    with pytest.raises(ValueError, match="at least one tau sample"):
+        run_suite(samples)
+
+
 def test_collapse_consistency(sampled_taus):
     # Cross-path agreement within a couple of combined error bounds: both
     # routes use the same evaluator, so agreement is near machine level.
@@ -192,7 +211,7 @@ def test_suite_derives_nu_once_per_relation(monkeypatch):
     # The curated checks share one n=3 and one n=4 spec: with both fresh,
     # a whole suite run derives nu = mu S_n once for each.
     monkeypatch.setattr(identities, "_TERNARY", RelationSpec.create(3, 1))
-    monkeypatch.setattr(identities, "_SMITH", RelationSpec.create(4, 1))
+    monkeypatch.setattr(identities, "_QUADRUPLE", RelationSpec.create(4, 1))
     derived = []
     apply_to_chars = relations.apply_to_chars
 

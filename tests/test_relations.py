@@ -515,6 +515,16 @@ def test_draw_tau_matches_entry_by_entry_draws(genus):
         assert rng.random() == oracle.random()
 
 
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_draw_tau_meets_the_gershgorin_floor(genus):
+    # Diagonal of Im tau at least 0.9 - 0.2, and g - 1 off-diagonal entries
+    # of at most 0.2 per row: lam_min >= 0.7 - 0.2 (g - 1).
+    sampler = TrialSampler(0)
+    rng = sampler.make_rng()
+    floor = 0.7 - 0.2 * (genus - 1)
+    assert min(sampler.draw_tau(rng, genus).lam_min for _ in range(1000)) >= floor
+
+
 class _ScriptedRng:
     """Stand-in generator: uniform() returns the scripted draws in order,
     then the draws of a seeded numpy generator."""

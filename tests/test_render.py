@@ -28,9 +28,14 @@ def _latex_rational(v):
     return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _term_rows_term_by_term(spec, terms, latex=False, exponent=str):
+def _term_rows_term_by_term(spec, terms, rows=None, exponent=str):
     """Oracle for relations._term_rows: builds every term and writes each
-    coordinate of each Characteristic from its Fraction."""
+    coordinate of each Characteristic from its Fraction.  Only
+    relation_to_latex passes a row table, its primed LaTeX rows."""
+    return _terms_written_out(spec, terms, rows is not None, exponent)
+
+
+def _terms_written_out(spec, terms, latex=False, exponent=str):
     assert terms.spec == spec
     def text(c):
         if latex:
@@ -190,6 +195,6 @@ def test_latex_abbreviates_only_equal_factors():
         relation = build_relation(spec)
         rhs = relation_to_latex(spec, relation).split(" = ")[1]
         assert rhs.count("\\binom") == len(relation) * (1 if abbreviated else 3)
-        for _, _, (s, t, u) in _term_rows_term_by_term(spec, relation, latex=True):
+        for _, _, (s, t, u) in _terms_written_out(spec, relation, latex=True):
             assert (s == t == u) if abbreviated else (s == u != t)
             assert (s if abbreviated else s + t + s) in rhs

@@ -6,6 +6,7 @@ two routes share nothing but the series definition.  Golden values below
 were computed with the same oracle at 40 digits and frozen.
 """
 
+import importlib
 import math
 from fractions import Fraction
 
@@ -24,9 +25,11 @@ from thetarel import (
     theta_constant,
     theta_shift_table,
 )
-from thetarel.theta import TARGET_ABS_ERROR, _box_sum
+from thetarel.theta import TARGET_ABS_ERROR, _box_sum, _truncation
 
 F = Fraction
+# The package name theta is the function; the module is imported by path.
+theta_module = importlib.import_module("thetarel.theta")
 
 
 def oracle_theta_g1(mu_top, mu_bottom, z, tau, dps=30, radius=30):
@@ -272,6 +275,35 @@ def test_truncation_failure_reports_best_bound():
     assert err.radius == 6
     assert err.target == TARGET_ABS_ERROR == 1e-13
     assert err.best_bound > err.target
+
+
+@pytest.mark.parametrize("meets_from", [None, 3, 5, 8])
+@pytest.mark.parametrize("max_radius", range(1, 13))
+def test_radius_search_tries_four_six_and_up_to_the_cap(monkeypatch, tau_i, max_radius,
+                                                        meets_from):
+    # A scripted envelope meets the target from radius meets_from on (never
+    # for None) and is distinct at every radius that misses it.
+    tried = []
+
+    def envelope(radius, lam_min, y_norm, g):
+        tried.append(radius)
+        met = meets_from is not None and radius >= meets_from
+        return TARGET_ABS_ERROR / 2 if met else TARGET_ABS_ERROR * (1 + radius)
+
+    monkeypatch.setattr(theta_module, "_tail_envelope", envelope)
+    radii = [r for r in range(4, max_radius, 2)] + [max_radius]
+    settings = EvalSettings(max_radius=max_radius)
+    met = [r for r in radii if meets_from is not None and r >= meets_from]
+    if met:
+        _, radius, bound = _truncation(Characteristic.zero(1), 0.1j, tau_i, settings)
+        assert (radius, bound) == (met[0], TARGET_ABS_ERROR / 2)
+        assert tried == radii[: radii.index(met[0]) + 1]
+    else:
+        with pytest.raises(TruncationError) as info:
+            _truncation(Characteristic.zero(1), 0.1j, tau_i, settings)
+        assert tried == radii
+        assert (info.value.radius, info.value.best_bound) == (
+            max_radius, TARGET_ABS_ERROR * (1 + max_radius))
 
 
 def test_genus_mismatch_errors(tau_i):

@@ -14,9 +14,12 @@ a refactor that must keep every output byte can be checked with
 The argv cover emit, verify, falsify, suite and table in each output
 format, malformed input that must fail with a usage error, and the
 --help text of the top parser and of each of the five subcommands at
-COLUMNS=80.  A leading NAME=VALUE token sets that environment variable
-for one run, as in a shell.  THETA_MAX_RADIUS is unset for every other
-run.  Stdlib only.
+COLUMNS=80.  The malformed specs are a missing --n, and then, refused
+by RelationSpec or Characteristic.parse, --n 1 and --n 0, --g 0 and
+--g -1, a bad --mu token, too few --mu for emit and for verify, and a
+--mu of the wrong genus at --g 1 and at --g 2.  A leading NAME=VALUE
+token sets that environment variable for one run, as in a shell.
+THETA_MAX_RADIUS is unset for every other run.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -92,6 +95,10 @@ MALFORMED = [
     ["emit", "--n", "3", "--mu", "0;0", "--mu", "oops;0", "--mu", "0;0"],
     ["emit", "--n", "3", "--mu", "0;0"],
     ["emit", "--n", "3", "--mu", "0,0;0,0", "--mu", "0;0", "--mu", "0;0"],
+    ["emit", "--n", "3", "--g", "2", "--mu", "0,0;0,0", "--mu", "0;0", "--mu", "0,0;0,0"],
+    ["emit", "--n", "0"],
+    ["emit", "--n", "3", "--g", "-1"],
+    ["verify", "--n", "4", "--mu", "0;0"],
     ["verify", "--n", "3", "--format", "latex"],
     ["verify", "--n", "3", "--tau", "junk"],
     ["verify", "--n", "3", "--g", "2", "--tau", "1i,1i;1i,1i"],

@@ -1,11 +1,15 @@
 """Line counts of src/thetarel, per module and in total.
 
-Usage: python3 tools/src_lines.py [REPO_ROOT]
+Usage: python3 tools/src_lines.py [ROOT [CHANGED_ROOT]]
 
 For each module prints its lines and its code lines.  Code lines are
 the lines that are not blank, not comment-only and not part of a
 docstring (a string literal that is the first statement of a module,
-class or function), found with ast and tokenize.  Stdlib only.
+class or function), found with ast and tokenize.  Given two roots, the
+parent (p-, say a copy of the parent commit) and the change (c-, say
+the working tree), it prints both counts of each module and the delta
+(d-, change minus parent); a module that one root lacks counts 0 lines
+there.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -33,20 +37,30 @@ def count(source: str) -> tuple[int, int]:
     return len(lines), len(lines) - len(skip)
 
 
-def main(argv: list[str]) -> int:
-    root = Path(argv[1] if len(argv) > 1 else ".")
+def _counts(root: Path) -> dict[str, tuple[int, int]]:
+    """{module file name: (lines, code lines)} of root/src/thetarel."""
     modules = sorted((root / "src" / "thetarel").glob("*.py"))
     if not modules:
-        print(f"no modules under {root / 'src' / 'thetarel'}", file=sys.stderr)
-        return 1
-    total_lines = total_code = 0
-    print(f"{'module':20s} {'lines':>6s} {'code':>6s}")
-    for path in modules:
-        lines, code = count(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{path.name:20s} {lines:6d} {code:6d}")
-    print(f"{'total':20s} {total_lines:6d} {total_code:6d}")
+        raise SystemExit(f"no modules under {root / 'src' / 'thetarel'}")
+    return {path.name: count(path.read_text(encoding="utf-8")) for path in modules}
+
+
+def main(argv: list[str]) -> int:
+    roots = [Path(a) for a in argv[1:3]] or [Path(".")]
+    tables = [_counts(root) for root in roots]
+    rows = {
+        name: [v for table in tables for v in table.get(name, (0, 0))]
+        for name in sorted(set().union(*tables))
+    }
+    rows["total"] = [sum(column) for column in zip(*rows.values())]
+    heads = ["lines", "code"]
+    if len(tables) == 2:
+        heads = ["p-lines", "p-code", "c-lines", "c-code", "d-lines", "d-code"]
+        for cells in rows.values():
+            cells += [cells[2] - cells[0], cells[3] - cells[1]]
+    print(f"{'module':20s}" + "".join(f" {head:>7s}" for head in heads))
+    for name, cells in rows.items():
+        print(f"{name:20s}" + "".join(f" {v:7d}" for v in cells))
     return 0
 
 

@@ -13,6 +13,7 @@ THETA_MAX_RADIUS overrides the evaluator's radius cap.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -89,7 +90,12 @@ def _tol(text: str) -> float:
     return tol
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: building it costs about a
+    millisecond of argparse set-up, and parsing leaves it unchanged
+    (each parse fills a new namespace, and help is formatted at the
+    terminal width of the moment)."""
     p = _Parser(prog="thetarel", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -141,6 +141,8 @@ class RelationSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"need n >= 2, got {self.n}")
+        if self.genus < 1:
+            raise ValueError(f"need genus >= 1, got {self.genus}")
         if len(self.mu) != self.n:
             raise ValueError(f"expected {self.n} characteristics, got {len(self.mu)}")
         for m in self.mu:
@@ -158,7 +160,8 @@ class RelationSpec:
         mode: CoefficientMode = CoefficientMode.MODIFIED,
     ) -> "RelationSpec":
         if mu is None:
-            mu = tuple(Characteristic.zero(genus) for _ in range(n))
+            # No characteristic has genus < 1; __post_init__ reports it.
+            mu = [Characteristic.zero(genus)] * n if genus >= 1 else []
         return cls(n, genus, tuple(mu), mode)
 
     @property

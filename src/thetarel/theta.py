@@ -36,10 +36,22 @@ reproducible bit-for-bit for identical inputs and settings.
 theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
 nu' + (1/lambda) Z^g, with the same radius and tail envelope.
+
+What a sum needs of its exact inputs alone (the per-axis v arrays and
+their absolute values, the float mu'' vector and, for a shift table,
+the residue bins and the per-axis root-of-unity mixing matrices) is a
+plan, built by _plan from the key (mu', mu'', radius, lambda) and kept
+in a process-wide least-recently-used cache of _PLAN_CACHE_SIZE plans.
+The key holds exact rationals and integers only; no cache holds a
+float input, so z and tau are used afresh on every call.  A plan is
+built by the same operations whether it comes from the cache or not,
+and its arrays are read-only, so every result is bit-identical cold or
+warm.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -69,6 +81,11 @@ _U = 2.0**-53  # unit roundoff of float64
 # couple of dozen shells are ever needed.
 _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
+# Lattice-sum plans kept by _plan.  A relation check of n <= 8 at one
+# radius needs at most 2n (n theta() keys and n shift-table keys).  A
+# shift-table plan at radius 4 takes 2 kB at (n, g) = (3, 1) to 130 kB
+# at (3, 3), its bins 8 bytes per box point; a theta() plan is < 1 kB.
+_PLAN_CACHE_SIZE = 16
 
 
 class TruncationError(ArithmeticError):
@@ -174,46 +191,107 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     each contributes at most (2(radius+k)+3)^g points, every one with
     l2-norm above radius+k.  Monotonicity of the per-point bound needs
     r >= y_norm/lam_min, below which the bound is reported as infinite
-    (forcing the radius search onward).  lam_min is a PeriodMatrix's,
-    so it is positive.
+    (forcing the radius search onward), as it is when a shell's bound
+    overflows a float.  lam_min is a PeriodMatrix's, so it is positive.
     """
     if radius < y_norm / lam_min:
         return math.inf
     total = 0.0
-    for k in range(_SHELL_CAP):
-        r = float(radius + k)
-        t = (2.0 * r + 3.0) ** g * math.exp(-math.pi * lam_min * r * r + TWO_PI * r * y_norm)
-        total += t
-        # Envelope ratio between consecutive shells, polynomial factor
-        # bounded by (5/3)^g <= 3^g for r >= 1.
-        ratio = 3.0 ** g * math.exp(-math.pi * lam_min * (2.0 * r + 1.0) + TWO_PI * y_norm)
-        if ratio < 0.5 and t * ratio / (1.0 - ratio) < max(total, 1e-300) * 1e-9:
-            total += t * ratio / (1.0 - ratio)
-            return total
-        if t == 0.0:
-            return total
+    try:
+        for k in range(_SHELL_CAP):
+            r = float(radius + k)
+            t = (2.0 * r + 3.0) ** g * math.exp(-math.pi * lam_min * r * r + TWO_PI * r * y_norm)
+            total += t
+            # Envelope ratio between consecutive shells, polynomial factor
+            # bounded by (5/3)^g <= 3^g for r >= 1.
+            ratio = 3.0 ** g * math.exp(-math.pi * lam_min * (2.0 * r + 1.0) + TWO_PI * y_norm)
+            if ratio < 0.5 and t * ratio / (1.0 - ratio) < max(total, 1e-300) * 1e-9:
+                total += t * ratio / (1.0 - ratio)
+                return total
+            if t == 0.0:
+                return total
+    except OverflowError:
+        pass
     return math.inf
 
 
-def _axes(
-    top: Sequence[Fraction], radius: int, lam: int = 1
-) -> tuple[list[range], list[np.ndarray]]:
-    """Per axis a: the integers k with |top_a + k/lam| <= radius, and
-    v_a = top_a + k/lam for each of them.
+class _Plan:
+    """The exact part of one lattice sum over v in top + (1/lam) Z^g,
+    |v|_inf <= radius: everything that depends on (top, bottom, radius,
+    lam) and on no float input.
 
-    With lam = 1 these are the xi of the theta series; with lam > 1 they
-    index the finer lattice top + (1/lam) Z^g of a shift table.  The
-    bounds are exact integer floor divisions on top_a = p/q, and each v
-    is the one correctly rounded division (p lam + k q) / (q lam), so it
-    carries a relative error of at most u = 2^-53.
+    Per axis a, ks[a] holds the integers k with |top_a + k/lam| <= radius
+    and v[a] the points v_a = top_a + k/lam.  With lam = 1 these are the
+    xi of the theta series; with lam > 1 they index the finer lattice
+    top + (1/lam) Z^g of a shift table.  The bounds are exact integer
+    floor divisions on top_a = p/q, and each v is the one correctly
+    rounded division (p lam + k q) / (q lam), so it carries a relative
+    error of at most u = 2^-53.  bottom is the float vector of bottom;
+    abs_v and abs_bottom are the absolute values.
+
+    _plan shares one plan among all calls with its key, so every array
+    is read-only.  The shift-table fields are built on first use, so
+    theta() never pays for them.
     """
-    ks, vs = [], []
-    for m in top:
-        p, q = m.numerator, m.denominator
-        k = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
-        ks.append(k)
-        vs.append(np.array([(p * lam + j * q) / (q * lam) for j in k]))
-    return ks, vs
+
+    def __init__(self, top, bottom, radius: int, lam: int):
+        self.top, self.lam, self.ks = top, lam, []
+        values, axes = [], []
+        for m in top:
+            p, q = m.numerator, m.denominator
+            k = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
+            self.ks.append(k)
+            axes.append(slice(len(values), len(values) + len(k)))
+            # (p lam + j q) / (q lam) for each j in k.
+            den = q * lam
+            values += [x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)]
+        rest = slice(len(values), None)
+        values += map(float, bottom)
+        # One array holds every axis and the bottom, so two flags make
+        # every field, a view of it, read-only.
+        flat = np.array(values)
+        absolute = np.abs(flat)
+        flat.flags.writeable = False
+        absolute.flags.writeable = False
+        self.v = tuple(flat[a] for a in axes)
+        self.abs_v = tuple(absolute[a] for a in axes)
+        self.bottom, self.abs_bottom = flat[rest], absolute[rest]
+
+    @functools.cached_property
+    def bins(self) -> np.ndarray:
+        """The bincount bin of every grid point, in ravel order: its
+        residues k_a mod lam^2 read as base-lam^2 digits, axis 0 first."""
+        sq, g = self.lam * self.lam, len(self.ks)
+        residues = [np.arange(k.start, k.stop) % sq * sq ** (g - 1 - a)
+                    for a, k in enumerate(self.ks)]
+        bins = sum(_on_grid(residues)).ravel()
+        bins.flags.writeable = False
+        return bins
+
+    @functools.cached_property
+    def mixes(self) -> tuple[np.ndarray, ...]:
+        """Per axis a, the lam^2 x lam^2 mixing matrix as an array
+        [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + top_a) / lam]: it
+        picks the coset c of the residue r and applies the phase of the
+        shift b."""
+        lam, sq = self.lam, self.lam * self.lam
+        r = np.arange(sq)[:, None, None]
+        c = np.arange(lam)[None, :, None]
+        b = np.arange(lam)[None, None, :]
+        mixes = tuple(
+            np.where(r % lam == c, np.exp(TWO_PI * 1j * ((r * b) % sq / sq + b * m / lam)), 0)
+            for m in map(float, self.top)
+        )
+        for mix in mixes:
+            mix.flags.writeable = False
+        return mixes
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _plan(top: tuple, bottom: tuple, radius: int, lam: int) -> _Plan:
+    """The plan of the sum over top + (1/lam) Z^g, |v|_inf <= radius;
+    top and bottom are tuples of exact rationals."""
+    return _Plan(top, bottom, radius, lam)
 
 
 def _on_grid(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -302,20 +380,19 @@ def _box_sum(
     where the factor 1.01 covers the rounding of the bound itself and of
     M, and the last term the terms that underflow to subnormals.
     """
-    bottom = np.array([float(m) for m in mu_bottom])
-    _, v = _axes(mu_top, radius)
-    terms = _grid_terms(v, z + bottom, tau).ravel()
+    plan = _plan(tuple(mu_top), tuple(mu_bottom), radius, 1)
+    terms = _grid_terms(plan.v, z + plan.bottom, tau).ravel()
     value, depth = _halving_sum(terms)
     weight = _quadratic(
-        [np.abs(x) for x in v],
+        plan.abs_v,
         np.abs(tau.real) + np.abs(tau.imag),
-        np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
+        np.abs(z.real) + np.abs(z.imag) + plan.abs_bottom,
     ).ravel()
     size = np.abs(terms.real) + np.abs(terms.imag)
     # An exponent error beyond expm1's range leaves no accuracy to claim:
     # the bound is then inf, also where the term underflowed (0 * inf).
     with np.errstate(over="ignore", invalid="ignore"):
-        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight)
+        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(plan.v) + 7) * TWO_PI * weight)
         bound = 1.01 * float((size * per_term).sum()) + terms.size * 2.0**-1070
     return value, math.inf if math.isnan(bound) else bound
 
@@ -388,34 +465,26 @@ def theta_shift_table(
     The terms T(k) are computed once, by the grid kernel theta() uses,
     and binned by the per-axis residues k_a mod lam^2; per axis,
     one lam^2 x lam^2 root-of-unity matrix then picks the coset and
-    applies the phase.  R comes from the same search as theta(), so each
-    entry sums exactly the points theta(nu + a, w) sums, and its omitted
-    tail, the same coset's points outside the box times unit-modulus
-    phases, is bounded by the same envelope.  Raises TruncationError
-    exactly when theta(nu + a, w) would.
+    applies the phase; the bins and those matrices come from the cached
+    plan of (nu', nu'', R, lam).  R comes from the same search as
+    theta(), so each entry sums exactly the points theta(nu + a, w)
+    sums, and its omitted tail, the same coset's points outside the box
+    times unit-modulus phases, is bounded by the same envelope.  Raises
+    TruncationError exactly when theta(nu + a, w) would.
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")
     w, radius, _ = _truncation(nu, w, tau, settings)
     g = tau.genus
     sq = lam * lam
-    ks, v = _axes(nu.top, radius, lam)
-    bottom = np.array([float(m) for m in nu.bottom])
-    terms = _grid_terms(v, w + bottom, tau.entries).ravel()
-    residues = [np.arange(k.start, k.stop) % sq * sq ** (g - 1 - a) for a, k in enumerate(ks)]
-    bins = sum(_on_grid(residues)).ravel()
+    plan = _plan(nu.top, nu.bottom, radius, lam)
+    terms = _grid_terms(plan.v, w + plan.bottom, tau.entries).ravel()
     table = (
-        np.bincount(bins, terms.real, sq**g) + 1j * np.bincount(bins, terms.imag, sq**g)
+        np.bincount(plan.bins, terms.real, sq**g) + 1j * np.bincount(plan.bins, terms.imag, sq**g)
     ).reshape((sq,) * g)
-    r = np.arange(sq)[:, None, None]
-    c = np.arange(lam)[None, :, None]
-    b = np.arange(lam)[None, None, :]
-    for m in map(float, nu.top):
-        # [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + nu'_a) / lam]; the
-        # contracted axis is always the leading one, the new (c, b) pair
-        # goes to the end.
-        phase = (r * b) % sq / sq + b * m / lam
-        mix = np.where(r % lam == c, np.exp(TWO_PI * 1j * phase), 0)
+    for mix in plan.mixes:
+        # The contracted axis is always the leading one, the new (c, b)
+        # pair goes to the end.
         table = np.tensordot(table, mix, axes=(0, 0))
     order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
     return table.transpose(order).reshape(-1)

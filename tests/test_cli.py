@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from thetarel import Characteristic, RelationSpec
+from thetarel import Characteristic, RelationSpec, cli
 from thetarel.cli import main
 from thetarel.render import parse_terms_json, dumps, terms_to_json_obj
 
@@ -459,6 +459,44 @@ def test_unknown_command_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bogus"])
     assert info.value.code == 64
+
+
+MU3 = ("--mu", "1/3;0", "--mu", "0;2/3", "--mu", "2/3;1/3")
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [["verify", "--n", "3", "--trials", "2", *MU3], ["verify", "--n", "3", "--trials", "2"]],
+        [["verify", "--n", "3", "--trials", "2"], ["falsify", "--trials", "2"]],
+        [["verify", "--n", "3", "--trials", "2", "--format", "text"], ["emit", "--n", "3"]],
+        [["verify", "--n", "3", "--mode", "bogus"], ["verify", "--n", "3", "--trials", "2"]],
+        [["emit", "--n", "3", "--g", "0"], ["emit", "--n", "3", *MU3, "--format", "json"]],
+        [["verify", "--help"], ["verify", "--n", "3", "--g", "2", "--trials", "1"]],
+    ],
+    ids=["mu-then-none", "verify-then-falsify", "verify-then-emit", "usage-then-good",
+         "spec-error-then-good", "help-then-good"],
+)
+def test_cached_parser_gives_the_output_of_a_fresh_one(capsys, sequence):
+    """Each call of a sequence on the one parser of the process prints
+    what it prints on a parser built for it alone."""
+
+    def run_all(fresh):
+        results = []
+        cli._build_parser.cache_clear()
+        for argv in sequence:
+            if fresh:
+                cli._build_parser.cache_clear()
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results, cli._build_parser.cache_info().misses
+
+    warm, builds = run_all(fresh=False)
+    assert builds == 1
+    assert warm == run_all(fresh=True)[0]
 
 
 def test_module_entry_point():

@@ -1,5 +1,6 @@
 """tools/cli_digest.py digests the command line over a fixed argv set."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +14,17 @@ def _run():
         [sys.executable, str(TOOL), str(ROOT)], capture_output=True, text=True, check=True,
         timeout=300,
     )
+    # Exit 0 and no stderr: the second in-process pass over the argv
+    # printed the same digests as the first.
+    assert done.stderr == ""
     return done.stdout.splitlines()
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("cli_digest", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_two_runs_print_the_same_digests():
@@ -24,3 +35,26 @@ def test_two_runs_print_the_same_digests():
     assert all(len(d) == 64 for d in digests)
     argvs = [line.split("  ", 1)[1] for line in first[:-1]]
     assert len(set(argvs)) == len(argvs) > 70
+
+
+def test_a_second_pass_that_differs_exits_one(monkeypatch, capsys):
+    """A main whose output depends on an earlier run in the process, as
+    a leaking cache would make it, is reported by argv and exits 1."""
+    tool = _tool()
+    seen = set()
+
+    def leaky_main(argv):
+        if argv == ["table"] and tuple(argv) in seen:
+            print("warm")
+        seen.add(tuple(argv))
+        return 0
+
+    monkeypatch.setattr(tool, "_load_main", lambda root: leaky_main)
+    assert tool.main(["cli_digest.py"]) == 1
+    out, err = capsys.readouterr()
+    assert err == "second pass differs: table\n"
+    assert len(out.splitlines()) == len(tool.CASES) + 1
+
+    monkeypatch.setattr(tool, "_load_main", lambda root: lambda argv: 0)
+    assert tool.main(["cli_digest.py"]) == 0
+    assert capsys.readouterr().err == ""

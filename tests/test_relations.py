@@ -172,6 +172,15 @@ def test_parse_checks_the_term_count_before_building_the_relation():
     assert peak < 4_000_000
 
 
+@pytest.mark.parametrize("genus", [0, -1, -5])
+def test_spec_genus_error_names_the_genus(genus):
+    message = f"need genus >= 1, got {genus}"
+    with pytest.raises(ValueError, match=message):
+        RelationSpec.create(3, genus)
+    with pytest.raises(ValueError, match=message):
+        RelationSpec(3, genus, (), CoefficientMode.MODIFIED)
+
+
 def test_spec_fields_and_derived_lambda():
     assert [f.name for f in dataclasses.fields(RelationSpec)] == [
         "n", "genus", "mu", "mode",

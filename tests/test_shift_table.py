@@ -1,6 +1,7 @@
 """Batched shift tables and the digit-table term list against the per-term
-constructions they replace."""
+constructions they replace, and the cache of lattice-sum plans."""
 
+import importlib
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ from thetarel import (
 )
 
 F = Fraction
+# The package name theta is the function; the module is imported by path.
+theta_module = importlib.import_module("thetarel.theta")
 
 # Non-standard characteristic entries: denominators that do not divide
 # lambda, and values outside [0, 1).
@@ -156,3 +159,78 @@ def test_truncation_parity_with_oracle(max_radius):
             outcomes.append(raised[0])
     # Both outcomes occur, so the parity is not vacuous.
     assert any(outcomes) and not all(outcomes)
+
+
+def _shift_table_unplanned(nu, w, tau, lam):
+    """Reference shift table: every exact part rebuilt from nu, as
+    theta_shift_table did before plans were cached."""
+    t = theta_module
+    w, radius, _ = t._truncation(nu, w, tau, EvalSettings())
+    g, sq = tau.genus, lam * lam
+    ks, v = [], []
+    for m in nu.top:
+        p, q = m.numerator, m.denominator
+        ks.append(range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1))
+        v.append(np.array([(p * lam + j * q) / (q * lam) for j in ks[-1]]))
+    bottom = np.array([float(m) for m in nu.bottom])
+    terms = t._grid_terms(v, w + bottom, tau.entries).ravel()
+    residues = [np.arange(k.start, k.stop) % sq * sq ** (g - 1 - a) for a, k in enumerate(ks)]
+    bins = sum(t._on_grid(residues)).ravel()
+    table = (
+        np.bincount(bins, terms.real, sq**g) + 1j * np.bincount(bins, terms.imag, sq**g)
+    ).reshape((sq,) * g)
+    r = np.arange(sq)[:, None, None]
+    c = np.arange(lam)[None, :, None]
+    b = np.arange(lam)[None, None, :]
+    for m in map(float, nu.top):
+        phase = (r * b) % sq / sq + b * m / lam
+        table = np.tensordot(table, np.where(r % lam == c, np.exp(2j * np.pi * phase), 0),
+                             axes=(0, 0))
+    order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
+    return table.transpose(order).reshape(-1)
+
+
+# (2, 1) has lambda = 1, so its shift table and theta() share one plan.
+@pytest.mark.parametrize("n,g", [(2, 1), (3, 1), (5, 2), (3, 3)])
+def test_cold_and_warm_plans_give_the_same_bits(n, g):
+    rng = np.random.default_rng([n, g])
+    lam = cycle_number(n)
+    nu = _mu("nonstandard", n, g, rng)[0]
+    (w,), tau = TrialSampler(0).draw(rng, 1, g)
+
+    def table():
+        return theta_shift_table(nu, w, tau, lam).tobytes()
+
+    def value():
+        tv = theta(nu, w, tau)
+        return np.array([tv.value, tv.tail_bound]).tobytes(), tv.truncation_radius
+
+    theta_module._plan.cache_clear()
+    cold = table()
+    theta_module._plan.cache_clear()
+    cold_value = value()
+    table()
+    hits = theta_module._plan.cache_info().hits
+    assert (table(), value()) == (cold, cold_value)
+    assert theta_module._plan.cache_info().hits == hits + 2
+    assert cold == _shift_table_unplanned(nu, w, tau, lam).tobytes()
+
+
+def test_plan_arrays_are_read_only():
+    nu = Characteristic((F(1, 3), F(-4, 3)), (F(2, 3), F(1, 7)))
+    plan = theta_module._plan(nu.top, nu.bottom, 4, 3)
+    arrays = [*plan.v, *plan.abs_v, plan.bottom, plan.abs_bottom, plan.bins, *plan.mixes]
+    assert len(arrays) == 9
+    for array in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+
+
+def test_plan_cache_is_bounded():
+    tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
+    size = theta_module._plan.cache_info().maxsize
+    for k in range(size + 5):
+        nu = Characteristic((F(k, size + 5),), (F(0),))
+        theta(nu, 0.1j, tau)
+        theta_shift_table(nu, 0.1j, tau, 3)
+    assert theta_module._plan.cache_info().currsize == size

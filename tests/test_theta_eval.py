@@ -277,6 +277,16 @@ def test_truncation_failure_reports_best_bound():
     assert err.best_bound > err.target
 
 
+def test_overflowing_envelope_is_a_truncation_error(tau_i):
+    # At Im z = 17 the shells of radius 17 to 26 have bounds beyond the
+    # float range; theta() must still raise TruncationError.
+    assert theta_module._tail_envelope(17, tau_i.lam_min, 17.0, 1) == math.inf
+    with pytest.raises(TruncationError):
+        theta(Characteristic.zero(1), 17j, tau_i)
+    with pytest.raises(TruncationError):
+        theta_shift_table(Characteristic.zero(1), 17j, tau_i, 3)
+
+
 @pytest.mark.parametrize("meets_from", [None, 3, 5, 8])
 @pytest.mark.parametrize("max_radius", range(1, 13))
 def test_radius_search_tries_four_six_and_up_to_the_cap(monkeypatch, tau_i, max_radius,

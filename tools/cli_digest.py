@@ -19,7 +19,13 @@ by RelationSpec or Characteristic.parse, --n 1 and --n 0, --g 0 and
 --g -1, a bad --mu token, too few --mu for emit and for verify, and a
 --mu of the wrong genus at --g 1 and at --g 2.  A leading NAME=VALUE
 token sets that environment variable for one run, as in a shell.
-THETA_MAX_RADIUS is unset for every other run.  Stdlib only.
+THETA_MAX_RADIUS is unset for every other run.
+
+All of CASES then runs a second time in the same process.  If any
+second-pass digest differs from the first, which is state left behind
+by an earlier run (a cached parser or lattice-sum plan, say), the
+argv of each such case goes to stderr and the exit status is 1; the
+printed lines are those of the first pass either way.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -159,10 +165,14 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     cli_main = _load_main(root)
     lines = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
+    again = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print("\n".join(lines))
     print(f"{total}  total")
-    return 0
+    leaks = [line.split("  ", 1)[1] for line, other in zip(lines, again) if line != other]
+    for case in leaks:
+        print(f"second pass differs: {case}", file=sys.stderr)
+    return 1 if leaks else 0
 
 
 if __name__ == "__main__":

@@ -29,11 +29,12 @@ from .relations import (
     DEFAULT_SEED,
     RelationSpec,
     TrialSampler,
+    _terms_json_obj,
+    _with_trials,
     build_relation,
-    relation_report,
     verify,
 )
-from .render import dumps, relation_to_latex, terms_to_json_obj, terms_to_text
+from .render import dumps, relation_to_latex, terms_to_text
 from .theta import EvalSettings, PeriodMatrix
 
 __all__ = ["main", "entry"]
@@ -187,27 +188,30 @@ def _parse_tau(text: str, genus: int) -> PeriodMatrix:
         raise UsageError(f"--tau {text!r}: {exc}") from None
 
 
-def _write(text: str, out: Optional[str]) -> None:
+def _write(texts: tuple[str, ...], out: Optional[str]) -> None:
+    """Writes texts in order to out, or to stdout.  A long document and
+    its final newline are two texts, so the document is not copied to
+    append one."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(texts)
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(texts)
 
 
-def _cmd_emit(args) -> tuple[str, int]:
+def _cmd_emit(args) -> tuple[tuple[str, ...], int]:
     spec = _spec_from_args(args)
     terms = build_relation(spec)
     if args.format == "latex":
-        text = relation_to_latex(spec, terms) + "\n"
+        texts = (relation_to_latex(spec, terms), "\n")
     elif args.format == "json":
-        text = dumps(terms_to_json_obj(spec, terms)) + "\n"
+        texts = (dumps(_terms_json_obj(spec, terms, written=True)), "\n")
     else:
-        text = terms_to_text(spec, terms)
-    return text, EXIT_PASS
+        texts = (terms_to_text(spec, terms),)
+    return texts, EXIT_PASS
 
 
 def _report_text(report: dict) -> str:
@@ -224,7 +228,7 @@ def _report_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_verify(args) -> tuple[str, int]:
+def _cmd_verify(args) -> tuple[tuple[str, ...], int]:
     """verify and falsify; falsify runs naive mode only, its parser
     defaults --n to 4, and it succeeds only when some ok trial exceeds
     --tol."""
@@ -238,20 +242,21 @@ def _cmd_verify(args) -> tuple[str, int]:
         raise UsageError("--trials must be >= 1")
     sampler = TrialSampler(args.seed)
     reports = verify(spec, args.trials, sampler=sampler, settings=settings, tau=tau)
-    report = relation_report(spec, build_relation(spec), reports, args.tol)
+    report = _with_trials(
+        _terms_json_obj(spec, build_relation(spec), written=True), reports, args.tol)
     if falsify:
         report["threshold"] = args.tol
         report["falsified"] = any(
             r.status == "ok" and r.rel_error > args.tol for r in reports
         )
-    text = _report_text(report) if args.format == "text" else dumps(report) + "\n"
+    texts = (_report_text(report),) if args.format == "text" else (dumps(report), "\n")
     if any(r.status == "eval-failed" for r in reports):
-        return text, EXIT_EVAL_FAIL
+        return texts, EXIT_EVAL_FAIL
     passed = report["falsified"] if falsify else report["verdict"] == "pass"
-    return text, EXIT_PASS if passed else EXIT_IDENTITY_FAIL
+    return texts, EXIT_PASS if passed else EXIT_IDENTITY_FAIL
 
 
-def _cmd_suite(args) -> tuple[str, int]:
+def _cmd_suite(args) -> tuple[tuple[str, ...], int]:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     report = run_suite(args.trials, args.seed, _settings())
@@ -266,11 +271,11 @@ def _cmd_suite(args) -> tuple[str, int]:
     else:
         text = dumps(report) + "\n"
     if any(c["verdict"] == "eval-failed" for c in report["cases"]):
-        return text, EXIT_EVAL_FAIL
-    return text, EXIT_PASS if report["verdict"] == "pass" else EXIT_IDENTITY_FAIL
+        return (text,), EXIT_EVAL_FAIL
+    return (text,), EXIT_PASS if report["verdict"] == "pass" else EXIT_IDENTITY_FAIL
 
 
-def _cmd_table(args) -> tuple[str, int]:
+def _cmd_table(args) -> tuple[tuple[str, ...], int]:
     try:
         lo_text, hi_text = args.n_range.split("..")
         lo, hi = int(lo_text), int(hi_text)
@@ -285,14 +290,14 @@ def _cmd_table(args) -> tuple[str, int]:
         lines = ["  n  lambda"]
         lines += [f"{r['n']:3d}  {r['lambda']:6d}" for r in rows]
         text = "\n".join(lines) + "\n"
-    return text, EXIT_PASS
+    return (text,), EXIT_PASS
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        text, code = args.run(args)
-        _write(text, args.out)
+        texts, code = args.run(args)
+        _write(texts, args.out)
         return code
     except UsageError as exc:
         print(f"thetarel: error: {exc}", file=sys.stderr)

@@ -55,7 +55,11 @@ The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
 Fractions (_digit_table, for the terms of a Relation) or as texts
 (_text_rows for JSON and text; render writes its LaTeX rows with the
-same _rows); term (c, b) pairs top row c with bottom row b.
+same _rows); term (c, b) pairs top row c with bottom row b.  Every
+relation output is written by _write_terms, one block per top row c:
+a writer with the texts of c baked in (a % template for the texts of
+JSON, LaTeX and text, a dict builder for the object API) is mapped
+over the bottom rows and the exponent texts of the block.
 """
 
 from __future__ import annotations
@@ -315,28 +319,43 @@ def build_relation(spec: RelationSpec) -> Relation:
     return Relation(spec)
 
 
-def _term_rows(
+def _write_terms(
     spec: RelationSpec,
     terms: Relation,
+    writer: Callable,
     rows: Optional[tuple[list, list]] = None,
     exponent: Callable = str,
-) -> Iterator[tuple[str, str, list[str]]]:
-    """For each term of a Relation of spec, (exponent(t.exponent), shift
-    text, nu_shifted texts).  A term's texts are joined from its top and
-    bottom row of rows, a spec._rows table of texts, by default
-    spec._text_rows, which writes each characteristic "top;bottom".  Each
-    distinct exponent is formatted once.  Raises TypeError for terms that
-    are not a Relation and ValueError for a Relation of another spec."""
+) -> Iterator[Iterator]:
+    """The one row writer of relation outputs: for each top digit row c,
+    in order, one block of the terms (c, b), b in order.  writer(top row
+    c) is called once per block, with the top texts of c; what it returns
+    is mapped over the terms' (shift text, exponent text, *nu_shifted
+    bottom texts).  A % template with the top texts baked in is such a
+    writer, through its __mod__, so a term costs one C-level format call.
+
+    Rows come from rows, a spec._rows table of texts, by default
+    spec._text_rows.  Its texts hold no "%", so they can be baked into a
+    template; those of spec._text_rows hold only digits, "-", "/", ","
+    and ";", so JSON writes each one quoted as it is
+    (encode_basestring_ascii(t) == '"' + t + '"').  Each distinct
+    exponent is formatted once, by exponent.  Raises TypeError for terms
+    that are not a Relation and ValueError for a Relation of another
+    spec."""
     if not isinstance(terms, Relation):
         raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
     if terms.spec != spec:
         raise ValueError("terms are the relation of another spec")
-    tops, bottoms = rows or terms.spec._text_rows
+    tops, bottoms = rows or spec._text_rows
     den = terms._denominator
     texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
+    exponents = list(map(texts.__getitem__, terms._numerators))
+    shifts = [row[0] for row in bottoms]
+    nus = [row[1:] for row in bottoms]
+    width = len(bottoms)
     return (
-        (texts[k], top[0] + bottom[0], list(map(str.__add__, top[1:], bottom[1:])))
-        for k, (top, bottom) in zip(terms._numerators, itertools.product(tops, bottoms))
+        map(writer(top), map(operator.add, zip(map(top[0].__add__, shifts),
+                                               exponents[c * width:(c + 1) * width]), nus))
+        for c, top in enumerate(tops)
     )
 
 
@@ -549,15 +568,51 @@ def verify_jacobi_a(
     return _compare(lhs, rhs, zs, tau)
 
 
+def _json_row(top: tuple[str, ...]) -> Callable:
+    """The _write_terms writer of the dict rows of the object API."""
+    nu_tops = top[1:]
+    return lambda t: {"shift": t[0], "exponent": t[1],
+                      "nu_shifted": list(map(str.__add__, nu_tops, t[2:]))}
+
+
 def _json_rows(spec: RelationSpec, terms: Relation) -> Iterator[dict]:
-    """The JSON row of each term, as _terms_json_obj writes it and
+    """The JSON row of each term, as terms_to_json_obj holds it and
     render.parse_terms_json checks it."""
-    for exponent, shift, nu_shifted in _term_rows(spec, terms):
-        yield {"shift": shift, "exponent": exponent, "nu_shifted": nu_shifted}
+    return itertools.chain.from_iterable(_write_terms(spec, terms, _json_row))
 
 
-def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
-    """The "spec"/"terms" object shared by relation_report and emit."""
+@dataclass(frozen=True, eq=False)
+class _JsonRows:
+    """The "terms" of a relation document as the command line writes
+    them: render.dumps writes chunks(pad) where the object API holds the
+    list of _json_rows, with the same bytes."""
+
+    spec: RelationSpec
+    terms: Relation
+
+    def chunks(self, pad: str) -> Iterator[str]:
+        """The rows as dumps writes a list of _json_rows whose key line
+        is padded by pad, one chunk per top digit row, so that no text
+        of all rows is made only to be copied into the document."""
+        inner, item = pad + "  ", pad + "    "
+
+        def writer(top):
+            nu = ", ".join('"' + t + '%s"' for t in top[1:])
+            return (inner + '{\n' + item + '"shift": "%s",\n' + item + '"exponent": "%s",\n'
+                    + item + '"nu_shifted": [' + nu + ']\n' + inner + '}').__mod__
+
+        separator = "[\n"
+        for block in _write_terms(self.spec, self.terms, writer):
+            yield separator
+            yield ",\n".join(block)
+            separator = ",\n"
+        yield "\n" + pad + "]"
+
+
+def _terms_json_obj(spec: RelationSpec, terms: Relation, written: bool = False) -> dict:
+    """The "spec"/"terms" object shared by relation_report and emit.  Its
+    "terms" is the list of _json_rows, or, written, the _JsonRows that
+    the command line passes to render.dumps."""
     return {
         "spec": {
             "n": spec.n,
@@ -566,7 +621,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Relation) -> dict:
             "mode": spec.mode.value,
             "mu": [str(m) for m in spec.mu],
         },
-        "terms": list(_json_rows(spec, terms)),
+        "terms": _JsonRows(spec, terms) if written else list(_json_rows(spec, terms)),
     }
 
 
@@ -577,8 +632,14 @@ def relation_report(
     tol: float,
 ) -> dict:
     """Assemble the stable JSON-ready report object."""
+    return _with_trials(_terms_json_obj(spec, terms), reports, tol)
+
+
+def _with_trials(document: dict, reports: Sequence[VerificationReport], tol: float) -> dict:
+    """A _terms_json_obj document followed by the "trials" and the
+    "verdict" of reports."""
     return {
-        **_terms_json_obj(spec, terms),
+        **document,
         "trials": [
             {
                 "seed_index": r.seed_index,

@@ -1,6 +1,8 @@
 """render.dumps against the recursive writer it replaced, kept here as the
 reference: the same bytes on any nested document and on real reports,
-and TypeError on a value neither can render."""
+and TypeError on a value neither can render.  The "terms" that the
+command line writes from templates are compared as the list of dict rows
+of the object API."""
 
 import json
 import math
@@ -12,7 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thetarel import cli
-from thetarel.render import dumps
+from thetarel.relations import _JsonRows
+from thetarel.render import dumps, terms_to_json_obj
 
 
 def _format_float(x: float) -> str:
@@ -144,4 +147,10 @@ def test_dumps_matches_on_real_reports(argv, monkeypatch, capsys):
     cli.main(argv)
     out = capsys.readouterr().out
     assert len(written) == 1
-    assert out == reference_dumps(written[0]) + "\n"
+    # The same document with the plain list rows of the object API.
+    plain = {
+        key: terms_to_json_obj(value.spec, value.terms)["terms"]
+        if type(value) is _JsonRows else value
+        for key, value in written[0].items()
+    }
+    assert out == reference_dumps(plain) + "\n"

@@ -1,10 +1,15 @@
 """Renderers read a Relation row by row from its spec's row texts; a
 term-by-term formatter of the built terms is their oracle."""
 
+import contextlib
+import io
+import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetarel import (
     Characteristic,
@@ -16,7 +21,7 @@ from thetarel import (
     cycle_number,
     relation_report,
 )
-from thetarel import relations, render
+from thetarel import cli, relations, render
 from thetarel.render import dumps, relation_to_latex, terms_to_json_obj, terms_to_text
 
 F = Fraction
@@ -28,14 +33,10 @@ def _latex_rational(v):
     return f"{'-' if v < 0 else ''}\\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
 
 
-def _term_rows_term_by_term(spec, terms, rows=None, exponent=str):
-    """Oracle for relations._term_rows: builds every term and writes each
-    coordinate of each Characteristic from its Fraction.  Only
-    relation_to_latex passes a row table, its primed LaTeX rows."""
-    return _terms_written_out(spec, terms, rows is not None, exponent)
-
-
 def _terms_written_out(spec, terms, latex=False, exponent=str):
+    """(exponent text, shift text, nu_shifted texts) of each term, from
+    the built terms: each coordinate of each Characteristic is written
+    from its Fraction."""
     assert terms.spec == spec
     def text(c):
         if latex:
@@ -49,8 +50,59 @@ def _terms_written_out(spec, terms, latex=False, exponent=str):
 
 RENDERERS = {
     "json": lambda spec, terms: dumps(terms_to_json_obj(spec, terms)),
+    # The document of emit --format json, its rows written from templates.
+    "json-written": lambda spec, terms: dumps(
+        relations._terms_json_obj(spec, terms, written=True)),
     "latex": relation_to_latex,
     "text": terms_to_text,
+}
+
+
+def _json_by_term(spec, terms):
+    head = {"n": spec.n, "g": spec.genus, "lambda": spec.lam,
+            "mode": spec.mode.value, "mu": [str(m) for m in spec.mu]}
+    rows = [{"shift": s, "exponent": e, "nu_shifted": nu}
+            for e, s, nu in _terms_written_out(spec, terms)]
+    return dumps({"spec": head, "terms": rows})
+
+
+def _latex_by_term(spec, terms):
+    def stack(c):
+        top, bottom = ("\\,".join(map(_latex_rational, h)) for h in (c.top, c.bottom))
+        return f"\\binom{{{top}}}{{{bottom}}}"
+
+    lam_pow = str(spec.lam) if spec.genus == 1 else f"{spec.lam}^{{{spec.genus}}}"
+    if len(set(spec.mu)) == 1:
+        lhs = f"{lam_pow}\\cdot{stack(spec.mu[0])}"
+    else:
+        lhs = f"{lam_pow}\\cdot " + "".join(map(stack, spec.mu))
+    pieces = []
+    coefficient = lambda e: render._latex_coefficient(e, spec.lam)
+    for i, ((sep, prefix), _, stacks) in enumerate(
+        _terms_written_out(spec, terms, latex=True, exponent=coefficient)
+    ):
+        body = stacks[0] if len(set(stacks)) == 1 else "".join(stacks)
+        pieces.append(f"{prefix}{body}" if i == 0 and sep == "+" else f"{sep} {prefix}{body}")
+    return lhs + " = " + " ".join(pieces)
+
+
+def _text_by_term(spec, terms):
+    lines = [
+        f"n={spec.n} g={spec.genus} lambda={spec.lam} mode={spec.mode.value} "
+        f"terms={len(terms)}",
+        f"{'shift':>16s}  {'exponent':>10s}  nu+a",
+    ]
+    lines += [f"{s:>16s}  {e:>10s}  {' '.join(nu)}"
+              for e, s, nu in _terms_written_out(spec, terms)]
+    return "\n".join(lines) + "\n"
+
+
+# The term-by-term oracle of each renderer.
+BY_TERM = {
+    "json": _json_by_term,
+    "json-written": _json_by_term,
+    "latex": _latex_by_term,
+    "text": _text_by_term,
 }
 
 
@@ -119,14 +171,29 @@ ROW_SPECS = {
 
 @pytest.mark.parametrize("fmt", RENDERERS)
 @pytest.mark.parametrize("key", ROW_SPECS)
-def test_row_rendering_matches_term_by_term(key, fmt, assert_same, monkeypatch):
+def test_row_rendering_matches_term_by_term(key, fmt, assert_same):
     spec, write = ROW_SPECS[key], RENDERERS[fmt]
     relation = build_relation(spec)
     assert type(relation) is Relation
-    rows = write(spec, relation)
+    assert_same(write(spec, relation), BY_TERM[fmt](spec, relation))
+
+
+@pytest.mark.parametrize("fmt", RENDERERS)
+def test_term_by_term_oracle_sees_two_swapped_coordinates(fmt, monkeypatch):
+    """A row writer that exchanges the top texts of nu_1 and nu_2 in every
+    template differs from the oracle, so the oracle is not a copy of
+    what it checks."""
+    spec = ROW_SPECS["5-2-mixed"]
+    relation = build_relation(spec)
+    write_terms = relations._write_terms
+
+    def swapped(spec, terms, writer, *args):
+        return write_terms(
+            spec, terms, lambda top: writer((top[0], top[2], top[1], *top[3:])), *args)
+
     for module in (relations, render):
-        monkeypatch.setattr(module, "_term_rows", _term_rows_term_by_term)
-    assert_same(rows, write(spec, relation))
+        monkeypatch.setattr(module, "_write_terms", swapped)
+    assert RENDERERS[fmt](spec, relation) != BY_TERM[fmt](spec, relation)
 
 
 @pytest.mark.parametrize(
@@ -198,3 +265,68 @@ def test_latex_abbreviates_only_equal_factors():
         for _, _, (s, t, u) in _terms_written_out(spec, relation, latex=True):
             assert (s == t == u) if abbreviated else (s == u != t)
             assert (s if abbreviated else s + t + s) in rhs
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert (code, err.getvalue()) == (0, "")
+    return out.getvalue()
+
+
+def test_public_objects_hold_plain_dict_rows():
+    spec = SPECS["7-2"]
+    relation = build_relation(spec)
+    for obj in (terms_to_json_obj(spec, relation), relation_report(spec, relation, [], 1e-9)):
+        rows = obj["terms"]
+        assert type(rows) is list and len(rows) == len(relation)
+        assert all(type(row) is dict and type(row["nu_shifted"]) is list for row in rows)
+        assert json.loads(json.dumps(obj))["terms"] == rows
+        # Each row is a fresh mutable dict.
+        rows[0]["shift"] = "edited"
+        assert terms_to_json_obj(spec, relation)["terms"][0]["shift"] != "edited"
+
+
+numerators = st.one_of(
+    st.integers(-40, 40), st.integers(10**20, 10**22), st.integers(-10**22, -10**20)
+)
+denominators = st.one_of(st.integers(1, 40), st.integers(10**6, 10**7))
+
+
+@st.composite
+def cli_specs(draw):
+    n, g = draw(st.integers(2, 7)), draw(st.integers(1, 2))
+    coordinate = st.builds(F, numerators, denominators)
+    half = st.tuples(*[coordinate] * g)
+    mu = draw(st.lists(st.builds(Characteristic, half, half), min_size=n, max_size=n))
+    return RelationSpec.create(n, g, mu, draw(st.sampled_from(CoefficientMode)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=cli_specs())
+def test_emit_json_is_the_dump_of_the_public_object(spec):
+    argv = ["emit", "--n", str(spec.n), "--g", str(spec.genus), "--mode", spec.mode.value,
+            "--format", "json"]
+    for m in spec.mu:
+        argv += ["--mu", str(m)]
+    obj = terms_to_json_obj(spec, build_relation(spec))
+    assert _run_cli(argv) == dumps(obj) + "\n"
+    # The texts written into templates and quoted without escaping.
+    for row in obj["terms"]:
+        for text in (row["shift"], row["exponent"], *row["nu_shifted"]):
+            assert re.fullmatch("[0-9/;,-]*", text)
+
+
+def test_command_line_documents_build_no_dict_rows(monkeypatch):
+    argvs = (["emit", "--n", "3", "--g", "2", "--format", "json"],
+             ["verify", "--n", "3", "--trials", "2"])
+    expected = [_run_cli(argv) for argv in argvs]
+
+    def refused(top):
+        raise AssertionError("a dict row was built")
+
+    monkeypatch.setattr(relations, "_json_row", refused)
+    assert [_run_cli(argv) for argv in argvs] == expected
+    with pytest.raises(AssertionError, match="dict row"):
+        terms_to_json_obj(SPECS["3-1"], build_relation(SPECS["3-1"]))

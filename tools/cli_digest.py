@@ -12,13 +12,15 @@ a refactor that must keep every output byte can be checked with
     diff <(python3 tools/cli_digest.py OLD) <(python3 tools/cli_digest.py NEW)
 
 The argv cover emit, verify, falsify, suite and table in each output
-format, malformed input that must fail with a usage error, and the
---help text of the top parser and of each of the five subcommands at
-COLUMNS=80.  The malformed specs are a missing --n, and then, refused
-by RelationSpec or Characteristic.parse, --n 1 and --n 0, --g 0 and
---g -1, a bad --mu token, too few --mu for emit and for verify, and a
---mu of the wrong genus at --g 1 and at --g 2.  A leading NAME=VALUE
-token sets that environment variable for one run, as in a shell.
+format, the edges of the emit row templates (n = 2, text fields that
+overflow, LaTeX abbreviation on both sides), malformed input that must
+fail with a usage error, and the --help text of the top parser and of
+each of the five subcommands at COLUMNS=80.  The malformed specs are a
+missing --n, and then, refused by RelationSpec or Characteristic.parse,
+--n 1 and --n 0, --g 0 and --g -1, a bad --mu token, too few --mu for
+emit and for verify, and a --mu of the wrong genus at --g 1 and at
+--g 2.  A leading NAME=VALUE token sets that environment variable for
+one run, as in a shell.
 THETA_MAX_RADIUS is unset for every other run.
 
 All of CASES then runs a second time in the same process.  If any
@@ -63,6 +65,18 @@ def _emit_cases() -> list[list[str]]:
         ["emit", "--n", "5", "--mode", "naive", "--format", "text"],
         ["emit", "--n", "4", "--g", "2", "--mu", "1/2,0;0,1/2", "--mu", "0,1/2;1/2,0",
          "--mu", "1/4,0;0,-1/3", "--mu", "0,0;0,0", "--format", "json"],
+    ]
+    # Edges of the row templates: lambda = 1; shifts wider than the
+    # 16-column text field; equal non-zero mu, abbreviated in LaTeX on
+    # both sides; exponents wider than the 10-column text field.
+    cases += [["emit", "--n", "2", "--format", fmt] for fmt in ("json", "latex", "text")]
+    cases += [
+        ["emit", "--n", "3", "--g", "3", "--format", "text"],
+        ["emit", "--n", "3", "--mu", "1/3;2/3", "--mu", "1/3;2/3", "--mu", "1/3;2/3"],
+        ["emit", "--n", "3", "--mu", "1/1234567;0", "--mu", "0;0", "--mu", "0;0",
+         "--format", "text"],
+        ["emit", "--n", "6", "--mode", "naive"],
+        ["emit", "--n", "4", "--g", "3", "--format", "json"],
     ]
     return cases
 

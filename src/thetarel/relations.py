@@ -59,7 +59,10 @@ same _rows); term (c, b) pairs top row c with bottom row b.  Every
 relation output is written by _write_terms, one block per top row c:
 a writer with the texts of c baked in (a % template for the texts of
 JSON, LaTeX and text, a dict builder for the object API) is mapped
-over the bottom rows and the exponent texts of the block.
+over the bottom rows and the exponent texts of the block.  The fields
+of a JSON row are named only by _json_row, and this module writes no
+JSON text: render.dumps alone lays out every row, the command line's
+from a template it makes of one _json_row prototype per document.
 """
 
 from __future__ import annotations
@@ -569,50 +572,33 @@ def verify_jacobi_a(
 
 
 def _json_row(top: tuple[str, ...]) -> Callable:
-    """The _write_terms writer of the dict rows of the object API."""
+    """The _write_terms writer of the JSON rows, the one place that names
+    their fields: the dict row of each term of a top row."""
     nu_tops = top[1:]
     return lambda t: {"shift": t[0], "exponent": t[1],
                       "nu_shifted": list(map(str.__add__, nu_tops, t[2:]))}
 
 
-def _json_rows(spec: RelationSpec, terms: Relation) -> Iterator[dict]:
-    """The JSON row of each term, as terms_to_json_obj holds it and
-    render.parse_terms_json checks it."""
-    return itertools.chain.from_iterable(_write_terms(spec, terms, _json_row))
-
-
 @dataclass(frozen=True, eq=False)
 class _JsonRows:
-    """The "terms" of a relation document as the command line writes
-    them: render.dumps writes chunks(pad) where the object API holds the
-    list of _json_rows, with the same bytes."""
+    """The "terms" of a relation document: iterating it gives the
+    _json_row of each term, as terms_to_json_obj holds them and
+    render.parse_terms_json checks them.  The command line passes it to
+    render.dumps unlisted, which lays the rows out without the dicts."""
 
     spec: RelationSpec
     terms: Relation
 
-    def chunks(self, pad: str) -> Iterator[str]:
-        """The rows as dumps writes a list of _json_rows whose key line
-        is padded by pad, one chunk per top digit row, so that no text
-        of all rows is made only to be copied into the document."""
-        inner, item = pad + "  ", pad + "    "
-
-        def writer(top):
-            nu = ", ".join('"' + t + '%s"' for t in top[1:])
-            return (inner + '{\n' + item + '"shift": "%s",\n' + item + '"exponent": "%s",\n'
-                    + item + '"nu_shifted": [' + nu + ']\n' + inner + '}').__mod__
-
-        separator = "[\n"
-        for block in _write_terms(self.spec, self.terms, writer):
-            yield separator
-            yield ",\n".join(block)
-            separator = ",\n"
-        yield "\n" + pad + "]"
+    def __iter__(self) -> Iterator[dict]:
+        return itertools.chain.from_iterable(_write_terms(self.spec, self.terms, _json_row))
 
 
 def _terms_json_obj(spec: RelationSpec, terms: Relation, written: bool = False) -> dict:
     """The "spec"/"terms" object shared by relation_report and emit.  Its
-    "terms" is the list of _json_rows, or, written, the _JsonRows that
-    the command line passes to render.dumps."""
+    "terms" is the list of the rows of _JsonRows(spec, terms), or,
+    written, that _JsonRows itself, which the command line passes to
+    render.dumps."""
+    rows = _JsonRows(spec, terms)
     return {
         "spec": {
             "n": spec.n,
@@ -621,7 +607,7 @@ def _terms_json_obj(spec: RelationSpec, terms: Relation, written: bool = False) 
             "mode": spec.mode.value,
             "mu": [str(m) for m in spec.mu],
         },
-        "terms": _JsonRows(spec, terms) if written else list(_json_rows(spec, terms)),
+        "terms": rows if written else list(rows),
     }
 
 

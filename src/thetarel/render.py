@@ -10,15 +10,18 @@ e[p/q] otherwise.
 The JSON, LaTeX and text renderers take a Relation (what
 build_relation returns) and write it through relations._write_terms,
 one % template per top digit row (LaTeX, text) or the dict rows of the
-object API (terms_to_json_obj).  dumps is the one JSON writer; the
-"terms" of a command-line document are a relations._JsonRows, whose
-rows it writes from per-row templates with the bytes of the dict rows.
+object API (terms_to_json_obj).  dumps is the one JSON writer and owns
+every layout; relations._json_row owns the fields of a term row.  The
+"terms" of a command-line document are a relations._JsonRows, which
+dumps writes through _write_json_rows: its template is dumps of one
+_json_row prototype, so the rows have the bytes of the dict rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .charalg import Characteristic, _latex_fraction, cycle_number
@@ -27,7 +30,7 @@ from .relations import (
     Relation,
     RelationSpec,
     _JsonRows,
-    _json_rows,
+    _json_row,
     _terms_json_obj,
     _write_terms,
     build_relation,
@@ -73,7 +76,8 @@ def dumps(obj, indent: int = 0) -> str:
     ints, bools, None and floats; Fractions render as "p/q" strings.  A
     dict, and a list holding a container, is written one item per line,
     indented by two spaces per level; any other list on one line.  A
-    relations._JsonRows is written as its chunks at the padding of its key.
+    relations._JsonRows is written by _write_json_rows at the padding of
+    its key.
     """
     out: list[str] = []
     put = out.append
@@ -92,7 +96,7 @@ def dumps(obj, indent: int = 0) -> str:
             if type(x) is str:
                 put(_encode_str(x))
             elif type(x) is _JsonRows:
-                out.extend(x.chunks(pad))
+                out.extend(_write_json_rows(x, pad))
             elif isinstance(x, dict):
                 if x:
                     inner = pad + "  "
@@ -122,6 +126,25 @@ def dumps(obj, indent: int = 0) -> str:
             if not stack:
                 return "".join(out)
             frame = stack.pop()
+
+
+def _write_json_rows(rows: _JsonRows, pad: str) -> Iterator[str]:
+    """The text of dumps(list(rows)) at the padding pad, one chunk per
+    top digit row, with no dict per term.  The template is dumps of one
+    _json_row prototype, built once: "%s" for each top text, "%%s" for
+    each term text.  Formatting it with the top texts of a row gives the
+    % template of the row's terms (_write_terms: no row text holds %)."""
+    spec = rows.spec
+    proto = _json_row(("%s",) * (spec.n + 1))(("%%s",) * (spec.n + 2))
+    template = pad + "  " + dumps(proto, len(pad) + 2)
+
+    def writer(top):
+        return (template % top[1:]).__mod__
+
+    for c, block in enumerate(_write_terms(spec, rows.terms, writer)):
+        yield ",\n" if c else "[\n"
+        yield ",\n".join(block)
+    yield "\n" + pad + "]"
 
 
 def terms_to_json_obj(spec: RelationSpec, terms: Relation) -> dict:
@@ -165,7 +188,7 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
         raise ValueError("terms do not match the relation of their spec")
     terms = build_relation(spec)
-    if not all(t == row for t, row in zip(rows, _json_rows(spec, terms))):
+    if not all(t == row for t, row in zip(rows, _JsonRows(spec, terms))):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
 

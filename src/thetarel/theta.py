@@ -37,16 +37,18 @@ theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
 nu' + (1/lambda) Z^g, with the same radius and tail envelope.
 
-What a sum needs of its exact inputs alone (the per-axis v arrays and
-their absolute values, the float mu'' vector and, for a shift table,
-the residue bins and the per-axis root-of-unity mixing matrices) is a
-plan, built by _plan from the key (mu', mu'', radius, lambda) and kept
-in a process-wide least-recently-used cache of _PLAN_CACHE_SIZE plans.
-The key holds exact rationals and integers only; no cache holds a
-float input, so z and tau are used afresh on every call.  A plan is
-built by the same operations whether it comes from the cache or not,
-and its arrays are read-only, so every result is bit-identical cold or
-warm.
+What a sum needs of the top mu' alone (the per-axis v arrays and, for
+a shift table, the residue bins and the per-axis root-of-unity mixing
+matrices) is a plan, built by _plan from the key (mu', radius, lambda)
+and kept in a process-wide least-recently-used cache of
+_PLAN_CACHE_SIZE plans.  The key holds exact rationals and integers
+only; no cache holds a float input, so z, tau and the float mu'' are
+used afresh on every call, and characteristics that differ only in
+mu'' share one plan.  A plan is built by the same operations whether
+it comes from the cache or not, and its arrays are read-only, so every
+result is bit-identical cold or warm.  The bins and the phases are
+exact for a top of any size; a large mu'' still loses the digits of
+its float.
 """
 
 from __future__ import annotations
@@ -83,8 +85,10 @@ _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # Lattice-sum plans kept by _plan.  A relation check of n <= 8 at one
 # radius needs at most 2n (n theta() keys and n shift-table keys).  A
-# shift-table plan at radius 4 takes 2 kB at (n, g) = (3, 1) to 130 kB
-# at (3, 3), its bins 8 bytes per box point; a theta() plan is < 1 kB.
+# theta() plan is < 1 kB.  A shift-table plan's bins take 8 bytes per box
+# point: 2 kB at (n, g) = (3, 1) and 130 kB at (3, 3) at radius 4, but
+# 7.0 MB at (3, 3) at radius 16, so at worst the 16 plans keep about
+# 110 MB alive after their calls.  The bound counts plans, not bytes.
 _PLAN_CACHE_SIZE = 16
 
 
@@ -217,8 +221,10 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
 
 class _Plan:
     """The exact part of one lattice sum over v in top + (1/lam) Z^g,
-    |v|_inf <= radius: everything that depends on (top, bottom, radius,
-    lam) and on no float input.
+    |v|_inf <= radius: everything that depends on (top, radius, lam) and
+    on no float input.  The bottom mu'' is not part of it: the sums
+    convert it with float on every call, so tops that differ only in
+    their bottoms share one plan.
 
     Per axis a, ks[a] holds the integers k with |top_a + k/lam| <= radius
     and v[a] the points v_a = top_a + k/lam.  With lam = 1 these are the
@@ -226,43 +232,34 @@ class _Plan:
     top + (1/lam) Z^g of a shift table.  The bounds are exact integer
     floor divisions on top_a = p/q, and each v is the one correctly
     rounded division (p lam + k q) / (q lam), so it carries a relative
-    error of at most u = 2^-53.  bottom is the float vector of bottom;
-    abs_v and abs_bottom are the absolute values.
+    error of at most u = 2^-53 however large top_a is.
 
     _plan shares one plan among all calls with its key, so every array
     is read-only.  The shift-table fields are built on first use, so
     theta() never pays for them.
     """
 
-    def __init__(self, top, bottom, radius: int, lam: int):
-        self.top, self.lam, self.ks = top, lam, []
-        values, axes = [], []
+    def __init__(self, top, radius: int, lam: int):
+        self.top, self.lam, self.ks, v = top, lam, [], []
         for m in top:
             p, q = m.numerator, m.denominator
             k = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
             self.ks.append(k)
-            axes.append(slice(len(values), len(values) + len(k)))
             # (p lam + j q) / (q lam) for each j in k.
             den = q * lam
-            values += [x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)]
-        rest = slice(len(values), None)
-        values += map(float, bottom)
-        # One array holds every axis and the bottom, so two flags make
-        # every field, a view of it, read-only.
-        flat = np.array(values)
-        absolute = np.abs(flat)
-        flat.flags.writeable = False
-        absolute.flags.writeable = False
-        self.v = tuple(flat[a] for a in axes)
-        self.abs_v = tuple(absolute[a] for a in axes)
-        self.bottom, self.abs_bottom = flat[rest], absolute[rest]
+            axis = np.array([x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)])
+            axis.flags.writeable = False
+            v.append(axis)
+        self.v = tuple(v)
 
     @functools.cached_property
     def bins(self) -> np.ndarray:
         """The bincount bin of every grid point, in ravel order: its
-        residues k_a mod lam^2 read as base-lam^2 digits, axis 0 first."""
+        residues k_a mod lam^2 read as base-lam^2 digits, axis 0 first.
+        The residues are taken of the offsets from k.start, so they fit
+        in int64 however large top_a, and so k.start, is."""
         sq, g = self.lam * self.lam, len(self.ks)
-        residues = [np.arange(k.start, k.stop) % sq * sq ** (g - 1 - a)
+        residues = [(np.arange(len(k)) + k.start % sq) % sq * sq ** (g - 1 - a)
                     for a, k in enumerate(self.ks)]
         bins = sum(_on_grid(residues)).ravel()
         bins.flags.writeable = False
@@ -273,25 +270,25 @@ class _Plan:
         """Per axis a, the lam^2 x lam^2 mixing matrix as an array
         [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + top_a) / lam]: it
         picks the coset c of the residue r and applies the phase of the
-        shift b."""
+        shift b.  As b is an integer, e[b top_a / lam] is taken of
+        top_a - lam * int(top_a / lam), which is top_a itself whenever
+        |top_a| < lam and keeps the phase exact for any other top_a."""
         lam, sq = self.lam, self.lam * self.lam
         r = np.arange(sq)[:, None, None]
         c = np.arange(lam)[None, :, None]
         b = np.arange(lam)[None, None, :]
         mixes = tuple(
             np.where(r % lam == c, np.exp(TWO_PI * 1j * ((r * b) % sq / sq + b * m / lam)), 0)
-            for m in map(float, self.top)
+            for m in (float(t - lam * int(t / lam)) for t in self.top)
         )
         for mix in mixes:
             mix.flags.writeable = False
         return mixes
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _plan(top: tuple, bottom: tuple, radius: int, lam: int) -> _Plan:
-    """The plan of the sum over top + (1/lam) Z^g, |v|_inf <= radius;
-    top and bottom are tuples of exact rationals."""
-    return _Plan(top, bottom, radius, lam)
+# The plan of the sum over top + (1/lam) Z^g, |v|_inf <= radius, for
+# _plan(top, radius, lam) with top a tuple of exact rationals.
+_plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
 
 
 def _on_grid(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -380,13 +377,14 @@ def _box_sum(
     where the factor 1.01 covers the rounding of the bound itself and of
     M, and the last term the terms that underflow to subnormals.
     """
-    plan = _plan(tuple(mu_top), tuple(mu_bottom), radius, 1)
-    terms = _grid_terms(plan.v, z + plan.bottom, tau).ravel()
+    plan = _plan(tuple(mu_top), radius, 1)
+    bottom = np.array([float(m) for m in mu_bottom])
+    terms = _grid_terms(plan.v, z + bottom, tau).ravel()
     value, depth = _halving_sum(terms)
     weight = _quadratic(
-        plan.abs_v,
+        [np.abs(v) for v in plan.v],
         np.abs(tau.real) + np.abs(tau.imag),
-        np.abs(z.real) + np.abs(z.imag) + plan.abs_bottom,
+        np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
     ).ravel()
     size = np.abs(terms.real) + np.abs(terms.imag)
     # An exponent error beyond expm1's range leaves no accuracy to claim:
@@ -466,7 +464,7 @@ def theta_shift_table(
     and binned by the per-axis residues k_a mod lam^2; per axis,
     one lam^2 x lam^2 root-of-unity matrix then picks the coset and
     applies the phase; the bins and those matrices come from the cached
-    plan of (nu', nu'', R, lam).  R comes from the same search as
+    plan of (nu', R, lam).  R comes from the same search as
     theta(), so each entry sums exactly the points theta(nu + a, w)
     sums, and its omitted tail, the same coset's points outside the box
     times unit-modulus phases, is bounded by the same envelope.  Raises
@@ -477,8 +475,9 @@ def theta_shift_table(
     w, radius, _ = _truncation(nu, w, tau, settings)
     g = tau.genus
     sq = lam * lam
-    plan = _plan(nu.top, nu.bottom, radius, lam)
-    terms = _grid_terms(plan.v, w + plan.bottom, tau.entries).ravel()
+    plan = _plan(nu.top, radius, lam)
+    bottom = np.array([float(m) for m in nu.bottom])
+    terms = _grid_terms(plan.v, w + bottom, tau.entries).ravel()
     table = (
         np.bincount(plan.bins, terms.real, sq**g) + 1j * np.bincount(plan.bins, terms.imag, sq**g)
     ).reshape((sq,) * g)

@@ -174,6 +174,23 @@ def test_verify_passes_and_exit_zero(capsys):
     assert json.loads(out)["verdict"] == "pass"
 
 
+@pytest.mark.parametrize(
+    "mu",
+    [["100000001/3;1", "0;0", "0;0"], ["1000000001/3;1", "0;0", "0;0"],
+     ["1000000000000000000001/3;1", "0;0", "0;0"], ["-100000001/3;1", "0;0", "0;0"],
+     ["30000000001/2,1/2;0,1/2", "0,0;0,0", "0,0;0,0", "0,0;0,0"]],
+    ids=["1e8", "1e9", "1e21", "minus-1e8", "n-4-g-2"],
+)
+def test_verify_passes_with_a_large_top(capsys, mu):
+    """A top far outside the lattice-sum box: its residues and phases are
+    exact, so the relation holds to rounding at any size of the top."""
+    n, g = len(mu), mu[0].split(";")[0].count(",") + 1
+    argv = ["verify", "--n", str(n), "--g", str(g), "--trials", "3",
+            *(a for m in mu for a in ("--mu", m))]
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, json.loads(out)["verdict"]) == (0, "pass")
+
+
 def test_verify_byte_stable(capsys):
     args = ["verify", "--n", "3", "--trials", "3", "--tol", "1e-9", "--seed", "7"]
     _, out1, _ = run_cli(capsys, *args)

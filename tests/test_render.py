@@ -322,11 +322,35 @@ def test_command_line_documents_build_no_dict_rows(monkeypatch):
     argvs = (["emit", "--n", "3", "--g", "2", "--format", "json"],
              ["verify", "--n", "3", "--trials", "2"])
     expected = [_run_cli(argv) for argv in argvs]
+    calls = []
+    json_row = relations._json_row
 
-    def refused(top):
-        raise AssertionError("a dict row was built")
+    def counted(top):
+        calls.append("top")
+        row = json_row(top)
 
-    monkeypatch.setattr(relations, "_json_row", refused)
-    assert [_run_cli(argv) for argv in argvs] == expected
-    with pytest.raises(AssertionError, match="dict row"):
-        terms_to_json_obj(SPECS["3-1"], build_relation(SPECS["3-1"]))
+        def counted_row(t):
+            calls.append("term")
+            return row(t)
+
+        return counted_row
+
+    for module in (relations, render):
+        monkeypatch.setattr(module, "_json_row", counted)
+    for argv, out in zip(argvs, expected):
+        calls.clear()
+        assert _run_cli(argv) == out
+        # One prototype row per document, for its template; none per term.
+        assert calls == ["top", "term"]
+    calls.clear()
+    terms_to_json_obj(SPECS["3-1"], build_relation(SPECS["3-1"]))
+    assert (calls.count("top"), calls.count("term")) == (3, 9)
+
+
+@pytest.mark.parametrize("indent", [0, 2, 5])
+@pytest.mark.parametrize("key", ROW_SPECS)
+def test_json_row_writer_writes_the_dumps_of_the_rows(key, indent):
+    spec = ROW_SPECS[key]
+    rows = relations._JsonRows(spec, build_relation(spec))
+    pad = " " * indent
+    assert "".join(render._write_json_rows(rows, pad)) == dumps(list(rows), indent)

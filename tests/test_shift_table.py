@@ -2,6 +2,7 @@
 constructions they replace, and the cache of lattice-sum plans."""
 
 import importlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -218,12 +219,57 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
 
 def test_plan_arrays_are_read_only():
     nu = Characteristic((F(1, 3), F(-4, 3)), (F(2, 3), F(1, 7)))
-    plan = theta_module._plan(nu.top, nu.bottom, 4, 3)
-    arrays = [*plan.v, *plan.abs_v, plan.bottom, plan.abs_bottom, plan.bins, *plan.mixes]
-    assert len(arrays) == 9
+    plan = theta_module._plan(nu.top, 4, 3)
+    arrays = [*plan.v, plan.bins, *plan.mixes]
+    assert len(arrays) == 5
+    # A plan holds what (top, radius, lam) fixes, and nothing of a bottom.
+    assert set(vars(plan)) == {"top", "lam", "ks", "v", "bins", "mixes"}
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
+
+
+def test_tops_with_different_bottoms_share_one_plan():
+    tau = PeriodMatrix(np.array([[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]))
+    w = np.array([0.3 - 0.2j, -0.1 + 0.35j])
+    top = (F(1, 3), F(-4, 3))
+    theta_module._plan.cache_clear()
+    for bottom in ((F(2, 3), F(1, 7)), (F(-5, 3), F(3, 11))):
+        nu = Characteristic(top, bottom)
+        table = theta_shift_table(nu, w, tau, 3)
+        assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
+    info = theta_module._plan.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+def _abs_term_sum(top, w, tau, lam):
+    """Sum of |e[(1/2) v tau . v + v . w]| over v in top + (1/lam) Z^g,
+    |v|_inf <= R, R the radius of theta(); top holds small rationals."""
+    radius = theta_module._truncation(Characteristic.zero(len(top)), w, tau, EvalSettings())[1]
+    axes = [np.array([float(t) + k / lam
+                      for k in range(math.floor(lam * (-radius - t)), math.ceil(lam * (radius - t)) + 1)
+                      if abs(t + F(k, lam)) <= radius])
+            for t in top]
+    v = np.stack([a.ravel() for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+    y = tau.entries.imag
+    return float(np.exp(-2 * np.pi * (0.5 * np.einsum("pa,ab,pb->p", v, y, v) + v @ w.imag)).sum())
+
+
+@pytest.mark.parametrize("j", [10**8, -10**8, 10**20, -10**20])
+@pytest.mark.parametrize("n,g", [(3, 1), (4, 2), (5, 2)])
+def test_large_tops_give_per_shift_theta_values(n, g, j):
+    """A top nu' + lam j, far outside the box, gives the table of
+    per-shift theta() calls: its box indices k need not fit in int64, and
+    the phase of each bottom shift is exact."""
+    lam = cycle_number(n)
+    rng = np.random.default_rng([n, g])
+    small = _mu("nonstandard", n, g, rng)[0]
+    nu = Characteristic(tuple(t + lam * j for t in small.top), small.bottom)
+    (w,), tau = TrialSampler(0).draw(rng, 1, g)
+    table = theta_shift_table(nu, w, tau, lam)
+    expected = [theta(nu + a, w, tau).value for a in enumerate_shifts(g, lam)]
+    scale = _abs_term_sum(small.top, w, tau, lam)
+    assert np.abs(table - expected).max() <= 1e-12 * scale
 
 
 def test_plan_cache_is_bounded():

@@ -21,7 +21,12 @@ missing --n, and then, refused by RelationSpec or Characteristic.parse,
 emit and for verify, and a --mu of the wrong genus at --g 1 and at
 --g 2.  A leading NAME=VALUE token sets that environment variable for
 one run, as in a shell.
-THETA_MAX_RADIUS is unset for every other run.
+THETA_MAX_RADIUS is unset for every other run.  Last come the
+characteristics with a large top, far outside the box of the lattice
+sum: verify at n = 3 with a first --mu of 100000001/3;1, of
+-100000001/3;1 and of 1000000000000000000001/3;1 (whose box indices do
+not fit in int64), and at (n, g) = (4, 2) with 30000000001/2,1/2;0,1/2;
+all other --mu are zero, and each must pass.
 
 All of CASES then runs a second time in the same process.  If any
 second-pass digest differs from the first, which is state left behind
@@ -139,7 +144,13 @@ HELP = [["COLUMNS=80", "--help"]] + [
     for command in ("emit", "verify", "falsify", "suite", "table")
 ]
 
-CASES = _emit_cases() + _run_cases() + MALFORMED + HELP
+LARGE_TOPS = [
+    ["verify", "--n", "3", "--mu", top, "--mu", "0;0", "--mu", "0;0", "--trials", "3"]
+    for top in ("100000001/3;1", "-100000001/3;1", "1000000000000000000001/3;1")
+] + [["verify", "--n", "4", "--g", "2", "--mu", "30000000001/2,1/2;0,1/2",
+      *(a for _ in range(3) for a in ("--mu", "0,0;0,0"))]]
+
+CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS
 
 
 def _load_main(root: Path):

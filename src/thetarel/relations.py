@@ -54,8 +54,8 @@ theta() bounds it as before.
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
 Fractions (_digit_table, for the terms of a Relation) or as texts
-(_text_rows for JSON and text; render writes its LaTeX rows with the
-same _rows); term (c, b) pairs top row c with bottom row b.  Every
+(_text_rows for JSON and text, _latex_rows for LaTeX); term (c, b)
+pairs top row c with bottom row b.  Every
 relation output is written by _write_terms, one block per top row c:
 a writer with the texts of c baked in (a % template for the texts of
 JSON, LaTeX and text, a dict builder for the object API) is mapped
@@ -63,6 +63,20 @@ over the bottom rows and the exponent texts of the block.  The fields
 of a JSON row are named only by _json_row, and this module writes no
 JSON text: render.dumps alone lays out every row, the command line's
 from a template it makes of one _json_row prototype per document.
+
+RelationSpec.create returns one shared instance per value (n, genus,
+mu, mode), from a process-wide least-recently-used cache of
+_SPEC_CACHE_SIZE specs, as theta._plan keeps lattice-sum plans.  The
+command line, render.parse_terms_json and the identity checks build
+their specs through create, so nu, the row tables and the exponent and
+coefficient tables are derived once per distinct spec per process.
+Each of them is a tuple or a read-only array, so no caller can change
+what the others share, and each is derived by the same operations
+whether the spec is new or shared, so every output is byte-identical
+cold or warm.  create builds, and so validates, a spec before it looks
+it up: bad input raises on every call and is never kept.  A spec over
+the caps of _kept is built afresh on every call, which bounds the
+cache in bytes (see _SPEC_CACHE_SIZE).
 """
 
 from __future__ import annotations
@@ -79,7 +93,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charalg import Characteristic, _fraction_text, cycle_number, enumerate_shifts
+from .charalg import (
+    Characteristic,
+    _fraction_text,
+    _latex_bottom,
+    _latex_fraction,
+    _latex_top,
+    cycle_number,
+    enumerate_shifts,
+)
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
@@ -137,8 +159,14 @@ def coefficient_kappa(n: int, mode: CoefficientMode) -> int:
 
 @dataclass(frozen=True)
 class RelationSpec:
-    """One instance of the relation: (n, genus, mu-tuple, mode), with the
-    values derived from it cached per instance (see the module docstring)."""
+    """One instance of the relation: (n, genus, mu-tuple, mode).
+
+    create returns one shared instance per value, from a bounded
+    process-wide cache (_shared_spec), so the values derived from a spec
+    (nu, its row tables and its exponent and coefficient tables, each a
+    cached property) are derived once per distinct spec per process; see
+    the module docstring.  Every derived table is immutable: tuples and
+    read-only arrays."""
 
     n: int
     genus: int
@@ -166,10 +194,14 @@ class RelationSpec:
         mu: Optional[Sequence[Characteristic]] = None,
         mode: CoefficientMode = CoefficientMode.MODIFIED,
     ) -> "RelationSpec":
+        """The shared spec of (n, genus, mu, mode), mu all zero by default.
+        The spec is built, and so validated, first; a spec over the caps
+        of _kept is returned as built and not kept."""
         if mu is None:
             # No characteristic has genus < 1; __post_init__ reports it.
             mu = [Characteristic.zero(genus)] * n if genus >= 1 else []
-        return cls(n, genus, tuple(mu), mode)
+        spec = cls(n, genus, tuple(mu), mode)
+        return _shared_spec(spec, type(n), type(genus)) if _kept(spec) else spec
 
     @property
     def lam(self) -> int:
@@ -180,7 +212,7 @@ class RelationSpec:
         """nu = mu S_n."""
         return apply_to_chars(smith_matrix(self.n), self.mu)
 
-    def _rows(self, rational: Callable, top: Callable, bottom: Callable) -> tuple[list, list]:
+    def _rows(self, rational: Callable, top: Callable, bottom: Callable) -> tuple[tuple, tuple]:
         """(tops, bottoms): for each digit vector d in {0..lambda-1}^g,
         lexicographic, the row of halves (d/lambda, nu_1 + d/lambda, ...,
         nu_n + d/lambda), top halves joined by top and bottom halves by
@@ -197,7 +229,7 @@ class RelationSpec:
                     for v in half
                 ]
                 per_half.append(list(map(join, itertools.product(*coordinates))))
-            return list(zip(*per_half))
+            return tuple(zip(*per_half))
 
         return (
             rows([zero, *(v.top for v in self._nu)], top),
@@ -205,14 +237,20 @@ class RelationSpec:
         )
 
     @functools.cached_property
-    def _digit_table(self) -> tuple[list, list]:
+    def _digit_table(self) -> tuple[tuple, tuple]:
         """_rows as Fraction g-tuples, for the terms of a Relation."""
         return self._rows(Fraction, tuple, tuple)
 
     @functools.cached_property
-    def _text_rows(self) -> tuple[list, list]:
+    def _text_rows(self) -> tuple[tuple, tuple]:
         """_rows as "top;" and "bottom" texts, for JSON and text."""
         return self._rows(_fraction_text, lambda t: ",".join(t) + ";", ",".join)
+
+    @functools.cached_property
+    def _latex_rows(self) -> tuple[tuple, tuple]:
+        """_rows as primed LaTeX stacks, split into their top and bottom
+        halves, for render.relation_to_latex."""
+        return self._rows(_latex_fraction, _latex_top, lambda t: _latex_bottom(t) + "'")
 
     @functools.cached_property
     def _exponent_parts(self) -> tuple[np.ndarray, tuple[int, ...], int]:
@@ -242,6 +280,40 @@ class RelationSpec:
         table = np.exp(-2j * math.pi * x).reshape(-1)
         table.flags.writeable = False
         return table
+
+
+# What create keeps.  A kept spec has at most _SPEC_TERM_CAP terms and at
+# most _SPEC_ROW_CAP row units (see _kept).  Its derived values take at
+# most 16 kB, plus 24 bytes per term (the int64 exponent and complex128
+# coefficient tables), plus 320 bytes per row unit (nu and the three row
+# tables): 0.4 MB + 1.3 MB = 1.7 MB per spec, so 55 MB for the
+# _SPEC_CACHE_SIZE kept specs in the worst shape, as
+# tests/test_relations.py measures.  The specs of the benchmark take
+# under 0.3 MB each, and that of (5, 3), with 15625 terms, 0.8 MB.
+_SPEC_CACHE_SIZE = 32
+_SPEC_TERM_CAP = 2**14
+_SPEC_ROW_CAP = 2**12
+
+
+def _kept(spec: RelationSpec) -> bool:
+    """Whether create keeps spec: it has at most _SPEC_TERM_CAP terms,
+    lambda^(2g), and at most _SPEC_ROW_CAP row units, (n + 1) lambda^g
+    (g + w).  Each of the 2 lambda^g rows of a row table holds n + 1
+    texts or tuples of g coordinates, whose size grows with w, the
+    64-bit words in all the numerators and denominators of mu."""
+    rows = spec.lam**spec.genus
+    bits = sum(v.numerator.bit_length() + v.denominator.bit_length()
+               for m in spec.mu for half in (m.top, m.bottom) for v in half)
+    return (rows * rows <= _SPEC_TERM_CAP
+            and (spec.n + 1) * rows * (spec.genus + -(-bits // 64)) <= _SPEC_ROW_CAP)
+
+
+@functools.lru_cache(maxsize=_SPEC_CACHE_SIZE)
+def _shared_spec(spec: RelationSpec, n_type: type, genus_type: type) -> RelationSpec:
+    """The first spec equal to spec, with an n and a genus of the same
+    types, that is still cached: equal values of other types, such as
+    True for 1 or a numpy integer, would be written differently."""
+    return spec
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ import json
 from collections.abc import Iterator
 from fractions import Fraction
 
-from .charalg import Characteristic, _latex_fraction, cycle_number
+from .charalg import Characteristic, _latex_bottom, _latex_fraction, _latex_top, cycle_number
 from .relations import (
     CoefficientMode,
     Relation,
@@ -177,12 +177,8 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     n = s["n"]
     if s["lambda"] != cycle_number(n):
         raise ValueError(f"lambda {s['lambda']} is not cycle_number({n})")
-    spec = RelationSpec(
-        n=n,
-        genus=s["g"],
-        mu=tuple(Characteristic.parse(m) for m in s["mu"]),
-        mode=CoefficientMode(s["mode"]),
-    )
+    spec = RelationSpec.create(
+        n, s["g"], [Characteristic.parse(m) for m in s["mu"]], CoefficientMode(s["mode"]))
     rows = obj["terms"]
     # Checked before build_relation, whose cost grows as lambda^(2g).
     if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
@@ -191,16 +187,6 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     if not all(t == row for t, row in zip(rows, _JsonRows(spec, terms))):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
-
-
-def _latex_top(texts) -> str:
-    """The top half of a LaTeX stack, from its coordinate texts."""
-    return "\\binom{" + "\\,".join(texts) + "}{"
-
-
-def _latex_bottom(texts) -> str:
-    """The bottom half of a LaTeX stack, which closes it."""
-    return "\\,".join(texts) + "}"
 
 
 def _latex_stack(c: Characteristic) -> str:
@@ -248,10 +234,9 @@ def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
         body = stacks[0] + "%.0s" * (len(stacks) - 1) if abbreviated else "".join(stacks)
         return ("%.0s%s" + body).__mod__
 
-    # The same stacks, primed, from the spec's rows of LaTeX coordinates.
-    primed = spec._rows(_latex_fraction, _latex_top, lambda t: _latex_bottom(t) + "'")
     pieces = itertools.chain.from_iterable(_write_terms(
-        spec, terms, writer, primed, lambda e: "%s %s" % _latex_coefficient(e, spec.lam)))
+        spec, terms, writer, spec._latex_rows,
+        lambda e: "%s %s" % _latex_coefficient(e, spec.lam)))
     # A leading "+" is not written.  One join writes the whole fragment:
     # at (7,2) a copy of the 1 MB text took a quarter of the call's time.
     first = next(pieces).removeprefix("+ ")

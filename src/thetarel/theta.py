@@ -41,10 +41,11 @@ What a sum needs of the top mu' alone (the per-axis v arrays and, for
 a shift table, the residue bins and the per-axis root-of-unity mixing
 matrices) is a plan, built by _plan from the key (mu', radius, lambda)
 and kept in a process-wide least-recently-used cache of
-_PLAN_CACHE_SIZE plans.  The key holds exact rationals and integers
-only; no cache holds a float input, so z, tau and the float mu'' are
-used afresh on every call, and characteristics that differ only in
-mu'' share one plan.  A plan is built by the same operations whether
+_PLAN_CACHE_SIZE plans; the bins of a box of more than _KEPT_BIN_POINTS
+points are built on each use and not kept.  The key holds exact
+rationals and integers only; no cache holds a float input, so z, tau
+and the float mu'' are used afresh on every call, and characteristics
+that differ only in mu'' share one plan.  A plan is built by the same operations whether
 it comes from the cache or not, and its arrays are read-only, so every
 result is bit-identical cold or warm.  The bins and the phases are
 exact for a top of any size; a large mu'' still loses the digits of
@@ -86,10 +87,16 @@ TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # Lattice-sum plans kept by _plan.  A relation check of n <= 8 at one
 # radius needs at most 2n (n theta() keys and n shift-table keys).  A
 # theta() plan is < 1 kB.  A shift-table plan's bins take 8 bytes per box
-# point: 2 kB at (n, g) = (3, 1) and 130 kB at (3, 3) at radius 4, but
-# 7.0 MB at (3, 3) at radius 16, so at worst the 16 plans keep about
-# 110 MB alive after their calls.  The bound counts plans, not bytes.
+# point: 2 kB at (n, g) = (3, 1) and 130 kB at (3, 3) at radius 4, and
+# 7.3 MB at (3, 3) at radius 16 (912673 points).  A plan keeps them only
+# for a box of at most _KEPT_BIN_POINTS points, 0.5 MB, so the 16 plans
+# keep at most 8 MB of bins; a larger box builds its bins on each call,
+# which took 4% to 10% of the time of that call's grid of terms (1.8 MB
+# of bins at (5, 3) at radius 6, 7.3 MB at (3, 3) at radius 16).  The
+# other arrays of a plan take 8 bytes per box row and 16 lam^4 bytes per
+# axis.
 _PLAN_CACHE_SIZE = 16
+_KEPT_BIN_POINTS = 2**16
 
 
 class TruncationError(ArithmeticError):
@@ -252,17 +259,26 @@ class _Plan:
             v.append(axis)
         self.v = tuple(v)
 
-    @functools.cached_property
+    @property
     def bins(self) -> np.ndarray:
         """The bincount bin of every grid point, in ravel order: its
         residues k_a mod lam^2 read as base-lam^2 digits, axis 0 first.
         The residues are taken of the offsets from k.start, so they fit
-        in int64 however large top_a, and so k.start, is."""
-        sq, g = self.lam * self.lam, len(self.ks)
-        residues = [(np.arange(len(k)) + k.start % sq) % sq * sq ** (g - 1 - a)
-                    for a, k in enumerate(self.ks)]
-        bins = sum(_on_grid(residues)).ravel()
-        bins.flags.writeable = False
+        in int64 however large top_a, and so k.start, is.
+
+        They take 8 bytes per grid point, so they are kept on the plan,
+        under this name, only for a box of at most _KEPT_BIN_POINTS
+        points; a larger box gets them built afresh, by the same
+        operations, on each use."""
+        bins = vars(self).get("bins")
+        if bins is None:
+            sq, g = self.lam * self.lam, len(self.ks)
+            residues = [(np.arange(len(k)) + k.start % sq) % sq * sq ** (g - 1 - a)
+                        for a, k in enumerate(self.ks)]
+            bins = sum(_on_grid(residues)).ravel()
+            bins.flags.writeable = False
+            if bins.size <= _KEPT_BIN_POINTS:
+                vars(self)["bins"] = bins
         return bins
 
     @functools.cached_property

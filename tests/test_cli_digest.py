@@ -1,6 +1,8 @@
 """tools/cli_digest.py digests the command line over a fixed argv set."""
 
+import hashlib
 import importlib.util
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +60,39 @@ def test_a_second_pass_that_differs_exits_one(monkeypatch, capsys):
     monkeypatch.setattr(tool, "_load_main", lambda root: lambda argv: 0)
     assert tool.main(["cli_digest.py"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_an_argv_that_raises_is_recorded_and_the_others_still_run(monkeypatch, capsys):
+    tool = _tool()
+
+    def crashing_main(argv):
+        if argv == ["table"]:
+            raise TypeError("boom")
+        return 0
+
+    monkeypatch.setattr(tool, "_load_main", lambda root: crashing_main)
+    assert tool.main(["cli_digest.py"]) == 0
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert len(lines) == len(tool.CASES) + 1
+    # The type name stands in the place of the exit code.
+    assert f"{hashlib.sha256(b'TypeError' + bytes(2)).hexdigest()}  table" in lines
+    assert err == "raised TypeError: table\n" * 2
+
+
+def test_the_second_pass_runs_the_cases_in_reverse_order(monkeypatch, capsys):
+    """State that one case leaves for the next only changes the case
+    before it in CASES, so only a reversed second pass can show it."""
+    tool = _tool()
+    before = tool.CASES[tool.CASES.index(["table"]) - 1]
+    last = [None]
+
+    def main(argv):
+        if argv == before and last[0] == ["table"]:
+            print("warm")
+        last[0] = argv
+        return 0
+
+    monkeypatch.setattr(tool, "_load_main", lambda root: main)
+    assert tool.main(["cli_digest.py"]) == 1
+    assert capsys.readouterr().err == f"second pass differs: {shlex.join(before)}\n"

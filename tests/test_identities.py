@@ -209,7 +209,9 @@ def test_suite_runs_and_passes():
 
 def test_suite_derives_nu_once_per_relation(monkeypatch):
     # The curated checks share one n=3 and one n=4 spec: with both fresh,
-    # a whole suite run derives nu = mu S_n once for each.
+    # made by create from a cleared cache, a whole suite run derives
+    # nu = mu S_n once for each.
+    relations._shared_spec.cache_clear()
     monkeypatch.setattr(identities, "_TERNARY", RelationSpec.create(3, 1))
     monkeypatch.setattr(identities, "_QUADRUPLE", RelationSpec.create(4, 1))
     derived = []

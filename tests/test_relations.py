@@ -211,6 +211,8 @@ def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     table = relations.RelationSpec.__dict__["_coefficients"]
     monkeypatch.setattr(table, "func", counted("coefficients", table.func))
     monkeypatch.setattr(relations, "rhs_value", counted("rhs_value", relations.rhs_value))
+    # A fresh shared spec: an earlier test may have derived its tables.
+    relations._shared_spec.cache_clear()
     spec = RelationSpec.create(2, 1, mode=CoefficientMode.NAIVE)
     reports = verify(spec, 3)
     assert all(r.status == "flagged" for r in reports)
@@ -603,3 +605,108 @@ def test_relation_report_schema():
         "seed_index", "tau", "z", "lhs", "rhs", "abs_error", "rel_error", "status",
     }
     assert obj["verdict"] == "pass"
+
+
+def _zero_mu_spec(n, g, mode=CoefficientMode.MODIFIED):
+    return RelationSpec(n, g, (Characteristic.zero(g),) * n, mode)
+
+
+def test_create_returns_one_shared_spec_per_value():
+    mu = [Characteristic.parse(t) for t in ("1/3;0", "0;2/3", "2/3;1/3")]
+    same = [Characteristic((F(2, 6),), (0,)), Characteristic((0,), ("2/3",)), mu[2]]
+    spec = RelationSpec.create(3, 1, mu)
+    assert RelationSpec.create(3, 1, tuple(same)) is spec
+    assert RelationSpec.create(3, 1, [Characteristic.zero(1)] * 3) is RelationSpec.create(3, 1)
+    assert RelationSpec.create(3, 1, mu, CoefficientMode.NAIVE) is not spec
+    # Equal values of another type would be written differently.
+    assert RelationSpec.create(3, True).genus is True
+    assert RelationSpec.create(3, 1).genus is not True
+
+
+@pytest.mark.parametrize("n,g,mu", [
+    (3, 5, None),       # 3^10 = 59049 terms
+    (37, 1, None),      # 1369 terms, 38 * 37 * (1 + 2) = 4218 row units
+    # 9 terms, but 26583 bits of mu: 4 * 3 * (1 + 416) = 5004 row units
+    (3, 1, [Characteristic((F(10**8000 + 1, 3),), (F(0),))] + [Characteristic.zero(1)] * 2),
+])
+def test_a_spec_over_the_caps_is_new_on_every_call(n, g, mu):
+    relations._shared_spec.cache_clear()
+    spec = RelationSpec.create(n, g, mu)
+    assert not relations._kept(spec)
+    assert RelationSpec.create(n, g, mu) is not spec
+    assert RelationSpec.create(n, g, mu) == spec
+    assert relations._shared_spec.cache_info().currsize == 0
+
+
+def test_the_largest_grid_spec_and_the_benchmark_specs_are_kept():
+    for n, g in [(5, 3), (3, 3), (7, 2), (8, 2), (9, 1), (4, 3), (5, 2)]:
+        assert RelationSpec.create(n, g) is RelationSpec.create(n, g)
+
+
+def test_spec_cache_never_holds_more_than_its_size():
+    relations._shared_spec.cache_clear()
+    size = relations._shared_spec.cache_info().maxsize
+    assert size == relations._SPEC_CACHE_SIZE
+    for k in range(size + 8):
+        RelationSpec.create(3, 1, [Characteristic((F(k, 7),), (F(0),))] * 3)
+        assert relations._shared_spec.cache_info().currsize == min(k + 1, size)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: RelationSpec.create(1, 1),
+    lambda: RelationSpec.create(3, 0),
+    lambda: RelationSpec.create(3, 2, [Characteristic.zero(1)] * 3),
+    lambda: RelationSpec.create(3, 1, [Characteristic.parse(t) for t in ("0;0", "oops;0", "0;0")]),
+], ids=["n=1", "g=0", "genus-mismatch", "bad-mu-token"])
+def test_bad_specs_raise_the_same_error_on_every_call(make):
+    relations._shared_spec.cache_clear()
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            make()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert relations._shared_spec.cache_info().currsize == 0
+
+
+def test_shared_tables_are_tuples_and_read_only_arrays():
+    spec = RelationSpec.create(3, 2, [Characteristic.parse("1/3,0;2/3,1/3")] * 3)
+    assert type(spec._nu) is tuple
+    for table in (spec._digit_table, spec._text_rows, spec._latex_rows):
+        assert type(table) is tuple and len(table) == 2
+        for half in table:
+            assert type(half) is tuple and len(half) == spec.lam**spec.genus
+            assert all(type(row) is tuple and len(row) == spec.n + 1 for row in half)
+    cross, drift, _ = spec._exponent_parts
+    assert type(drift) is tuple
+    assert not cross.flags.writeable and not spec._coefficients.flags.writeable
+
+
+def _units(spec):
+    bits = sum(v.numerator.bit_length() + v.denominator.bit_length()
+               for m in spec.mu for half in (m.top, m.bottom) for v in half)
+    return (spec.n + 1) * spec.lam**spec.genus * (spec.genus + -(-bits // 64))
+
+
+@pytest.mark.parametrize("spec", [
+    _zero_mu_spec(5, 3),                  # the most terms of a kept spec
+    _zero_mu_spec(35, 1),                 # row units near the cap
+    _zero_mu_spec(4, 1),                  # the fixed part dominates
+    _zero_mu_spec(2, 60),                 # long rows
+    RelationSpec(5, 1, tuple(Characteristic((F(1, p),), (F(2, p + 2),))
+                             for p in (2**64 - 59, 2**64 - 83, 2**64 - 95, 2**64 - 179, 7)),
+                 CoefficientMode.MODIFIED),   # coprime 64-bit denominators
+], ids=["5-3", "35-1", "4-1", "2-60", "5-1-wide"])
+def test_a_kept_spec_takes_at_most_its_stated_bytes(spec):
+    # The bound of the _SPEC_CACHE_SIZE comment: 16 kB, 24 B per term and
+    # 320 B per row unit for all that a spec derives.
+    assert relations._kept(spec)
+    smith_matrix(spec.n)
+    tracemalloc.start()
+    try:
+        spec._nu, spec._digit_table, spec._text_rows, spec._latex_rows
+        spec._exponent_parts, spec._coefficients
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held <= 16384 + 24 * spec.lam ** (2 * spec.genus) + 320 * _units(spec)

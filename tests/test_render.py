@@ -21,7 +21,7 @@ from thetarel import (
     cycle_number,
     relation_report,
 )
-from thetarel import cli, relations, render
+from thetarel import charalg, cli, relations, render
 from thetarel.render import dumps, relation_to_latex, terms_to_json_obj, terms_to_text
 
 F = Fraction
@@ -242,6 +242,8 @@ def test_rendering_a_relation_builds_no_terms(monkeypatch):
 
 
 def test_rendering_a_relation_leaves_the_digit_table_underived():
+    # A fresh shared spec: an earlier test may have derived the table.
+    relations._shared_spec.cache_clear()
     spec = RelationSpec.create(5, 2, _mixed_mu(5, 2))
     relation = build_relation(spec)
     for write in RENDERERS.values():
@@ -354,3 +356,51 @@ def test_json_row_writer_writes_the_dumps_of_the_rows(key, indent):
     rows = relations._JsonRows(spec, build_relation(spec))
     pad = " " * indent
     assert "".join(render._write_json_rows(rows, pad)) == dumps(list(rows), indent)
+
+
+def _spec_argv(spec):
+    return ["--n", str(spec.n), "--g", str(spec.genus), "--mode", spec.mode.value,
+            *(a for m in spec.mu for a in ("--mu", str(m)))]
+
+
+@pytest.mark.parametrize("key", ROW_SPECS)
+def test_cold_warm_and_direct_specs_write_the_same_bytes(key):
+    """The command line's emit documents and verify JSON, and the
+    parse_terms_json round trip, have the same bytes whether the spec is
+    new to the cache (cold), shared from it (warm) or built directly."""
+    given = ROW_SPECS[key]
+    argvs = [["emit", *_spec_argv(given), "--format", fmt] for fmt in ("json", "latex", "text")]
+    argvs.append(["verify", *_spec_argv(given), "--trials", "1", "--seed", "5"])
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        # verify exits 1 for the naive specs, whose relation fails.
+        assert code in (0, 1) and err.getvalue() == ""
+        return out.getvalue()
+
+    def command_line():
+        outputs = list(map(run, argvs))
+        spec, terms = render.parse_terms_json(outputs[0])
+        return outputs, spec, dumps(terms_to_json_obj(spec, terms)) + "\n"
+
+    relations._shared_spec.cache_clear()
+    charalg._parsed.cache_clear()
+    cold, cold_spec, cold_round_trip = command_line()
+    assert cold_round_trip == cold[0]
+    warm, warm_spec, warm_round_trip = command_line()
+    assert warm_spec is cold_spec == given
+    assert (warm, warm_round_trip) == (cold, cold_round_trip)
+
+    spec = RelationSpec(given.n, given.genus, given.mu, given.mode)
+    assert spec is not cold_spec
+    terms = build_relation(spec)
+    reports = relations.verify(spec, 1, sampler=relations.TrialSampler(5))
+    direct = [
+        dumps(relations._terms_json_obj(spec, terms, written=True)) + "\n",
+        relation_to_latex(spec, terms) + "\n",
+        terms_to_text(spec, terms),
+        dumps(relation_report(spec, terms, reports, 1e-9)) + "\n",
+    ]
+    assert direct == cold

@@ -280,3 +280,35 @@ def test_plan_cache_is_bounded():
         theta(nu, 0.1j, tau)
         theta_shift_table(nu, 0.1j, tau, 3)
     assert theta_module._plan.cache_info().currsize == size
+
+
+def test_a_plan_keeps_no_bins_of_a_large_box():
+    # At Im tau = 0.06 I the (3, 3) box has radius 16: 97^3 grid points,
+    # whose bins would take 7.3 MB.  They are built for the call and not
+    # kept, and the table has the bits of the unplanned reference.
+    nu = Characteristic.zero(3)
+    w, tau = np.array([0.1, -0.2, 0.3 + 0j]), PeriodMatrix(0.06j * np.eye(3))
+    theta_module._plan.cache_clear()
+    table = theta_shift_table(nu, w, tau, 3)
+    plan = theta_module._plan(nu.top, 16, 3)
+    assert theta_module._plan.cache_info().hits == 1
+    assert "bins" not in vars(plan)
+    bins = plan.bins
+    assert bins.size == 97**3 > theta_module._KEPT_BIN_POINTS
+    assert plan.bins is not bins and np.array_equal(plan.bins, bins)
+    assert not bins.flags.writeable
+    assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
+
+
+@pytest.mark.parametrize("n,g", [(3, 1), (5, 2), (3, 3)])
+def test_kept_and_unkept_bins_give_the_same_bits(n, g, monkeypatch):
+    rng = np.random.default_rng([n, g, 1])
+    lam = cycle_number(n)
+    nu = _mu("nonstandard", n, g, rng)[0]
+    (w,), tau = TrialSampler(0).draw(rng, 1, g)
+    theta_module._plan.cache_clear()
+    kept = theta_shift_table(nu, w, tau, lam).tobytes()
+    monkeypatch.setattr(theta_module, "_KEPT_BIN_POINTS", 0)
+    theta_module._plan.cache_clear()
+    assert theta_shift_table(nu, w, tau, lam).tobytes() == kept
+    assert theta_shift_table(nu, w, tau, lam).tobytes() == kept

@@ -6,6 +6,9 @@ Imports thetarel.cli from ROOT/src (default: the repository that holds
 this script) and runs every argv of CASES in-process through main().
 For each it prints the sha256 of the exit code, stdout and stderr,
 then the argv; the last line is the sha256 of all the lines before it.
+A run that raises an exception other than SystemExit has the name of
+the exception's type in place of its exit code, and its argv goes to
+stderr, so one crashing argv leaves the digests of all the others.
 Two trees whose command line behaves the same print the same lines, so
 a refactor that must keep every output byte can be checked with
 
@@ -28,11 +31,13 @@ sum: verify at n = 3 with a first --mu of 100000001/3;1, of
 not fit in int64), and at (n, g) = (4, 2) with 30000000001/2,1/2;0,1/2;
 all other --mu are zero, and each must pass.
 
-All of CASES then runs a second time in the same process.  If any
-second-pass digest differs from the first, which is state left behind
-by an earlier run (a cached parser or lattice-sum plan, say), the
-argv of each such case goes to stderr and the exit status is 1; the
-printed lines are those of the first pass either way.  Stdlib only.
+All of CASES then runs a second time in the same process, in reverse
+order, so that state left behind by a later case meets an earlier one.
+If any second-pass digest differs from the first, which is state left
+behind by an earlier run (a cached parser, relation spec or lattice-sum
+plan, say), the argv of each such case goes to stderr and the exit
+status is 1; the printed lines are those of the first pass either way.
+Stdlib only.
 """
 
 from __future__ import annotations
@@ -179,9 +184,13 @@ def digest(main, case: list[str]) -> str:
                 code = main(argv)
             except SystemExit as exc:
                 code = exc.code
+            except Exception as exc:
+                code = type(exc).__name__
     finally:
         for name in env:
             os.environ.pop(name, None)
+    if isinstance(code, str):
+        print(f"raised {code}: {shlex.join(case)}", file=sys.stderr)
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -190,7 +199,7 @@ def main(argv: list[str]) -> int:
     root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
     cli_main = _load_main(root)
     lines = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
-    again = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
+    again = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in reversed(CASES)][::-1]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
     print("\n".join(lines))
     print(f"{total}  total")

@@ -22,15 +22,10 @@ and the LaTeX renderer do, so shifted coordinates are written without
 building Fractions; _latex_top and _latex_bottom write the two halves of
 a LaTeX characteristic stack, for render's stacks and for the primed
 LaTeX rows that relations.RelationSpec keeps.
-
-Characteristic.parse memoises its result per text in a bounded
-least-recently-used memo; a Characteristic is immutable, so every
-caller can share it.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import numbers
@@ -110,16 +105,19 @@ class Characteristic:
 
     @classmethod
     def parse(cls, text: str) -> "Characteristic":
-        """Parse the text format "p/q,...;p/q,..." (top;bottom).
+        """Parse the text format "p/q,...;p/q,..." (top;bottom)."""
+        parts = text.split(";")
+        if len(parts) != 2:
+            raise ValueError(f"characteristic needs exactly one ';': {text!r}")
 
-        A str of at most _PARSE_TEXT_CAP characters is parsed once per
-        process while it stays in the least-recently-used memo of
-        _PARSE_CACHE_SIZE texts (see there), which hands the same
-        immutable Characteristic to every caller; any other text is
-        parsed afresh.  Errors are raised on every call, never kept."""
-        if type(text) is str and len(text) <= _PARSE_TEXT_CAP:
-            return _parsed(cls, text)
-        return _parse(cls, text)
+        def rational(token):
+            try:
+                return Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                raise ValueError(f"bad rational token {token!r} in {text!r}") from None
+
+        top, bottom = (tuple(rational(t.strip()) for t in part.split(",")) for part in parts)
+        return cls(top, bottom)
 
     def __str__(self) -> str:
         return f"{_half_text(self.top)};{_half_text(self.bottom)}"
@@ -140,31 +138,6 @@ class Characteristic:
         return char_linear_combine((scalar,), (self,))
 
     __rmul__ = __mul__
-
-
-def _parse(cls, text: str) -> Characteristic:
-    """Characteristic.parse without the memo."""
-    parts = text.split(";")
-    if len(parts) != 2:
-        raise ValueError(f"characteristic needs exactly one ';': {text!r}")
-
-    def rational(token):
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"bad rational token {token!r} in {text!r}") from None
-
-    top, bottom = (tuple(rational(t.strip()) for t in part.split(",")) for part in parts)
-    return cls(top, bottom)
-
-
-# The memo of Characteristic.parse.  A text of c <= _PARSE_TEXT_CAP
-# characters holds at most c/2 + 1 coordinates, each a Fraction of
-# at most c digits in all, so a memo entry (the text, its Characteristic
-# and the key) takes at most about 4 kB and the full memo about 1 MB.
-_PARSE_CACHE_SIZE = 256
-_PARSE_TEXT_CAP = 64
-_parsed = functools.lru_cache(maxsize=_PARSE_CACHE_SIZE)(_parse)
 
 
 def _half_text(half: tuple[Fraction, ...]) -> str:

@@ -1,11 +1,9 @@
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetarel import charalg
 from thetarel.charalg import _fraction_text, _latex_fraction
 from thetarel import (
     Characteristic,
@@ -259,49 +257,3 @@ def test_transformed_integer_tuples_share_class():
         eta = apply_to_args(smith_matrix(n), xi)
         cls = class_of(eta, cycle_number(n))
         assert 0 <= cls.ell < cls.lam
-
-
-def test_parse_shares_one_characteristic_per_text():
-    assert Characteristic.parse("1/3,0;2/3,1/3") is Characteristic.parse("1/3,0;2/3,1/3")
-    # Equal values from other texts are equal, not shared.
-    assert Characteristic.parse("2/6,0;2/3,1/3") == Characteristic.parse("1/3,0;2/3,1/3")
-    long = ",".join(["1/3"] * 20) + ";" + ",".join(["0"] * 20)
-    assert len(long) > charalg._PARSE_TEXT_CAP
-    assert Characteristic.parse(long) is not Characteristic.parse(long)
-    assert Characteristic.parse(long) == Characteristic.parse(long)
-
-
-def test_parse_raises_the_same_error_on_every_call():
-    for text in ["1/3,x;0", "1/3", 5, ["0;0"]]:
-        errors = []
-        for _ in range(2):
-            with pytest.raises((ValueError, AttributeError)) as info:
-                Characteristic.parse(text)
-            errors.append((type(info.value), str(info.value)))
-        assert errors[0] == errors[1]
-
-
-def test_parse_memo_is_bounded_in_entries_and_bytes():
-    # The bound of the _PARSE_CACHE_SIZE comment: about 4 kB per entry.
-    # A text of the cap holds the most coordinates when they have one
-    # digit each, or the largest integers when it has one coordinate.
-    size, cap = charalg._PARSE_CACHE_SIZE, charalg._PARSE_TEXT_CAP
-    shapes = [
-        lambda k: ",".join(str(1 + k // 9**j % 9) for j in range(cap // 4)) + ";"
-        + ",".join(str(1 + (k + j) % 9) for j in range(cap // 4)),
-        lambda k: f"{10**26 + k}/{10**26 + 7};-{10**5 + k}",
-    ]
-    for shape in shapes:
-        charalg._parsed.cache_clear()
-        tracemalloc.start()
-        try:
-            for k in range(size):
-                Characteristic.parse(shape(k))
-            held = tracemalloc.get_traced_memory()[0]
-        finally:
-            tracemalloc.stop()
-        assert charalg._parsed.cache_info().currsize == size
-        assert len(shape(0)) <= cap and held <= 4096 * size
-    for k in range(size + 10):
-        Characteristic.parse(f"{k};0")
-    assert charalg._parsed.cache_info().currsize == size

@@ -21,7 +21,7 @@ from thetarel import (
     cycle_number,
     relation_report,
 )
-from thetarel import charalg, cli, relations, render
+from thetarel import cli, relations, render
 from thetarel.render import dumps, relation_to_latex, terms_to_json_obj, terms_to_text
 
 F = Fraction
@@ -386,7 +386,6 @@ def test_cold_warm_and_direct_specs_write_the_same_bytes(key):
         return outputs, spec, dumps(terms_to_json_obj(spec, terms)) + "\n"
 
     relations._shared_spec.cache_clear()
-    charalg._parsed.cache_clear()
     cold, cold_spec, cold_round_trip = command_line()
     assert cold_round_trip == cold[0]
     warm, warm_spec, warm_round_trip = command_line()

@@ -178,6 +178,7 @@ def digest(main, case: list[str]) -> str:
     os.environ.pop("THETA_MAX_RADIUS", None)
     os.environ.update(env)
     out, err = io.StringIO(), io.StringIO()
+    raised = False
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
@@ -185,11 +186,11 @@ def digest(main, case: list[str]) -> str:
             except SystemExit as exc:
                 code = exc.code
             except Exception as exc:
-                code = type(exc).__name__
+                code, raised = type(exc).__name__, True
     finally:
         for name in env:
             os.environ.pop(name, None)
-    if isinstance(code, str):
+    if raised:
         print(f"raised {code}: {shlex.join(case)}", file=sys.stderr)
     blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
     return hashlib.sha256(blob.encode()).hexdigest()

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -80,12 +81,7 @@ class Characteristic:
     def __post_init__(self):
         object.__setattr__(self, "top", _coerce_vector(self.top))
         object.__setattr__(self, "bottom", _coerce_vector(self.bottom))
-        if len(self.top) != len(self.bottom):
-            raise ValueError(
-                f"top/bottom length mismatch: {len(self.top)} != {len(self.bottom)}"
-            )
-        if not self.top:
-            raise ValueError("characteristic needs genus >= 1")
+        _check_halves(self.top, self.bottom)
 
     @property
     def genus(self) -> int:
@@ -112,12 +108,13 @@ class Characteristic:
 
         def rational(token):
             try:
-                return Fraction(token)
+                return _token_fraction(token)
             except (ValueError, ZeroDivisionError):
                 raise ValueError(f"bad rational token {token!r} in {text!r}") from None
 
         top, bottom = (tuple(rational(t.strip()) for t in part.split(",")) for part in parts)
-        return cls(top, bottom)
+        _check_halves(top, bottom)
+        return cls._unchecked(top, bottom)
 
     def __str__(self) -> str:
         return f"{_half_text(self.top)};{_half_text(self.bottom)}"
@@ -138,6 +135,29 @@ class Characteristic:
         return char_linear_combine((scalar,), (self,))
 
     __rmul__ = __mul__
+
+
+def _check_halves(top: tuple, bottom: tuple) -> None:
+    """Raise ValueError unless top and bottom have one length >= 1."""
+    if len(top) != len(bottom):
+        raise ValueError(f"top/bottom length mismatch: {len(top)} != {len(bottom)}")
+    if not top:
+        raise ValueError("characteristic needs genus >= 1")
+
+
+# A token of ASCII digits with an optional leading "-" and an optional
+# "/digits": its (numerator, denominator) texts.
+_PLAIN_TOKEN = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?").fullmatch
+
+
+def _token_fraction(token: str) -> Fraction:
+    """Fraction(token), with the same errors; a plain token p or p/q is
+    read by int(), not by Fraction's own regular expression."""
+    plain = _PLAIN_TOKEN(token)
+    if plain is None:
+        return Fraction(token)
+    p, q = plain.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def _half_text(half: tuple[Fraction, ...]) -> str:

@@ -532,7 +532,7 @@ class TrialSampler:
     keeps Im tau positive definite.  Positive definiteness is decided by
     the certified test of PeriodMatrix, _min_eig_lower(Im tau) > 0,
     before Re tau is drawn, so every drawn matrix is one PeriodMatrix
-    accepts.
+    accepts, and the bound is handed to it rather than computed again.
     """
 
     seed: int = DEFAULT_SEED
@@ -556,8 +556,10 @@ class TrialSampler:
         while True:
             d = rng.uniform(0.9, 1.4, genus)
             im = np.diag(d) + 0.2 * symmetric(-1.0, 1.0)
-            if _min_eig_lower(im) > 0.0:
-                return PeriodMatrix(symmetric(-0.3, 0.3) + 1j * im)
+            lam_min = _min_eig_lower(im)
+            if lam_min > 0.0:
+                # The imaginary part of the sum is im exactly.
+                return PeriodMatrix._certified(symmetric(-0.3, 0.3) + 1j * im, lam_min)
 
     def draw_args(
         self, rng: np.random.Generator, n: int, genus: int

@@ -15,6 +15,10 @@ every layout; relations._json_row owns the fields of a term row.  The
 "terms" of a command-line document are a relations._JsonRows, which
 dumps writes through _write_json_rows: its template is dumps of one
 _json_row prototype, so the rows have the bytes of the dict rows.
+
+parse_terms_json checks a document in the layout dumps writes by its
+bytes, against dumps of the rebuilt document, decoding only its "spec";
+any other layout it reads with json.loads and checks by its rows.
 """
 
 from __future__ import annotations
@@ -155,17 +159,78 @@ def terms_to_json_obj(spec: RelationSpec, terms: Relation) -> dict:
 def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     """Inverse of terms_to_json_obj + dumps; round-trips byte-identically.
 
-    Only "spec" is parsed: the terms are rebuilt from it, and a "terms"
-    list other than the rebuilt one, or a "lambda" other than
+    Only "spec" is parsed: the terms are rebuilt from it.  A document in
+    the layout dumps writes is checked by its bytes: it is accepted when,
+    but for surrounding JSON whitespace, it is the text of the rebuilt
+    document.  Any other layout, and any such document that is not, is
+    read by json.loads and checked by its rows: a "terms" list other
+    than the rows of the rebuilt relation, or a "lambda" other than
     cycle_number(n), raises ValueError.  So does a document that is not
     an object, lacks a key, or has an "n", "g" or "lambda" that is not a
-    JSON integer."""
+    JSON integer.  Both checks give the same (spec, terms), and a
+    document that the bytes do not accept gets the rows' verdict."""
+    written = _parse_written(text)
+    if written is not None:
+        return written
     obj = json.loads(text)
-    s = obj.get("spec") if isinstance(obj, dict) else None
+    is_object = isinstance(obj, dict)
+    spec = _spec_of(obj.get("spec") if is_object else None, is_object and "terms" not in obj)
+    rows = obj["terms"]
+    # Checked before build_relation, whose cost grows as lambda^(2g).
+    if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
+        raise ValueError("terms do not match the relation of their spec")
+    terms = build_relation(spec)
+    if not all(t == row for t, row in zip(rows, _JsonRows(spec, terms))):
+        raise ValueError("terms do not match the relation of their spec")
+    return spec, terms
+
+
+# The head of dumps of a dict whose first key is "spec", and the white
+# space that JSON allows around a value.
+_WRITTEN_HEAD = '{\n  "spec": '
+_JSON_SPACE = " \t\n\r"
+
+
+def _parse_written(text) -> tuple[RelationSpec, Relation] | None:
+    """parse_terms_json of a document in the layout dumps writes, checked
+    by its bytes, or None for any other text.  Only the "spec" object is
+    decoded.  A spec laid out otherwise, or a text too short to hold the
+    lambda^(2g) rows of its spec, builds no relation.  An error here
+    gives None, so that json.loads and the row check raise in their own
+    order: ValueError for any refused spec or text, TypeError for a text
+    that is not a str."""
+    try:
+        body = text.strip(_JSON_SPACE)
+        if not body.startswith(_WRITTEN_HEAD):
+            return None
+        s, end = json.JSONDecoder().raw_decode(body, len(_WRITTEN_HEAD))
+        # json.dumps(obj, indent=2) has the same head.
+        if body[len(_WRITTEN_HEAD):end] != dumps(s, 2):
+            return None
+        spec = _spec_of(s, False)
+        # No row is shorter than the one whose texts are all empty.
+        shortest = _json_row(("",) * (spec.n + 1))(("",) * (spec.n + 2))
+        if spec.lam ** (2 * spec.genus) * len(dumps(shortest, 4)) > len(body):
+            return None
+        terms = build_relation(spec)
+        if body == dumps(_terms_json_obj(spec, terms, written=True)):
+            return spec, terms
+    except (ValueError, TypeError):
+        pass
+    return None
+
+
+def _spec_of(s, lacks_terms: bool) -> RelationSpec:
+    """The RelationSpec of the "spec" object s of a relation document,
+    whose "terms" key is missing if lacks_terms.  An s that is not an
+    object, a missing key, an "n", "g" or "lambda" that is not a JSON
+    integer, a "mu" that is not a list of strings and a "lambda" other
+    than cycle_number(n) raise ValueError, as do the refusals of
+    RelationSpec.create."""
     if not isinstance(s, dict):
         raise ValueError('relation JSON must be an object with a "spec" object')
     missing = [f"spec.{k}" for k in ("n", "g", "lambda", "mode", "mu") if k not in s]
-    if "terms" not in obj:
+    if lacks_terms:
         missing.append("terms")
     if missing:
         raise ValueError(f"relation JSON lacks {', '.join(missing)}")
@@ -177,16 +242,8 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     n = s["n"]
     if s["lambda"] != cycle_number(n):
         raise ValueError(f"lambda {s['lambda']} is not cycle_number({n})")
-    spec = RelationSpec.create(
+    return RelationSpec.create(
         n, s["g"], [Characteristic.parse(m) for m in s["mu"]], CoefficientMode(s["mode"]))
-    rows = obj["terms"]
-    # Checked before build_relation, whose cost grows as lambda^(2g).
-    if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
-        raise ValueError("terms do not match the relation of their spec")
-    terms = build_relation(spec)
-    if not all(t == row for t, row in zip(rows, _JsonRows(spec, terms))):
-        raise ValueError("terms do not match the relation of their spec")
-    return spec, terms
 
 
 def _latex_stack(c: Characteristic) -> str:

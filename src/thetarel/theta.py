@@ -140,6 +140,17 @@ class PeriodMatrix:
         object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "_lam_min", lam_min)
 
+    @classmethod
+    def _certified(cls, entries: np.ndarray, lam_min: float) -> "PeriodMatrix":
+        """From a new symmetric finite complex array, kept read-only, whose
+        imaginary part has the certified bound lam_min > 0 of
+        _min_eig_lower; unchecked."""
+        self = object.__new__(cls)
+        entries.flags.writeable = False
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_lam_min", lam_min)
+        return self
+
     @property
     def genus(self) -> int:
         return self.entries.shape[0]

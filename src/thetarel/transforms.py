@@ -68,21 +68,27 @@ class TransformMatrix:
 def smith_matrix(n: int) -> TransformMatrix:
     """The n x n involution with diagonal (2-n)/n and off-diagonal 2/n.
 
-    Built once per n and shared by later calls: the matrix is immutable
-    and its exact involution check costs O(n^3) Fraction products.
+    Built once per n and shared by later calls: the matrix is immutable.
+    Its square is checked by its two entry identities, in O(1), in place
+    of the constructor's O(n^3) product.
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     return _smith_matrix(n)
 
 
-@functools.lru_cache(maxsize=None)
+# One relation uses one n, and the benchmark at most six; a kept matrix
+# holds n^2 references to two shared Fractions, 78 kB at n = 96.
+@functools.lru_cache(maxsize=16)
 def _smith_matrix(n: int) -> TransformMatrix:
-    rows = tuple(
-        tuple(Fraction(2 - n, n) if i == j else Fraction(2, n) for j in range(n))
-        for i in range(n)
-    )
-    return TransformMatrix(rows)
+    d, o = Fraction(2 - n, n), Fraction(2, n)
+    # The diagonal and the off-diagonal entries of M @ M.
+    if d * d + (n - 1) * o * o != 1 or 2 * d * o + (n - 2) * o * o != 0:
+        raise ValueError("matrix does not square to the identity")
+    m = object.__new__(TransformMatrix)
+    object.__setattr__(m, "entries", tuple(
+        tuple(d if i == j else o for j in range(n)) for i in range(n)))
+    return m
 
 
 def jacobi_a_matrix() -> TransformMatrix:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetarel.charalg import _fraction_text, _latex_fraction
+from thetarel.charalg import _fraction_text, _latex_fraction, _token_fraction
 from thetarel import (
     Characteristic,
     CycleClass,
@@ -195,6 +195,44 @@ def test_characteristic_parse_errors():
         with pytest.raises(ValueError) as info:
             Characteristic.parse(text)
         assert str(info.value) == f"bad rational token {bad} in {text!r}"
+
+
+# Tokens that Fraction reads, or refuses, in ways a plain p/q reader could
+# get wrong: space, a "+", digit groups, non-ASCII digits, exponents,
+# decimals, a zero denominator and integers past int()'s digit limit.
+TOKENS = [" 1/3", "+1/3", "1_0/3", "\u0661/\u0663", "\u00b2", "1e3", "1.5", "1/0", "-0/5",
+          "007/010", "-12/8", "1/-3", "--1", "1/", "/3", "", "1 / 3", "1/3 ", "1/3\n",
+          "9" * 5000, "-" + "9" * 5000, "1/" + "9" * 5000, "4" * 4300 + "/" + "6" * 4300]
+
+
+def _outcome(read, token):
+    try:
+        value = read(token)
+    except Exception as error:
+        return type(error), str(error)
+    return type(value), value
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(token=st.one_of(
+    st.sampled_from(TOKENS),
+    st.from_regex(r"-?[0-9]{1,30}(/[0-9]{1,30})?", fullmatch=True),
+    st.text(alphabet="0123456789-+/_ .eE\u0661\u0663\u00b2", max_size=10),
+))
+def test_token_fraction_reads_as_fraction_does(token):
+    assert _outcome(_token_fraction, token) == _outcome(Fraction, token)
+
+
+def test_parse_builds_checked_fraction_characteristics():
+    c = Characteristic.parse(" 1/3 ,-4/6; 1_0/3, 2")
+    assert c == Characteristic((F(1, 3), F(-2, 3)), (F(10, 3), F(2)))
+    assert all(type(v) is Fraction for v in c.top + c.bottom)
+    # The constructor's own message for halves of two lengths.
+    for make in (lambda: Characteristic.parse("1/3,0;1/3"),
+                 lambda: Characteristic((F(1, 3), F(0)), (F(1, 3),))):
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == "top/bottom length mismatch: 2 != 1"
 
 
 def test_characteristic_stays_unreduced():

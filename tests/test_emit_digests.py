@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from thetarel.cli import main
+from thetarel.render import dumps, parse_terms_json, terms_to_json_obj
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -52,3 +53,12 @@ def test_emit_output_matches_digest(capsys, case):
     assert main(W.emit_argv(*case)) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[W.emit_key(*case)]
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case[3] == "json"],
+                         ids=lambda case: W.emit_key(*case))
+def test_json_document_round_trips_through_parse(capsys, case):
+    assert main(W.emit_argv(*case)) == 0
+    out = capsys.readouterr().out
+    spec, terms = parse_terms_json(out)
+    assert dumps(terms_to_json_obj(spec, terms)) + "\n" == out

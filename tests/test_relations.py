@@ -2,6 +2,7 @@
 
 import cmath
 import dataclasses
+import hashlib
 import itertools
 import json
 import math
@@ -158,14 +159,19 @@ def test_parse_rejects_malformed_documents(alter, match):
 
 def test_parse_checks_the_term_count_before_building_the_relation():
     # n=3, g=7 has 3^14 terms; a document of 173 bytes that lists none is
-    # rejected without deriving its 2187 x 2187 exponent table.
+    # rejected without deriving its 2187 x 2187 exponent table.  The last
+    # is written by dumps, so it is first read as dumps writes it, by its
+    # bytes: a text this short builds no relation there either.
     zero = ";".join([",".join(["0"] * 7)] * 2)
     spec = {"n": 3, "g": 7, "lambda": 3, "mode": "modified", "mu": [zero] * 3}
+    texts = [json.dumps({"spec": spec, "terms": terms}) for terms in ([], {}, [{}] * 2)]
+    texts.append(dumps({"spec": spec, "terms": []}))
+    assert texts[-1].startswith('{\n  "spec": {')
     tracemalloc.start()
     try:
-        for terms in ([], {}, [{}] * 2):
+        for text in texts:
             with pytest.raises(ValueError, match="terms do not match"):
-                parse_terms_json(json.dumps({"spec": spec, "terms": terms}))
+                parse_terms_json(text)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -559,6 +565,49 @@ def test_draw_tau_redraws_what_period_matrix_refuses():
     got = TrialSampler().draw_tau(rng, 2).entries
     ordinary = TrialSampler().draw_tau(np.random.default_rng(5), 2).entries
     assert got.tobytes() == ordinary.tobytes()
+
+
+def _count_eigvalsh(monkeypatch) -> list:
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda y: calls.append(y) or eigvalsh(y))
+    return calls
+
+
+@pytest.mark.parametrize("genus", [2, 3, 4])
+def test_a_drawn_tau_takes_one_eigvalsh(monkeypatch, genus):
+    # Below g = 5 no draw is redrawn (Gershgorin), so each drawn tau is one
+    # Im tau certified once, and its bound is the one PeriodMatrix computes.
+    calls = _count_eigvalsh(monkeypatch)
+    sampler = TrialSampler(3)
+    rng = sampler.make_rng()
+    for _ in range(20):
+        calls.clear()
+        tau = sampler.draw_tau(rng, genus)
+        assert len(calls) == 1
+        assert calls[0].tobytes() == tau.entries.imag.tobytes()
+        assert not tau.entries.flags.writeable
+        assert tau.lam_min == PeriodMatrix(tau.entries).lam_min
+
+
+@pytest.mark.parametrize("argv, calls, digest", [
+    (["--n", "3", "--g", "2", "--trials", "4", "--seed", "7"], 4,
+     "dcb2f52f2baa27bdbca6e5408265d4c3d3fd3c7139d3068b04700baa9644daeb"),
+    (["--n", "5", "--g", "2", "--trials", "3", "--seed", "11", "--mu", "1/5,0;0,2/5",
+      *["--mu", "0,0;0,0"] * 4], 3,
+     "e683d74780bb457b44bbbedd24801dc74d28cc8cf1a9180dfde569d85c27e65e"),
+])
+def test_verify_takes_one_eigvalsh_per_trial_and_keeps_its_bytes(
+        monkeypatch, capsys, argv, calls, digest):
+    # The digests are those of the reports written when each drawn tau
+    # was certified twice, by draw_tau and again by PeriodMatrix.
+    from thetarel.cli import main
+
+    counted = _count_eigvalsh(monkeypatch)
+    assert main(["verify", *argv]) == 0
+    assert len(counted) == calls
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_verify_jacobi_a_passes(sampled_taus):

@@ -7,6 +7,7 @@ import json
 import re
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -318,6 +319,71 @@ def test_emit_json_is_the_dump_of_the_public_object(spec):
     for row in obj["terms"]:
         for text in (row["shift"], row["exponent"], *row["nu_shifted"]):
             assert re.fullmatch("[0-9/;,-]*", text)
+
+
+def _parse_outcome(text):
+    """("ok", spec, the document of the terms) or ("error", type,
+    message) of parse_terms_json(text)."""
+    try:
+        spec, terms = render.parse_terms_json(text)
+    except ValueError as error:
+        return "error", type(error), str(error)
+    return "ok", spec, dumps(relations._terms_json_obj(spec, terms, written=True))
+
+
+def _outcome_by_rows(text):
+    """_parse_outcome with the byte check off: json.loads and the row
+    check alone, the one way every document was read before."""
+    with mock.patch.object(render, "_parse_written", lambda text: None):
+        return _parse_outcome(text)
+
+
+JSON_SPACE = " \t\n\r"
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(spec=cli_specs(), data=st.data())
+def test_parse_reads_every_layout_and_edit_as_the_row_check_does(spec, data):
+    terms = build_relation(spec)
+    obj = terms_to_json_obj(spec, terms)
+    written = dumps(relations._terms_json_obj(spec, terms, written=True))
+    reordered = {"terms": [dict(reversed(row.items())) for row in obj["terms"]],
+                 "spec": dict(reversed(obj["spec"].items()))}
+    space = st.text(alphabet=JSON_SPACE, max_size=3)
+    texts = [written, written + "\n", data.draw(space) + written + data.draw(space),
+             json.dumps(obj), json.dumps(obj, indent=1), json.dumps(obj, indent=2),
+             dumps(reordered)]
+    for text in texts:
+        assert _parse_outcome(text) == _outcome_by_rows(text) == ("ok", spec, written)
+    # The layout dumps writes is read by its bytes, the others by rows.
+    assert render._parse_written(texts[2])[0] == spec
+    assert [render._parse_written(text) for text in texts[3:]] == [None] * 4
+    # One character edited inside "spec" and inside "terms".
+    terms_at = written.index('"terms": ')
+    for lo, hi in ((len('{\n  "spec": '), terms_at), (terms_at, len(written))):
+        i = data.draw(st.integers(lo, hi - 1))
+        c = data.draw(st.sampled_from('0123456789-/;,:" {}[]\nax').filter(
+            lambda c: c != written[i]))
+        edited = written[:i] + c + written[i + 1:]
+        outcome = _parse_outcome(edited)
+        assert outcome == _outcome_by_rows(edited)
+        if not (written[i] in JSON_SPACE and c in JSON_SPACE):
+            assert outcome[0] == "error" and issubclass(outcome[1], ValueError)
+
+
+def test_a_document_builds_its_relation_once_whichever_check_reads_it(monkeypatch):
+    # json.dumps at indent 2 opens with the head dumps writes, but lays
+    # out its spec otherwise, so the byte check builds nothing for it.
+    spec = SPECS["7-2"]
+    terms = build_relation(spec)
+    obj = terms_to_json_obj(spec, terms)
+    calls = []
+    monkeypatch.setattr(render, "build_relation", lambda s: calls.append(s) or build_relation(s))
+    for text in (dumps(relations._terms_json_obj(spec, terms, written=True)),
+                 json.dumps(obj), json.dumps(obj, indent=2)):
+        calls.clear()
+        assert render.parse_terms_json(text)[0] == spec
+        assert calls == [spec]
 
 
 def test_command_line_documents_build_no_dict_rows(monkeypatch):

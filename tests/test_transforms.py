@@ -12,6 +12,7 @@ from thetarel import (
     jacobi_a_matrix,
     smith_matrix,
 )
+from thetarel.transforms import _smith_matrix
 
 F = Fraction
 
@@ -55,6 +56,23 @@ def test_smith_matrix_is_cached_and_check_still_runs():
     # involution check is not bypassed.
     with pytest.raises(ValueError):
         TransformMatrix(((F(1), F(0), F(0)),) * 3)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_smith_matrix_squares_to_the_identity_exactly(n):
+    m = smith_matrix(n).entries
+    assert [[sum(m[i][k] * m[k][j] for k in range(n)) for j in range(n)] for i in range(n)] \
+        == [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    assert TransformMatrix(m) == smith_matrix(n)
+
+
+def test_smith_matrix_cache_is_bounded():
+    for n in range(2, 40):
+        smith_matrix(n)
+    assert _smith_matrix.cache_info().currsize == _smith_matrix.cache_info().maxsize == 16
+    # The O(n^3) product of the constructor is not run: n = 96 took
+    # seconds with it.
+    assert smith_matrix(96).column(0)[:2] == (F(-47, 48), F(1, 48))
 
 
 def test_jacobi_matrix_entries_and_row_sums():

@@ -29,7 +29,9 @@ characteristics with a large top, far outside the box of the lattice
 sum: verify at n = 3 with a first --mu of 100000001/3;1, of
 -100000001/3;1 and of 1000000000000000000001/3;1 (whose box indices do
 not fit in int64), and at (n, g) = (4, 2) with 30000000001/2,1/2;0,1/2;
-all other --mu are zero, and each must pass.
+all other --mu are zero, and each must pass.  The very last is a large
+n, emit --n 96 --format text, whose 96 x 96 Smith matrix the command
+line builds before it writes anything.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -155,7 +157,9 @@ LARGE_TOPS = [
 ] + [["verify", "--n", "4", "--g", "2", "--mu", "30000000001/2,1/2;0,1/2",
       *(a for _ in range(3) for a in ("--mu", "0,0;0,0"))]]
 
-CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS
+LARGE_N = [["emit", "--n", "96", "--format", "text"]]
+
+CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS + LARGE_N
 
 
 def _load_main(root: Path):

@@ -37,6 +37,22 @@ arguments.
 All coefficient arithmetic is exact rational; only the theta
 evaluations are floating point.
 
+The exponent is a sum over the g coordinates, so at a = (c/lambda;
+b/lambda), with t_i/q = sum_j mu'_j[i] over the lcm q of the top
+denominators of mu, the coefficient is a product over the axes i,
+
+    e[x(a)] = prod_i C[c_i, b_i] * e[-t_i b_i / (q lambda)],
+    C[c, b] = e[-kappa c b / lambda^2],
+
+one lambda x lambda table C for every axis.  A spec keeps its exact
+exponents per axis only (RelationSpec._exponent_parts): the integers
+kappa c b mod lambda^2 of C, the drift numerators t_i b, and the sum
+of both as one numerator over q lambda^3, O(g lambda^2) integers in
+all.  Relation and RelationSpec._coefficients build the
+lambda^(2g) table where they use it, as a Kronecker sum over the axes
+(_kronecker_sum, c major and b minor, each lexicographic with axis 0
+major), so no array has more than four dimensions at any genus.
+
 Numerically the right side is not evaluated term by term.  Writing
 a = (c/lambda; b/lambda), every theta_{nu_j + a}(w_j) is a sub-sum of
 one lattice sum over v = nu_j' + k/lambda, k in Z^g, in the box
@@ -101,6 +117,7 @@ from .charalg import (
     _latex_bottom,
     _latex_fraction,
     _latex_top,
+    char_linear_combine,
     cycle_number,
     enumerate_shifts,
 )
@@ -113,7 +130,7 @@ from .theta import (
     theta,
     theta_shift_table,
 )
-from .transforms import apply_to_args, apply_to_chars, jacobi_a_matrix, smith_matrix
+from .transforms import apply_to_args, jacobi_a_matrix, smith_matrix
 
 __all__ = [
     "CoefficientMode",
@@ -165,9 +182,12 @@ class RelationSpec:
 
     create returns one shared instance per value, from a bounded
     process-wide cache (_shared_spec), so the values derived from a spec
-    (nu, its row tables and its exponent and coefficient tables, each a
-    cached property) are derived once per distinct spec per process; see
-    the module docstring.  Every derived table is immutable: tuples and
+    (nu, its row tables, its per-axis exponent tables and its coefficient
+    table, each a cached property) are derived once per distinct spec
+    per process; see the module docstring.  Of size lambda^(2g) it keeps
+    the complex coefficients e[x(a)] = prod_i C[c_i, b_i] e[-t_i b_i /
+    (q lambda)] only, once rhs_value asks for them; the exponents it
+    keeps per axis.  Every derived table is immutable: tuples and
     read-only arrays."""
 
     n: int
@@ -211,8 +231,9 @@ class RelationSpec:
 
     @functools.cached_property
     def _nu(self) -> tuple[Characteristic, ...]:
-        """nu = mu S_n."""
-        return apply_to_chars(smith_matrix(self.n), self.mu)
+        """nu = mu S_n in closed form: nu_k = (2/n) sum_j mu_j - mu_k."""
+        total = char_linear_combine((Fraction(2, self.n),) * self.n, self.mu)
+        return tuple(total - m for m in self.mu)
 
     def _rows(self, rational: Callable, top: Callable, bottom: Callable) -> tuple[tuple, tuple]:
         """(tops, bottoms): for each digit vector d in {0..lambda-1}^g,
@@ -255,43 +276,67 @@ class RelationSpec:
         return self._rows(_latex_fraction, _latex_top, lambda t: _latex_bottom(t) + "'")
 
     @functools.cached_property
-    def _exponent_parts(self) -> tuple[np.ndarray, tuple[int, ...], int]:
-        """(cross, drift, den): x(a) = -(cross[c, b]/lambda^2 + drift[b]/den)
-        at a = (c/lambda; b/lambda) with c and b lexicographic, where
-        cross = kappa c.b mod lambda^2 and drift[b]/den =
-        sum_j mu'_j.b/lambda mod 1, all integers."""
-        lam, g = self.lam, self.genus
-        digits = np.indices((lam,) * g).reshape(g, -1).T
-        cross = (coefficient_kappa(self.n, self.mode) * (digits @ digits.T)) % (lam * lam)
-        cross.flags.writeable = False
-        # sum_j mu'_j = tops / q, so drift[b] = tops.b mod q lambda over q lambda.
+    def _exponent_parts(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """(cross, drifts, den, tables), read-only integer tables of one
+        axis each: x(a) = -sum_i (cross[c_i, b_i]/lambda^2 + drifts[i, 0,
+        b_i]/(q lambda)) mod 1 at a = (c/lambda; b/lambda), where the
+        lambda x lambda table cross = kappa c b mod lambda^2 is the same on
+        every axis, the 1 x lambda table drifts[i] holds t_i b, with t_i/q
+        = sum_j mu'_j[i] and q the lcm of the top denominators of mu, and
+        tables[i, c, b] = -(cross[c, b] q lambda + drifts[i, 0, b]
+        lambda^2) is the term of axis i as one numerator over den = q
+        lambda^3, for Relation.  Only cross is reduced; drifts and tables
+        hold Python ints, so no size overflows."""
+        lam, digits = self.lam, np.arange(self.lam)
+        cross = coefficient_kappa(self.n, self.mode) * np.outer(digits, digits) % (lam * lam)
         q = math.lcm(*(v.denominator for m in self.mu for v in m.top))
-        tops = [
-            sum(v.numerator * (q // v.denominator) for v in column)
-            for column in zip(*(m.top for m in self.mu))
-        ]
-        den = q * lam
-        drift = tuple(sum(map(operator.mul, tops, b)) % den for b in digits.tolist())
-        return cross, drift, den
+        tops = [sum(v.numerator * (q // v.denominator) for v in column)
+                for column in zip(*(m.top for m in self.mu))]
+        drifts = np.array(tops, dtype=object)[:, None, None] * digits
+        tables = -q * lam * cross.astype(object) - lam * lam * drifts
+        return _read_only(cross), _read_only(drifts), q * lam**3, _read_only(tables)
 
     @functools.cached_property
     def _coefficients(self) -> np.ndarray:
-        """Read-only e[x(a)], flat in enumerate_shifts order."""
-        cross, drift, den = self._exponent_parts
-        x = cross / (self.lam * self.lam) + np.array([p / den for p in drift])
-        table = np.exp(-2j * math.pi * x).reshape(-1)
-        table.flags.writeable = False
-        return table
+        """Read-only e[x(a)], flat in enumerate_shifts order.  The
+        Kronecker sums of cross and of the drifts, reduced mod lambda^2
+        and mod q lambda, are the integers of the whole exponent; each is
+        divided once in floats, cross/lambda^2 + drift/(q lambda), and
+        then exponentiated."""
+        cross, drifts, den, _ = self._exponent_parts
+        sq, den = self.lam * self.lam, den // self.lam**2
+        drift = [p % den / den for p in _kronecker_sum(drifts).flat]
+        # A sum of genus entries of cross is below genus lambda^2, so its
+        # (sum mod lambda^2)/lambda^2 is read from a table of those floats.
+        x = (np.arange(self.genus * sq) % sq / sq)[_kronecker_sum([cross] * self.genus)]
+        return _read_only(np.exp(-2j * math.pi * (x + np.array(drift))).reshape(-1))
+
+
+def _kronecker_sum(tables) -> np.ndarray:
+    """The table of sum_i tables[i][c_i, b_i] at row c and column b, c and
+    b lexicographic with axis 0 major, from 2-d tables: one broadcast add
+    per table, so no array has more than 4 dimensions at any genus."""
+    total, *rest = tables
+    for t in rest:
+        total = (total[:, None, :, None] + t[None, :, None, :]).reshape(len(total) * len(t), -1)
+    return total
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """array, made read-only in place."""
+    array.flags.writeable = False
+    return array
 
 
 # What create keeps.  A kept spec has at most _SPEC_TERM_CAP terms and at
 # most _SPEC_ROW_CAP row units (see _kept).  Its derived values take at
-# most 16 kB, plus 24 bytes per term (the int64 exponent and complex128
-# coefficient tables), plus 320 bytes per row unit (nu and the three row
-# tables): 0.4 MB + 1.3 MB = 1.7 MB per spec, so 55 MB for the
-# _SPEC_CACHE_SIZE kept specs in the worst shape, as
-# tests/test_relations.py measures.  The specs of the benchmark take
-# under 0.3 MB each, and that of (5, 3), with 15625 terms, 0.8 MB.
+# most 16 kB, plus 16 bytes per term (the complex128 coefficient table),
+# plus 320 bytes per row unit (nu, the three row tables and the per-axis
+# exponent tables, whose g lambda^2 entries are at most the row units):
+# 0.26 MB + 1.3 MB = 1.6 MB per spec, so 50 MB for the _SPEC_CACHE_SIZE
+# kept specs in the worst shape, as tests/test_relations.py measures.
+# The specs of the benchmark take under 0.3 MB each, and that of (5, 3),
+# with 15625 terms, 0.65 MB.
 # Each cap is the least power of two that keeps the all-zero (5, 3)
 # spec (3000 row units), the largest of the (n, g) grid in ROADMAP item
 # 1.  32 specs is the least power of two at which the benchmark's
@@ -348,21 +393,17 @@ class Relation(Sequence):
     range(len(self)) (a slice is a list), iteration and element-wise ==
     with any sequence of terms; like a list it is unhashable.  Term
     i = (c, b) is built when it is accessed, from spec._digit_table and
-    the exponent numerators, which are computed once per Relation (see
-    the module docstring).
+    the exponent numerators, which are computed once per Relation, as the
+    Kronecker sum of the spec's per-axis tables (see the module
+    docstring).
     """
 
     __slots__ = ("spec", "_numerators", "_denominator")
 
     def __init__(self, spec: RelationSpec):
         self.spec = spec
-        cross, drift, q = spec._exponent_parts
-        sq = spec.lam * spec.lam
-        # x(a) = (-(cross q + drift lambda^2) mod lambda^2 q) / lambda^2 q
-        self._denominator = den = sq * q
-        self._numerators = [
-            -(x * q + p * sq) % den for row in cross.tolist() for x, p in zip(row, drift)
-        ]
+        *_, self._denominator, tables = spec._exponent_parts
+        self._numerators = (_kronecker_sum(tables) % self._denominator).ravel().tolist()
 
     def __len__(self) -> int:
         return len(self._numerators)
@@ -475,10 +516,8 @@ def rhs_value(
     """
     zs = _as_arg_tuple(spec.n, spec.genus, z)
     ws = apply_to_args(smith_matrix(spec.n), zs)
-    products = spec._coefficients
-    for chi, wj in zip(spec._nu, ws):
-        products = products * theta_shift_table(chi, wj, tau, spec.lam, settings)
-    return complex(products.sum())
+    tables = (theta_shift_table(chi, wj, tau, spec.lam, settings) for chi, wj in zip(spec._nu, ws))
+    return complex(math.prod(tables, start=spec._coefficients).sum())
 
 
 @dataclass(frozen=True)

@@ -215,13 +215,14 @@ def test_suite_derives_nu_once_per_relation(monkeypatch):
     monkeypatch.setattr(identities, "_TERNARY", RelationSpec.create(3, 1))
     monkeypatch.setattr(identities, "_QUADRUPLE", RelationSpec.create(4, 1))
     derived = []
-    apply_to_chars = relations.apply_to_chars
+    nu = relations.RelationSpec.__dict__["_nu"]
+    derive = nu.func
 
-    def counted(matrix, chars):
-        derived.append(matrix.n)
-        return apply_to_chars(matrix, chars)
+    def counted(spec):
+        derived.append(spec.n)
+        return derive(spec)
 
-    monkeypatch.setattr(relations, "apply_to_chars", counted)
+    monkeypatch.setattr(nu, "func", counted)
     run_suite(10)
     assert sorted(derived) == [3, 4]
 

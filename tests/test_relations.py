@@ -203,7 +203,7 @@ def test_verify_rejects_positional_tol():
 def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     # n=2 naive holds exactly, so every trial spends all MAX_RESAMPLES
     # attempts; nu and the coefficient table are still derived once.
-    calls = {"apply_to_chars": 0, "coefficients": 0, "rhs_value": 0}
+    calls = {"nu": 0, "coefficients": 0, "rhs_value": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -211,11 +211,9 @@ def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(
-        relations, "apply_to_chars", counted("apply_to_chars", relations.apply_to_chars)
-    )
-    table = relations.RelationSpec.__dict__["_coefficients"]
-    monkeypatch.setattr(table, "func", counted("coefficients", table.func))
+    for key, name in (("nu", "_nu"), ("coefficients", "_coefficients")):
+        table = relations.RelationSpec.__dict__[name]
+        monkeypatch.setattr(table, "func", counted(key, table.func))
     monkeypatch.setattr(relations, "rhs_value", counted("rhs_value", relations.rhs_value))
     # A fresh shared spec: an earlier test may have derived its tables.
     relations._shared_spec.cache_clear()
@@ -224,7 +222,7 @@ def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     assert all(r.status == "flagged" for r in reports)
     assert not spec._coefficients.flags.writeable
     assert calls == {
-        "apply_to_chars": 1, "coefficients": 1, "rhs_value": 3 * relations.MAX_RESAMPLES,
+        "nu": 1, "coefficients": 1, "rhs_value": 3 * relations.MAX_RESAMPLES,
     }
 
 
@@ -726,9 +724,14 @@ def test_shared_tables_are_tuples_and_read_only_arrays():
         for half in table:
             assert type(half) is tuple and len(half) == spec.lam**spec.genus
             assert all(type(row) is tuple and len(row) == spec.n + 1 for row in half)
-    cross, drift, _ = spec._exponent_parts
-    assert type(drift) is tuple
-    assert not cross.flags.writeable and not spec._coefficients.flags.writeable
+    # Per axis: one lambda x lambda cross table, and the drifts and the
+    # numerator tables of the g axes, both in Python ints.
+    cross, drifts, _, tables = spec._exponent_parts
+    assert cross.shape == (spec.lam, spec.lam)
+    assert drifts.shape == (spec.genus, 1, spec.lam)
+    assert tables.shape == (spec.genus, spec.lam, spec.lam)
+    assert all(type(v) is int for v in [*drifts.flat, *tables.flat])
+    assert not any(a.flags.writeable for a in (cross, drifts, tables, spec._coefficients))
 
 
 def _units(spec):
@@ -742,12 +745,13 @@ def _units(spec):
     _zero_mu_spec(35, 1),                 # row units near the cap
     _zero_mu_spec(4, 1),                  # the fixed part dominates
     _zero_mu_spec(2, 60),                 # long rows
+    _zero_mu_spec(2, 65),                 # more axes than numpy has dimensions
     RelationSpec(5, 1, tuple(Characteristic((F(1, p),), (F(2, p + 2),))
                              for p in (2**64 - 59, 2**64 - 83, 2**64 - 95, 2**64 - 179, 7)),
                  CoefficientMode.MODIFIED),   # coprime 64-bit denominators
-], ids=["5-3", "35-1", "4-1", "2-60", "5-1-wide"])
+], ids=["5-3", "35-1", "4-1", "2-60", "2-65", "5-1-wide"])
 def test_a_kept_spec_takes_at_most_its_stated_bytes(spec):
-    # The bound of the _SPEC_CACHE_SIZE comment: 16 kB, 24 B per term and
+    # The bound of the _SPEC_CACHE_SIZE comment: 16 kB, 16 B per term and
     # 320 B per row unit for all that a spec derives.
     assert relations._kept(spec)
     smith_matrix(spec.n)
@@ -758,4 +762,4 @@ def test_a_kept_spec_takes_at_most_its_stated_bytes(spec):
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert held <= 16384 + 24 * spec.lam ** (2 * spec.genus) + 320 * _units(spec)
+    assert held <= 16384 + 16 * spec.lam ** (2 * spec.genus) + 320 * _units(spec)

@@ -20,6 +20,7 @@ from thetarel import (
     TruncationError,
     apply_to_args,
     build_relation,
+    coefficient_kappa,
     cycle_number,
     enumerate_shifts,
     rhs_value,
@@ -52,14 +53,13 @@ def _rhs_per_term(spec, z, tau, settings=EvalSettings()):
 
 
 def _exponents_per_term(spec):
-    """Reference exponents: one Fraction sum
-    -(cross/lambda^2 + drift/den) mod 1 per term."""
-    cross, drift, den = spec._exponent_parts
-    sq = spec.lam * spec.lam
+    """Reference exponents: x(a) = -(sum_j mu'_j + kappa a') . a'' mod 1
+    per shift a of enumerate_shifts, in Fractions."""
+    kappa = coefficient_kappa(spec.n, spec.mode)
+    tops = [sum(column) for column in zip(*(m.top for m in spec.mu))]
     return [
-        -(Fraction(x, sq) + Fraction(p, den)) % 1
-        for row in cross.tolist()
-        for x, p in zip(row, drift)
+        -sum((t + kappa * c) * b for t, c, b in zip(tops, shift.top, shift.bottom)) % 1
+        for shift in enumerate_shifts(spec.genus, spec.lam)
     ]
 
 

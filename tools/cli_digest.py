@@ -29,9 +29,11 @@ characteristics with a large top, far outside the box of the lattice
 sum: verify at n = 3 with a first --mu of 100000001/3;1, of
 -100000001/3;1 and of 1000000000000000000001/3;1 (whose box indices do
 not fit in int64), and at (n, g) = (4, 2) with 30000000001/2,1/2;0,1/2;
-all other --mu are zero, and each must pass.  The very last is a large
-n, emit --n 96 --format text, whose 96 x 96 Smith matrix the command
-line builds before it writes anything.
+all other --mu are zero, and each must pass.  Then comes a large n,
+emit --n 96 --format text, whose 96 x 96 Smith matrix the command line
+builds before it writes anything, and last a large genus: emit at n = 2
+(lambda = 1, one term) with g = 65 in text and g = 200 in JSON, more
+axes than a numpy array has dimensions.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -159,7 +161,10 @@ LARGE_TOPS = [
 
 LARGE_N = [["emit", "--n", "96", "--format", "text"]]
 
-CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS + LARGE_N
+LARGE_G = [["emit", "--n", "2", "--g", "65", "--format", "text"],
+           ["emit", "--n", "2", "--g", "200", "--format", "json"]]
+
+CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS + LARGE_N + LARGE_G
 
 
 def _load_main(root: Path):

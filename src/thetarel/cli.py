@@ -5,7 +5,8 @@ verification), falsify (demonstrate failure of the uncorrected
 coefficient), suite (curated identity checks), table (cycle numbers).
 
 Exit codes: 0 pass, 1 identity failure, 2 evaluation failure
-(truncation), 64 usage error.  An invalid --n, --g or --mu is reported
+(truncation, or a lattice-sum box too large to allocate), 64 usage
+error.  An invalid --n, --g or --mu is reported
 with the message of RelationSpec or Characteristic.parse.
 THETA_MAX_RADIUS overrides the evaluator's radius cap.
 """
@@ -35,7 +36,7 @@ from .relations import (
     verify,
 )
 from .render import dumps, relation_to_latex, terms_to_text
-from .theta import EvalSettings, PeriodMatrix
+from .theta import EvalSettings, PeriodMatrix, TruncationError
 
 __all__ = ["main", "entry"]
 
@@ -302,6 +303,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"thetarel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except TruncationError as exc:
+        # verify refuses a spec whose smallest boxes are too large.
+        print(f"thetarel: error: {exc}", file=sys.stderr)
+        return EXIT_EVAL_FAIL
 
 
 def entry() -> None:

@@ -67,6 +67,26 @@ theta(nu_j + a, w_j) sums, so the omitted tail of an entry is that
 coset's exterior times unit-modulus phases, and the w_j tail envelope of
 theta() bounds it as before.
 
+lhs_value and rhs_value each evaluate their n sums as the rows of one
+stacked evaluation (theta._theta_values, theta._shift_tables), every
+value and table bit for bit that of theta() and theta_shift_table().
+A modified-mode verify run draws all its trials first, in the order of
+a trial-by-trial run (the arguments, then tau, per trial), and checks
+them as sets of rows (_check_all), in chunks of at most _STACK_POINTS
+shift-table entries (or one trial), so the tables it holds at once do
+not grow with the number of trials: the n left and n right rows of
+every trial of a chunk whose radius search succeeds are evaluated
+stacked, then each trial's sides are multiplied in j order, so every
+report is bit for bit that of _check.  apply_to_args stays one (n, n) @ (n, g)
+product per trial, as the tables' mixing stays one tensordot per table
+and axis: a BLAS product over stacked operands may sum in another
+order.  A naive-mode run resamples a trial whose sides agree, so its
+later draws depend on earlier results; it checks one attempt at a time,
+through lhs_value and rhs_value.  Before drawing, verify builds the
+lattice-sum plans of the first radius for every mu_j and nu_j, so a
+spec whose smallest boxes are over theta's cap raises TruncationError
+at once.
+
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
 Fractions (_digit_table, for the terms of a Relation) or as texts
@@ -125,10 +145,15 @@ from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
     PeriodMatrix,
+    _STACK_POINTS,
     TruncationError,
     _min_eig_lower,
+    _plan,
+    _radii,
+    _row,
+    _shift_tables,
+    _theta_values,
     theta,
-    theta_shift_table,
 )
 from .transforms import apply_to_args, jacobi_a_matrix, smith_matrix
 
@@ -489,18 +514,41 @@ def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
     return tuple(vecs)
 
 
+def _lhs_rows(spec: RelationSpec, zs, tau: PeriodMatrix, settings: EvalSettings) -> list:
+    """The n theta._row rows of the left side, theta_{mu_j}(z_j)."""
+    return [_row(m, zj, tau, settings) for m, zj in zip(spec.mu, zs)]
+
+
+def _rhs_rows(spec: RelationSpec, zs, tau: PeriodMatrix, settings: EvalSettings) -> list:
+    """The n theta._row rows of the right side, the shift tables of
+    nu_j at w = z S_n: one (n, n) @ (n, g) product per call."""
+    ws = apply_to_args(smith_matrix(spec.n), zs)
+    return [_row(chi, wj, tau, settings, spec.lam) for chi, wj in zip(spec._nu, ws)]
+
+
+def _lhs(spec: RelationSpec, values) -> complex:
+    """lambda^g times the n theta values, multiplied in j order."""
+    value = complex(spec.lam**spec.genus)
+    for v in values:
+        value *= v
+    return value
+
+
+def _rhs(spec: RelationSpec, tables) -> complex:
+    """The coefficient table times the n shift tables, in j order, summed."""
+    return complex(math.prod(tables, start=spec._coefficients).sum())
+
+
 def lhs_value(
     spec: RelationSpec,
     z,
     tau: PeriodMatrix,
     settings: EvalSettings = DEFAULT_SETTINGS,
 ) -> complex:
-    """lambda^g times the product of the n left-side theta values."""
+    """lambda^g times the product of the n left-side theta values, each
+    bit for bit the value of theta(mu_j, z_j, tau, settings)."""
     zs = _as_arg_tuple(spec.n, spec.genus, z)
-    value = complex(spec.lam**spec.genus)
-    for m, zj in zip(spec.mu, zs):
-        value *= theta(m, zj, tau, settings).value
-    return value
+    return _lhs(spec, _theta_values(_lhs_rows(spec, zs, tau, settings)))
 
 
 def rhs_value(
@@ -511,13 +559,11 @@ def rhs_value(
 ) -> complex:
     """Coefficient-weighted sum of shifted products at w = z S_n.
 
-    One theta_shift_table per j gives theta_{nu_j + a}(w_j) for every
-    shift a at once; no term list is built.
+    The theta_shift_table of each j gives theta_{nu_j + a}(w_j) for
+    every shift a at once; no term list is built.
     """
     zs = _as_arg_tuple(spec.n, spec.genus, z)
-    ws = apply_to_args(smith_matrix(spec.n), zs)
-    tables = (theta_shift_table(chi, wj, tau, spec.lam, settings) for chi, wj in zip(spec._nu, ws))
-    return complex(math.prod(tables, start=spec._coefficients).sum())
+    return _rhs(spec, _shift_tables(_rhs_rows(spec, zs, tau, settings)))
 
 
 @dataclass(frozen=True)
@@ -624,31 +670,89 @@ def verify(
     (relative) is resampled up to MAX_RESAMPLES times, so the
     falsification verdict rests on generic points rather than accidental
     coincidences; a trial still agreeing after the cap is reported with
-    status "flagged".
+    status "flagged".  In MODIFIED mode all trials are drawn first and
+    evaluated together (_check_all), with the same reports.  Raises
+    TruncationError, before drawing, when the box of the first radius
+    of some mu_j or nu_j is over theta's cap.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     sampler = sampler or TrialSampler()
+    # Refuses a spec whose smallest boxes are too large before any draw.
+    radius = _radii(settings)[0]
+    for m in spec.mu:
+        _plan(m.top, radius, 1)
+    for chi in spec._nu:
+        _plan(chi.top, radius, spec.lam)
     rng = sampler.make_rng()
-    naive = spec.mode is CoefficientMode.NAIVE
+    if spec.mode is CoefficientMode.MODIFIED:
+        draws = [(sampler.draw_args(rng, spec.n, spec.genus),
+                  tau if tau is not None else sampler.draw_tau(rng, spec.genus))
+                 for _ in range(trials)]
+        return _check_all(spec, draws, settings)
     reports = []
     for idx in range(trials):
-        for _ in range(MAX_RESAMPLES if naive else 1):
+        for _ in range(MAX_RESAMPLES):
             zs = sampler.draw_args(rng, spec.n, spec.genus)
             trial_tau = tau if tau is not None else sampler.draw_tau(rng, spec.genus)
             try:
                 report = _check(spec, zs, trial_tau, settings, idx)
             except TruncationError:
-                nan = complex(math.nan)
-                report = VerificationReport(
-                    nan, nan, math.nan, math.nan, zs, trial_tau, "eval-failed", idx
-                )
+                report = _failed(zs, trial_tau, idx)
                 break
-            if not naive or report.status != "ok" or report.rel_error >= GENERIC_GAP:
+            if report.status != "ok" or report.rel_error >= GENERIC_GAP:
                 break
             report = replace(report, status="flagged")
         reports.append(report)
     return reports
+
+
+def _failed(zs, tau: PeriodMatrix, seed_index: int) -> VerificationReport:
+    """The report of a trial whose radius search failed."""
+    nan = complex(math.nan)
+    return VerificationReport(nan, nan, math.nan, math.nan, zs, tau, "eval-failed", seed_index)
+
+
+def _check_all(
+    spec: RelationSpec, draws: Sequence[tuple], settings: EvalSettings
+) -> list[VerificationReport]:
+    """The _check report of every drawn (z-tuple, tau), trial i with
+    seed_index i, from stacked sums, in chunks of at most _STACK_POINTS
+    shift-table entries (n lambda^(2g) a trial) or one trial, so the
+    tables held at once do not grow with the number of trials."""
+    step = max(1, _STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
+    reports = []
+    for start in range(0, len(draws), step):
+        reports += _check_chunk(spec, list(enumerate(draws[start : start + step], start)),
+                                settings)
+    return reports
+
+
+def _check_chunk(
+    spec: RelationSpec, chunk: Sequence[tuple], settings: EvalSettings
+) -> list[VerificationReport]:
+    """The _check report of every (seed_index, (z-tuple, tau)) of a chunk:
+    the n left and n right rows of every trial whose radius search
+    succeeds are evaluated together (theta._theta_values and
+    theta._shift_tables), then each trial's two sides are multiplied in j
+    order and compared.  Every report is bit for bit that of _check, and
+    a trial whose search fails is "eval-failed" as there."""
+    left, right, failed = [], [], set()
+    for idx, (zs, tau) in chunk:
+        try:
+            rows = _lhs_rows(spec, zs, tau, settings), _rhs_rows(spec, zs, tau, settings)
+        except TruncationError:
+            failed.add(idx)
+            continue
+        left += rows[0]
+        right += rows[1]
+    values, tables, n = iter(_theta_values(left)), iter(_shift_tables(right)), spec.n
+    return [
+        _failed(zs, tau, idx) if idx in failed else _compare(
+            _lhs(spec, itertools.islice(values, n)), _rhs(spec, itertools.islice(tables, n)),
+            tuple(zs), tau, idx)
+        for idx, (zs, tau) in chunk
+    ]
 
 
 def overall_verdict(reports: Sequence[VerificationReport], tol: float) -> str:

@@ -49,7 +49,24 @@ that differ only in mu'' share one plan.  A plan is built by the same operations
 it comes from the cache or not, and its arrays are read-only, so every
 result is bit-identical cold or warm.  The bins and the phases are
 exact for a top of any size; a large mu'' still loses the digits of
-its float.
+its float.  _Plan refuses a box of more than _MAX_BOX_POINTS points
+with _OversizedBox, a TruncationError, before any grid is allocated.
+
+Sums of one call are evaluated as rows.  A row is one (characteristic,
+argument, period matrix) triple with the plan of its radius (_row).
+_theta_values and _shift_tables stack the rows of one lambda and box
+shape, up to _STACK_POINTS points per stack, along a last axis of the
+grid, with (2 pi i) tau and (2 pi i)(z + mu'') taken per row, so one
+_grid_terms call, one exp and one halving sum along the point axis
+serve a stack, and every element goes through exactly the operations
+of its one-row sum.  A shift-table stack is binned by one bincount per
+part over the stacked bins, offset by r lambda^(2g) for row r.  Its
+mixing stays one tensordot per table and axis, at the one-row shape:
+a BLAS product over stacked tables may sum in another order, and
+stacked tables were measured not bit-identical at g = 1.  So a value
+or table is the same bit for bit whatever it is stacked with.
+theta_shift_table is one row; theta() keeps its own one-row path
+(_box_sum), which also bounds the rounding.
 """
 
 from __future__ import annotations
@@ -58,7 +75,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -97,6 +114,18 @@ TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # axis.
 _PLAN_CACHE_SIZE = 16
 _KEPT_BIN_POINTS = 2**16
+# A sum over a box of N points peaks at 48 to 66 bytes per point, as
+# tracemalloc reads it: the grid of terms and the temporaries of its
+# exponent (16 bytes each per point), the zero-padded halving buffer or,
+# for a shift table, the bins and the two parts given to bincount.  Large
+# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  _Plan refuses a
+# box of more than _MAX_BOX_POINTS points, which would need more than
+# 1 GiB at 48 bytes per point, before any array of it is allocated.
+_MAX_BOX_POINTS = 2**30 // 48
+# Rows of one box shape are summed together up to _STACK_POINTS points
+# per stack (R rows of N points each, R N <= _STACK_POINTS, at least one
+# row), so a stack's arrays stay within about 1 MB.
+_STACK_POINTS = 2**14
 
 
 class TruncationError(ArithmeticError):
@@ -110,6 +139,21 @@ class TruncationError(ArithmeticError):
         self.target = target
         self.best_bound = best_bound
         self.radius = radius
+
+
+class _OversizedBox(TruncationError):
+    """The box of a lattice sum has more than _MAX_BOX_POINTS points, so
+    it is refused before any of its arrays is allocated.  best_bound is
+    inf, as no sum is taken."""
+
+    def __init__(self, points: int, radius: int):
+        ArithmeticError.__init__(
+            self,
+            f"the box at radius {radius} has {points} points, "
+            f"above the cap of {_MAX_BOX_POINTS} points",
+        )
+        self.target, self.best_bound, self.radius = TARGET_ABS_ERROR, math.inf, radius
+        self.points = points
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,14 +305,23 @@ class _Plan:
         self.top, self.lam, self.ks, v = top, lam, [], []
         for m in top:
             p, q = m.numerator, m.denominator
-            k = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
-            self.ks.append(k)
+            self.ks.append(range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1))
+        points = math.prod(map(len, self.ks))
+        if points > _MAX_BOX_POINTS:
+            raise _OversizedBox(points, radius)
+        for m, k in zip(top, self.ks):
+            p, q = m.numerator, m.denominator
             # (p lam + j q) / (q lam) for each j in k.
             den = q * lam
             axis = np.array([x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)])
             axis.flags.writeable = False
             v.append(axis)
         self.v = tuple(v)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        """The number of grid points along each axis."""
+        return tuple(map(len, self.ks))
 
     @property
     def bins(self) -> np.ndarray:
@@ -319,15 +372,20 @@ _plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
 
 
 def _on_grid(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """The 1-D arrays laid along axes 0..g-1 of the broadcast grid, whose
-    C-order ravel is the lexicographic order of the points."""
+    """The arrays laid along axes 0..g-1 of the broadcast grid, whose
+    C-order ravel is the lexicographic order of the points.  An axis
+    array of shape (len_a, R) holds R rows' values, and its grid keeps
+    the row axis last."""
     g = len(axes)
-    return [x.reshape((-1,) + (1,) * (g - 1 - a)) for a, x in enumerate(axes)]
+    return [x.reshape(x.shape[:1] + (1,) * (g - 1 - a) + x.shape[1:]) for a, x in enumerate(axes)]
 
 
 def _quadratic(v: Sequence[np.ndarray], quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """sum_a v_a (quad_aa v_a / 2 + lin_a + sum_{b>a} quad_ab v_b) on the
-    broadcast grid of the axis arrays v, accumulated from the last axis."""
+    broadcast grid of the axis arrays v, accumulated from the last axis.
+    For R stacked rows (axis arrays of shape (len_a, R)), quad has shape
+    (g, g, R) and lin (g, R): every element takes the operations of its
+    one-row sum, with its row's coefficients."""
     v = _on_grid(v)
     total = 0.0
     for a in reversed(range(len(v))):
@@ -350,8 +408,10 @@ def _gamma(n: int) -> float:
     return n * _U / (1.0 - n * _U)
 
 
-def _halving_sum(terms: np.ndarray) -> tuple[complex, int]:
-    """(sum, L) of a 1-D complex array in a fixed pairwise order.
+def _halving_sum(terms: np.ndarray) -> tuple[np.ndarray, int]:
+    """(sums, L): the sums along the first axis of a complex array, in a
+    fixed pairwise order; for an (N, R) array of R stacked rows, each
+    row's sum, by the same additions as that row alone.
 
     The terms are zero-padded to 2^L, L = ceil(log2 N); then L times the
     upper half of the buffer is added onto its lower half.  Every term
@@ -360,14 +420,14 @@ def _halving_sum(terms: np.ndarray) -> tuple[complex, int]:
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 4.2).
     """
-    depth = (terms.size - 1).bit_length()
-    buf = np.zeros(1 << depth, dtype=complex)
-    buf[: terms.size] = terms
-    n = buf.size
+    depth = (len(terms) - 1).bit_length()
+    buf = np.zeros((1 << depth,) + terms.shape[1:], dtype=complex)
+    buf[: len(terms)] = terms
+    n = len(buf)
     while n > 1:
         n //= 2
         buf[:n] += buf[n : 2 * n]
-    return complex(buf[0]), depth
+    return buf[0], depth
 
 
 def _box_sum(
@@ -419,7 +479,13 @@ def _box_sum(
     with np.errstate(over="ignore", invalid="ignore"):
         per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(plan.v) + 7) * TWO_PI * weight)
         bound = 1.01 * float((size * per_term).sum()) + terms.size * 2.0**-1070
-    return value, math.inf if math.isnan(bound) else bound
+    return complex(value), math.inf if math.isnan(bound) else bound
+
+
+def _radii(settings: EvalSettings) -> list[int]:
+    """The radii the search tries, in order: 4, 6, 8, ... below
+    settings.max_radius, then settings.max_radius."""
+    return [*range(4, settings.max_radius, 2), settings.max_radius]
 
 
 def _truncation(
@@ -441,7 +507,7 @@ def _truncation(
     if not np.isfinite(z).all():
         raise ValueError("argument z must be finite")
     y_norm = float(np.linalg.norm(z.imag))
-    for radius in [*range(4, settings.max_radius, 2), settings.max_radius]:
+    for radius in _radii(settings):
         bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
         if bound <= TARGET_ABS_ERROR:
             return z, radius, bound
@@ -499,21 +565,73 @@ def theta_shift_table(
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")
-    w, radius, _ = _truncation(nu, w, tau, settings)
-    g = tau.genus
-    sq = lam * lam
-    plan = _plan(nu.top, radius, lam)
-    bottom = np.array([float(m) for m in nu.bottom])
-    terms = _grid_terms(plan.v, w + bottom, tau.entries).ravel()
-    table = (
-        np.bincount(plan.bins, terms.real, sq**g) + 1j * np.bincount(plan.bins, terms.imag, sq**g)
-    ).reshape((sq,) * g)
-    for mix in plan.mixes:
-        # The contracted axis is always the leading one, the new (c, b)
-        # pair goes to the end.
-        table = np.tensordot(table, mix, axes=(0, 0))
-    order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
-    return table.transpose(order).reshape(-1)
+    return _shift_tables([_row(nu, w, tau, settings, lam)])[0]
+
+
+def _row(
+    mu: Characteristic, z, tau: PeriodMatrix, settings: EvalSettings, lam: int = 1
+) -> tuple[_Plan, np.ndarray, np.ndarray]:
+    """One row of a stacked evaluation, (plan, z + mu'', tau entries): the
+    sum of theta_mu(z, tau) for lam = 1, or of the shift table of
+    (mu, z, tau, lam), at the radius of _truncation.  Raises
+    TruncationError, as theta() and theta_shift_table() would."""
+    z, radius, _ = _truncation(mu, z, tau, settings)
+    return _plan(mu.top, radius, lam), z + np.array([float(m) for m in mu.bottom]), tau.entries
+
+
+def _stacks(rows: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
+    """(indices, terms) for each stack of _row rows: rows of one lam and
+    box shape, in order, at most _STACK_POINTS points together (or one
+    row), and their terms as an (N, R) array, column r the ravelled grid
+    of row r.  The axis arrays, the shifts and the tau entries of the
+    rows are stacked along a last axis, so one _grid_terms call computes
+    every element by the operations of its one-row call."""
+    groups: dict[tuple, list[int]] = {}
+    for i, (plan, _, _) in enumerate(rows):
+        groups.setdefault((plan.lam, plan.shape), []).append(i)
+    for (_, shape), group in groups.items():
+        step = max(1, _STACK_POINTS // math.prod(shape))
+        for start in range(0, len(group), step):
+            index = group[start : start + step]
+            plans, shifts, taus = zip(*map(rows.__getitem__, index))
+            v = [np.stack(axis, axis=1) for axis in zip(*(p.v for p in plans))]
+            terms = _grid_terms(v, np.stack(shifts, axis=1), np.stack(taus, axis=2))
+            yield index, terms.reshape(-1, len(index))
+
+
+def _theta_values(rows: Sequence[tuple]) -> list[complex]:
+    """theta_mu(z, tau).value of each _row row of lam = 1, bit for bit:
+    each stack's sums are one halving sum along the point axis."""
+    values: list = [None] * len(rows)
+    for index, terms in _stacks(rows):
+        for i, value in zip(index, _halving_sum(terms)[0].tolist()):
+            values[i] = value
+    return values
+
+
+def _shift_tables(rows: Sequence[tuple]) -> list[np.ndarray]:
+    """The theta_shift_table of each _row row, bit for bit.  Each stack's
+    terms are binned by one bincount per part, each row's bins offset by
+    r lam^(2g), which adds every bin's terms in the order of the row's
+    own bincount; each table is then mixed alone, so every tensordot
+    keeps its one-row shape and order of summation."""
+    tables: list = [None] * len(rows)
+    for index, terms in _stacks(rows):
+        plans = [rows[i][0] for i in index]
+        g, sq = len(plans[0].ks), plans[0].lam ** 2
+        size, count = sq**g, len(index) * sq**g
+        bins = (np.stack([p.bins for p in plans], axis=1) + size * np.arange(len(plans))).ravel()
+        flat = (np.bincount(bins, terms.real.ravel(), count)
+                + 1j * np.bincount(bins, terms.imag.ravel(), count))
+        order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
+        for r, (i, plan) in enumerate(zip(index, plans)):
+            table = flat[r * size : (r + 1) * size].reshape((sq,) * g)
+            for mix in plan.mixes:
+                # The contracted axis is always the leading one, the new
+                # (c, b) pair goes to the end.
+                table = np.tensordot(table, mix, axes=(0, 0))
+            tables[i] = table.transpose(order).reshape(-1)
+    return tables
 
 
 def theta_constant(

@@ -1,0 +1,303 @@
+"""Stacked lattice sums against one sum at a time: verify's reports and
+lhs_value and rhs_value bit for bit, stacks that cross the point cap,
+their memory, and the refusal of a box too large to allocate."""
+
+import importlib
+import math
+import tracemalloc
+from dataclasses import fields, replace
+
+import numpy as np
+import pytest
+
+from thetarel import (
+    Characteristic,
+    CoefficientMode,
+    EvalSettings,
+    PeriodMatrix,
+    RelationSpec,
+    TrialSampler,
+    TruncationError,
+    apply_to_args,
+    cycle_number,
+    lhs_value,
+    rhs_value,
+    smith_matrix,
+    theta,
+    theta_shift_table,
+    verify,
+)
+from thetarel.cli import main
+from thetarel.relations import GENERIC_GAP, MAX_RESAMPLES, VerificationReport, _compare
+
+# The package names theta and verify are functions; the modules are
+# imported by path.
+theta_module = importlib.import_module("thetarel.theta")
+relations = importlib.import_module("thetarel.relations")
+
+F = Characteristic.parse
+ODD = ("1/7", "5/3", "-4/3", "3/11", "-9/4")
+
+
+def _mu(kind, n, g, rng):
+    """None (all zero), or n characteristics with entries in (1/lambda) Z
+    ("standard") or from ODD ("nonstandard")."""
+    if kind == "zero":
+        return None
+    lam = cycle_number(n)
+
+    def half():
+        if kind == "standard":
+            return ",".join(f"{int(k)}/{lam}" for k in rng.integers(0, lam, g))
+        return ",".join(ODD[int(k)] for k in rng.integers(0, len(ODD), g))
+
+    return [F(f"{half()};{half()}") for _ in range(n)]
+
+
+def _lhs_alone(spec, zs, tau, settings):
+    """lambda^g prod_j theta(mu_j, z_j).value: one theta() call per factor."""
+    value = complex(spec.lam**spec.genus)
+    for m, zj in zip(spec.mu, zs):
+        value *= theta(m, zj, tau, settings).value
+    return value
+
+
+def _rhs_alone(spec, zs, tau, settings):
+    """The right side from one theta_shift_table() call per j."""
+    ws = apply_to_args(smith_matrix(spec.n), zs)
+    tables = [theta_shift_table(chi, wj, tau, spec.lam, settings)
+              for chi, wj in zip(spec._nu, ws)]
+    return complex(math.prod(tables, start=spec._coefficients).sum())
+
+
+def _verify_alone(spec, trials, sampler, settings, tau=None):
+    """verify as a loop of single trials and single sums, in its rng order."""
+    rng = sampler.make_rng()
+    naive = spec.mode is CoefficientMode.NAIVE
+    reports = []
+    for idx in range(trials):
+        for _ in range(MAX_RESAMPLES if naive else 1):
+            zs = sampler.draw_args(rng, spec.n, spec.genus)
+            trial_tau = tau if tau is not None else sampler.draw_tau(rng, spec.genus)
+            try:
+                lhs = _lhs_alone(spec, zs, trial_tau, settings)
+                rhs = _rhs_alone(spec, zs, trial_tau, settings)
+            except TruncationError:
+                nan = complex(math.nan)
+                report = VerificationReport(
+                    nan, nan, math.nan, math.nan, zs, trial_tau, "eval-failed", idx)
+                break
+            report = _compare(lhs, rhs, zs, trial_tau, idx)
+            if not naive or report.status != "ok" or report.rel_error >= GENERIC_GAP:
+                break
+            report = replace(report, status="flagged")
+        reports.append(report)
+    return reports
+
+
+def _bits(report):
+    """Every field of a report, each float and array as its bytes."""
+    out = []
+    for f in fields(report):
+        value = getattr(report, f.name)
+        if isinstance(value, PeriodMatrix):
+            value = value.entries
+        if isinstance(value, (complex, float, tuple, np.ndarray)):
+            value = np.asarray(value).tobytes()
+        out.append(value)
+    return out
+
+
+def _same_reports(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert _bits(a) == _bits(b)
+
+
+# Every (n, g, mu kind, mode) for n = 2..7 and g = 1..3, but for one
+# (7, 3) case: each of its right-side boxes has 2e5 points.
+CASES = [
+    (n, g, kind, mode)
+    for g in (1, 2, 3) for n in range(2, 8)
+    for kind in ("zero", "standard", "nonstandard") for mode in CoefficientMode
+    if (n, g) != (7, 3) or (kind, mode) == ("nonstandard", CoefficientMode.MODIFIED)
+]
+
+
+@pytest.mark.parametrize("n,g,kind,mode", CASES,
+                         ids=[f"{n}-{g}-{k}-{m.value}" for n, g, k, m in CASES])
+def test_stacked_sums_match_single_sums_bit_for_bit(n, g, kind, mode, settings):
+    rng = np.random.default_rng([n, g, len(kind)])
+    spec = RelationSpec.create(n, g, _mu(kind, n, g, rng), mode)
+    # The boxes of (5, 3) have 7e4 points.
+    trials = 1 if g == 3 and n in (5, 7) else 3
+    sampler = TrialSampler(100 * n + g)
+    expected = _verify_alone(spec, trials, sampler, settings)
+    _same_reports(verify(spec, trials, sampler=sampler), expected)
+    first = expected[0]
+    assert first.status != "eval-failed"
+    assert (np.array(lhs_value(spec, first.z, first.tau)).tobytes()
+            == np.array(first.lhs).tobytes())
+    assert (np.array(rhs_value(spec, first.z, first.tau)).tobytes()
+            == np.array(first.rhs).tobytes())
+
+
+def _recorded_rows(monkeypatch):
+    """The (radius, lam, box shape) of every row relations evaluates."""
+    rows = []
+    row = relations._row
+
+    def recording(mu, z, tau, settings, lam=1):
+        made = row(mu, z, tau, settings, lam)
+        rows.append((theta_module._truncation(mu, z, tau, settings)[1], lam, made[0].shape))
+        return made
+
+    monkeypatch.setattr(relations, "_row", recording)
+    return rows
+
+
+@pytest.mark.parametrize("mode", list(CoefficientMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("g,tau", [
+    (1, [[0.1 + 0.35j]]),
+    (2, [[0.1 + 0.5j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.6j]]),
+])
+def test_a_fixed_tau_with_mixed_radii_and_box_shapes(g, tau, mode, settings, monkeypatch):
+    tau = PeriodMatrix(np.array(tau))
+    rng = np.random.default_rng(g)
+    spec = RelationSpec.create(3, g, _mu("nonstandard", 3, g, rng), mode)
+    sampler = TrialSampler(17)
+    rows = _recorded_rows(monkeypatch)
+    got = verify(spec, 6, sampler=sampler, tau=tau)
+    # One run stacks rows of several radii and box shapes on each side.
+    for lam in (1, 3):
+        assert len({r for r, side, _ in rows if side == lam}) > 1
+        assert len({s for _, side, s in rows if side == lam}) > 1
+    _same_reports(got, _verify_alone(spec, 6, sampler, settings, tau))
+
+
+@pytest.mark.parametrize("cap", [2**14, 1, 81])
+@pytest.mark.parametrize("mode", list(CoefficientMode), ids=lambda m: m.value)
+def test_failed_and_passing_trials_in_one_run(mode, cap, monkeypatch):
+    # At max_radius 4 this tau's radius search fails for some trials'
+    # arguments and succeeds for others.  A (3, 1) trial has 27
+    # shift-table entries, so a modified-mode run checks its 20 trials in
+    # one chunk, or in chunks of 1 or 3 trials.
+    monkeypatch.setattr(relations, "_STACK_POINTS", cap)
+    settings = EvalSettings(max_radius=4)
+    tau = PeriodMatrix(np.array([[0.1 + 0.8j]]))
+    spec = RelationSpec.create(3, 1, mode=mode)
+    sampler = TrialSampler()
+    got = verify(spec, 20, sampler=sampler, settings=settings, tau=tau)
+    statuses = {r.status for r in got}
+    assert "eval-failed" in statuses and statuses - {"eval-failed"}
+    _same_reports(got, _verify_alone(spec, 20, sampler, settings, tau))
+
+
+@pytest.mark.parametrize("cap", [1, 30, 700, 20000])
+@pytest.mark.parametrize("n,g,kind", [(3, 1, "nonstandard"), (4, 2, "standard"),
+                                      (3, 3, "zero")])
+def test_stacks_that_cross_the_point_cap_give_the_same_bytes(n, g, kind, cap, settings,
+                                                             monkeypatch):
+    rng = np.random.default_rng([n, g])
+    spec = RelationSpec.create(n, g, _mu(kind, n, g, rng))
+    sampler = TrialSampler(5)
+    expected = _verify_alone(spec, 4, sampler, settings)
+    monkeypatch.setattr(theta_module, "_STACK_POINTS", cap)
+    _same_reports(verify(spec, 4, sampler=sampler), expected)
+
+
+def test_a_verify_run_sums_its_rows_in_few_stacks(monkeypatch):
+    # 20 trials of (3, 1) have 60 rows per side, of one or two box shapes
+    # per side at radius 4 or 6, all far below the point cap.
+    calls = []
+    grid_terms = theta_module._grid_terms
+    monkeypatch.setattr(theta_module, "_grid_terms",
+                        lambda *args: calls.append(args) or grid_terms(*args))
+    reports = verify(RelationSpec.create(3, 1), 20)
+    assert all(r.status == "ok" for r in reports)
+    assert len(calls) <= 8
+    assert sum(args[0][0].shape[1] for args in calls) == 120
+
+
+def _peak(fn, *args):
+    """(fn(*args), or the TruncationError it raised, and the peak of its
+    traced allocations in bytes)."""
+    tracemalloc.start()
+    try:
+        try:
+            result = fn(*args)
+        except TruncationError as exc:
+            result = exc
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_stacked_run_stays_within_its_cap_in_memory():
+    # The 180 right-side rows of 60 trials at (3, 2) hold 112500 points;
+    # summed in one stack they peak at 5.5 MB, and in stacks of at most
+    # 2^14 points at 1.6 MB.
+    assert theta_module._STACK_POINTS == 2**14
+    spec = RelationSpec.create(3, 2)
+    verify(spec, 1)
+    reports, peak = _peak(verify, spec, 60)
+    assert all(r.status == "ok" for r in reports)
+    assert peak < 3_000_000
+
+
+def test_a_run_holds_the_tables_of_one_chunk_whatever_its_trial_count():
+    # A (5, 3) trial's five shift tables hold 5 * 5^6 entries, more than
+    # a chunk's 2^14, so every trial is a chunk of its own; at this tau
+    # every box has radius 4.  Holding the tables of all trials at once,
+    # 8 trials peaked 8.8 MB above one trial.
+    assert relations._STACK_POINTS == 2**14
+    spec = RelationSpec.create(5, 3)
+    tau = PeriodMatrix(3j * np.eye(3))
+    verify(spec, 1, tau=tau)
+    peaks = []
+    for trials in (1, 8):
+        reports, peak = _peak(lambda: verify(spec, trials, tau=tau))
+        assert [r.status for r in reports] == ["ok"] * trials
+        peaks.append(peak)
+    assert peaks[1] < peaks[0] + 200_000
+
+
+def test_a_box_over_the_cap_is_refused_before_it_is_allocated():
+    cap = theta_module._MAX_BOX_POINTS
+    # Refused boxes need at least 1 GiB at 48 bytes per point.
+    assert (cap + 1) * 48 >= 2**30
+    tau = PeriodMatrix(1j * np.eye(12))
+    zero = Characteristic.zero(12)
+    for call in (lambda: theta(zero, np.zeros(12), tau),
+                 lambda: theta_shift_table(zero, np.zeros(12), tau, 2)):
+        error, peak = _peak(call)
+        assert isinstance(error, TruncationError)
+        assert peak < 100_000
+    # The radius search picks 6 here, whose box has 13^12 points.
+    with pytest.raises(TruncationError, match=f"radius 6 has {13**12} points, "
+                       f"above the cap of {cap} points"):
+        theta(zero, np.zeros(12), tau)
+
+
+class _NoDraws(TrialSampler):
+    def make_rng(self):
+        raise AssertionError("drew before refusing the spec")
+
+
+@pytest.mark.parametrize("mode", list(CoefficientMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("g", [12, 65])
+def test_verify_refuses_a_spec_with_oversized_boxes_before_drawing(g, mode):
+    spec = RelationSpec.create(2, g, mode=mode)
+    error, peak = _peak(lambda: verify(spec, 1, sampler=_NoDraws()))
+    assert isinstance(error, TruncationError) and f"has {9**g} points" in str(error)
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["verify", "falsify"])
+@pytest.mark.parametrize("g", ["12", "65"])
+def test_the_command_line_exits_2_on_an_oversized_box(command, g, capsys):
+    assert main([command, "--n", "2", "--g", g, "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"thetarel: error: the box at radius 4 has {9**int(g)} points, "
+                   f"above the cap of {theta_module._MAX_BOX_POINTS} points\n")

@@ -33,7 +33,13 @@ all other --mu are zero, and each must pass.  Then comes a large n,
 emit --n 96 --format text, whose 96 x 96 Smith matrix the command line
 builds before it writes anything, and last a large genus: emit at n = 2
 (lambda = 1, one term) with g = 65 in text and g = 200 in JSON, more
-axes than a numpy array has dimensions.
+axes than a numpy array has dimensions, then verify at g = 12 and
+falsify at g = 65, whose lattice-sum boxes are refused before anything
+is drawn or allocated (exit 2).  After the run cases come runs whose
+trials are summed in several stacks: verify at n = 3 with 40 trials and
+at (n, g) = (3, 3), whose boxes cross the point cap of a stack; verify
+at THETA_MAX_RADIUS=4 with a fixed --tau whose radius search fails for
+some trials and not for others; and falsify at n = 3 with 12 trials.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -162,9 +168,20 @@ LARGE_TOPS = [
 LARGE_N = [["emit", "--n", "96", "--format", "text"]]
 
 LARGE_G = [["emit", "--n", "2", "--g", "65", "--format", "text"],
-           ["emit", "--n", "2", "--g", "200", "--format", "json"]]
+           ["emit", "--n", "2", "--g", "200", "--format", "json"],
+           ["verify", "--n", "2", "--g", "12", "--trials", "1"],
+           ["falsify", "--n", "2", "--g", "65", "--trials", "1"]]
 
-CASES = _emit_cases() + _run_cases() + MALFORMED + HELP + LARGE_TOPS + LARGE_N + LARGE_G
+# Runs whose trials are evaluated in several stacks of lattice sums.
+STACKED = [
+    ["verify", "--n", "3", "--trials", "40"],
+    ["verify", "--n", "3", "--g", "3", "--trials", "2"],
+    ["THETA_MAX_RADIUS=4", "verify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
+    ["falsify", "--n", "3", "--trials", "12"],
+]
+
+CASES = (_emit_cases() + _run_cases() + STACKED + MALFORMED + HELP + LARGE_TOPS + LARGE_N
+         + LARGE_G)
 
 
 def _load_main(root: Path):

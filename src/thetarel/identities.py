@@ -9,8 +9,10 @@ paths; hard-coded coefficient multisets appear only in the tests as
 cross-checks.  run_suite walks the named specializations of
 DEFAULT_CASES.
 
-A check of a whole relation is relations._check (lhs_value, rhs_value,
-_compare) on a spec held once, _TERNARY or relations._QUADRUPLE, and
+A check of a whole relation compares lhs_value with rhs_value
+(relations._compare) on a spec held once, _TERNARY or
+relations._QUADRUPLE, so a failed radius search raises
+TruncationError, which run_suite reports as "eval-failed"; and
 ternary_constants_check evaluates each of the nine theta-constant cubes
 once.  Rational inputs must be exact (charalg._rational).
 """
@@ -30,11 +32,11 @@ from .relations import (
     TrialSampler,
     VerificationReport,
     build_relation,
+    lhs_value,
     rhs_value,
     verify_jacobi_a,
     DEFAULT_SEED,
     _QUADRUPLE,
-    _check,
     _compare,
 )
 from .theta import (
@@ -89,7 +91,9 @@ def ternary_cube_check(
     sum of the nine shifted cubes, obtained from the n=3 relation at
     z = (x, x, x) (a fixed point of the transform).  At x = 0 it is the
     nine-term constants relation, the suite's constants_zero case."""
-    return _check(_TERNARY, (x, x, x), tau, settings)
+    z = (x, x, x)
+    return _compare(lhs_value(_TERNARY, z, tau, settings), rhs_value(_TERNARY, z, tau, settings),
+                    z, tau)
 
 
 def ternary_constants_check(
@@ -140,7 +144,8 @@ def smith_relation_check(
 ) -> VerificationReport:
     """Four-term signed relation 2(00) = (00)'+(01)'+(10)'-(11)' under the
     sum-preserving involution, via the general n=4 machinery."""
-    return _check(_QUADRUPLE, z, tau, settings)
+    return _compare(lhs_value(_QUADRUPLE, z, tau, settings),
+                    rhs_value(_QUADRUPLE, z, tau, settings), tuple(z), tau)
 
 
 def constant_symmetries_check(

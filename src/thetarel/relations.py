@@ -70,22 +70,23 @@ theta() bounds it as before.
 lhs_value and rhs_value each evaluate their n sums as the rows of one
 stacked evaluation (theta._theta_values, theta._shift_tables), every
 value and table bit for bit that of theta() and theta_shift_table().
-A modified-mode verify run draws all its trials first, in the order of
-a trial-by-trial run (the arguments, then tau, per trial), and checks
-them as sets of rows (_check_all), in chunks of at most _STACK_POINTS
-shift-table entries (or one trial), so the tables it holds at once do
-not grow with the number of trials: the n left and n right rows of
-every trial of a chunk whose radius search succeeds are evaluated
-stacked, then each trial's sides are multiplied in j order, so every
-report is bit for bit that of _check.  apply_to_args stays one (n, n) @ (n, g)
+One check, _check, compares the two sides for a list of drawn trials:
+the n left and n right rows of every trial whose radius search succeeds
+are evaluated stacked, then each trial's sides are multiplied in j
+order, so every value is bit for bit that of lhs_value and rhs_value,
+and a trial whose search fails is reported "eval-failed".  A
+modified-mode verify run draws all its trials first, in the order of a
+trial-by-trial run (the arguments, then tau, per trial), and checks them
+in chunks of at most theta._STACK_POINTS shift-table entries (or one
+trial), so the tables it holds at once do not grow with the number of
+trials.  A naive-mode run resamples a trial whose sides agree, so its
+later draws depend on earlier results; it checks one attempt at a time,
+each a list of one draw.  apply_to_args stays one (n, n) @ (n, g)
 product per trial, as the tables' mixing stays one tensordot per table
 and axis: a BLAS product over stacked operands may sum in another
-order.  A naive-mode run resamples a trial whose sides agree, so its
-later draws depend on earlier results; it checks one attempt at a time,
-through lhs_value and rhs_value.  Before drawing, verify builds the
-lattice-sum plans of the first radius for every mu_j and nu_j, so a
-spec whose smallest boxes are over theta's cap raises TruncationError
-at once.
+order.  Before drawing, verify builds the lattice-sum plans of the first
+radius for every mu_j and nu_j, so a spec whose smallest boxes are over
+theta's cap raises TruncationError at once.
 
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
@@ -141,11 +142,11 @@ from .charalg import (
     cycle_number,
     enumerate_shifts,
 )
+from . import theta as _theta
 from .theta import (
     DEFAULT_SETTINGS,
     EvalSettings,
     PeriodMatrix,
-    _STACK_POINTS,
     TruncationError,
     _min_eig_lower,
     _plan,
@@ -186,6 +187,13 @@ REL_FLOOR = 1e-300
 # at most MAX_RESAMPLES times, then flag the trial.
 GENERIC_GAP = 1e-6
 MAX_RESAMPLES = 20
+# Draws of Im tau that TrialSampler.draw_tau rejects before it raises.
+# Counted over seeds 0..4: accepted within 17 draws for g <= 32, 207 at
+# g = 36, 18 to 5676 at g = 40; at g = 44 two seeds needed 21143 and
+# 68777, the others none within 10^5; at g = 48 none within 2 10^5.  A
+# draw at g = 65 takes about 0.3 ms (2-CPU Xeon), so the cap is reached
+# in about 3 s there.
+_MAX_TAU_DRAWS = 10_000
 
 
 class CoefficientMode(enum.Enum):
@@ -367,6 +375,12 @@ def _read_only(array: np.ndarray) -> np.ndarray:
 # 1.  32 specs is the least power of two at which the benchmark's
 # create calls hit as often as with an unbounded cache: 84% of them in
 # emit and 45% in verify (8 specs give 79% and 7%).
+# With create returning unshared specs, emit (20 s runs at seed 1, four
+# alternating pairs, 2-CPU Xeon) read op_ms.p50 1.72-1.89 ms against
+# 1.20-1.61 ms shared (medians 1.78 and 1.37) and ops_per_s 243-265
+# against 230-305 (medians 261 and 279).  So the cache stays for traffic
+# that repeats a spec; whether a one-shot command needs it waits for the
+# one-shot lane of ROADMAP item 1.
 _SPEC_CACHE_SIZE = 32
 _SPEC_TERM_CAP = 2**14
 _SPEC_ROW_CAP = 2**12
@@ -592,15 +606,6 @@ def _compare(
     return VerificationReport(lhs, rhs, abs_error, rel_error, z, tau, status, seed_index)
 
 
-def _check(
-    spec: RelationSpec, z, tau: PeriodMatrix, settings: EvalSettings, seed_index: int = 0
-) -> VerificationReport:
-    """The one relation check: lhs_value, then rhs_value, then _compare."""
-    lhs = lhs_value(spec, z, tau, settings)
-    rhs = rhs_value(spec, z, tau, settings)
-    return _compare(lhs, rhs, tuple(z), tau, seed_index)
-
-
 @dataclass
 class TrialSampler:
     """Seeded sampler of trial points (z-tuple, tau).
@@ -614,10 +619,12 @@ class TrialSampler:
     of Im tau is at least 0.7 - 0.2 (g - 1): 0.5, 0.3 and 0.1 at g = 2,
     3 and 4, so no draw is redrawn there and truncation radii stay
     small.  From g = 5 on there is no such floor, and only the redraw
-    keeps Im tau positive definite.  Positive definiteness is decided by
-    the certified test of PeriodMatrix, _min_eig_lower(Im tau) > 0,
-    before Re tau is drawn, so every drawn matrix is one PeriodMatrix
-    accepts, and the bound is handed to it rather than computed again.
+    keeps Im tau positive definite; after _MAX_TAU_DRAWS rejected draws
+    (reached from about g = 44 on) draw_tau raises ValueError.  Positive
+    definiteness is decided by the certified test of PeriodMatrix,
+    _min_eig_lower(Im tau) > 0, before Re tau is drawn, so every drawn
+    matrix is one PeriodMatrix accepts, and the bound is handed to it
+    rather than computed again.
     """
 
     seed: int = DEFAULT_SEED
@@ -638,13 +645,15 @@ class TrialSampler:
             m[upper] = m.T[upper] = rng.uniform(lo, hi, len(upper[0]))
             return m
 
-        while True:
+        for _ in range(_MAX_TAU_DRAWS):
             d = rng.uniform(0.9, 1.4, genus)
             im = np.diag(d) + 0.2 * symmetric(-1.0, 1.0)
             lam_min = _min_eig_lower(im)
             if lam_min > 0.0:
                 # The imaginary part of the sum is im exactly.
                 return PeriodMatrix._certified(symmetric(-0.3, 0.3) + 1j * im, lam_min)
+        raise ValueError(
+            f"no positive definite Im tau at genus {genus} in {_MAX_TAU_DRAWS} draws")
 
     def draw_args(
         self, rng: np.random.Generator, n: int, genus: int
@@ -670,8 +679,10 @@ def verify(
     (relative) is resampled up to MAX_RESAMPLES times, so the
     falsification verdict rests on generic points rather than accidental
     coincidences; a trial still agreeing after the cap is reported with
-    status "flagged".  In MODIFIED mode all trials are drawn first and
-    evaluated together (_check_all), with the same reports.  Raises
+    status "flagged".  Every attempt goes through _check: in MODIFIED
+    mode all trials are drawn first and checked together, chunk by
+    chunk, with the same reports as one trial at a time.  A trial whose
+    radius search fails is reported "eval-failed".  Raises
     TruncationError, before drawing, when the box of the first radius
     of some mu_j or nu_j is over theta's cap.
     """
@@ -685,21 +696,23 @@ def verify(
     for chi in spec._nu:
         _plan(chi.top, radius, spec.lam)
     rng = sampler.make_rng()
+
+    def draw():
+        if tau is None:
+            return sampler.draw(rng, spec.n, spec.genus)
+        return sampler.draw_args(rng, spec.n, spec.genus), tau
+
     if spec.mode is CoefficientMode.MODIFIED:
-        draws = [(sampler.draw_args(rng, spec.n, spec.genus),
-                  tau if tau is not None else sampler.draw_tau(rng, spec.genus))
-                 for _ in range(trials)]
-        return _check_all(spec, draws, settings)
+        draws = [draw() for _ in range(trials)]
+        # A chunk holds at most _STACK_POINTS shift-table entries, n
+        # lambda^(2g) a trial, or one trial.
+        step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
+        return [report for start in range(0, trials, step)
+                for report in _check(spec, draws[start : start + step], settings, start)]
     reports = []
     for idx in range(trials):
         for _ in range(MAX_RESAMPLES):
-            zs = sampler.draw_args(rng, spec.n, spec.genus)
-            trial_tau = tau if tau is not None else sampler.draw_tau(rng, spec.genus)
-            try:
-                report = _check(spec, zs, trial_tau, settings, idx)
-            except TruncationError:
-                report = _failed(zs, trial_tau, idx)
-                break
+            (report,) = _check(spec, [draw()], settings, idx)
             if report.status != "ok" or report.rel_error >= GENERIC_GAP:
                 break
             report = replace(report, status="flagged")
@@ -707,51 +720,33 @@ def verify(
     return reports
 
 
-def _failed(zs, tau: PeriodMatrix, seed_index: int) -> VerificationReport:
-    """The report of a trial whose radius search failed."""
-    nan = complex(math.nan)
-    return VerificationReport(nan, nan, math.nan, math.nan, zs, tau, "eval-failed", seed_index)
-
-
-def _check_all(
-    spec: RelationSpec, draws: Sequence[tuple], settings: EvalSettings
+def _check(
+    spec: RelationSpec, draws: Sequence[tuple], settings: EvalSettings, start: int = 0
 ) -> list[VerificationReport]:
-    """The _check report of every drawn (z-tuple, tau), trial i with
-    seed_index i, from stacked sums, in chunks of at most _STACK_POINTS
-    shift-table entries (n lambda^(2g) a trial) or one trial, so the
-    tables held at once do not grow with the number of trials."""
-    step = max(1, _STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
-    reports = []
-    for start in range(0, len(draws), step):
-        reports += _check_chunk(spec, list(enumerate(draws[start : start + step], start)),
-                                settings)
-    return reports
-
-
-def _check_chunk(
-    spec: RelationSpec, chunk: Sequence[tuple], settings: EvalSettings
-) -> list[VerificationReport]:
-    """The _check report of every (seed_index, (z-tuple, tau)) of a chunk:
-    the n left and n right rows of every trial whose radius search
-    succeeds are evaluated together (theta._theta_values and
-    theta._shift_tables), then each trial's two sides are multiplied in j
-    order and compared.  Every report is bit for bit that of _check, and
-    a trial whose search fails is "eval-failed" as there."""
+    """The one relation check, the report of every drawn (z-tuple, tau),
+    trial i with seed_index start + i: the n left and n right rows of
+    every trial whose radius search succeeds are evaluated together
+    (theta._theta_values and theta._shift_tables), then each trial's two
+    sides are multiplied in j order and compared, every value bit for
+    bit that of lhs_value and rhs_value.  A trial whose search fails is
+    "eval-failed", with NaN sides and errors."""
     left, right, failed = [], [], set()
-    for idx, (zs, tau) in chunk:
+    for i, (zs, tau) in enumerate(draws):
         try:
             rows = _lhs_rows(spec, zs, tau, settings), _rhs_rows(spec, zs, tau, settings)
         except TruncationError:
-            failed.add(idx)
+            failed.add(i)
             continue
         left += rows[0]
         right += rows[1]
     values, tables, n = iter(_theta_values(left)), iter(_shift_tables(right)), spec.n
+    nan = complex(math.nan)
     return [
-        _failed(zs, tau, idx) if idx in failed else _compare(
+        VerificationReport(nan, nan, math.nan, math.nan, zs, tau, "eval-failed", start + i)
+        if i in failed else _compare(
             _lhs(spec, itertools.islice(values, n)), _rhs(spec, itertools.islice(tables, n)),
-            tuple(zs), tau, idx)
-        for idx, (zs, tau) in chunk
+            tuple(zs), tau, start + i)
+        for i, (zs, tau) in enumerate(draws)
     ]
 
 

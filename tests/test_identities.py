@@ -14,6 +14,7 @@ from thetarel import (
     PeriodMatrix,
     RelationSpec,
     TrialSampler,
+    TruncationError,
     build_relation,
     collapse_args_equal_check,
     constant_symmetries_check,
@@ -243,14 +244,28 @@ def test_suite_truncation_shows_as_eval_failure_not_identity_failure():
     assert report["verdict"] == "fail"
 
 
+@pytest.mark.parametrize("name,check", [
+    ("ternary_cube", lambda tau, s: ternary_cube_check(tau, 0.1j, s)),
+    ("smith_relation", lambda tau, s: smith_relation_check((0j, 0.1, -0.2j, 0.3), tau, s)),
+])
+def test_relation_checks_raise_on_a_failed_radius_search(name, check):
+    # At max_radius 1 no tail bound reaches its target: the checks of a
+    # whole relation raise, and the suite reports the case eval-failed.
+    tight = EvalSettings(max_radius=1)
+    with pytest.raises(TruncationError, match="at radius 1 does not reach target"):
+        check(PeriodMatrix(np.array([[0.1 + 0.8j]])), tight)
+    verdicts = {c["name"]: c["verdict"] for c in run_suite(2, settings=tight)["cases"]}
+    assert verdicts[name] == "eval-failed"
+
+
 def test_default_cases_are_eight_unique():
     assert len(DEFAULT_CASES) == 8
     assert len({c.name for c in DEFAULT_CASES}) == 8
 
 
 # Term-by-term forms of four checks, as they were written before the
-# checks shared relations._check, identities._theta1 and one cube per
-# shift: each theta value is computed where it is used.
+# checks shared lhs_value and rhs_value, identities._theta1 and one cube
+# per shift: each theta value is computed where it is used.
 
 
 def _ternary_constants_oracle(tau, settings):

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -203,7 +204,7 @@ def test_verify_rejects_positional_tol():
 def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     # n=2 naive holds exactly, so every trial spends all MAX_RESAMPLES
     # attempts; nu and the coefficient table are still derived once.
-    calls = {"nu": 0, "coefficients": 0, "rhs_value": 0}
+    calls = {"nu": 0, "coefficients": 0, "check": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -214,7 +215,7 @@ def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     for key, name in (("nu", "_nu"), ("coefficients", "_coefficients")):
         table = relations.RelationSpec.__dict__[name]
         monkeypatch.setattr(table, "func", counted(key, table.func))
-    monkeypatch.setattr(relations, "rhs_value", counted("rhs_value", relations.rhs_value))
+    monkeypatch.setattr(relations, "_check", counted("check", relations._check))
     # A fresh shared spec: an earlier test may have derived its tables.
     relations._shared_spec.cache_clear()
     spec = RelationSpec.create(2, 1, mode=CoefficientMode.NAIVE)
@@ -222,7 +223,7 @@ def test_naive_resamples_derive_nu_and_coefficients_once(monkeypatch):
     assert all(r.status == "flagged" for r in reports)
     assert not spec._coefficients.flags.writeable
     assert calls == {
-        "nu": 1, "coefficients": 1, "rhs_value": 3 * relations.MAX_RESAMPLES,
+        "nu": 1, "coefficients": 1, "check": 3 * relations.MAX_RESAMPLES,
     }
 
 
@@ -538,6 +539,26 @@ def test_draw_tau_meets_the_gershgorin_floor(genus):
     rng = sampler.make_rng()
     floor = 0.7 - 0.2 * (genus - 1)
     assert min(sampler.draw_tau(rng, genus).lam_min for _ in range(1000)) >= floor
+
+
+def test_draw_tau_gives_up_after_its_cap(monkeypatch):
+    # No draw of Im tau at g = 48 is positive definite within 2 10^5
+    # draws; with the cap at 50 the sampler raises at once.
+    monkeypatch.setattr(relations, "_MAX_TAU_DRAWS", 50)
+    with pytest.raises(ValueError, match="at genus 48 in 50 draws"):
+        TrialSampler(0).draw_tau(TrialSampler(0).make_rng(), 48)
+
+
+def test_draw_tau_at_genus_65_returns_or_raises_within_seconds():
+    # At the real cap, about 3 s on a 2-CPU Xeon; allow 20x for a slow host.
+    start = time.perf_counter()
+    sampler = TrialSampler(0)
+    try:
+        assert sampler.draw_tau(sampler.make_rng(), 65).lam_min > 0
+    except ValueError as exc:
+        assert str(exc) == (f"no positive definite Im tau at genus 65 in "
+                            f"{relations._MAX_TAU_DRAWS} draws")
+    assert time.perf_counter() - start < 60
 
 
 class _ScriptedRng:

@@ -181,8 +181,9 @@ def test_failed_and_passing_trials_in_one_run(mode, cap, monkeypatch):
     # At max_radius 4 this tau's radius search fails for some trials'
     # arguments and succeeds for others.  A (3, 1) trial has 27
     # shift-table entries, so a modified-mode run checks its 20 trials in
-    # one chunk, or in chunks of 1 or 3 trials.
-    monkeypatch.setattr(relations, "_STACK_POINTS", cap)
+    # one chunk, or in chunks of 1 or 3 trials; caps 1 and 81 also split
+    # the stacks of lattice sums.
+    monkeypatch.setattr(theta_module, "_STACK_POINTS", cap)
     settings = EvalSettings(max_radius=4)
     tau = PeriodMatrix(np.array([[0.1 + 0.8j]]))
     spec = RelationSpec.create(3, 1, mode=mode)
@@ -250,7 +251,7 @@ def test_a_run_holds_the_tables_of_one_chunk_whatever_its_trial_count():
     # a chunk's 2^14, so every trial is a chunk of its own; at this tau
     # every box has radius 4.  Holding the tables of all trials at once,
     # 8 trials peaked 8.8 MB above one trial.
-    assert relations._STACK_POINTS == 2**14
+    assert theta_module._STACK_POINTS == 2**14
     spec = RelationSpec.create(5, 3)
     tau = PeriodMatrix(3j * np.eye(3))
     verify(spec, 1, tau=tau)

@@ -39,7 +39,11 @@ is drawn or allocated (exit 2).  After the run cases come runs whose
 trials are summed in several stacks: verify at n = 3 with 40 trials and
 at (n, g) = (3, 3), whose boxes cross the point cap of a stack; verify
 at THETA_MAX_RADIUS=4 with a fixed --tau whose radius search fails for
-some trials and not for others; and falsify at n = 3 with 12 trials.
+some trials and not for others; falsify at n = 3 with 12 trials; and
+falsify (naive mode, one attempt at a time) at THETA_MAX_RADIUS=4 with
+that --tau, at n = 3, where some trials fail and the rest pass, and at
+n = 2, where the relation holds, so each trial is resampled until a
+draw's radius search fails.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -178,6 +182,8 @@ STACKED = [
     ["verify", "--n", "3", "--g", "3", "--trials", "2"],
     ["THETA_MAX_RADIUS=4", "verify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
     ["falsify", "--n", "3", "--trials", "12"],
+    ["THETA_MAX_RADIUS=4", "falsify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
+    ["THETA_MAX_RADIUS=4", "falsify", "--n", "2", "--trials", "6", "--tau", "0.1+0.8i"],
 ]
 
 CASES = (_emit_cases() + _run_cases() + STACKED + MALFORMED + HELP + LARGE_TOPS + LARGE_N

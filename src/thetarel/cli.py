@@ -7,7 +7,10 @@ coefficient), suite (curated identity checks), table (cycle numbers).
 Exit codes: 0 pass, 1 identity failure, 2 evaluation failure
 (truncation, or a lattice-sum box too large to allocate), 64 usage
 error.  An invalid --n, --g or --mu is reported
-with the message of RelationSpec or Characteristic.parse.
+with the message of RelationSpec or Characteristic.parse.  The parser
+alone refuses every other invalid option: a --format outside the
+choices of its subcommand (latex is emit's only), a --trials below 1,
+a negative --seed, and a --tol that is negative or not finite.
 THETA_MAX_RADIUS overrides the evaluator's radius cap.
 """
 
@@ -85,6 +88,13 @@ def _seed(text: str) -> int:
     return seed
 
 
+def _trials(text: str) -> int:
+    trials = int(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return trials
+
+
 def _tol(text: str) -> float:
     tol = float(text)
     if not math.isfinite(tol) or tol < 0:
@@ -108,14 +118,15 @@ def _build_parser() -> _Parser:
                         help='characteristic "p/q,...;p/q,..."; repeat n times')
         sp.add_argument("--mode", choices=modes, default=modes[0])
         if trials_default is not None:
-            sp.add_argument("--trials", type=int, default=trials_default)
+            sp.add_argument("--trials", type=_trials, default=trials_default)
             sp.add_argument("--tol", type=_tol, default=tol_default)
             sp.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
             sp.add_argument("--tau", default=None, metavar="MATRIX",
                             help="fixed period matrix, entries like 0.3+1.1i "
                             "separated by ',' and rows by ';', e.g. "
                             "'1.1i,0.2+0.3i;0.2+0.3i,0.9i'")
-        sp.add_argument("--format", choices=["json", "latex", "text"], default=None)
+        formats = ["json", "latex", "text"] if trials_default is None else ["json", "text"]
+        sp.add_argument("--format", choices=formats, default=None)
         sp.add_argument("--out", default=None)
         # A negative Re tau, a negative coordinate or -inf starts with "-".
         sp.dash_value_options = ("--mu",) if trials_default is None else (
@@ -132,7 +143,7 @@ def _build_parser() -> _Parser:
         run=_cmd_verify, format="json", n=4)
 
     ps = sub.add_parser("suite", help="curated identity checks")
-    ps.add_argument("--trials", type=int, default=10)
+    ps.add_argument("--trials", type=_trials, default=10)
     ps.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
     ps.add_argument("--format", choices=["json", "text"], default="json")
     ps.add_argument("--out", default=None)
@@ -233,14 +244,10 @@ def _cmd_verify(args) -> tuple[tuple[str, ...], int]:
     """verify and falsify; falsify runs naive mode only, its parser
     defaults --n to 4, and it succeeds only when some ok trial exceeds
     --tol."""
-    if args.format == "latex":
-        raise UsageError("latex output applies to emit only")
     falsify = args.command == "falsify"
     spec = _spec_from_args(args)
     settings = _settings()
     tau = _parse_tau(args.tau, args.g) if args.tau else None
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     sampler = TrialSampler(args.seed)
     reports = verify(spec, args.trials, sampler=sampler, settings=settings, tau=tau)
     report = _with_trials(
@@ -258,8 +265,6 @@ def _cmd_verify(args) -> tuple[tuple[str, ...], int]:
 
 
 def _cmd_suite(args) -> tuple[tuple[str, ...], int]:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     report = run_suite(args.trials, args.seed, _settings())
     if args.format == "text":
         lines = [

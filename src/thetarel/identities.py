@@ -10,11 +10,15 @@ cross-checks.  run_suite walks the named specializations of
 DEFAULT_CASES.
 
 A check of a whole relation compares lhs_value with rhs_value
-(relations._compare) on a spec held once, _TERNARY or
-relations._QUADRUPLE, so a failed radius search raises
-TruncationError, which run_suite reports as "eval-failed"; and
-ternary_constants_check evaluates each of the nine theta-constant cubes
-once.  Rational inputs must be exact (charalg._rational).
+(relations._compare) on a spec held once, _TERNARY or _QUADRUPLE.  Every
+other check evaluates its theta values in one call of _values, as the
+rows of one stacked evaluation (theta._row, theta._theta_values), each
+value bit for bit that of theta(); ternary_constants_check takes each
+of the nine theta constants once.  The rows are built in the order in
+which the values are used, so the first failed radius search raises
+the TruncationError that one theta() call per value would, which
+run_suite reports as "eval-failed".  Rational inputs must be exact
+(charalg._rational).
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from .relations import (
     rhs_value,
     verify_jacobi_a,
     DEFAULT_SEED,
-    _QUADRUPLE,
     _compare,
 )
 from .theta import (
@@ -44,8 +47,8 @@ from .theta import (
     EvalSettings,
     PeriodMatrix,
     TruncationError,
-    theta,
-    theta_constant,
+    _row,
+    _theta_values,
 )
 
 __all__ = [
@@ -63,16 +66,17 @@ __all__ = [
 # Largest max_rel_error with which a suite case passes.
 SUITE_TOLERANCE = 1e-10
 
-# The all-zero n=3 relation that the curated checks specialize, held once
-# so that its per-spec values (nu, the coefficient and digit tables) are
-# derived once rather than on every call; the n=4 one is
-# relations._QUADRUPLE.
+# The all-zero n=3 and n=4 relations that the curated checks specialize,
+# held once so that their per-spec values (nu, the coefficient and digit
+# tables) are derived once rather than on every call.
 _TERNARY = RelationSpec.create(3, 1)
+_QUADRUPLE = RelationSpec.create(4, 1)
 
 
-def _theta1(top, bottom, tau: PeriodMatrix, settings: EvalSettings, arg=0j) -> complex:
-    """theta_(top; bottom)(arg, tau) at genus 1; the theta constant by default."""
-    return theta(Characteristic((top,), (bottom,)), arg, tau, settings).value
+def _values(tau: PeriodMatrix, settings: EvalSettings, evaluations) -> list[complex]:
+    """theta_mu(z, tau).value of each (mu, z) of evaluations, in order, bit
+    for bit, from one stacked evaluation."""
+    return _theta_values([_row(mu, z, tau, settings) for mu, z in evaluations])
 
 
 def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
@@ -106,10 +110,11 @@ def ternary_constants_check(
     generated term list (not hard-coded), keeping this path consistent
     with the relation engine.
     """
-    coefficient, cube = {}, {}
-    for t in build_relation(_TERNARY):
-        coefficient[str(t.shift)] = t.coefficient
-        cube[str(t.shift)] = theta_constant(t.shift, tau, settings).value ** 3
+    terms = list(build_relation(_TERNARY))
+    origin = np.zeros(tau.genus, dtype=complex)
+    values = _values(tau, settings, [(t.shift, origin) for t in terms])
+    coefficient = {str(t.shift): t.coefficient for t in terms}
+    cube = {str(t.shift): v**3 for t, v in zip(terms, values)}
     # Pairing equalities between cubes.
     pairs = [
         (cube[a], cube[b])
@@ -120,8 +125,7 @@ def ternary_constants_check(
     reduced = cube["0;1/3"] + cube["1/3;0"] + coefficient["1/3;2/3"] * cube["1/3;2/3"]
     reduced += coefficient["1/3;1/3"] * cube["1/3;1/3"]
     pairs.append((cube["0;0"], reduced))
-    zero = np.zeros(1, dtype=complex)
-    return _report(pairs, (zero,) * 3, tau)
+    return _report(pairs, (np.zeros(1, dtype=complex),) * 3, tau)
 
 
 def jacobi_quartic_check(
@@ -130,12 +134,10 @@ def jacobi_quartic_check(
     """Quartic identity t00^4(x) + t11^4(x) = t01^4(x) + t10^4(x) and its
     x = 0 constants form t00^4 = t01^4 + t10^4."""
     h = Fraction(1, 2)
-    pairs = []
-    for arg in (x, 0.0):
-        t00, t01, t10, t11 = (
-            _theta1(top, bottom, tau, settings, arg) for top in (0, h) for bottom in (0, h)
-        )
-        pairs.append((t00**4 + t11**4, t01**4 + t10**4))
+    values = _values(tau, settings, [(Characteristic((top,), (bottom,)), arg)
+                                     for arg in (x, 0.0) for top in (0, h) for bottom in (0, h)])
+    pairs = [(t00**4 + t11**4, t01**4 + t10**4)
+             for t00, t01, t10, t11 in (values[:4], values[4:])]
     return _report(pairs, (x,), tau)
 
 
@@ -164,13 +166,10 @@ def constant_symmetries_check(
     """
     a, b = _rational(alpha), _rational(beta)
     phase = complex(np.exp(-2j * math.pi * float(a)))
-    pairs = [
-        (_theta1(1 - a, 0, tau, settings), _theta1(a, 0, tau, settings)),
-        (_theta1(0, 1 - b, tau, settings), _theta1(0, b, tau, settings)),
-        (_theta1(1 - a, b, tau, settings), phase * _theta1(a, 1 - b, tau, settings)),
-    ]
-    zero = np.zeros(1, dtype=complex)
-    return _report(pairs, (zero,), tau)
+    v = _values(tau, settings, [(Characteristic((top,), (bottom,)), 0j) for top, bottom in
+                                ((1 - a, 0), (a, 0), (0, 1 - b), (0, b), (1 - a, b), (a, 1 - b))])
+    pairs = [(v[0], v[1]), (v[2], v[3]), (v[4], phase * v[5])]
+    return _report(pairs, (np.zeros(1, dtype=complex),), tau)
 
 
 def collapse_args_equal_check(
@@ -181,13 +180,14 @@ def collapse_args_equal_check(
 
     The two sides come from independent evaluation paths: rhs_value
     reads every shift from one batched theta_shift_table sum per
-    argument, the cube sum makes one theta() call per shift of the
-    build_relation term list."""
+    argument, the cube sum takes one theta value per shift of the
+    build_relation term list, each from its own lattice sum."""
     z = (x, x, x)
     engine_rhs = rhs_value(_TERNARY, z, tau, settings)
+    terms = list(build_relation(_TERNARY))
     direct = 0j
-    for term in build_relation(_TERNARY):
-        direct += term.coefficient * theta(term.shift, x, tau, settings).value ** 3
+    for term, value in zip(terms, _values(tau, settings, [(t.shift, x) for t in terms])):
+        direct += term.coefficient * value**3
     return _compare(engine_rhs, direct, z, tau)
 
 

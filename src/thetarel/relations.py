@@ -69,7 +69,8 @@ theta() bounds it as before.
 
 lhs_value and rhs_value each evaluate their n sums as the rows of one
 stacked evaluation (theta._theta_values, theta._shift_tables), every
-value and table bit for bit that of theta() and theta_shift_table().
+value and table bit for bit that of theta() and theta_shift_table(), and
+so does verify_jacobi_a with its 4 left and 16 right values.
 One check, _check, compares the two sides for a list of drawn trials:
 the n left and n right rows of every trial whose radius search succeeds
 are evaluated stacked, then each trial's sides are multiplied in j
@@ -154,7 +155,6 @@ from .theta import (
     _row,
     _shift_tables,
     _theta_values,
-    theta,
 )
 from .transforms import apply_to_args, jacobi_a_matrix, smith_matrix
 
@@ -542,10 +542,7 @@ def _rhs_rows(spec: RelationSpec, zs, tau: PeriodMatrix, settings: EvalSettings)
 
 def _lhs(spec: RelationSpec, values) -> complex:
     """lambda^g times the n theta values, multiplied in j order."""
-    value = complex(spec.lam**spec.genus)
-    for v in values:
-        value *= v
-    return value
+    return math.prod(values, start=complex(spec.lam**spec.genus))
 
 
 def _rhs(spec: RelationSpec, tables) -> complex:
@@ -624,7 +621,8 @@ class TrialSampler:
     definiteness is decided by the certified test of PeriodMatrix,
     _min_eig_lower(Im tau) > 0, before Re tau is drawn, so every drawn
     matrix is one PeriodMatrix accepts, and the bound is handed to it
-    rather than computed again.
+    rather than computed again.  A genus below 1 raises ValueError before
+    anything is drawn.
     """
 
     seed: int = DEFAULT_SEED
@@ -633,6 +631,8 @@ class TrialSampler:
         return np.random.default_rng(self.seed)
 
     def draw_tau(self, rng: np.random.Generator, genus: int) -> PeriodMatrix:
+        if genus < 1:
+            raise ValueError(f"need genus >= 1, got {genus}")
         if genus == 1:
             u = rng.uniform(-0.5, 0.5)
             v = rng.uniform(0.8, 1.6)
@@ -658,6 +658,8 @@ class TrialSampler:
     def draw_args(
         self, rng: np.random.Generator, n: int, genus: int
     ) -> tuple[np.ndarray, ...]:
+        if genus < 1:
+            raise ValueError(f"need genus >= 1, got {genus}")
         flat = rng.uniform(-0.4, 0.4, (n, genus, 2))
         return tuple(flat[j, :, 0] + 1j * flat[j, :, 1] for j in range(n))
 
@@ -761,10 +763,6 @@ def overall_verdict(reports: Sequence[VerificationReport], tol: float) -> str:
     return "pass" if max(errors) <= tol else "fail"
 
 
-# The all-zero n = 4 spec: its lhs_value is 2 prod_j theta_0(z_j).
-_QUADRUPLE = RelationSpec.create(4, 1)
-
-
 def verify_jacobi_a(
     z,
     tau: PeriodMatrix,
@@ -775,19 +773,23 @@ def verify_jacobi_a(
         2 prod_j theta_{(0;0)}(z_j) = sum over (alpha, beta) in {0,1}^2
             of prod_j theta_{(alpha/2; beta/2)}(w_j),   w = z A,
 
-    all four summands entering with coefficient +1.  The left side is
-    lhs_value of the all-zero (4, 1) spec; the four characteristics are
-    enumerate_shifts(1, 2), alpha major.
+    all four summands entering with coefficient +1.  The four
+    characteristics are enumerate_shifts(1, 2), alpha major, the first
+    of them (0; 0).  The 4 left and 16 right values are the rows of one
+    stacked evaluation, each bit for bit that of theta(), built in the
+    order the left side and then each summand use them.
     """
     if tau.genus != 1:
         raise ValueError("the quadruple relation is a genus-1 statement")
     zs = _as_arg_tuple(4, 1, z)
     ws = apply_to_args(jacobi_a_matrix(), zs)
-    lhs = lhs_value(_QUADRUPLE, zs, tau, settings)
+    chis = enumerate_shifts(1, 2)
+    v = _theta_values([_row(chis[0], zj, tau, settings) for zj in zs]
+                      + [_row(chi, wj, tau, settings) for chi in chis for wj in ws])
     rhs = 0j
-    for chi in enumerate_shifts(1, 2):
-        rhs += math.prod(theta(chi, wj, tau, settings).value for wj in ws)
-    return _compare(lhs, rhs, zs, tau)
+    for k in range(4, 20, 4):
+        rhs += math.prod(v[k : k + 4])
+    return _compare(math.prod(v[:4], start=2 + 0j), rhs, zs, tau)
 
 
 def _json_row(top: tuple[str, ...]) -> Callable:

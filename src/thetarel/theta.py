@@ -65,8 +65,12 @@ mixing stays one tensordot per table and axis, at the one-row shape:
 a BLAS product over stacked tables may sum in another order, and
 stacked tables were measured not bit-identical at g = 1.  So a value
 or table is the same bit for bit whatever it is stacked with.
-theta_shift_table is one row; theta() keeps its own one-row path
-(_box_sum), which also bounds the rounding.
+Every theta value the package takes internally is such a row: both
+sides of a relation check (relations), and the values of the identity
+checks and of verify_jacobi_a.  theta_shift_table is one row.  theta(),
+the public one-value path, keeps its own one-row sum (_box_sum), which
+also bounds the rounding: a one-row stack with a stacked rounding
+bound was measured 18% slower per call on a 2-CPU Xeon.
 """
 
 from __future__ import annotations

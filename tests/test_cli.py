@@ -105,9 +105,21 @@ def test_emit_latex_coefficient_styles(capsys):
 
 
 def test_verify_rejects_latex_format(capsys):
-    code, _, err = run_cli(capsys, "verify", "--n", "3", "--format", "latex")
-    assert code == 64
-    assert "emit" in err
+    # latex is a --format choice of emit only, so the parser refuses it.
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--n", "3", "--format", "latex"])
+    assert info.value.code == 64
+    assert "argument --format: invalid choice: 'latex'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["verify", "--n", "3"], ["falsify"], ["suite"]])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_parser_refuses_fewer_than_one_trial(capsys, command, trials):
+    with pytest.raises(SystemExit) as info:
+        main([*command, "--trials", trials])
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (64, "")
+    assert err == f"thetarel {command[0]}: error: argument --trials: must be >= 1, got '{trials}'\n"
 
 
 def test_emit_requires_n(capsys):

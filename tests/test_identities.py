@@ -19,6 +19,7 @@ from thetarel import (
     collapse_args_equal_check,
     constant_symmetries_check,
     jacobi_quartic_check,
+    rhs_value,
     run_suite,
     smith_relation_check,
     ternary_constants_check,
@@ -31,6 +32,9 @@ from thetarel import identities, relations
 from thetarel.identities import _report
 from thetarel.relations import _compare
 from thetarel.transforms import apply_to_args, jacobi_a_matrix
+
+# The module; thetarel.theta is the function of that name.
+theta_module = importlib.import_module("thetarel.theta")
 
 F = Fraction
 OMEGA = cmath.exp(2j * math.pi / 3)
@@ -122,8 +126,6 @@ def test_smith_relation_matches_manual_computation(settings):
     for alpha, beta, sign in [(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, -1)]:
         chi = Characteristic((F(alpha, 2),), (F(beta, 2),))
         manual += sign * math.prod(theta(chi, wk, tau, settings).value for wk in w)
-    from thetarel import rhs_value
-
     engine = rhs_value(RelationSpec.create(4, 1), z, tau, settings)
     assert abs(engine - manual) <= 1e-12
 
@@ -263,9 +265,9 @@ def test_default_cases_are_eight_unique():
     assert len({c.name for c in DEFAULT_CASES}) == 8
 
 
-# Term-by-term forms of four checks, as they were written before the
-# checks shared lhs_value and rhs_value, identities._theta1 and one cube
-# per shift: each theta value is computed where it is used.
+# Term-by-term forms of five checks, as they were written before the
+# checks shared lhs_value and rhs_value and evaluated their values as one
+# stack: each theta value is one theta() call where it is used.
 
 
 def _ternary_constants_oracle(tau, settings):
@@ -333,6 +335,15 @@ def _constant_symmetries_oracle(tau, a, b, settings):
     return identities._report(pairs, (zero,), tau)
 
 
+def _collapse_args_equal_oracle(tau, x, settings):
+    spec = RelationSpec.create(3, 1)
+    z = (x, x, x)
+    direct = 0j
+    for term in build_relation(spec):
+        direct += term.coefficient * theta(term.shift, x, tau, settings).value ** 3
+    return _compare(rhs_value(spec, z, tau, settings), direct, z, tau)
+
+
 def _bits(value):
     """value with every float held exactly: by repr, which round-trips and
     keeps the sign of zero, and every array by dtype, shape and bytes."""
@@ -348,6 +359,10 @@ def _bits(value):
 # name: (check, its oracle, draw(rng, sampler, tau) -> the arguments
 # before settings)
 ORACLES = {
+    "collapse_args_equal": (
+        collapse_args_equal_check, _collapse_args_equal_oracle,
+        lambda rng, sampler, tau: (tau, identities._draw_x(rng, sampler)),
+    ),
     "constant_symmetries": (
         constant_symmetries_check, _constant_symmetries_oracle,
         lambda rng, sampler, tau: (
@@ -396,17 +411,46 @@ def test_checks_match_their_term_by_term_oracles(name, settings, monkeypatch):
 
 
 def test_ternary_constants_evaluates_each_cube_once(monkeypatch, tau_i):
-    # One theta value per shift of the nine-term relation: 9 box sums.
-    theta_module = importlib.import_module("thetarel.theta")
-    box_sum = theta_module._box_sum
-    summed = []
+    # One row per shift of the nine-term relation, all nine in one stack.
+    rows, stacks = [], []
+    row, values = identities._row, identities._theta_values
 
-    def counted(mu_top, mu_bottom, *args):
-        summed.append(Characteristic(mu_top, mu_bottom))
-        return box_sum(mu_top, mu_bottom, *args)
+    def recording_row(mu, *args):
+        rows.append(str(mu))
+        return row(mu, *args)
 
-    monkeypatch.setattr(theta_module, "_box_sum", counted)
+    def recording_values(stack):
+        stacks.append(len(stack))
+        return values(stack)
+
+    monkeypatch.setattr(identities, "_row", recording_row)
+    monkeypatch.setattr(identities, "_theta_values", recording_values)
     ternary_constants_check(tau_i)
-    assert sorted(map(str, summed)) == sorted(
+    assert sorted(rows) == sorted(
         str(t.shift) for t in build_relation(RelationSpec.create(3, 1))
     )
+    assert stacks == [9]
+
+
+@pytest.mark.parametrize("module, name, size", [
+    (identities, "collapse_args_equal", 9),
+    (identities, "constant_symmetries", 6),
+    (identities, "jacobi_quartic", 8),
+    (relations, "jacobi_quadruple", 20),
+])
+def test_checks_evaluate_their_theta_values_in_one_stack(monkeypatch, module, name, size):
+    # No value comes from theta(), whose one-row sum is theta._box_sum.
+    check, _, draw = ORACLES[name]
+    values, stacks, box_sums = module._theta_values, [], []
+
+    def recording(stack):
+        stacks.append(len(stack))
+        return values(stack)
+
+    monkeypatch.setattr(module, "_theta_values", recording)
+    monkeypatch.setattr(theta_module, "_box_sum", lambda *args: box_sums.append(args))
+    sampler = TrialSampler(62)
+    rng = sampler.make_rng()
+    check(*draw(rng, sampler, sampler.draw_tau(rng, 1)))
+    assert stacks == [size]
+    assert box_sums == []

@@ -549,6 +549,21 @@ def test_draw_tau_gives_up_after_its_cap(monkeypatch):
         TrialSampler(0).draw_tau(TrialSampler(0).make_rng(), 48)
 
 
+@pytest.mark.parametrize("genus", [0, -1])
+@pytest.mark.parametrize("draw", [
+    lambda sampler, rng, genus: sampler.draw_tau(rng, genus),
+    lambda sampler, rng, genus: sampler.draw_args(rng, 3, genus),
+    lambda sampler, rng, genus: sampler.draw(rng, 3, genus),
+], ids=["draw_tau", "draw_args", "draw"])
+def test_sampler_refuses_a_genus_below_one_before_drawing(draw, genus):
+    sampler = TrialSampler(0)
+    rng = sampler.make_rng()
+    with pytest.raises(ValueError, match=f"need genus >= 1, got {genus}$"):
+        draw(sampler, rng, genus)
+    # The rng is untouched: its next draw is the first of a fresh one.
+    assert rng.uniform() == sampler.make_rng().uniform()
+
+
 def test_draw_tau_at_genus_65_returns_or_raises_within_seconds():
     # At the real cap, about 3 s on a 2-CPU Xeon; allow 20x for a slow host.
     start = time.perf_counter()

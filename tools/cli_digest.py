@@ -43,7 +43,10 @@ some trials and not for others; falsify at n = 3 with 12 trials; and
 falsify (naive mode, one attempt at a time) at THETA_MAX_RADIUS=4 with
 that --tau, at n = 3, where some trials fail and the rest pass, and at
 n = 2, where the relation holds, so each trial is resampled until a
-draw's radius search fails.
+draw's radius search fails; and the suite at THETA_MAX_RADIUS=4 with 8
+trials, whose identity checks each evaluate their theta values as one
+stack, and where jacobi_quadruple and smith_relation are eval-failed
+(exit 2) and the other cases pass.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -184,6 +187,7 @@ STACKED = [
     ["falsify", "--n", "3", "--trials", "12"],
     ["THETA_MAX_RADIUS=4", "falsify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
     ["THETA_MAX_RADIUS=4", "falsify", "--n", "2", "--trials", "6", "--tau", "0.1+0.8i"],
+    ["THETA_MAX_RADIUS=4", "suite", "--trials", "8"],
 ]
 
 CASES = (_emit_cases() + _run_cases() + STACKED + MALFORMED + HELP + LARGE_TOPS + LARGE_N

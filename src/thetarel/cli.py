@@ -81,22 +81,31 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _number(convert, text: str, kind: str):
+    """convert(text).  Its ValueError becomes an ArgumentTypeError, so
+    the usage error names the option and not the type function."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be {kind}, got {text!r}") from None
+
+
 def _seed(text: str) -> int:
-    seed = int(text, 0)
+    seed = _number(lambda t: int(t, 0), text, "an integer")
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
     return seed
 
 
 def _trials(text: str) -> int:
-    trials = int(text)
+    trials = _number(int, text, "an integer")
     if trials < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
     return trials
 
 
 def _tol(text: str) -> float:
-    tol = float(text)
+    tol = _number(float, text, "a number")
     if not math.isfinite(tol) or tol < 0:
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return tol

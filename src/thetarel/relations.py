@@ -104,7 +104,7 @@ from a template it makes of one _json_row prototype per document.
 
 RelationSpec.create returns one shared instance per value (n, genus,
 mu, mode), from a process-wide least-recently-used cache of
-_SPEC_CACHE_SIZE specs, as theta._plan keeps lattice-sum plans.  The
+_SPEC_CACHE_SIZE specs, as theta._axis keeps lattice-sum axes.  The
 command line, render.parse_terms_json and the identity checks build
 their specs through create, so nu, the row tables and the exponent and
 coefficient tables are derived once per distinct spec per process.

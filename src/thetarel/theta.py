@@ -37,20 +37,25 @@ theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
 nu' + (1/lambda) Z^g, with the same radius and tail envelope.
 
-What a sum needs of the top mu' alone (the per-axis v arrays and, for
-a shift table, the residue bins and the per-axis root-of-unity mixing
-matrices) is a plan, built by _plan from the key (mu', radius, lambda)
-and kept in a process-wide least-recently-used cache of
-_PLAN_CACHE_SIZE plans; the bins of a box of more than _KEPT_BIN_POINTS
-points are built on each use and not kept.  The key holds exact
-rationals and integers only; no cache holds a float input, so z, tau
-and the float mu'' are used afresh on every call, and characteristics
-that differ only in mu'' share one plan.  A plan is built by the same operations whether
-it comes from the cache or not, and its arrays are read-only, so every
-result is bit-identical cold or warm.  The bins and the phases are
-exact for a top of any size; a large mu'' still loses the digits of
-its float.  _Plan refuses a box of more than _MAX_BOX_POINTS points
-with _OversizedBox, a TruncationError, before any grid is allocated.
+What a sum needs of the top mu' alone factors by axis, as the box
+does: per coordinate a, the range of k_a, the points v_a and, for a
+shift table, the residues k_a mod lambda^2 and the root-of-unity mixing
+matrix of that axis.  Each is held by an _Axis, built by _axis from the
+key (mu'_a, radius, lambda) and kept in a process-wide
+least-recently-used cache of _PLAN_CACHE_SIZE axes; the plan of a sum
+(_plan) is the tuple of its axes.  The key holds one exact rational and
+two integers; no cache holds a float input, so z, tau and the float
+mu'' are used afresh on every call, and characteristics whose tops
+agree in a coordinate share that axis, whatever their bottoms.  An axis
+is built by the same operations whether it comes from the cache or not,
+and its arrays are read-only, so every result is bit-identical cold or
+warm.  A shift table's bins are broadcast from the per-axis residues on
+each call, as its grid of terms is from the per-axis v, so no cached
+array is longer than one axis.  The bins and the phases are exact for a
+top of any size; a large mu'' still loses the digits of its float.
+_plan refuses a box of more than _MAX_BOX_POINTS points with
+_OversizedBox, a TruncationError, before any array of it, even the v of
+one axis, is allocated: an _Axis is built holding only its range of k.
 
 Sums of one call are evaluated as rows.  A row is one (characteristic,
 argument, period matrix) triple with the plan of its radius (_row).
@@ -105,24 +110,21 @@ _U = 2.0**-53  # unit roundoff of float64
 # couple of dozen shells are ever needed.
 _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
-# Lattice-sum plans kept by _plan.  A relation check of n <= 8 at one
-# radius needs at most 2n (n theta() keys and n shift-table keys).  A
-# theta() plan is < 1 kB.  A shift-table plan's bins take 8 bytes per box
-# point: 2 kB at (n, g) = (3, 1) and 130 kB at (3, 3) at radius 4, and
-# 7.3 MB at (3, 3) at radius 16 (912673 points).  A plan keeps them only
-# for a box of at most _KEPT_BIN_POINTS points, 0.5 MB, so the 16 plans
-# keep at most 8 MB of bins; a larger box builds its bins on each call,
-# which took 4% to 10% of the time of that call's grid of terms (1.8 MB
-# of bins at (5, 3) at radius 6, 7.3 MB at (3, 3) at radius 16).  The
-# other arrays of a plan take 8 bytes per box row and 16 lam^4 bytes per
-# axis.
+# Box axes kept by _axis.  A relation check uses one axis per distinct
+# (top_a, radius, lam) among its rows: at most 2 n g per radius, and two
+# per radius when every top is zero.  The checks of the perfbench verify
+# configs (n <= 7, g <= 2, tops k/lam) use at most 14, so they fit; one
+# with more, such as (8, 3) with random tops (24), rebuilds some axes on
+# every trial.  An axis of L points takes 8 L bytes for v, and for a
+# shift table 8 L more for its residues and 16 lam^4 for its mix: 1.7 kB
+# at lam = 3 and radius 4 (L = 25), 85 MB at lam = 48 (n = 96), the
+# largest mix.
 _PLAN_CACHE_SIZE = 16
-_KEPT_BIN_POINTS = 2**16
 # A sum over a box of N points peaks at 48 to 66 bytes per point, as
 # tracemalloc reads it: the grid of terms and the temporaries of its
 # exponent (16 bytes each per point), the zero-padded halving buffer or,
 # for a shift table, the bins and the two parts given to bincount.  Large
-# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  _Plan refuses a
+# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  _plan refuses a
 # box of more than _MAX_BOX_POINTS points, which would need more than
 # 1 GiB at 48 bytes per point, before any array of it is allocated.
 _MAX_BOX_POINTS = 2**30 // 48
@@ -285,94 +287,81 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     return math.inf
 
 
-class _Plan:
-    """The exact part of one lattice sum over v in top + (1/lam) Z^g,
-    |v|_inf <= radius: everything that depends on (top, radius, lam) and
-    on no float input.  The bottom mu'' is not part of it: the sums
+class _Axis:
+    """One axis of the box of a lattice sum over v in top + (1/lam) Z^g,
+    |v|_inf <= radius: everything that depends on (top_a, radius, lam)
+    and on no float input.  The bottom mu'' is not part of it: the sums
     convert it with float on every call, so tops that differ only in
-    their bottoms share one plan.
+    their bottoms share their axes.
 
-    Per axis a, ks[a] holds the integers k with |top_a + k/lam| <= radius
-    and v[a] the points v_a = top_a + k/lam.  With lam = 1 these are the
-    xi of the theta series; with lam > 1 they index the finer lattice
+    ks holds the integers k with |top_a + k/lam| <= radius and v the
+    points v_a = top_a + k/lam.  With lam = 1 these are the xi_a of the
+    theta series; with lam > 1 they index the finer lattice
     top + (1/lam) Z^g of a shift table.  The bounds are exact integer
     floor divisions on top_a = p/q, and each v is the one correctly
     rounded division (p lam + k q) / (q lam), so it carries a relative
     error of at most u = 2^-53 however large top_a is.
 
-    _plan shares one plan among all calls with its key, so every array
-    is read-only.  The shift-table fields are built on first use, so
-    theta() never pays for them.
+    _axis shares one axis among all calls with its key, so every array
+    is read-only.  An axis is built holding only ks, so _plan can refuse
+    an oversized box before any array of it exists; v is built on first
+    use, and the shift-table fields too, so theta() never pays for them.
     """
 
-    def __init__(self, top, radius: int, lam: int):
-        self.top, self.lam, self.ks, v = top, lam, [], []
-        for m in top:
-            p, q = m.numerator, m.denominator
-            self.ks.append(range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1))
-        points = math.prod(map(len, self.ks))
-        if points > _MAX_BOX_POINTS:
-            raise _OversizedBox(points, radius)
-        for m, k in zip(top, self.ks):
-            p, q = m.numerator, m.denominator
-            # (p lam + j q) / (q lam) for each j in k.
-            den = q * lam
-            axis = np.array([x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)])
-            axis.flags.writeable = False
-            v.append(axis)
-        self.v = tuple(v)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        """The number of grid points along each axis."""
-        return tuple(map(len, self.ks))
-
-    @property
-    def bins(self) -> np.ndarray:
-        """The bincount bin of every grid point, in ravel order: its
-        residues k_a mod lam^2 read as base-lam^2 digits, axis 0 first.
-        The residues are taken of the offsets from k.start, so they fit
-        in int64 however large top_a, and so k.start, is.
-
-        They take 8 bytes per grid point, so they are kept on the plan,
-        under this name, only for a box of at most _KEPT_BIN_POINTS
-        points; a larger box gets them built afresh, by the same
-        operations, on each use."""
-        bins = vars(self).get("bins")
-        if bins is None:
-            sq, g = self.lam * self.lam, len(self.ks)
-            residues = [(np.arange(len(k)) + k.start % sq) % sq * sq ** (g - 1 - a)
-                        for a, k in enumerate(self.ks)]
-            bins = sum(_on_grid(residues)).ravel()
-            bins.flags.writeable = False
-            if bins.size <= _KEPT_BIN_POINTS:
-                vars(self)["bins"] = bins
-        return bins
+    def __init__(self, top: Fraction, radius: int, lam: int):
+        p, q = top.numerator, top.denominator
+        self.top, self.lam = top, lam
+        self.ks = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
 
     @functools.cached_property
-    def mixes(self) -> tuple[np.ndarray, ...]:
-        """Per axis a, the lam^2 x lam^2 mixing matrix as an array
+    def v(self) -> np.ndarray:
+        """(p lam + k q) / (q lam) for each k of ks, top_a = p/q."""
+        p, q, k, lam = self.top.numerator, self.top.denominator, self.ks, self.lam
+        den = q * lam
+        v = np.array([x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)])
+        v.flags.writeable = False
+        return v
+
+    @functools.cached_property
+    def residues(self) -> np.ndarray:
+        """k mod lam^2 for each k of ks, taken of the offsets from
+        k.start, so they fit in int64 however large top_a, and so
+        k.start, is."""
+        sq = self.lam * self.lam
+        residues = (np.arange(len(self.ks)) + self.ks.start % sq) % sq
+        residues.flags.writeable = False
+        return residues
+
+    @functools.cached_property
+    def mix(self) -> np.ndarray:
+        """The lam^2 x lam^2 mixing matrix of this axis as an array
         [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + top_a) / lam]: it
         picks the coset c of the residue r and applies the phase of the
         shift b.  As b is an integer, e[b top_a / lam] is taken of
         top_a - lam * int(top_a / lam), which is top_a itself whenever
         |top_a| < lam and keeps the phase exact for any other top_a."""
         lam, sq = self.lam, self.lam * self.lam
+        m = float(self.top - lam * int(self.top / lam))
         r = np.arange(sq)[:, None, None]
         c = np.arange(lam)[None, :, None]
         b = np.arange(lam)[None, None, :]
-        mixes = tuple(
-            np.where(r % lam == c, np.exp(TWO_PI * 1j * ((r * b) % sq / sq + b * m / lam)), 0)
-            for m in (float(t - lam * int(t / lam)) for t in self.top)
-        )
-        for mix in mixes:
-            mix.flags.writeable = False
-        return mixes
+        mix = np.where(r % lam == c, np.exp(TWO_PI * 1j * ((r * b) % sq / sq + b * m / lam)), 0)
+        mix.flags.writeable = False
+        return mix
 
 
-# The plan of the sum over top + (1/lam) Z^g, |v|_inf <= radius, for
-# _plan(top, radius, lam) with top a tuple of exact rationals.
-_plan = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Plan)
+_axis = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Axis)
+
+
+def _plan(top: Sequence[Fraction], radius: int, lam: int) -> tuple[_Axis, ...]:
+    """The axes of the sum over top + (1/lam) Z^g, |v|_inf <= radius, top
+    a sequence of exact rationals.  Raises _OversizedBox for a box of more
+    than _MAX_BOX_POINTS points."""
+    axes = tuple(_axis(m, radius, lam) for m in top)
+    points = math.prod(len(axis.ks) for axis in axes)
+    if points > _MAX_BOX_POINTS:
+        raise _OversizedBox(points, radius)
+    return axes
 
 
 def _on_grid(axes: Sequence[np.ndarray]) -> list[np.ndarray]:
@@ -468,12 +457,12 @@ def _box_sum(
     where the factor 1.01 covers the rounding of the bound itself and of
     M, and the last term the terms that underflow to subnormals.
     """
-    plan = _plan(tuple(mu_top), radius, 1)
+    v = [axis.v for axis in _plan(mu_top, radius, 1)]
     bottom = np.array([float(m) for m in mu_bottom])
-    terms = _grid_terms(plan.v, z + bottom, tau).ravel()
+    terms = _grid_terms(v, z + bottom, tau).ravel()
     value, depth = _halving_sum(terms)
     weight = _quadratic(
-        [np.abs(v) for v in plan.v],
+        [np.abs(x) for x in v],
         np.abs(tau.real) + np.abs(tau.imag),
         np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
     ).ravel()
@@ -481,7 +470,7 @@ def _box_sum(
     # An exponent error beyond expm1's range leaves no accuracy to claim:
     # the bound is then inf, also where the term underflowed (0 * inf).
     with np.errstate(over="ignore", invalid="ignore"):
-        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(plan.v) + 7) * TWO_PI * weight)
+        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight)
         bound = 1.01 * float((size * per_term).sum()) + terms.size * 2.0**-1070
     return complex(value), math.inf if math.isnan(bound) else bound
 
@@ -560,8 +549,8 @@ def theta_shift_table(
     The terms T(k) are computed once, by the grid kernel theta() uses,
     and binned by the per-axis residues k_a mod lam^2; per axis,
     one lam^2 x lam^2 root-of-unity matrix then picks the coset and
-    applies the phase; the bins and those matrices come from the cached
-    plan of (nu', R, lam).  R comes from the same search as
+    applies the phase; the residues and those matrices come from the
+    cached axes (nu'_a, R, lam) of _plan.  R comes from the same search as
     theta(), so each entry sums exactly the points theta(nu + a, w)
     sums, and its omitted tail, the same coset's points outside the box
     times unit-modulus phases, is bounded by the same envelope.  Raises
@@ -574,8 +563,8 @@ def theta_shift_table(
 
 def _row(
     mu: Characteristic, z, tau: PeriodMatrix, settings: EvalSettings, lam: int = 1
-) -> tuple[_Plan, np.ndarray, np.ndarray]:
-    """One row of a stacked evaluation, (plan, z + mu'', tau entries): the
+) -> tuple[tuple[_Axis, ...], np.ndarray, np.ndarray]:
+    """One row of a stacked evaluation, (axes, z + mu'', tau entries): the
     sum of theta_mu(z, tau) for lam = 1, or of the shift table of
     (mu, z, tau, lam), at the radius of _truncation.  Raises
     TruncationError, as theta() and theta_shift_table() would."""
@@ -592,13 +581,13 @@ def _stacks(rows: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
     every element by the operations of its one-row call."""
     groups: dict[tuple, list[int]] = {}
     for i, (plan, _, _) in enumerate(rows):
-        groups.setdefault((plan.lam, plan.shape), []).append(i)
+        groups.setdefault((plan[0].lam, tuple(len(axis.v) for axis in plan)), []).append(i)
     for (_, shape), group in groups.items():
         step = max(1, _STACK_POINTS // math.prod(shape))
         for start in range(0, len(group), step):
             index = group[start : start + step]
             plans, shifts, taus = zip(*map(rows.__getitem__, index))
-            v = [np.stack(axis, axis=1) for axis in zip(*(p.v for p in plans))]
+            v = [np.stack([axis.v for axis in axes], axis=1) for axes in zip(*plans)]
             terms = _grid_terms(v, np.stack(shifts, axis=1), np.stack(taus, axis=2))
             yield index, terms.reshape(-1, len(index))
 
@@ -622,18 +611,22 @@ def _shift_tables(rows: Sequence[tuple]) -> list[np.ndarray]:
     tables: list = [None] * len(rows)
     for index, terms in _stacks(rows):
         plans = [rows[i][0] for i in index]
-        g, sq = len(plans[0].ks), plans[0].lam ** 2
+        g, sq = len(plans[0]), plans[0][0].lam ** 2
         size, count = sq**g, len(index) * sq**g
-        bins = (np.stack([p.bins for p in plans], axis=1) + size * np.arange(len(plans))).ravel()
+        # A point's bin reads its residues k_a mod lam^2 as base-lam^2
+        # digits, axis 0 first, offset by r lam^(2g) for row r.
+        digits = [np.stack([axis.residues for axis in axes], axis=1) * sq ** (g - 1 - a)
+                  for a, axes in enumerate(zip(*plans))]
+        bins = (sum(_on_grid(digits)) + size * np.arange(len(plans))).ravel()
         flat = (np.bincount(bins, terms.real.ravel(), count)
                 + 1j * np.bincount(bins, terms.imag.ravel(), count))
         order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
         for r, (i, plan) in enumerate(zip(index, plans)):
             table = flat[r * size : (r + 1) * size].reshape((sq,) * g)
-            for mix in plan.mixes:
+            for axis in plan:
                 # The contracted axis is always the leading one, the new
                 # (c, b) pair goes to the end.
-                table = np.tensordot(table, mix, axes=(0, 0))
+                table = np.tensordot(table, axis.mix, axes=(0, 0))
             tables[i] = table.transpose(order).reshape(-1)
     return tables
 

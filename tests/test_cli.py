@@ -323,6 +323,21 @@ def test_bad_tol_is_usage_error(capsys, command, tol):
     assert "--tol" in _usage_exit(capsys, *command, f"--tol={tol}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--n", "3", "--seed", "x"],
+    ["verify", "--n", "3", "--tol", "x"],
+    ["verify", "--n", "3", "--trials", "x"],
+    ["falsify", "--seed", "0x"],
+    ["falsify", "--tol", "1e"],
+    ["suite", "--trials", "1.5"],
+    ["suite", "--seed", "x"],
+], ids=" ".join)
+def test_a_value_that_is_no_number_names_its_option(capsys, argv):
+    err = _usage_exit(capsys, *argv)
+    assert f"argument {argv[-2]}: must be a" in err and repr(argv[-1]) in err
+    assert not any(name in err for name in ("_seed", "_tol", "_trials"))
+
+
 def test_tau_value_may_start_with_a_minus(capsys):
     argv = ["verify", "--n", "3", "--trials", "2"]
     spaced = run_cli(capsys, *argv, "--tau", "-0.2+1.1i")

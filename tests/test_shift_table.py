@@ -1,5 +1,5 @@
 """Batched shift tables and the digit-table term list against the per-term
-constructions they replace, and the cache of lattice-sum plans."""
+constructions they replace, and the cache of lattice-sum axes."""
 
 import importlib
 import math
@@ -191,7 +191,7 @@ def _shift_table_unplanned(nu, w, tau, lam):
     return table.transpose(order).reshape(-1)
 
 
-# (2, 1) has lambda = 1, so its shift table and theta() share one plan.
+# (2, 1) has lambda = 1, so its shift table and theta() share their axes.
 @pytest.mark.parametrize("n,g", [(2, 1), (3, 1), (5, 2), (3, 3)])
 def test_cold_and_warm_plans_give_the_same_bits(n, g):
     rng = np.random.default_rng([n, g])
@@ -206,24 +206,24 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
         tv = theta(nu, w, tau)
         return np.array([tv.value, tv.tail_bound]).tobytes(), tv.truncation_radius
 
-    theta_module._plan.cache_clear()
+    theta_module._axis.cache_clear()
     cold = table()
-    theta_module._plan.cache_clear()
+    theta_module._axis.cache_clear()
     cold_value = value()
     table()
-    hits = theta_module._plan.cache_info().hits
+    hits = theta_module._axis.cache_info().hits
     assert (table(), value()) == (cold, cold_value)
-    assert theta_module._plan.cache_info().hits == hits + 2
+    assert theta_module._axis.cache_info().hits == hits + 2 * g
     assert cold == _shift_table_unplanned(nu, w, tau, lam).tobytes()
 
 
 def test_plan_arrays_are_read_only():
     nu = Characteristic((F(1, 3), F(-4, 3)), (F(2, 3), F(1, 7)))
     plan = theta_module._plan(nu.top, 4, 3)
-    arrays = [*plan.v, plan.bins, *plan.mixes]
-    assert len(arrays) == 5
-    # A plan holds what (top, radius, lam) fixes, and nothing of a bottom.
-    assert set(vars(plan)) == {"top", "lam", "ks", "v", "bins", "mixes"}
+    arrays = [array for axis in plan for array in (axis.v, axis.residues, axis.mix)]
+    assert len(arrays) == 6
+    # An axis holds what (top_a, radius, lam) fixes, and nothing of a bottom.
+    assert all(set(vars(axis)) == {"top", "lam", "ks", "v", "residues", "mix"} for axis in plan)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -233,13 +233,13 @@ def test_tops_with_different_bottoms_share_one_plan():
     tau = PeriodMatrix(np.array([[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]))
     w = np.array([0.3 - 0.2j, -0.1 + 0.35j])
     top = (F(1, 3), F(-4, 3))
-    theta_module._plan.cache_clear()
+    theta_module._axis.cache_clear()
     for bottom in ((F(2, 3), F(1, 7)), (F(-5, 3), F(3, 11))):
         nu = Characteristic(top, bottom)
         table = theta_shift_table(nu, w, tau, 3)
         assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
-    info = theta_module._plan.cache_info()
-    assert (info.misses, info.hits) == (1, 1)
+    info = theta_module._axis.cache_info()
+    assert (info.misses, info.hits) == (2, 2)
 
 
 def _abs_term_sum(top, w, tau, lam):
@@ -274,41 +274,28 @@ def test_large_tops_give_per_shift_theta_values(n, g, j):
 
 def test_plan_cache_is_bounded():
     tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
-    size = theta_module._plan.cache_info().maxsize
+    size = theta_module._axis.cache_info().maxsize
     for k in range(size + 5):
         nu = Characteristic((F(k, size + 5),), (F(0),))
         theta(nu, 0.1j, tau)
         theta_shift_table(nu, 0.1j, tau, 3)
-    assert theta_module._plan.cache_info().currsize == size
+    assert theta_module._axis.cache_info().currsize == size
 
 
 def test_a_plan_keeps_no_bins_of_a_large_box():
     # At Im tau = 0.06 I the (3, 3) box has radius 16: 97^3 grid points,
-    # whose bins would take 7.3 MB.  They are built for the call and not
-    # kept, and the table has the bits of the unplanned reference.
+    # whose bins would take 7.3 MB.  They are built for the call, and the
+    # one axis that the three zero coordinates share keeps no array
+    # longer than its 97 points.  The table has the bits of the unplanned
+    # reference.
     nu = Characteristic.zero(3)
     w, tau = np.array([0.1, -0.2, 0.3 + 0j]), PeriodMatrix(0.06j * np.eye(3))
-    theta_module._plan.cache_clear()
+    theta_module._axis.cache_clear()
     table = theta_shift_table(nu, w, tau, 3)
-    plan = theta_module._plan(nu.top, 16, 3)
-    assert theta_module._plan.cache_info().hits == 1
-    assert "bins" not in vars(plan)
-    bins = plan.bins
-    assert bins.size == 97**3 > theta_module._KEPT_BIN_POINTS
-    assert plan.bins is not bins and np.array_equal(plan.bins, bins)
-    assert not bins.flags.writeable
+    info = theta_module._axis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+    axis = theta_module._axis(nu.top[0], 16, 3)
+    arrays = [x for x in vars(axis).values() if isinstance(x, np.ndarray)]
+    assert len(arrays) == 3 and len(axis.ks) == 97
+    assert max(x.size for x in arrays) == 97
     assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
-
-
-@pytest.mark.parametrize("n,g", [(3, 1), (5, 2), (3, 3)])
-def test_kept_and_unkept_bins_give_the_same_bits(n, g, monkeypatch):
-    rng = np.random.default_rng([n, g, 1])
-    lam = cycle_number(n)
-    nu = _mu("nonstandard", n, g, rng)[0]
-    (w,), tau = TrialSampler(0).draw(rng, 1, g)
-    theta_module._plan.cache_clear()
-    kept = theta_shift_table(nu, w, tau, lam).tobytes()
-    monkeypatch.setattr(theta_module, "_KEPT_BIN_POINTS", 0)
-    theta_module._plan.cache_clear()
-    assert theta_shift_table(nu, w, tau, lam).tobytes() == kept
-    assert theta_shift_table(nu, w, tau, lam).tobytes() == kept

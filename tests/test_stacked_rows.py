@@ -149,7 +149,8 @@ def _recorded_rows(monkeypatch):
 
     def recording(mu, z, tau, settings, lam=1):
         made = row(mu, z, tau, settings, lam)
-        rows.append((theta_module._truncation(mu, z, tau, settings)[1], lam, made[0].shape))
+        shape = tuple(len(axis.ks) for axis in made[0])
+        rows.append((theta_module._truncation(mu, z, tau, settings)[1], lam, shape))
         return made
 
     monkeypatch.setattr(relations, "_row", recording)
@@ -278,6 +279,17 @@ def test_a_box_over_the_cap_is_refused_before_it_is_allocated():
     with pytest.raises(TruncationError, match=f"radius 6 has {13**12} points, "
                        f"above the cap of {cap} points"):
         theta(zero, np.zeros(12), tau)
+
+
+def test_a_genus_one_axis_over_the_cap_is_refused_before_it_is_allocated():
+    # At genus 1 the box is one axis: at lam = 3e6 and radius 4 it has
+    # 24e6 + 1 points, whose v alone would take 192 MB.
+    tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
+    zero = Characteristic.zero(1)
+    error, peak = _peak(lambda: theta_shift_table(zero, 0.1, tau, 3_000_000))
+    assert isinstance(error, TruncationError)
+    assert f"radius 4 has {24_000_001} points" in str(error)
+    assert peak < 100_000
 
 
 class _NoDraws(TrialSampler):

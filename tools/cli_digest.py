@@ -22,8 +22,10 @@ each of the five subcommands at COLUMNS=80.  The malformed specs are a
 missing --n, and then, refused by RelationSpec or Characteristic.parse,
 --n 1 and --n 0, --g 0 and --g -1, a bad --mu token, too few --mu for
 emit and for verify, and a --mu of the wrong genus at --g 1 and at
---g 2.  A leading NAME=VALUE token sets that environment variable for
-one run, as in a shell.
+--g 2.  A --seed x and a --tol x of verify and a --trials x of suite
+are values of no number, whose usage errors must name the option.  A
+leading NAME=VALUE token sets that environment variable for one run, as
+in a shell.
 THETA_MAX_RADIUS is unset for every other run.  Last come the
 characteristics with a large top, far outside the box of the lattice
 sum: verify at n = 3 with a first --mu of 100000001/3;1, of
@@ -153,6 +155,9 @@ MALFORMED = [
     ["verify", "--n", "3", "--trials", "0"],
     ["verify", "--n", "3", "--mode", "bogus"],
     ["falsify", "--seed", "-1"],
+    ["verify", "--n", "3", "--seed", "x"],
+    ["verify", "--n", "3", "--tol", "x"],
+    ["suite", "--trials", "x"],
     ["table", "--range", "junk"],
     ["table", "--range", "5..3"],
     ["bogus"],

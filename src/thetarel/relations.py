@@ -75,19 +75,26 @@ One check, _check, compares the two sides for a list of drawn trials:
 the n left and n right rows of every trial whose radius search succeeds
 are evaluated stacked, then each trial's sides are multiplied in j
 order, so every value is bit for bit that of lhs_value and rhs_value,
-and a trial whose search fails is reported "eval-failed".  A
-modified-mode verify run draws all its trials first, in the order of a
-trial-by-trial run (the arguments, then tau, per trial), and checks them
-in chunks of at most theta._STACK_POINTS shift-table entries (or one
-trial), so the tables it holds at once do not grow with the number of
-trials.  A naive-mode run resamples a trial whose sides agree, so its
-later draws depend on earlier results; it checks one attempt at a time,
-each a list of one draw.  apply_to_args stays one (n, n) @ (n, g)
-product per trial, as the tables' mixing stays one tensordot per table
-and axis: a BLAS product over stacked operands may sum in another
-order.  Before drawing, verify builds the lattice-sum plans of the first
-radius for every mu_j and nu_j, so a spec whose smallest boxes are over
-theta's cap raises TruncationError at once.
+and a trial whose search fails is reported "eval-failed".  What a row
+takes from the spec alone, the float bottoms of mu and nu as two (n, g)
+arrays and the plan of each (side, j, radius), is derived once per
+check (_side), and each trial's rows are built from its (n, g)
+argument block (theta._block_rows); lhs_value and rhs_value build
+theirs the same way.  A verify run draws its trials' first attempts in
+the order of a trial-by-trial run (the arguments, then tau, per trial),
+and checks them in chunks of at most theta._STACK_POINTS shift-table
+entries (or one trial), so the tables it holds at once do not grow with
+the number of trials.  A naive-mode run resamples a trial whose sides
+agree, so its later draws depend on earlier results: it keeps the rng
+state after each draw of a chunk, and from the first trial whose sides
+agree on, it rewinds the rng to just after that trial's draw and checks
+one attempt at a time, so at most trials - 1 first attempts are checked
+and dropped.  apply_to_args's product stays one (n, n) @ (n, g)
+product per trial, as the tables' mixing stays one np.dot per table and
+axis: a BLAS product over stacked operands may sum in another order.
+Before drawing, verify builds the lattice-sum plans of the first radius
+for every mu_j and nu_j, so a spec whose smallest boxes are over theta's
+cap raises TruncationError at once.
 
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
@@ -149,6 +156,7 @@ from .theta import (
     EvalSettings,
     PeriodMatrix,
     TruncationError,
+    _block_rows,
     _min_eig_lower,
     _plan,
     _radii,
@@ -528,16 +536,13 @@ def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
     return tuple(vecs)
 
 
-def _lhs_rows(spec: RelationSpec, zs, tau: PeriodMatrix, settings: EvalSettings) -> list:
-    """The n theta._row rows of the left side, theta_{mu_j}(z_j)."""
-    return [_row(m, zj, tau, settings) for m, zj in zip(spec.mu, zs)]
-
-
-def _rhs_rows(spec: RelationSpec, zs, tau: PeriodMatrix, settings: EvalSettings) -> list:
-    """The n theta._row rows of the right side, the shift tables of
-    nu_j at w = z S_n: one (n, n) @ (n, g) product per call."""
-    ws = apply_to_args(smith_matrix(spec.n), zs)
-    return [_row(chi, wj, tau, settings, spec.lam) for chi, wj in zip(spec._nu, ws)]
+def _side(chars: Sequence[Characteristic], lam: int, settings: EvalSettings) -> tuple:
+    """What theta._block_rows takes from one side of a relation alone:
+    the tops, the float bottoms as an (n, g) array, lambda, the plans of
+    each (j, radius) built so far and the radii.  A check derives its two
+    sides once and keeps them to its end."""
+    bottoms = np.array([[float(v) for v in m.bottom] for m in chars])
+    return [m.top for m in chars], bottoms, lam, {}, _radii(settings)
 
 
 def _lhs(spec: RelationSpec, values) -> complex:
@@ -558,8 +563,8 @@ def lhs_value(
 ) -> complex:
     """lambda^g times the product of the n left-side theta values, each
     bit for bit the value of theta(mu_j, z_j, tau, settings)."""
-    zs = _as_arg_tuple(spec.n, spec.genus, z)
-    return _lhs(spec, _theta_values(_lhs_rows(spec, zs, tau, settings)))
+    z = np.array(_as_arg_tuple(spec.n, spec.genus, z))
+    return _lhs(spec, _theta_values(_block_rows(z, tau, *_side(spec.mu, 1, settings))))
 
 
 def rhs_value(
@@ -573,8 +578,8 @@ def rhs_value(
     The theta_shift_table of each j gives theta_{nu_j + a}(w_j) for
     every shift a at once; no term list is built.
     """
-    zs = _as_arg_tuple(spec.n, spec.genus, z)
-    return _rhs(spec, _shift_tables(_rhs_rows(spec, zs, tau, settings)))
+    w = np.array(apply_to_args(smith_matrix(spec.n), _as_arg_tuple(spec.n, spec.genus, z)))
+    return _rhs(spec, _shift_tables(_block_rows(w, tau, *_side(spec._nu, spec.lam, settings))))
 
 
 @dataclass(frozen=True)
@@ -621,8 +626,10 @@ class TrialSampler:
     definiteness is decided by the certified test of PeriodMatrix,
     _min_eig_lower(Im tau) > 0, before Re tau is drawn, so every drawn
     matrix is one PeriodMatrix accepts, and the bound is handed to it
-    rather than computed again.  A genus below 1 raises ValueError before
-    anything is drawn.
+    rather than computed again; at genus 1, where v > 0, the bound is
+    computed once and handed over the same way.  The upper-triangle index
+    of each genus is made once per process.  A genus below 1 raises
+    ValueError before anything is drawn.
     """
 
     seed: int = DEFAULT_SEED
@@ -636,8 +643,9 @@ class TrialSampler:
         if genus == 1:
             u = rng.uniform(-0.5, 0.5)
             v = rng.uniform(0.8, 1.6)
-            return PeriodMatrix(np.array([[u + 1j * v]]))
-        upper = np.triu_indices(genus)
+            entries = np.array([[u + 1j * v]])
+            return PeriodMatrix._certified(entries, _min_eig_lower(entries.imag))
+        upper = _upper_triangle(genus)
 
         def symmetric(lo, hi):
             # One draw per upper-triangle entry, row by row.
@@ -667,6 +675,12 @@ class TrialSampler:
         return self.draw_args(rng, n, genus), self.draw_tau(rng, genus)
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(genus: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(genus), made once per genus, as read-only arrays."""
+    return tuple(map(_read_only, np.triu_indices(genus)))
+
+
 def verify(
     spec: RelationSpec,
     trials: int,
@@ -681,10 +695,12 @@ def verify(
     (relative) is resampled up to MAX_RESAMPLES times, so the
     falsification verdict rests on generic points rather than accidental
     coincidences; a trial still agreeing after the cap is reported with
-    status "flagged".  Every attempt goes through _check: in MODIFIED
-    mode all trials are drawn first and checked together, chunk by
-    chunk, with the same reports as one trial at a time.  A trial whose
-    radius search fails is reported "eval-failed".  Raises
+    status "flagged".  Every attempt goes through _check, with the same
+    reports as one attempt at a time: the trials' first attempts are
+    drawn and checked together, chunk by chunk; in NAIVE mode, from the
+    first trial whose sides agree on, the rng is rewound to just after
+    that trial's draw and the attempts are drawn and checked one at a
+    time.  A trial whose radius search fails is reported "eval-failed".  Raises
     TruncationError, before drawing, when the box of the first radius
     of some mu_j or nu_j is over theta's cap.
     """
@@ -704,21 +720,41 @@ def verify(
             return sampler.draw(rng, spec.n, spec.genus)
         return sampler.draw_args(rng, spec.n, spec.genus), tau
 
-    if spec.mode is CoefficientMode.MODIFIED:
-        draws = [draw() for _ in range(trials)]
-        # A chunk holds at most _STACK_POINTS shift-table entries, n
-        # lambda^(2g) a trial, or one trial.
-        step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
-        return [report for start in range(0, trials, step)
-                for report in _check(spec, draws[start : start + step], settings, start)]
-    reports = []
-    for idx in range(trials):
-        for _ in range(MAX_RESAMPLES):
-            (report,) = _check(spec, [draw()], settings, idx)
-            if report.status != "ok" or report.rel_error >= GENERIC_GAP:
-                break
-            report = replace(report, status="flagged")
-        reports.append(report)
+    def agrees(report):
+        return report.status == "ok" and report.rel_error < GENERIC_GAP
+
+    def settled(report):
+        # A naive-mode trial from its first attempt on: resampled while
+        # its sides agree, and flagged after MAX_RESAMPLES attempts that
+        # all agree.
+        for _ in range(MAX_RESAMPLES - 1):
+            if not agrees(report):
+                return report
+            (report,) = _check(spec, [draw()], settings, report.seed_index)
+        return replace(report, status="flagged") if agrees(report) else report
+
+    # A chunk holds at most _STACK_POINTS shift-table entries, n
+    # lambda^(2g) a trial, or one trial.  Its first attempts are drawn,
+    # keeping the rng state after each draw, and checked together.  In
+    # naive mode, from the first trial whose sides agree on, the rng is
+    # rewound to just after that trial's draw and the attempts run one
+    # at a time, as resampling needs; the chunk's later first attempts,
+    # at most trials - 1, are dropped.
+    step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
+    naive, reports = spec.mode is CoefficientMode.NAIVE, []
+    for start in range(0, trials, step):
+        draws, states = [], []
+        for _ in range(start, min(start + step, trials)):
+            draws.append(draw())
+            states.append(rng.bit_generator.state)
+        for report, state in zip(_check(spec, draws, settings, start), states):
+            if naive and agrees(report):
+                rng.bit_generator.state = state
+                reports.append(settled(report))
+                for idx in range(report.seed_index + 1, trials):
+                    reports.append(settled(_check(spec, [draw()], settings, idx)[0]))
+                return reports
+            reports.append(report)
     return reports
 
 
@@ -730,12 +766,19 @@ def _check(
     every trial whose radius search succeeds are evaluated together
     (theta._theta_values and theta._shift_tables), then each trial's two
     sides are multiplied in j order and compared, every value bit for
-    bit that of lhs_value and rhs_value.  A trial whose search fails is
-    "eval-failed", with NaN sides and errors."""
-    left, right, failed = [], [], set()
+    bit that of lhs_value and rhs_value.  The rows are built from each
+    trial's argument block with the parts of each side derived once for
+    the whole check (_side), so each (side, j, radius) plan is built
+    once.  A trial whose search fails, or whose box at some radius is
+    over theta's cap, is "eval-failed", with NaN sides and errors; a
+    ValueError is raised at the first row that raises it."""
+    sides = _side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings)
+    # apply_to_args's one (n, n) @ (n, g) product per trial gives w = z S_n.
+    smith, left, right, failed = smith_matrix(spec.n).as_float().T, [], [], set()
     for i, (zs, tau) in enumerate(draws):
+        z = np.array(zs, dtype=complex)
         try:
-            rows = _lhs_rows(spec, zs, tau, settings), _rhs_rows(spec, zs, tau, settings)
+            rows = (_block_rows(z, tau, *sides[0]), _block_rows(smith @ z, tau, *sides[1]))
         except TruncationError:
             failed.add(i)
             continue

@@ -59,6 +59,12 @@ one axis, is allocated: an _Axis is built holding only its range of k.
 
 Sums of one call are evaluated as rows.  A row is one (characteristic,
 argument, period matrix) triple with the plan of its radius (_row).
+_block_rows builds the rows of n characteristics at the n rows of an
+argument block, bit for bit those of _row, from parts its caller derives
+once for many blocks (the float bottoms as one array, the plans built
+so far), with one finiteness check and one add of the bottoms per
+block; the radius search (_search) stays one per row.  A relation
+check builds its rows so.
 _theta_values and _shift_tables stack the rows of one lambda and box
 shape, up to _STACK_POINTS points per stack, along a last axis of the
 grid, with (2 pi i) tau and (2 pi i)(z + mu'') taken per row, so one
@@ -66,9 +72,11 @@ _grid_terms call, one exp and one halving sum along the point axis
 serve a stack, and every element goes through exactly the operations
 of its one-row sum.  A shift-table stack is binned by one bincount per
 part over the stacked bins, offset by r lambda^(2g) for row r.  Its
-mixing stays one tensordot per table and axis, at the one-row shape:
-a BLAS product over stacked tables may sum in another order, and
-stacked tables were measured not bit-identical at g = 1.  So a value
+mixing stays one BLAS product per table and axis, at the one-row shape:
+a product over stacked tables may sum in another order, and stacked
+tables were measured not bit-identical at g = 1.  That product is the
+np.dot call np.tensordot makes, on the operands it reshapes, without
+its per-call set-up.  So a value
 or table is the same bit for bit whatever it is stacked with.
 Every theta value the package takes internally is such a row: both
 sides of a relation check (relations), and the values of the identity
@@ -492,18 +500,28 @@ def _truncation(
     the characteristic.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    g = tau.genus
-    if mu.genus != g or z.shape != (g,):
-        raise ValueError(
-            f"genus mismatch: characteristic {mu.genus}, z {z.shape}, tau {g}"
-        )
+    _check_genus(mu.genus, z, tau.genus)
     if not np.isfinite(z).all():
         raise ValueError("argument z must be finite")
+    return z, *_search(z, tau, _radii(settings))
+
+
+def _check_genus(genus: int, z: np.ndarray, g: int) -> None:
+    """Raise ValueError unless a characteristic of genus genus and the
+    argument z fit a period matrix of genus g."""
+    if genus != g or z.shape != (g,):
+        raise ValueError(f"genus mismatch: characteristic {genus}, z {z.shape}, tau {g}")
+
+
+def _search(z: np.ndarray, tau: PeriodMatrix, radii: Sequence[int]) -> tuple[int, float]:
+    """(radius, tail envelope): the first of radii whose envelope at
+    |Im z|_2 meets TARGET_ABS_ERROR.  Raises TruncationError when none
+    does."""
     y_norm = float(np.linalg.norm(z.imag))
-    for radius in _radii(settings):
-        bound = _tail_envelope(radius, tau.lam_min, y_norm, g)
+    for radius in radii:
+        bound = _tail_envelope(radius, tau.lam_min, y_norm, tau.genus)
         if bound <= TARGET_ABS_ERROR:
-            return z, radius, bound
+            return radius, bound
     raise TruncationError(TARGET_ABS_ERROR, bound, radius)
 
 
@@ -572,6 +590,34 @@ def _row(
     return _plan(mu.top, radius, lam), z + np.array([float(m) for m in mu.bottom]), tau.entries
 
 
+def _block_rows(
+    z: np.ndarray,
+    tau: PeriodMatrix,
+    tops: Sequence[Sequence[Fraction]],
+    bottoms: np.ndarray,
+    lam: int,
+    plans: dict,
+    radii: Sequence[int],
+) -> list[tuple]:
+    """The _row rows of the characteristics mu_j, j in order, at the rows
+    z_j of the (n, g) complex block z, bit for bit, from parts a caller
+    derives once for many blocks: tops, the mu'_j; bottoms, the float
+    mu''_j as an (n, g) array; plans, the plan of each (j, radius) built
+    so far, which this call extends; and radii, _radii of the settings.
+    One finiteness check and one add of bottoms serve the block.  Raises
+    what _row raises for each row, in order."""
+    g, finite, axes = tau.genus, np.isfinite(z).all(), []
+    for j, (top, zj) in enumerate(zip(tops, z)):
+        _check_genus(len(top), zj, g)
+        if not finite and not np.isfinite(zj).all():
+            raise ValueError("argument z must be finite")
+        key = j, _search(zj, tau, radii)[0]
+        if key not in plans:
+            plans[key] = _plan(top, key[1], lam)
+        axes.append(plans[key])
+    return [(plan, shift, tau.entries) for plan, shift in zip(axes, z + bottoms)]
+
+
 def _stacks(rows: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
     """(indices, terms) for each stack of _row rows: rows of one lam and
     box shape, in order, at most _STACK_POINTS points together (or one
@@ -606,12 +652,14 @@ def _shift_tables(rows: Sequence[tuple]) -> list[np.ndarray]:
     """The theta_shift_table of each _row row, bit for bit.  Each stack's
     terms are binned by one bincount per part, each row's bins offset by
     r lam^(2g), which adds every bin's terms in the order of the row's
-    own bincount; each table is then mixed alone, so every tensordot
-    keeps its one-row shape and order of summation."""
+    own bincount; each table is then mixed alone, one np.dot per axis,
+    the product np.tensordot makes, so every product keeps its one-row
+    shape and order of summation."""
     tables: list = [None] * len(rows)
     for index, terms in _stacks(rows):
         plans = [rows[i][0] for i in index]
-        g, sq = len(plans[0]), plans[0][0].lam ** 2
+        g, lam = len(plans[0]), plans[0][0].lam
+        sq = lam * lam
         size, count = sq**g, len(index) * sq**g
         # A point's bin reads its residues k_a mod lam^2 as base-lam^2
         # digits, axis 0 first, offset by r lam^(2g) for row r.
@@ -624,9 +672,13 @@ def _shift_tables(rows: Sequence[tuple]) -> list[np.ndarray]:
         for r, (i, plan) in enumerate(zip(index, plans)):
             table = flat[r * size : (r + 1) * size].reshape((sq,) * g)
             for axis in plan:
-                # The contracted axis is always the leading one, the new
-                # (c, b) pair goes to the end.
-                table = np.tensordot(table, axis.mix, axes=(0, 0))
+                # np.tensordot(table, axis.mix, axes=(0, 0)), by the np.dot
+                # call it makes on the operands it reshapes: the contracted
+                # axis is always the leading one, the new (c, b) pair goes
+                # to the end.
+                rest = table.shape[1:]
+                table = np.dot(table.transpose(*range(1, table.ndim), 0).reshape(-1, sq),
+                               axis.mix.reshape(sq, -1)).reshape(rest + (lam, lam))
             tables[i] = table.transpose(order).reshape(-1)
     return tables
 

@@ -91,8 +91,12 @@ def _smith_matrix(n: int) -> TransformMatrix:
     return m
 
 
+@functools.lru_cache(maxsize=1)
 def jacobi_a_matrix() -> TransformMatrix:
-    """Jacobi's 4x4 half-integer involution used in the quartic relations."""
+    """Jacobi's 4x4 half-integer involution used in the quartic relations.
+
+    Built, and its square checked, once per process and shared by later
+    calls, as smith_matrix's are: the matrix is immutable."""
     h = Fraction(1, 2)
     signs = (
         (1, 1, 1, 1),

@@ -531,6 +531,20 @@ def test_draw_tau_matches_entry_by_entry_draws(genus):
         assert rng.random() == oracle.random()
 
 
+@pytest.mark.parametrize("genus", [1, 2, 3])
+def test_draw_tau_gives_what_period_matrix_makes_of_its_entries(genus):
+    # draw_tau hands its certified bound to the matrix; the constructor
+    # must find the same entries and the same bound, bit for bit.
+    sampler = TrialSampler(genus)
+    rng = sampler.make_rng()
+    for _ in range(1000):
+        tau = sampler.draw_tau(rng, genus)
+        checked = PeriodMatrix(tau.entries)
+        assert tau.entries.tobytes() == checked.entries.tobytes()
+        assert np.float64(tau.lam_min).tobytes() == np.float64(checked.lam_min).tobytes()
+        assert not tau.entries.flags.writeable
+
+
 @pytest.mark.parametrize("genus", [2, 3, 4])
 def test_draw_tau_meets_the_gershgorin_floor(genus):
     # Diagonal of Im tau at least 0.9 - 0.2, and g - 1 off-diagonal entries

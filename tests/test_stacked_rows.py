@@ -143,17 +143,19 @@ def test_stacked_sums_match_single_sums_bit_for_bit(n, g, kind, mode, settings):
 
 
 def _recorded_rows(monkeypatch):
-    """The (radius, lam, box shape) of every row relations evaluates."""
+    """The (radius, lam, box shape) of every row relations evaluates: the
+    rows a relation check builds from each trial's argument blocks."""
     rows = []
-    row = relations._row
+    block_rows = relations._block_rows
 
-    def recording(mu, z, tau, settings, lam=1):
-        made = row(mu, z, tau, settings, lam)
-        shape = tuple(len(axis.ks) for axis in made[0])
-        rows.append((theta_module._truncation(mu, z, tau, settings)[1], lam, shape))
+    def recording(z, tau, tops, bottoms, lam, plans, radii):
+        made = block_rows(z, tau, tops, bottoms, lam, plans, radii)
+        for zj, (plan, _, _) in zip(z, made):
+            shape = tuple(len(axis.ks) for axis in plan)
+            rows.append((theta_module._search(zj, tau, radii)[0], lam, shape))
         return made
 
-    monkeypatch.setattr(relations, "_row", recording)
+    monkeypatch.setattr(relations, "_block_rows", recording)
     return rows
 
 

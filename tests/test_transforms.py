@@ -83,6 +83,14 @@ def test_jacobi_matrix_entries_and_row_sums():
     assert row_sums == [F(2), F(0), F(0), F(0)]
 
 
+def test_jacobi_matrix_is_built_once_and_squares_to_the_identity():
+    a = jacobi_a_matrix()
+    assert jacobi_a_matrix() is a
+    square = [[sum(a.entries[i][k] * a.entries[k][j] for k in range(4)) for j in range(4)]
+              for i in range(4)]
+    assert square == [[F(int(i == j)) for j in range(4)] for i in range(4)]
+
+
 def test_apply_to_args_fixed_point_and_explicit_row():
     s3 = smith_matrix(3)
     x = 0.31 - 0.12j

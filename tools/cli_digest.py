@@ -41,11 +41,13 @@ is drawn or allocated (exit 2).  After the run cases come runs whose
 trials are summed in several stacks: verify at n = 3 with 40 trials and
 at (n, g) = (3, 3), whose boxes cross the point cap of a stack; verify
 at THETA_MAX_RADIUS=4 with a fixed --tau whose radius search fails for
-some trials and not for others; falsify at n = 3 with 12 trials; and
-falsify (naive mode, one attempt at a time) at THETA_MAX_RADIUS=4 with
-that --tau, at n = 3, where some trials fail and the rest pass, and at
-n = 2, where the relation holds, so each trial is resampled until a
-draw's radius search fails; and the suite at THETA_MAX_RADIUS=4 with 8
+some trials and not for others; falsify at n = 3 with 12 trials, and
+at (n, g) = (5, 2) with 12 trials, whose first attempts naive mode
+checks in three chunks, of 5, 5 and 2 trials; falsify at
+THETA_MAX_RADIUS=4 with that --tau, at n = 3, where some trials fail
+and the rest pass, and at n = 2, where the relation holds, so each trial
+is resampled, one attempt at a time, until a draw's radius search
+fails; and the suite at THETA_MAX_RADIUS=4 with 8
 trials, whose identity checks each evaluate their theta values as one
 stack, and where jacobi_quadruple and smith_relation are eval-failed
 (exit 2) and the other cases pass.
@@ -190,6 +192,7 @@ STACKED = [
     ["verify", "--n", "3", "--g", "3", "--trials", "2"],
     ["THETA_MAX_RADIUS=4", "verify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
     ["falsify", "--n", "3", "--trials", "12"],
+    ["falsify", "--n", "5", "--g", "2", "--trials", "12"],
     ["THETA_MAX_RADIUS=4", "falsify", "--n", "3", "--trials", "8", "--tau", "0.1+0.8i"],
     ["THETA_MAX_RADIUS=4", "falsify", "--n", "2", "--trials", "6", "--tau", "0.1+0.8i"],
     ["THETA_MAX_RADIUS=4", "suite", "--trials", "8"],

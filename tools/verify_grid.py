@@ -1,0 +1,117 @@
+"""verify ms/trial of thetarel on the (n, g) grid, written as JSON.
+
+Usage: python3 tools/verify_grid.py --out PATH [--trials T] [--repeats R]
+                                    [--cells N,G ...] [NAME=ROOT ...]
+
+Times the library call verify(RelationSpec.create(n, g), T) (all-zero
+mu, modified mode, the default seed) for each (n, g) cell, in a fresh
+interpreter per root and cell that imports thetarel from ROOT/src.  Each
+cell runs once untimed, so the spec and the lattice-sum axes are warm,
+then R timed times; the best is reported as ms per trial, both as wall
+time and normalised for host-speed drift by perfbench/hostspeed.py
+(loaded by path), at the speed where its reference mix takes REF_MIX_S.
+OpenBLAS runs one thread, as in perfbench/run.py.  Roots default to
+this=the repository that holds this script; with several, say
+parent=OLD change=NEW, they are measured in turn cell by cell, in an
+order that alternates from cell to cell.  The document holds the host
+(python, numpy, nproc, the BLAS threads and configuration), the
+settings and, per root, each cell's times.  Stdlib only in this
+process; the interpreters it starts import numpy.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+PERFBENCH = HERE.parent / "perfbench"
+# The (n, g) grid of ROADMAP item 1.
+GRID = [(3, 1), (4, 1), (5, 1), (7, 1), (3, 2), (4, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"_perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
+    """The times of one cell, measured in this interpreter."""
+    src = Path(root, "src").resolve()
+    sys.path.insert(0, str(src))
+    import numpy as np
+    import thetarel
+    from thetarel import RelationSpec, verify
+
+    if Path(thetarel.__file__).resolve().parent.parent != src:
+        raise SystemExit(f"imported thetarel from {thetarel.__file__}, not from {src}")
+
+    hostspeed, run = _load("hostspeed"), _load("run")
+    spec, speed = RelationSpec.create(n, g), hostspeed.HostSpeed()
+    verify(spec, trials)
+    best = []
+    for _ in range(repeats):
+        speed.sample()
+        start = time.perf_counter()
+        verify(spec, trials)
+        wall = time.perf_counter() - start
+        speed.sample()
+        best.append((speed.normalise(start, wall), wall))
+    normalised, wall = min(best)
+    threads, config = run._blas_threads()
+    return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
+            "host": {"python": sys.version.split()[0], "numpy": np.__version__,
+                     "nproc": os.cpu_count(), "blas_threads": threads, "blas_config": config}}
+
+
+def main(argv: list[str]) -> int:
+    p = argparse.ArgumentParser(description="verify ms/trial on the (n, g) grid")
+    p.add_argument("--out", type=Path)
+    p.add_argument("--trials", type=int, default=20)
+    p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--cells", nargs="+", default=[f"{n},{g}" for n, g in GRID])
+    p.add_argument("--child", nargs=3, metavar=("ROOT", "N", "G"), help=argparse.SUPPRESS)
+    p.add_argument("roots", nargs="*", metavar="NAME=ROOT")
+    args = p.parse_args(argv)
+    if args.child:
+        root, n, g = args.child
+        print(json.dumps(_cell(root, int(n), int(g), args.trials, args.repeats)))
+        return 0
+    if args.out is None:
+        p.error("--out is required")
+    roots = dict(r.split("=", 1) for r in args.roots) or {"this": str(HERE.parent)}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    runs, host = {name: {} for name in roots}, None
+    for i, cell in enumerate(args.cells):
+        n, g = cell.split(",")
+        for name in list(roots)[:: -1 if i % 2 else 1]:
+            done = subprocess.run(
+                [sys.executable, __file__, "--child", roots[name], n, g,
+                 "--trials", str(args.trials), "--repeats", str(args.repeats)],
+                env=env, capture_output=True, text=True, check=True)
+            times = json.loads(done.stdout)
+            host = times.pop("host")
+            runs[name][cell] = times
+            print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial", file=sys.stderr)
+    document = {
+        "metric": "verify(RelationSpec.create(n, g), trials) ms per trial, all-zero mu, "
+                  "best of repeats after one untimed run",
+        "trials": args.trials,
+        "repeats": args.repeats,
+        "host": host,
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(document, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -12,8 +12,8 @@ DEFAULT_CASES.
 A check of a whole relation compares lhs_value with rhs_value
 (relations._compare) on a spec held once, _TERNARY or _QUADRUPLE.  Every
 other check evaluates its theta values in one call of _values, as the
-rows of one stacked evaluation (theta._row, theta._theta_values), each
-value bit for bit that of theta(); ternary_constants_check takes each
+rows of one stacked evaluation (theta._block_rows, theta._theta_values),
+each value bit for bit that of theta(); ternary_constants_check takes each
 of the nine theta constants once.  The rows are built in the order in
 which the values are used, so the first failed radius search raises
 the TruncationError that one theta() call per value would, which
@@ -47,7 +47,8 @@ from .theta import (
     EvalSettings,
     PeriodMatrix,
     TruncationError,
-    _row,
+    _block_rows,
+    _side,
     _theta_values,
 )
 
@@ -75,8 +76,10 @@ _QUADRUPLE = RelationSpec.create(4, 1)
 
 def _values(tau: PeriodMatrix, settings: EvalSettings, evaluations) -> list[complex]:
     """theta_mu(z, tau).value of each (mu, z) of evaluations, in order, bit
-    for bit, from one stacked evaluation."""
-    return _theta_values([_row(mu, z, tau, settings) for mu, z in evaluations])
+    for bit, from one block of rows and one stacked evaluation."""
+    mus, zs = zip(*evaluations)
+    z = np.array([np.atleast_1d(z) for z in zs], dtype=complex)
+    return _theta_values(_block_rows(z, tau, *_side(mus, 1, settings)))
 
 
 def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
@@ -254,21 +257,17 @@ def run_suite(
     out = []
     for case in sorted(DEFAULT_CASES, key=lambda c: c.name):
         rng = np.random.default_rng([case.n, 1, seed])
-        max_rel = 0.0
-        eval_failed = False
+        max_rel, verdict = 0.0, None
         for _ in range(tau_samples):
             tau = sampler.draw_tau(rng, 1)
             try:
                 rep = case.run(rng, sampler, tau, settings)
             except TruncationError:
-                eval_failed = True
+                verdict = "eval-failed"
                 continue
             if rep.status == "ok":
                 max_rel = max(max_rel, rep.rel_error)
-        if eval_failed:
-            verdict = "eval-failed"
-        else:
-            verdict = "pass" if max_rel <= SUITE_TOLERANCE else "fail"
+        verdict = verdict or ("pass" if max_rel <= SUITE_TOLERANCE else "fail")
         out.append(
             {
                 "name": case.name,

@@ -70,17 +70,19 @@ theta() bounds it as before.
 lhs_value and rhs_value each evaluate their n sums as the rows of one
 stacked evaluation (theta._theta_values, theta._shift_tables), every
 value and table bit for bit that of theta() and theta_shift_table(), and
-so does verify_jacobi_a with its 4 left and 16 right values.
+so does verify_jacobi_a with its 4 left and 16 right values.  Every
+row comes from theta's one row builder, theta._block_rows, given the
+parts a row takes from its characteristics alone (theta._side: the
+tops, the float bottoms as one (n, g) array, lambda and a dict of the
+plans built so far) and an (n, g) argument block.
 One check, _check, compares the two sides for a list of drawn trials:
 the n left and n right rows of every trial whose radius search succeeds
 are evaluated stacked, then each trial's sides are multiplied in j
 order, so every value is bit for bit that of lhs_value and rhs_value,
-and a trial whose search fails is reported "eval-failed".  What a row
-takes from the spec alone, the float bottoms of mu and nu as two (n, g)
-arrays and the plan of each (side, j, radius), is derived once per
-check (_side), and each trial's rows are built from its (n, g)
-argument block (theta._block_rows); lhs_value and rhs_value build
-theirs the same way.  A verify run draws its trials' first attempts in
+and a trial whose search fails is reported "eval-failed".  A verify run
+derives the _side of mu and of nu once and hands them to every check
+it makes, so each (side, j, radius) plan is built once per run, and
+each trial's rows are built from its argument block.  A verify run draws its trials' first attempts in
 the order of a trial-by-trial run (the arguments, then tau, per trial),
 and checks them in chunks of at most theta._STACK_POINTS shift-table
 entries (or one trial), so the tables it holds at once do not grow with
@@ -159,9 +161,8 @@ from .theta import (
     _block_rows,
     _min_eig_lower,
     _plan,
-    _radii,
-    _row,
     _shift_tables,
+    _side,
     _theta_values,
 )
 from .transforms import apply_to_args, jacobi_a_matrix, smith_matrix
@@ -536,15 +537,6 @@ def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:
     return tuple(vecs)
 
 
-def _side(chars: Sequence[Characteristic], lam: int, settings: EvalSettings) -> tuple:
-    """What theta._block_rows takes from one side of a relation alone:
-    the tops, the float bottoms as an (n, g) array, lambda, the plans of
-    each (j, radius) built so far and the radii.  A check derives its two
-    sides once and keeps them to its end."""
-    bottoms = np.array([[float(v) for v in m.bottom] for m in chars])
-    return [m.top for m in chars], bottoms, lam, {}, _radii(settings)
-
-
 def _lhs(spec: RelationSpec, values) -> complex:
     """lambda^g times the n theta values, multiplied in j order."""
     return math.prod(values, start=complex(spec.lam**spec.genus))
@@ -707,12 +699,13 @@ def verify(
     if trials < 1:
         raise ValueError("need at least one trial")
     sampler = sampler or TrialSampler()
-    # Refuses a spec whose smallest boxes are too large before any draw.
-    radius = _radii(settings)[0]
-    for m in spec.mu:
-        _plan(m.top, radius, 1)
-    for chi in spec._nu:
-        _plan(chi.top, radius, spec.lam)
+    # One pair of sides serves every check of the run, so each
+    # (side, j, radius) plan is built once per run.  A spec whose
+    # smallest boxes are too large is refused before any draw.
+    sides = _side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings)
+    for tops, _, lam, _, radii in sides:
+        for top in tops:
+            _plan(top, radii[0], lam)
     rng = sampler.make_rng()
 
     def draw():
@@ -730,7 +723,7 @@ def verify(
         for _ in range(MAX_RESAMPLES - 1):
             if not agrees(report):
                 return report
-            (report,) = _check(spec, [draw()], settings, report.seed_index)
+            (report,) = _check(spec, [draw()], settings, report.seed_index, sides)
         return replace(report, status="flagged") if agrees(report) else report
 
     # A chunk holds at most _STACK_POINTS shift-table entries, n
@@ -747,19 +740,20 @@ def verify(
         for _ in range(start, min(start + step, trials)):
             draws.append(draw())
             states.append(rng.bit_generator.state)
-        for report, state in zip(_check(spec, draws, settings, start), states):
+        for report, state in zip(_check(spec, draws, settings, start, sides), states):
             if naive and agrees(report):
                 rng.bit_generator.state = state
                 reports.append(settled(report))
                 for idx in range(report.seed_index + 1, trials):
-                    reports.append(settled(_check(spec, [draw()], settings, idx)[0]))
+                    reports.append(settled(_check(spec, [draw()], settings, idx, sides)[0]))
                 return reports
             reports.append(report)
     return reports
 
 
 def _check(
-    spec: RelationSpec, draws: Sequence[tuple], settings: EvalSettings, start: int = 0
+    spec: RelationSpec, draws: Sequence[tuple], settings: EvalSettings, start: int = 0,
+    sides: Optional[tuple] = None,
 ) -> list[VerificationReport]:
     """The one relation check, the report of every drawn (z-tuple, tau),
     trial i with seed_index start + i: the n left and n right rows of
@@ -767,12 +761,13 @@ def _check(
     (theta._theta_values and theta._shift_tables), then each trial's two
     sides are multiplied in j order and compared, every value bit for
     bit that of lhs_value and rhs_value.  The rows are built from each
-    trial's argument block with the parts of each side derived once for
-    the whole check (_side), so each (side, j, radius) plan is built
-    once.  A trial whose search fails, or whose box at some radius is
-    over theta's cap, is "eval-failed", with NaN sides and errors; a
-    ValueError is raised at the first row that raises it."""
-    sides = _side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings)
+    trial's argument block with sides, the theta._side of mu and of nu,
+    which a run derives once and hands to each of its checks (a check
+    given none derives its own), so each (side, j, radius) plan is built
+    once per run.  A trial whose search fails, or whose box at some
+    radius is over theta's cap, is "eval-failed", with NaN sides and
+    errors; a ValueError is raised at the first row that raises it."""
+    sides = sides or (_side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings))
     # apply_to_args's one (n, n) @ (n, g) product per trial gives w = z S_n.
     smith, left, right, failed = smith_matrix(spec.n).as_float().T, [], [], set()
     for i, (zs, tau) in enumerate(draws):
@@ -827,8 +822,8 @@ def verify_jacobi_a(
     zs = _as_arg_tuple(4, 1, z)
     ws = apply_to_args(jacobi_a_matrix(), zs)
     chis = enumerate_shifts(1, 2)
-    v = _theta_values([_row(chis[0], zj, tau, settings) for zj in zs]
-                      + [_row(chi, wj, tau, settings) for chi in chis for wj in ws])
+    v = _theta_values(_block_rows(np.array(zs + ws * 4), tau, *_side(
+        [chis[0]] * 4 + [chi for chi in chis for _ in ws], 1, settings)))
     rhs = 0j
     for k in range(4, 20, 4):
         rhs += math.prod(v[k : k + 4])

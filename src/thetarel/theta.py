@@ -41,49 +41,55 @@ What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
 shift table, the residues k_a mod lambda^2 and the root-of-unity mixing
 matrix of that axis.  Each is held by an _Axis, built by _axis from the
-key (mu'_a, radius, lambda) and kept in a process-wide
+key (p, q, radius, lambda) of mu'_a = p/q and kept in a process-wide
 least-recently-used cache of _PLAN_CACHE_SIZE axes; the plan of a sum
-(_plan) is the tuple of its axes.  The key holds one exact rational and
-two integers; no cache holds a float input, so z, tau and the float
-mu'' are used afresh on every call, and characteristics whose tops
-agree in a coordinate share that axis, whatever their bottoms.  An axis
-is built by the same operations whether it comes from the cache or not,
-and its arrays are read-only, so every result is bit-identical cold or
-warm.  A shift table's bins are broadcast from the per-axis residues on
-each call, as its grid of terms is from the per-axis v, so no cached
-array is longer than one axis.  The bins and the phases are exact for a
-top of any size; a large mu'' still loses the digits of its float.
-_plan refuses a box of more than _MAX_BOX_POINTS points with
-_OversizedBox, a TruncationError, before any array of it, even the v of
-one axis, is allocated: an _Axis is built holding only its range of k.
+(_plan) is the tuple of its axes.  The key holds four integers, which
+hash far faster than a Fraction; no cache holds a float input, so z,
+tau and the float mu'' are used afresh on every call, and
+characteristics whose tops agree in a coordinate share that axis,
+whatever their bottoms.  An axis is built by the same operations
+whether it comes from the cache or not, and its arrays are read-only,
+so every result is bit-identical cold or warm.  A shift table's bins
+are broadcast from the per-axis residues on each call, as its grid of
+terms is from the per-axis v, so no cached array is longer than one
+axis.  The bins and the phases are exact for a top of any size; a
+large mu'' still loses the digits of its float.  _plan refuses a box of
+more than _MAX_BOX_POINTS points with _OversizedBox, a TruncationError,
+before any array of it, even the v of one axis, is allocated: an _Axis
+is built holding only its range of k.
 
-Sums of one call are evaluated as rows.  A row is one (characteristic,
-argument, period matrix) triple with the plan of its radius (_row).
-_block_rows builds the rows of n characteristics at the n rows of an
-argument block, bit for bit those of _row, from parts its caller derives
-once for many blocks (the float bottoms as one array, the plans built
-so far), with one finiteness check and one add of the bottoms per
-block; the radius search (_search) stays one per row.  A relation
-check builds its rows so.
-_theta_values and _shift_tables stack the rows of one lambda and box
-shape, up to _STACK_POINTS points per stack, along a last axis of the
-grid, with (2 pi i) tau and (2 pi i)(z + mu'') taken per row, so one
-_grid_terms call, one exp and one halving sum along the point axis
-serve a stack, and every element goes through exactly the operations
-of its one-row sum.  A shift-table stack is binned by one bincount per
-part over the stacked bins, offset by r lambda^(2g) for row r.  Its
-mixing stays one BLAS product per table and axis, at the one-row shape:
-a product over stacked tables may sum in another order, and stacked
-tables were measured not bit-identical at g = 1.  That product is the
-np.dot call np.tensordot makes, on the operands it reshapes, without
-its per-call set-up.  So a value
-or table is the same bit for bit whatever it is stacked with.
-Every theta value the package takes internally is such a row: both
-sides of a relation check (relations), and the values of the identity
-checks and of verify_jacobi_a.  theta_shift_table is one row.  theta(),
-the public one-value path, keeps its own one-row sum (_box_sum), which
-also bounds the rounding: a one-row stack with a stacked rounding
-bound was measured 18% slower per call on a 2-CPU Xeon.
+Every lattice sum is a row, and one builder makes every row:
+_block_rows takes the n characteristics of one side (_side: their tops,
+their float bottoms as one (n, g) array, lambda, the plans built so far
+and the radii to try) and an (n, g) argument block, checks the block
+once for finiteness, searches each row's radius (_search), adds the
+bottoms to the block in one add, and returns one _Row per
+characteristic: its plan, its shift z + mu'' and its tau entries, with
+its radius and its tail envelope.  A caller that evaluates many blocks
+(a relation check) derives its sides once and keeps them, so each
+(j, radius) plan is built once.
+
+One kernel, _sums, sums the terms of one row or of R rows stacked along
+a last axis of every array: one _grid_terms call, one exp and one
+halving sum along the point axis give each row's value, and, where the
+caller asks, the same stack gives each row's rounding bound (derived in
+_sums's docstring).  Every element goes through exactly the operations
+of its one-row sum, so a value or a bound is the same bit for bit
+whatever it is stacked with.  theta() is one row of the kernel, on
+unstacked arrays, with its bound; _box_sum is the same call from
+exact inputs at a given radius.  _theta_values and _shift_tables stack
+the rows of one lambda and box shape, up to _STACK_POINTS points per
+stack (_stacks), with (2 pi i) tau and (2 pi i)(z + mu'') taken per
+row.  _theta_values sums each stack with _sums; _shift_tables bins a
+stack's terms by one bincount per part over the stacked bins, offset by
+r lambda^(2g) for row r.  Its mixing stays one BLAS product per table
+and axis, at the one-row shape: a product over stacked tables may sum
+in another order, and stacked tables were measured not bit-identical at
+g = 1.  That product is the np.dot call np.tensordot makes, on the
+operands it reshapes, without its per-call set-up.  Every theta value
+the package takes internally is such a row: both sides of a relation
+check (relations), the values of the identity checks and of
+verify_jacobi_a, and theta_shift_table, which is one row.
 """
 
 from __future__ import annotations
@@ -120,10 +126,10 @@ _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # Box axes kept by _axis.  A relation check uses one axis per distinct
 # (top_a, radius, lam) among its rows: at most 2 n g per radius, and two
-# per radius when every top is zero.  The checks of the perfbench verify
-# configs (n <= 7, g <= 2, tops k/lam) use at most 14, so they fit; one
-# with more, such as (8, 3) with random tops (24), rebuilds some axes on
-# every trial.  An axis of L points takes 8 L bytes for v, and for a
+# per radius when every top is zero.  A verify run looks each up once
+# per (side, j, radius), as its sides keep their plans for the whole
+# run, so a run with more axes than this, such as (8, 3) with random
+# tops (24), rebuilds none of them per trial.  An axis of L points takes 8 L bytes for v, and for a
 # shift table 8 L more for its residues and 16 lam^4 for its mix: 1.7 kB
 # at lam = 3 and radius 4 (L = 25), 85 MB at lam = 48 (n = 96), the
 # largest mix.
@@ -297,10 +303,10 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
 
 class _Axis:
     """One axis of the box of a lattice sum over v in top + (1/lam) Z^g,
-    |v|_inf <= radius: everything that depends on (top_a, radius, lam)
-    and on no float input.  The bottom mu'' is not part of it: the sums
-    convert it with float on every call, so tops that differ only in
-    their bottoms share their axes.
+    |v|_inf <= radius: everything that depends on (top_a = p/q, radius,
+    lam) and on no float input.  The bottom mu'' is not part of it: the
+    sums convert it with float on every call, so tops that differ only
+    in their bottoms share their axes.
 
     ks holds the integers k with |top_a + k/lam| <= radius and v the
     points v_a = top_a + k/lam.  With lam = 1 these are the xi_a of the
@@ -316,9 +322,8 @@ class _Axis:
     use, and the shift-table fields too, so theta() never pays for them.
     """
 
-    def __init__(self, top: Fraction, radius: int, lam: int):
-        p, q = top.numerator, top.denominator
-        self.top, self.lam = top, lam
+    def __init__(self, p: int, q: int, radius: int, lam: int):
+        self.top, self.lam = Fraction(p, q), lam
         self.ks = range(-(lam * (radius * q + p) // q), lam * (radius * q - p) // q + 1)
 
     @functools.cached_property
@@ -365,7 +370,7 @@ def _plan(top: Sequence[Fraction], radius: int, lam: int) -> tuple[_Axis, ...]:
     """The axes of the sum over top + (1/lam) Z^g, |v|_inf <= radius, top
     a sequence of exact rationals.  Raises _OversizedBox for a box of more
     than _MAX_BOX_POINTS points."""
-    axes = tuple(_axis(m, radius, lam) for m in top)
+    axes = tuple(_axis(m.numerator, m.denominator, radius, lam) for m in top)
     points = math.prod(len(axis.ks) for axis in axes)
     if points > _MAX_BOX_POINTS:
         raise _OversizedBox(points, radius)
@@ -431,23 +436,24 @@ def _halving_sum(terms: np.ndarray) -> tuple[np.ndarray, int]:
     return buf[0], depth
 
 
-def _box_sum(
-    mu_top: Sequence[Fraction],
-    mu_bottom: Sequence[Fraction],
-    z: np.ndarray,
-    tau: np.ndarray,
-    radius: int,
-) -> tuple[complex, float]:
-    """Sum of the series terms over the box max_a |xi_a + mu'_a| <= radius.
+def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
+          s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+    """(values, bounds): the sum of the series terms e[(1/2) v tau . v +
+    v . shift] over the broadcast grid of the axis arrays v, for one row
+    (each v_a of shape (len_a,), shift (g,), tau (g, g)) or for R rows
+    stacked along a last axis of every array ((len_a, R), (g, R),
+    (g, g, R)), each row's sum and bound by the operations of its
+    one-row call.  bounds is None unless s, the weights below for each
+    row, shaped as shift, is given.
 
-    Returns (value, rounding_bound).  rounding_bound bounds |value - S|,
-    S the exact sum of the same terms, with z and tau taken as the exact
-    values of their floats and mu exact.  Each term is t = e^P, where the
-    exponent P = 2 pi i ((1/2) v tau . v + v . (z + mu'')) is a sum of
-    products of 2 pi i with entries of v, tau, z and mu''.  As _quadratic
-    computes it, every product passes through at most g + 7 roundings
-    (2 for 2 pi i times an entry, 2 for each factor v_a: its division
-    and its product, and g + 1 additions), so
+    A bound bounds |value - S|, S the exact sum of the same terms, with z
+    and tau taken as the exact values of their floats and mu exact.  Each
+    term is t = e^P, where the exponent P = 2 pi i ((1/2) v tau . v +
+    v . (z + mu'')) is a sum of products of 2 pi i with entries of v,
+    tau, z and mu''.  As _quadratic computes it, every product passes
+    through at most g + 7 roundings (2 for 2 pi i times an entry, 2 for
+    each factor v_a: its division and its product, and g + 1 additions),
+    so
 
         |P_hat - P| <= gamma_{g+7} * 2 pi * M,
         M = sum_a |v_a| (w_aa |v_a| / 2 + s_a + sum_{b>a} w_ab |v_b|),
@@ -465,64 +471,110 @@ def _box_sum(
     where the factor 1.01 covers the rounding of the bound itself and of
     M, and the last term the terms that underflow to subnormals.
     """
-    v = [axis.v for axis in _plan(mu_top, radius, 1)]
-    bottom = np.array([float(m) for m in mu_bottom])
-    terms = _grid_terms(v, z + bottom, tau).ravel()
-    value, depth = _halving_sum(terms)
-    weight = _quadratic(
-        [np.abs(x) for x in v],
-        np.abs(tau.real) + np.abs(tau.imag),
-        np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
-    ).ravel()
+    terms = _grid_terms(v, shift, tau).reshape((-1,) + shift.shape[1:])
+    values, depth = _halving_sum(terms)
+    if s is None:
+        return values, None
+    weight = _quadratic([np.abs(x) for x in v], np.abs(tau.real) + np.abs(tau.imag), s)
     size = np.abs(terms.real) + np.abs(terms.imag)
     # An exponent error beyond expm1's range leaves no accuracy to claim:
-    # the bound is then inf, also where the term underflowed (0 * inf).
+    # the bound is then inf, also where the term underflowed (0 * inf is
+    # NaN, and fmin takes inf over NaN).  Each row's products are summed
+    # as one contiguous run, as a row alone is.
     with np.errstate(over="ignore", invalid="ignore"):
-        per_term = _gamma(depth) + 10.0 * _U + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight)
-        bound = 1.01 * float((size * per_term).sum()) + terms.size * 2.0**-1070
-    return complex(value), math.inf if math.isnan(bound) else bound
+        per_term = (_gamma(depth) + 10.0 * _U
+                    + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight.reshape(terms.shape)))
+        total = np.ascontiguousarray((size * per_term).T).sum(axis=-1)
+        return values, np.fmin(1.01 * total + len(terms) * 2.0**-1070, math.inf)
 
 
-def _radii(settings: EvalSettings) -> list[int]:
-    """The radii the search tries, in order: 4, 6, 8, ... below
-    settings.max_radius, then settings.max_radius."""
-    return [*range(4, settings.max_radius, 2), settings.max_radius]
-
-
-def _truncation(
-    mu: Characteristic, z, tau: PeriodMatrix, settings: EvalSettings
-) -> tuple[np.ndarray, int, float]:
-    """Validated argument vector, truncation radius and tail envelope.
-
-    The radius is the first of 4, 6, 8, ... below settings.max_radius,
-    then settings.max_radius itself, whose envelope meets
-    TARGET_ABS_ERROR; it depends on Im z and tau.lam_min only, never on
-    the characteristic.
-    """
-    z = np.atleast_1d(np.asarray(z, dtype=complex))
-    _check_genus(mu.genus, z, tau.genus)
-    if not np.isfinite(z).all():
-        raise ValueError("argument z must be finite")
-    return z, *_search(z, tau, _radii(settings))
-
-
-def _check_genus(genus: int, z: np.ndarray, g: int) -> None:
-    """Raise ValueError unless a characteristic of genus genus and the
-    argument z fit a period matrix of genus g."""
-    if genus != g or z.shape != (g,):
-        raise ValueError(f"genus mismatch: characteristic {genus}, z {z.shape}, tau {g}")
+def _box_sum(
+    mu_top: Sequence[Fraction],
+    mu_bottom: Sequence[Fraction],
+    z: np.ndarray,
+    tau: np.ndarray,
+    radius: int,
+) -> tuple[complex, float]:
+    """(value, rounding_bound) of the sum of the series terms over the box
+    max_a |xi_a + mu'_a| <= radius: one row of _sums, whose docstring
+    derives the bound."""
+    bottom = np.array([float(m) for m in mu_bottom])
+    value, bound = _sums([axis.v for axis in _plan(mu_top, radius, 1)], z + bottom, tau,
+                         np.abs(z.real) + np.abs(z.imag) + np.abs(bottom))
+    return complex(value), float(bound)
 
 
 def _search(z: np.ndarray, tau: PeriodMatrix, radii: Sequence[int]) -> tuple[int, float]:
     """(radius, tail envelope): the first of radii whose envelope at
-    |Im z|_2 meets TARGET_ABS_ERROR.  Raises TruncationError when none
-    does."""
-    y_norm = float(np.linalg.norm(z.imag))
+    |Im z|_2 meets TARGET_ABS_ERROR.  It depends on Im z and tau.lam_min
+    only, never on the characteristic.  Raises TruncationError when no
+    radius does."""
+    # As np.linalg.norm takes it, without its per-call set-up: the square
+    # root of the dot product of a contiguous copy (a strided dot may
+    # add in another order).
+    y = z.imag.ravel()
+    y_norm = math.sqrt(y.dot(y))
     for radius in radii:
         bound = _tail_envelope(radius, tau.lam_min, y_norm, tau.genus)
         if bound <= TARGET_ABS_ERROR:
             return radius, bound
     raise TruncationError(TARGET_ABS_ERROR, bound, radius)
+
+
+class _Row(tuple):
+    """One lattice sum, (plan, shift, tau): the axes of its box, z + mu''
+    and the tau entries, with the radius of the box and the tail
+    envelope at that radius as the attributes radius and envelope."""
+
+    def __new__(cls, plan, shift, tau, radius: int, envelope: float):
+        row = tuple.__new__(cls, (plan, shift, tau))
+        row.radius, row.envelope = radius, envelope
+        return row
+
+
+def _side(chars: Sequence[Characteristic], lam: int, settings: EvalSettings) -> tuple:
+    """What _block_rows takes from the characteristics mu_j alone, in its
+    order: their tops, their float bottoms as an (n, g) array, lam, a
+    dict for the plan of each (j, radius), and the radii the search
+    tries, in order: 4, 6, 8, ... below settings.max_radius, then
+    settings.max_radius.  A caller derives a side once and hands it to
+    every block it builds, so each plan is built once."""
+    bottoms = np.array([[float(v) for v in m.bottom] for m in chars])
+    radii = [*range(4, settings.max_radius, 2), settings.max_radius]
+    return [m.top for m in chars], bottoms, lam, {}, radii
+
+
+def _block_rows(
+    z: np.ndarray,
+    tau: PeriodMatrix,
+    tops: Sequence[Sequence[Fraction]],
+    bottoms: np.ndarray,
+    lam: int,
+    plans: dict,
+    radii: Sequence[int],
+) -> list[_Row]:
+    """The rows of the characteristics mu_j, j in order, at the rows z_j
+    of the (n, g) complex block z: the sum of theta_mu_j(z_j, tau) for
+    lam = 1, or of the shift table of (mu_j, z_j, tau, lam), each at the
+    first of radii whose tail envelope meets TARGET_ABS_ERROR.  The parts
+    after tau are a _side of the mu_j; plans holds the plan of each
+    (j, radius) built so far, and this call extends it.  One finiteness
+    check and one add of bottoms serve the block.  Raises ValueError for
+    a row of another genus or a non-finite row, and TruncationError for
+    a row whose search fails, at the first such row."""
+    g, finite, found = tau.genus, np.isfinite(z).all(), []
+    for j, (top, zj) in enumerate(zip(tops, z)):
+        if len(top) != g or zj.shape != (g,):
+            raise ValueError(f"genus mismatch: characteristic {len(top)}, z {zj.shape}, tau {g}")
+        if not finite and not np.isfinite(zj).all():
+            raise ValueError("argument z must be finite")
+        radius, envelope = _search(zj, tau, radii)
+        plan = plans.get((j, radius))
+        if plan is None:
+            plan = plans[j, radius] = _plan(top, radius, lam)
+        found.append((plan, radius, envelope))
+    return [_Row(plan, shift, tau.entries, radius, envelope)
+            for (plan, radius, envelope), shift in zip(found, z + bottoms)]
 
 
 def theta(
@@ -536,14 +588,17 @@ def theta(
     z may be a complex scalar (genus 1) or a length-g complex vector.
     The box radius is the first whose tail envelope meets
     TARGET_ABS_ERROR; tail_bound is that envelope plus the rounding
-    bound of the box sum (see _box_sum), so it bounds |value - theta|
+    bound of the box sum (see _sums), so it bounds |value - theta|
     whatever the rounding contributes.  Raises TruncationError when no
     radius up to settings.max_radius brings the envelope below
     TARGET_ABS_ERROR.
     """
-    z, radius, bound = _truncation(mu, z, tau, settings)
-    value, rounding = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)
-    return ThetaValue(value, radius, bound + rounding)
+    z = np.atleast_1d(np.asarray(z, dtype=complex))
+    side = _side([mu], 1, settings)
+    (row,) = _block_rows(z[None], tau, *side)
+    value, rounding = _sums([axis.v for axis in row[0]], row[1], row[2],
+                            np.abs(z.real) + np.abs(z.imag) + np.abs(side[1][0]))
+    return ThetaValue(complex(value), row.radius, row.envelope + float(rounding))
 
 
 def theta_shift_table(
@@ -576,55 +631,16 @@ def theta_shift_table(
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")
-    return _shift_tables([_row(nu, w, tau, settings, lam)])[0]
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    return _shift_tables(_block_rows(w[None], tau, *_side([nu], lam, settings)))[0]
 
 
-def _row(
-    mu: Characteristic, z, tau: PeriodMatrix, settings: EvalSettings, lam: int = 1
-) -> tuple[tuple[_Axis, ...], np.ndarray, np.ndarray]:
-    """One row of a stacked evaluation, (axes, z + mu'', tau entries): the
-    sum of theta_mu(z, tau) for lam = 1, or of the shift table of
-    (mu, z, tau, lam), at the radius of _truncation.  Raises
-    TruncationError, as theta() and theta_shift_table() would."""
-    z, radius, _ = _truncation(mu, z, tau, settings)
-    return _plan(mu.top, radius, lam), z + np.array([float(m) for m in mu.bottom]), tau.entries
-
-
-def _block_rows(
-    z: np.ndarray,
-    tau: PeriodMatrix,
-    tops: Sequence[Sequence[Fraction]],
-    bottoms: np.ndarray,
-    lam: int,
-    plans: dict,
-    radii: Sequence[int],
-) -> list[tuple]:
-    """The _row rows of the characteristics mu_j, j in order, at the rows
-    z_j of the (n, g) complex block z, bit for bit, from parts a caller
-    derives once for many blocks: tops, the mu'_j; bottoms, the float
-    mu''_j as an (n, g) array; plans, the plan of each (j, radius) built
-    so far, which this call extends; and radii, _radii of the settings.
-    One finiteness check and one add of bottoms serve the block.  Raises
-    what _row raises for each row, in order."""
-    g, finite, axes = tau.genus, np.isfinite(z).all(), []
-    for j, (top, zj) in enumerate(zip(tops, z)):
-        _check_genus(len(top), zj, g)
-        if not finite and not np.isfinite(zj).all():
-            raise ValueError("argument z must be finite")
-        key = j, _search(zj, tau, radii)[0]
-        if key not in plans:
-            plans[key] = _plan(top, key[1], lam)
-        axes.append(plans[key])
-    return [(plan, shift, tau.entries) for plan, shift in zip(axes, z + bottoms)]
-
-
-def _stacks(rows: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
-    """(indices, terms) for each stack of _row rows: rows of one lam and
-    box shape, in order, at most _STACK_POINTS points together (or one
-    row), and their terms as an (N, R) array, column r the ravelled grid
-    of row r.  The axis arrays, the shifts and the tau entries of the
-    rows are stacked along a last axis, so one _grid_terms call computes
-    every element by the operations of its one-row call."""
+def _stacks(rows: Sequence[_Row]) -> Iterator[tuple]:
+    """(indices, plans, v, shifts, taus) for each stack of rows: rows of
+    one lam and box shape, in order, at most _STACK_POINTS points
+    together (or one row), their plans, and their axis arrays, shifts
+    and tau entries stacked along a last axis, as _sums and _grid_terms
+    take R rows."""
     groups: dict[tuple, list[int]] = {}
     for i, (plan, _, _) in enumerate(rows):
         groups.setdefault((plan[0].lam, tuple(len(axis.v) for axis in plan)), []).append(i)
@@ -634,30 +650,28 @@ def _stacks(rows: Sequence[tuple]) -> Iterator[tuple[list[int], np.ndarray]]:
             index = group[start : start + step]
             plans, shifts, taus = zip(*map(rows.__getitem__, index))
             v = [np.stack([axis.v for axis in axes], axis=1) for axes in zip(*plans)]
-            terms = _grid_terms(v, np.stack(shifts, axis=1), np.stack(taus, axis=2))
-            yield index, terms.reshape(-1, len(index))
+            yield index, plans, v, np.stack(shifts, axis=1), np.stack(taus, axis=2)
 
 
-def _theta_values(rows: Sequence[tuple]) -> list[complex]:
-    """theta_mu(z, tau).value of each _row row of lam = 1, bit for bit:
-    each stack's sums are one halving sum along the point axis."""
-    values: list = [None] * len(rows)
-    for index, terms in _stacks(rows):
-        for i, value in zip(index, _halving_sum(terms)[0].tolist()):
-            values[i] = value
-    return values
+def _theta_values(rows: Sequence[_Row]) -> list[complex]:
+    """theta_mu(z, tau).value of each row of lam = 1, bit for bit: each
+    stack summed by _sums."""
+    values = np.empty(len(rows), dtype=complex)
+    for index, _, *stack in _stacks(rows):
+        values[index] = _sums(*stack)[0]
+    return values.tolist()
 
 
-def _shift_tables(rows: Sequence[tuple]) -> list[np.ndarray]:
-    """The theta_shift_table of each _row row, bit for bit.  Each stack's
+def _shift_tables(rows: Sequence[_Row]) -> list[np.ndarray]:
+    """The theta_shift_table of each row, bit for bit.  Each stack's
     terms are binned by one bincount per part, each row's bins offset by
     r lam^(2g), which adds every bin's terms in the order of the row's
     own bincount; each table is then mixed alone, one np.dot per axis,
     the product np.tensordot makes, so every product keeps its one-row
     shape and order of summation."""
     tables: list = [None] * len(rows)
-    for index, terms in _stacks(rows):
-        plans = [rows[i][0] for i in index]
+    for index, plans, *stack in _stacks(rows):
+        terms = _grid_terms(*stack).reshape(-1, len(index))
         g, lam = len(plans[0]), plans[0][0].lam
         sq = lam * lam
         size, count = sq**g, len(index) * sq**g

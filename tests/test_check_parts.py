@@ -4,11 +4,19 @@ resamples one attempt at a time: both against one attempt at a time."""
 
 import importlib
 from dataclasses import replace
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
 
-from thetarel import CoefficientMode, PeriodMatrix, RelationSpec, TrialSampler, verify
+from thetarel import (
+    Characteristic,
+    CoefficientMode,
+    PeriodMatrix,
+    RelationSpec,
+    TrialSampler,
+    verify,
+)
 from test_stacked_rows import _mu, _same_reports
 
 theta_module = importlib.import_module("thetarel.theta")
@@ -80,3 +88,32 @@ def test_a_chunk_builds_each_plan_once(trials, settings, monkeypatch):
     assert len(plans) <= 2 * spec.n * len(radii)
     if trials == 40:
         assert len(radii) > 1
+
+
+def test_a_run_builds_each_plan_once(monkeypatch):
+    # A (5, 2) trial has 5 * 5^4 shift-table entries, so 15 trials are
+    # checked in 3 chunks of 5.  With random tops k/4 the 10 rows of a
+    # trial use up to 20 distinct axes per radius, more than the axis
+    # cache holds, yet each (side, j, radius) plan is built once in the
+    # run, besides the 2n plans of the refusal check before any draw.
+    rng = np.random.default_rng(4)
+    mu = [Characteristic(tuple(F(int(k), 4) for k in rng.integers(-8, 8, 2)),
+                         tuple(F(int(k), 4) for k in rng.integers(-8, 8, 2))) for _ in range(5)]
+    spec = RelationSpec.create(5, 2, mu)
+    radii, plans, checked = set(), [], []
+    search, plan, check = theta_module._search, theta_module._plan, relations._check
+
+    def recording_plan(*args):
+        plans.append(args)
+        return plan(*args)
+
+    monkeypatch.setattr(theta_module, "_search",
+                        lambda *args: radii.add(search(*args)[0]) or search(*args))
+    monkeypatch.setattr(theta_module, "_plan", recording_plan)
+    monkeypatch.setattr(relations, "_plan", recording_plan)
+    monkeypatch.setattr(relations, "_check", lambda spec, draws, *args:
+                        checked.append(len(draws)) or check(spec, draws, *args))
+    reports = verify(spec, 15, sampler=TrialSampler(2))
+    assert all(r.status == "ok" for r in reports)
+    assert checked == [5, 5, 5]
+    assert len(plans) <= 2 * spec.n * len(radii) + 2 * spec.n

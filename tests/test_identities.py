@@ -411,24 +411,32 @@ def test_checks_match_their_term_by_term_oracles(name, settings, monkeypatch):
 
 
 def test_ternary_constants_evaluates_each_cube_once(monkeypatch, tau_i):
-    # One row per shift of the nine-term relation, all nine in one stack.
-    rows, stacks = [], []
-    row, values = identities._row, identities._theta_values
+    # One row per shift of the nine-term relation, all nine in one block
+    # and one stack.
+    rows, blocks, stacks = [], [], []
+    side, block_rows, values = identities._side, identities._block_rows, identities._theta_values
 
-    def recording_row(mu, *args):
-        rows.append(str(mu))
-        return row(mu, *args)
+    def recording_side(chars, *args):
+        rows.extend(str(mu) for mu in chars)
+        return side(chars, *args)
+
+    def recording_rows(*args):
+        made = block_rows(*args)
+        blocks.append(len(made))
+        return made
 
     def recording_values(stack):
         stacks.append(len(stack))
         return values(stack)
 
-    monkeypatch.setattr(identities, "_row", recording_row)
+    monkeypatch.setattr(identities, "_side", recording_side)
+    monkeypatch.setattr(identities, "_block_rows", recording_rows)
     monkeypatch.setattr(identities, "_theta_values", recording_values)
     ternary_constants_check(tau_i)
     assert sorted(rows) == sorted(
         str(t.shift) for t in build_relation(RelationSpec.create(3, 1))
     )
+    assert blocks == [9]
     assert stacks == [9]
 
 
@@ -439,18 +447,20 @@ def test_ternary_constants_evaluates_each_cube_once(monkeypatch, tau_i):
     (relations, "jacobi_quadruple", 20),
 ])
 def test_checks_evaluate_their_theta_values_in_one_stack(monkeypatch, module, name, size):
-    # No value comes from theta(), whose one-row sum is theta._box_sum.
+    # No value comes from theta(), whose one row is an unstacked call of
+    # the kernel theta._sums: every kernel call has a row axis.
     check, _, draw = ORACLES[name]
-    values, stacks, box_sums = module._theta_values, [], []
+    values, stacks, sums, kernel = module._theta_values, [], [], theta_module._sums
 
     def recording(stack):
         stacks.append(len(stack))
         return values(stack)
 
     monkeypatch.setattr(module, "_theta_values", recording)
-    monkeypatch.setattr(theta_module, "_box_sum", lambda *args: box_sums.append(args))
+    monkeypatch.setattr(theta_module, "_sums",
+                        lambda v, shift, *args: sums.append(shift.shape) or kernel(v, shift, *args))
     sampler = TrialSampler(62)
     rng = sampler.make_rng()
     check(*draw(rng, sampler, sampler.draw_tau(rng, 1)))
     assert stacks == [size]
-    assert box_sums == []
+    assert all(len(shape) == 2 for shape in sums) and sum(s[1] for s in sums) == size

@@ -1,0 +1,92 @@
+"""One lattice-sum kernel and one row builder: theta() is one unstacked
+row of the kernel, a stacked row's value and rounding bound are its
+one-row value and bound bit for bit, and every row carries the radius
+and tail envelope of its search."""
+
+import importlib
+from fractions import Fraction as F
+
+import numpy as np
+import pytest
+
+from thetarel import Characteristic, PeriodMatrix, TrialSampler, theta
+from thetarel.theta import _box_sum
+
+# The package name theta is the function; the module is imported by path.
+theta_module = importlib.import_module("thetarel.theta")
+
+ODD = (F(1, 7), F(5, 3), F(-4, 3), F(3, 11), F(-9, 4), F(0))
+
+
+def _block(g, n, tau, seed):
+    """(chars, z, side, rows): n characteristics with tops and bottoms
+    from ODD at an (n, g) block of sampler arguments, and their rows."""
+    rng = np.random.default_rng(seed)
+    chars = [Characteristic(tuple(ODD[k] for k in rng.integers(0, len(ODD), g)),
+                            tuple(ODD[k] for k in rng.integers(0, len(ODD), g)))
+             for _ in range(n)]
+    z = np.array(TrialSampler(seed).draw_args(rng, n, g))
+    side = theta_module._side(chars, 1, theta_module.DEFAULT_SETTINGS)
+    return chars, z, side, theta_module._block_rows(z, tau, *side)
+
+
+def _weights(z, bottoms):
+    """s = |Re z| + |Im z| + |mu''| of each row, as theta() gives it."""
+    return np.abs(z.real) + np.abs(z.imag) + np.abs(bottoms)
+
+
+# At Im tau = 0.12 I every g = 3 box has more than 8192 points, numpy's
+# summation buffer, so a row's bound is more than one run of it.
+@pytest.mark.parametrize("g,tau", [
+    (1, [[0.1 + 0.9j]]),
+    (2, [[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]),
+    (3, 0.12j * np.eye(3)),
+])
+def test_stacked_values_and_bounds_are_the_one_row_ones(g, tau):
+    tau = PeriodMatrix(np.array(tau))
+    chars, z, side, rows = _block(g, 7, tau, g)
+    s = _weights(z, side[1])
+    seen = 0
+    for index, _, v, shift, entries in theta_module._stacks(rows):
+        values, bounds = theta_module._sums(v, shift, entries, s[index].T)
+        assert values.shape == bounds.shape == (len(index),)
+        for i, value, bound in zip(index, values, bounds):
+            plan, row_shift, row_tau = rows[i]
+            one = theta_module._sums([axis.v for axis in plan], row_shift, row_tau, s[i])
+            assert np.array([value, bound]).tobytes() == np.array(one).tobytes()
+            tv = theta(chars[i], z[i], tau)
+            assert (tv.value, tv.truncation_radius) == (value, rows[i].radius)
+            assert tv.tail_bound == rows[i].envelope + bound
+            seen += 1
+    assert seen == len(rows)
+    if g == 3:
+        assert min(np.prod([len(axis.v) for axis in row[0]]) for row in rows) > 8192
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_theta_is_one_row_of_the_kernel(g):
+    rng = np.random.default_rng([31, g])
+    sampler = TrialSampler(31)
+    for _ in range(20):
+        tau = sampler.draw_tau(rng, g)
+        chars, z, side, (row,) = _block(g, 1, tau, int(rng.integers(1 << 30)))
+        tv = theta(chars[0], z[0], tau)
+        value, rounding = _box_sum(chars[0].top, chars[0].bottom, z[0], tau.entries, row.radius)
+        assert (tv.value, tv.truncation_radius, tv.tail_bound) == (
+            value, row.radius, row.envelope + rounding)
+        # Unless asked, the kernel takes no bound.
+        plan, shift, entries = row
+        assert theta_module._sums([axis.v for axis in plan], shift, entries)[1] is None
+
+
+def test_every_row_carries_the_radius_and_envelope_of_its_search():
+    # At this tau the rows of one block need radius 4, 6 or 8.
+    tau = PeriodMatrix(np.array([[0.1 + 0.35j]]))
+    _, z, side, rows = _block(1, 40, tau, 5)
+    radii = side[-1]
+    found = [theta_module._search(zj, tau, radii) for zj in 3 * z]
+    rows = theta_module._block_rows(3 * z, tau, *side)
+    assert [(row.radius, row.envelope) for row in rows] == found
+    assert len({radius for radius, _ in found}) > 1
+    # One plan per (j, radius) in the side's dict, shared by its rows.
+    assert all(row[0] is side[3][j, row.radius] for j, row in enumerate(rows))

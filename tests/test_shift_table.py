@@ -166,7 +166,8 @@ def _shift_table_unplanned(nu, w, tau, lam):
     """Reference shift table: every exact part rebuilt from nu, as
     theta_shift_table did before plans were cached."""
     t = theta_module
-    w, radius, _ = t._truncation(nu, w, tau, EvalSettings())
+    w = np.atleast_1d(np.asarray(w, dtype=complex))
+    radius = t._search(w, tau, t._side([nu], lam, EvalSettings())[-1])[0]
     g, sq = tau.genus, lam * lam
     ks, v = [], []
     for m in nu.top:
@@ -245,7 +246,8 @@ def test_tops_with_different_bottoms_share_one_plan():
 def _abs_term_sum(top, w, tau, lam):
     """Sum of |e[(1/2) v tau . v + v . w]| over v in top + (1/lam) Z^g,
     |v|_inf <= R, R the radius of theta(); top holds small rationals."""
-    radius = theta_module._truncation(Characteristic.zero(len(top)), w, tau, EvalSettings())[1]
+    radii = theta_module._side([Characteristic.zero(len(top))], 1, EvalSettings())[-1]
+    radius = theta_module._search(w, tau, radii)[0]
     axes = [np.array([float(t) + k / lam
                       for k in range(math.floor(lam * (-radius - t)), math.ceil(lam * (radius - t)) + 1)
                       if abs(t + F(k, lam)) <= radius])
@@ -294,7 +296,7 @@ def test_a_plan_keeps_no_bins_of_a_large_box():
     table = theta_shift_table(nu, w, tau, 3)
     info = theta_module._axis.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    axis = theta_module._axis(nu.top[0], 16, 3)
+    axis = theta_module._axis(0, 1, 16, 3)
     arrays = [x for x in vars(axis).values() if isinstance(x, np.ndarray)]
     assert len(arrays) == 3 and len(axis.ks) == 97
     assert max(x.size for x in arrays) == 97

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from thetarel import Characteristic, PeriodMatrix, theta
+from thetarel import Characteristic, PeriodMatrix, TrialSampler, theta
 from thetarel.theta import _box_sum
 
 F = Fraction
@@ -193,3 +193,90 @@ def test_rounding_bound_is_inf_not_nan_when_the_exponent_error_overflows(t):
     # exponent error overflows expm1; 0 * inf must not make it NaN.
     tv = theta(Characteristic.parse("0;0"), 0.1 + 0.1j, PeriodMatrix(np.array([[t]])))
     assert tv.tail_bound == math.inf
+
+
+# Period matrices and arguments on the grid 2^-20 Z: then z + tau m is
+# exact in floats for every integer m with |m_a| <= 1, so the relation
+# below holds for the float inputs exactly.
+SCALE = 2**20
+U = 2.0**-53
+
+
+def _gamma(n: int) -> float:
+    return n * U / (1 - n * U)
+
+
+def _phase(m, tau_n, z_n, bottom) -> tuple[complex, float]:
+    """(phase_hat, e): e[-x] for x = (1/2) m tau m + m.(z + bottom) with
+    tau = tau_n / SCALE and z = z_n / SCALE, in floats, and e with
+    |phase_hat - e[-x]| <= e |e[-x]|.
+
+    x is exact: Re x mod 1 and Im x are Fractions, each rounded once to
+    r and y.  e[-x] = M U with M = exp(2 pi Im x) and U = e^{-2 pi i Re x}.
+    The angle 2 pi r takes three roundings (2 pi, r, the product), so it
+    is within gamma_3 2 pi of 2 pi Re x mod 1 < 2 pi, and |U_hat - U| is
+    at most that plus 4u for cos and sin (each within 2 ulps, an ulp at
+    most 2u of the value).  The exponent 2 pi y is within gamma_3 of
+    2 pi Im x relatively, and exp adds 2 ulps, so M_hat is within
+    (1 + expm1(gamma_3 |2 pi y|)) (1 + 4u) - 1 of M relatively.  The
+    product M_hat U_hat rounds each part once more (u)."""
+    quad = sum(int(m[a]) * int(m[b]) * tau_n[a, b] for a in range(len(m)) for b in range(len(m)))
+    lin = sum(int(m[a]) * z_n[a] for a in range(len(m)))
+    x_re = (Fraction(int(quad.real), 2 * SCALE) + Fraction(int(lin.real), SCALE)
+            + sum(int(k) * b for k, b in zip(m, bottom)))
+    x_im = Fraction(int(quad.imag), 2 * SCALE) + Fraction(int(lin.imag), SCALE)
+    r, y = float(x_re % 1), float(x_im)
+    angle, modulus = 2 * math.pi * r, math.exp(2 * math.pi * y)
+    phase = complex(modulus * math.cos(angle), -modulus * math.sin(angle))
+    e_unit = _gamma(3) * 2 * math.pi + 4 * U
+    e_mod = (1 + math.expm1(_gamma(3) * abs(2 * math.pi * y))) * (1 + 4 * U) - 1
+    return phase, (1 + e_mod) * (1 + e_unit) * (1 + U) - 1
+
+
+def test_theta_is_quasi_periodic_within_its_tail_bounds():
+    """theta_mu(z + tau m) = e[-(1/2) m tau m - m.(z + mu'')] theta_mu(z)
+    for every integer vector m (shift the summation index by m).  With
+    tb the tail_bound of theta() and e the relative error of the
+    computed phase (_phase),
+
+        |theta(z + tau m) - phase theta(z)|
+            <= tb(z + tau m) + M tb(z) + M e |theta(z)|,  M = |e[-x]|,
+
+    and M <= |phase| / (1 - e).  The test's own complex product is within
+    sqrt(2) gamma_2 (Higham 2002, section 3.6); the subtraction, the
+    abs and the dozen operations that form the right side are covered by
+    the factor 1 + gamma_12.  Draws: g = 1..3, |m_a| <= 1, sampler tau
+    and arguments on the 2^-20 grid, characteristics p/q with q <= 12
+    and values in [-2, 2]."""
+    worst = []
+    fractions = st.builds(Fraction, st.integers(-24, 24), st.integers(1, 12)).filter(
+        lambda f: abs(f) <= 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        g=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.tuples(*[st.integers(-1, 1)] * 3),
+        z=st.tuples(*[st.integers(-SCALE * 2 // 5, SCALE * 2 // 5)] * 6),
+        top=st.tuples(*[fractions] * 3),
+        bottom=st.tuples(*[fractions] * 3),
+    )
+    def check(g, seed, m, z, top, bottom):
+        sampler = TrialSampler(seed)
+        drawn = sampler.draw_tau(sampler.make_rng(), g).entries
+        tau_n = np.round(drawn.real * SCALE) + 1j * np.round(drawn.imag * SCALE)
+        z_n = np.array(z[:g]) + 1j * np.array(z[3:3 + g])
+        w_n = z_n + tau_n @ np.array(m[:g])
+        tau = PeriodMatrix(tau_n / SCALE)
+        mu = Characteristic(top[:g], bottom[:g])
+        at_w, at_z = theta(mu, w_n / SCALE, tau), theta(mu, z_n / SCALE, tau)
+        phase, e = _phase(m[:g], tau_n, z_n, mu.bottom)
+        modulus = abs(phase) / (1 - e)
+        allowance = (at_w.tail_bound + modulus * at_z.tail_bound + modulus * e * abs(at_z.value)
+                     + math.sqrt(2) * _gamma(2) * abs(phase) * abs(at_z.value))
+        ratio = abs(at_w.value - phase * at_z.value) / (allowance * (1 + _gamma(12)))
+        worst.append(ratio)
+        assert ratio <= 1.0, (g, seed, m, z, top, bottom, ratio)
+
+    check()
+    print(f"worst |theta(z + tau m) - phase theta(z)| / allowance = {max(worst):.3g}")

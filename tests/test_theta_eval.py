@@ -25,7 +25,7 @@ from thetarel import (
     theta_constant,
     theta_shift_table,
 )
-from thetarel.theta import TARGET_ABS_ERROR, _box_sum, _truncation
+from thetarel.theta import TARGET_ABS_ERROR, _block_rows, _box_sum, _side
 
 F = Fraction
 # The package name theta is the function; the module is imported by path.
@@ -304,13 +304,19 @@ def test_radius_search_tries_four_six_and_up_to_the_cap(monkeypatch, tau_i, max_
     radii = [r for r in range(4, max_radius, 2)] + [max_radius]
     settings = EvalSettings(max_radius=max_radius)
     met = [r for r in radii if meets_from is not None and r >= meets_from]
+
+    def row():
+        (made,) = _block_rows(np.array([[0.1j]]), tau_i,
+                              *_side([Characteristic.zero(1)], 1, settings))
+        return made
+
     if met:
-        _, radius, bound = _truncation(Characteristic.zero(1), 0.1j, tau_i, settings)
-        assert (radius, bound) == (met[0], TARGET_ABS_ERROR / 2)
+        made = row()
+        assert (made.radius, made.envelope) == (met[0], TARGET_ABS_ERROR / 2)
         assert tried == radii[: radii.index(met[0]) + 1]
     else:
         with pytest.raises(TruncationError) as info:
-            _truncation(Characteristic.zero(1), 0.1j, tau_i, settings)
+            row()
         assert tried == radii
         assert (info.value.radius, info.value.best_bound) == (
             max_radius, TARGET_ABS_ERROR * (1 + max_radius))

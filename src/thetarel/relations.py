@@ -95,8 +95,9 @@ and dropped.  apply_to_args's product stays one (n, n) @ (n, g)
 product per trial, as the tables' mixing stays one np.dot per table and
 axis: a BLAS product over stacked operands may sum in another order.
 Before drawing, verify builds the lattice-sum plans of the first radius
-for every mu_j and nu_j, so a spec whose smallest boxes are over theta's
-cap raises TruncationError at once.
+for every mu_j and nu_j into its sides, so a spec whose smallest boxes
+are over theta's cap raises TruncationError at once, and no row builds
+those plans again.
 
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
@@ -109,7 +110,8 @@ JSON, LaTeX and text, a dict builder for the object API) is mapped
 over the bottom rows and the exponent texts of the block.  The fields
 of a JSON row are named only by _json_row, and this module writes no
 JSON text: render.dumps alone lays out every row, the command line's
-from a template it makes of one _json_row prototype per document.
+from a template it makes of one _json_row prototype per document, and
+the object API's dict rows from a template of their first row.
 
 RelationSpec.create returns one shared instance per value (n, genus,
 mu, mode), from a process-wide least-recently-used cache of
@@ -134,7 +136,6 @@ import enum
 import functools
 import itertools
 import math
-import operator
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -520,12 +521,12 @@ def _write_terms(
     den = terms._denominator
     texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
     exponents = list(map(texts.__getitem__, terms._numerators))
-    shifts = [row[0] for row in bottoms]
-    nus = [row[1:] for row in bottoms]
-    width = len(bottoms)
+    # The bottom texts by column: the shift halves, then those of each nu_j.
+    shifts, *nus = zip(*bottoms)
+    width = len(shifts)
     return (
-        map(writer(top), map(operator.add, zip(map(top[0].__add__, shifts),
-                                               exponents[c * width:(c + 1) * width]), nus))
+        map(writer(top), zip(map(top[0].__add__, shifts),
+                             exponents[c * width:(c + 1) * width], *nus))
         for c, top in enumerate(tops)
     )
 
@@ -701,11 +702,12 @@ def verify(
     sampler = sampler or TrialSampler()
     # One pair of sides serves every check of the run, so each
     # (side, j, radius) plan is built once per run.  A spec whose
-    # smallest boxes are too large is refused before any draw.
+    # smallest boxes are too large is refused before any draw; the plans
+    # of the first radius are kept in their sides for the rows.
     sides = _side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings)
-    for tops, _, lam, _, radii in sides:
-        for top in tops:
-            _plan(top, radii[0], lam)
+    for tops, _, lam, plans, radii in sides:
+        for j, top in enumerate(tops):
+            plans[j, radii[0]] = _plan(top, radii[0], lam)
     rng = sampler.make_rng()
 
     def draw():
@@ -832,10 +834,12 @@ def verify_jacobi_a(
 
 def _json_row(top: tuple[str, ...]) -> Callable:
     """The _write_terms writer of the JSON rows, the one place that names
-    their fields: the dict row of each term of a top row."""
-    nu_tops = top[1:]
-    return lambda t: {"shift": t[0], "exponent": t[1],
-                      "nu_shifted": list(map(str.__add__, nu_tops, t[2:]))}
+    their fields: the dict row of each term of a top row.  The top texts
+    are baked into one % template per block ("%" escaped), which writes
+    a term's n nu_shifted texts joined by spaces, so a term costs one
+    format call and one split: no text of _write_terms holds a space."""
+    nu = ("%.0s%.0s" + " ".join(t.replace("%", "%%") + "%s" for t in top[1:])).__mod__
+    return lambda t: {"shift": t[0], "exponent": t[1], "nu_shifted": nu(t).split(" ")}
 
 
 @dataclass(frozen=True, eq=False)
@@ -843,7 +847,9 @@ class _JsonRows:
     """The "terms" of a relation document: iterating it gives the
     _json_row of each term, as terms_to_json_obj holds them and
     render.parse_terms_json checks them.  The command line passes it to
-    render.dumps unlisted, which lays the rows out without the dicts."""
+    render.dumps unlisted, which lays the rows out without the dicts;
+    render.dumps writes the listed dict rows as flat records, from a
+    template of the same layout."""
 
     spec: RelationSpec
     terms: Relation

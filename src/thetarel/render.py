@@ -14,7 +14,10 @@ object API (terms_to_json_obj).  dumps is the one JSON writer and owns
 every layout; relations._json_row owns the fields of a term row.  The
 "terms" of a command-line document are a relations._JsonRows, which
 dumps writes through _write_json_rows: its template is dumps of one
-_json_row prototype, so the rows have the bytes of the dict rows.
+_json_row prototype, so the rows have the bytes of the dict rows.  A
+list of flat records, such as those dict rows, dumps writes by
+_write_records from one template made the same way (_row_template), a
+column at a time; any other list it walks item by item.
 
 parse_terms_json checks a document in the layout dumps writes by its
 bytes, against dumps of the rebuilt document, decoding only its "spec";
@@ -25,6 +28,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
+import operator
 from collections.abc import Iterator
 from fractions import Fraction
 
@@ -51,12 +56,14 @@ __all__ = [
 
 # What json.dumps(str) calls under its default ensure_ascii=True.
 _encode_str = json.encoder.encode_basestring_ascii
-# The item types of a list of strings only.
+# The item types of a list of strings only, of dicts only and of lists only.
 _STR = {str}
+_DICT = {dict}
+_LIST = {list}
 
 
 def _format_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         return "null"
     return f"{x:.17g}"
 
@@ -81,7 +88,8 @@ def dumps(obj, indent: int = 0) -> str:
     dict, and a list holding a container, is written one item per line,
     indented by two spaces per level; any other list on one line.  A
     relations._JsonRows is written by _write_json_rows at the padding of
-    its key.
+    its key, and a list of flat records by _write_records, each with the
+    bytes of the walk.
     """
     out: list[str] = []
     put = out.append
@@ -117,6 +125,8 @@ def dumps(obj, indent: int = 0) -> str:
                     put("[" + ", ".join(map(_encode_str, x)) + "]")
                 elif not any(issubclass(t, (dict, list, tuple)) for t in types):
                     put("[" + ", ".join(map(_scalar, x)) + "]")
+                elif types == _DICT and (records := _write_records(x, pad)) is not None:
+                    out += "[\n", records, "\n" + pad + "]"
                 else:
                     inner = pad + "  "
                     stack.append(frame)
@@ -132,6 +142,57 @@ def dumps(obj, indent: int = 0) -> str:
             frame = stack.pop()
 
 
+def _row_template(proto: dict, pad: str) -> str:
+    """The text of proto as an item of a list at the padding pad, as
+    dumps writes it: the template of every row of a list of rows."""
+    return pad + "  " + dumps(proto, len(pad) + 2)
+
+
+def _write_records(rows, pad: str) -> str | None:
+    """The text between the brackets of dumps of the list rows of dicts
+    at the padding pad, or None unless the rows are records: dicts with
+    the str keys of the first row, in its order, none of them holding
+    "%", whose value at each key is a str, or a list of as many strs, as
+    the first row's is.  The first row decides whether the others are
+    looked at.  The rows are written from one % template, _row_template
+    of a placeholder row, each column of texts taken and encoded by
+    C-level maps, so a row costs one format call."""
+    # The length of each list value of the first row, None for a str.
+    lengths = {}
+    for key, value in rows[0].items():
+        if type(key) is not str or "%" in key:
+            return None
+        if type(value) is str:
+            lengths[key] = None
+        elif type(value) is list and set(map(type, value)) <= _STR:
+            lengths[key] = len(value)
+        else:
+            return None
+    keys = tuple(lengths)
+    if set(map(type, itertools.chain.from_iterable(rows))) != _STR or not all(
+            map(keys.__eq__, map(tuple, rows))):
+        return None
+    columns = []
+    for key, length in lengths.items():
+        column = list(map(operator.itemgetter(key), rows))
+        if length is None:
+            columns.append(column)
+        elif set(map(type, column)) != _LIST or set(map(len, column)) != {length}:
+            return None
+        else:
+            columns += zip(*column)
+    if not columns or set(map(type, itertools.chain.from_iterable(columns))) != _STR:
+        return None
+    # A column none of whose texts JSON escapes, as the length of their
+    # encoded concatenation shows, is written as it is, in quotes.
+    plain = [len(_encode_str(text := "".join(column))) == len(text) + 2 for column in columns]
+    proto = {key: "%s" if length is None else ["%s"] * length for key, length in lengths.items()}
+    head, *tails = _row_template(proto, pad).split('"%s"')
+    template = head + "".join(('"%s"' if p else "%s") + tail for p, tail in zip(plain, tails))
+    texts = zip(*[column if p else map(_encode_str, column) for p, column in zip(plain, columns)])
+    return ",\n".join(map(template.__mod__, texts))
+
+
 def _write_json_rows(rows: _JsonRows, pad: str) -> Iterator[str]:
     """The text of dumps(list(rows)) at the padding pad, one chunk per
     top digit row, with no dict per term.  The template is dumps of one
@@ -139,8 +200,7 @@ def _write_json_rows(rows: _JsonRows, pad: str) -> Iterator[str]:
     each term text.  Formatting it with the top texts of a row gives the
     % template of the row's terms (_write_terms: no row text holds %)."""
     spec = rows.spec
-    proto = _json_row(("%s",) * (spec.n + 1))(("%%s",) * (spec.n + 2))
-    template = pad + "  " + dumps(proto, len(pad) + 2)
+    template = _row_template(_json_row(("%s",) * (spec.n + 1))(("%%s",) * (spec.n + 2)), pad)
 
     def writer(top):
         return (template % top[1:]).__mod__

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thetarel import cli
+from thetarel import cli, render
 from thetarel.relations import _JsonRows
 from thetarel.render import dumps, terms_to_json_obj
 
@@ -107,6 +107,101 @@ def test_dumps_matches_on_subclasses_and_non_string_keys():
         Fraction(1, 3): Fraction(-2, 7),
     }
     assert dumps(obj) == reference_dumps(obj)
+
+
+class Shown(str):
+    """A str subclass that dumps writes by its str(), not by its value."""
+
+    def __str__(self):
+        return "shown"
+
+
+record_texts = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(['"', "\\", "é", "\x00", "\U0001f600", "%", "%s", "%%s", "1/3;0"]),
+)
+# How a list of records is spoilt, if at all: each near miss is a list
+# that only the general walker may write.
+NEAR_MISSES = ["none", "reorder", "drop key", "extra key", "scalar value", "subclass value",
+               "subclass item", "subclass key", "list value"]
+
+
+@st.composite
+def record_lists(draw):
+    """A list of same-keyed flat records, str or list-of-str valued,
+    then at most one near miss in one of its rows."""
+    keys = draw(st.lists(record_texts, max_size=4, unique=True))
+    lengths = draw(st.lists(st.one_of(st.none(), st.integers(0, 3)),
+                            min_size=len(keys), max_size=len(keys)))
+
+    def value(length):
+        if length is None:
+            return draw(record_texts)
+        return draw(st.lists(record_texts, min_size=length, max_size=length))
+
+    rows = [{k: value(m) for k, m in zip(keys, lengths)} for _ in range(draw(st.integers(1, 5)))]
+    miss = draw(st.sampled_from(NEAR_MISSES))
+    i = draw(st.integers(0, len(rows) - 1))
+    row = rows[i]
+    key = draw(st.sampled_from(keys)) if keys else None
+    if miss == "reorder":
+        rows[i] = dict(reversed(row.items()))
+    elif miss == "drop key" and key is not None:
+        del row[key]
+    elif miss == "extra key":
+        row[draw(record_texts)] = draw(record_texts)
+    elif miss == "scalar value" and key is not None:
+        row[key] = draw(st.sampled_from([1, 0.5, math.nan, None, True, ("a",), ()]))
+    elif miss == "subclass value" and key is not None:
+        row[key] = Shown(draw(record_texts))
+    elif miss == "subclass item" and key is not None and row[key]:
+        row[key] = [Shown(row[key][0]), *row[key][1:]] if type(row[key]) is list else Shown("")
+    elif miss == "subclass key" and key is not None:
+        rows[i] = {Shown(k) if k == key else k: v for k, v in row.items()}
+    elif miss == "list value" and key is not None:
+        row[key] = draw(st.sampled_from([[], ["a", 1], ["a", None], [["a"]], "a", ["a"]]))
+    return rows
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(rows=record_lists(), nested=st.booleans(), indent=st.sampled_from([0, 2, 5]))
+def test_dumps_matches_on_flat_records_and_their_near_misses(rows, nested, indent):
+    obj = {"spec": {"n": 1}, "terms": rows} if nested else rows
+    assert dumps(obj, indent) == reference_dumps(obj, indent)
+
+
+def test_a_percent_key_leaves_and_escaped_texts_keep_the_record_path():
+    rows = [{"a": "x", "b%": "y"}, {"a": "é", "b%": "\\"}]
+    assert render._write_records(rows, "") is None
+    rows = [{"a": "x", "b": ["y", '"']}, {"a": "é", "b": ["\x00", "z"]}]
+    assert "[\n" + render._write_records(rows, "  ") + "\n  ]" == reference_dumps(rows, 2)
+
+
+class Untouchable(dict):
+    """A row that fails the test if the record path looks at it."""
+
+    def __iter__(self):
+        raise AssertionError("a row after the first was looked at")
+
+    def __getitem__(self, key):
+        raise AssertionError("a row after the first was looked at")
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["verify", "--n", "3", "--trials", "2"], "trials"),
+    (["suite", "--trials", "1"], "cases"),
+])
+def test_report_lists_leave_the_record_path_at_their_first_row(argv, key, capsys):
+    cli.main(argv)
+    first = json.loads(capsys.readouterr().out)[key][0]
+    assert render._write_records([first, Untouchable()], "  ") is None
+
+
+@pytest.mark.parametrize("first", [
+    {"a": "x", "b": [["y"]]}, {"a": "x", "b": ("y",)}, {1: "x"}, {"a%": "x"}, {"a": Shown("x")},
+])
+def test_a_first_row_that_is_no_record_leaves_the_record_path(first):
+    assert render._write_records([first, Untouchable()], "  ") is None
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@
 import cmath
 import dataclasses
 import hashlib
+import importlib
 import itertools
 import json
 import math
@@ -813,3 +814,24 @@ def test_a_kept_spec_takes_at_most_its_stated_bytes(spec):
     finally:
         tracemalloc.stop()
     assert held <= 16384 + 16 * spec.lam ** (2 * spec.genus) + 320 * _units(spec)
+
+
+def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
+    """The plans that verify builds before drawing, to refuse boxes over
+    the cap, are the rows' plans of the first radius: each (side, j,
+    radius) plan looks its g axes up once per run, and the report keeps
+    its bytes (the digest of the run that built those plans twice)."""
+    theta_module = importlib.import_module("thetarel.theta")
+    mu = ["1/2,1/4,0;0,0,0", "3/4,0,1/4;0,0,0", "1/2,3/4,1/2;0,0,0", "3/4,0,1/4;0,0,0",
+          "1/2,1/4,1/4;0,0,0", "1/4,0,0;0,0,0", "1/2,1/4,3/4;0,0,0", "0,3/4,1/4;0,0,0"]
+    spec = RelationSpec.create(8, 3, [Characteristic.parse(m) for m in mu])
+    sides = []
+    side = relations._side
+    monkeypatch.setattr(relations, "_side", lambda *args: sides.append(side(*args)) or sides[-1])
+    theta_module._axis.cache_clear()
+    reports = verify(spec, 3)
+    info = theta_module._axis.cache_info()
+    assert info.hits + info.misses == 3 * sum(len(s[3]) for s in sides) == 90
+    text = dumps(relations.relation_report(spec, build_relation(spec), reports, 1e-9))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "d9c172020b136894d660cc88380d660ae68c26a420a647a45559fe2ebe642786")

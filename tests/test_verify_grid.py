@@ -1,4 +1,5 @@
-"""tools/verify_grid.py times verify on the (n, g) grid."""
+"""tools/verify_grid.py times verify and the JSON round trip on the (n, g)
+grid."""
 
 import json
 import subprocess
@@ -19,3 +20,6 @@ def test_one_cell_writes_its_times_and_the_host(tmp_path):
     (times,) = document["runs"]["this"].values()
     assert list(document["runs"]["this"]) == ["3,1"]
     assert times["ms_per_trial"] > 0 and times["wall_ms_per_trial"] > 0
+    assert times["render_ms"] > 0 and times["wall_render_ms"] > 0
+    assert set(times) == {"ms_per_trial", "wall_ms_per_trial", "render_ms", "wall_render_ms"}
+    assert "render_metric" in document

@@ -10,6 +10,11 @@ cell runs once untimed, so the spec and the lattice-sum axes are warm,
 then R timed times; the best is reported as ms per trial, both as wall
 time and normalised for host-speed drift by perfbench/hostspeed.py
 (loaded by path), at the speed where its reference mix takes REF_MIX_S.
+Each cell also times the report rendering layer: the JSON round trip of
+the cell's relation as the emit benchmark makes it, parse_terms_json of
+the text of `emit --n N --g G --format json`, then dumps of
+terms_to_json_obj of what it returns, checked once against that text
+and reported the same way, as ms per round trip.
 OpenBLAS runs one thread, as in perfbench/run.py.  Roots default to
 this=the repository that holds this script; with several, say
 parent=OLD change=NEW, they are measured in turn cell by cell, in an
@@ -22,7 +27,9 @@ process; the interpreters it starts import numpy.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib.util
+import io
 import json
 import os
 import subprocess
@@ -49,25 +56,42 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
     sys.path.insert(0, str(src))
     import numpy as np
     import thetarel
-    from thetarel import RelationSpec, verify
+    from thetarel import RelationSpec, cli, render, verify
 
     if Path(thetarel.__file__).resolve().parent.parent != src:
         raise SystemExit(f"imported thetarel from {thetarel.__file__}, not from {src}")
 
     hostspeed, run = _load("hostspeed"), _load("run")
     spec, speed = RelationSpec.create(n, g), hostspeed.HostSpeed()
+
+    def best(call):
+        """(normalised, wall) seconds of the best of repeats calls."""
+        times = []
+        for _ in range(repeats):
+            speed.sample()
+            start = time.perf_counter()
+            call()
+            wall = time.perf_counter() - start
+            speed.sample()
+            times.append((speed.normalise(start, wall), wall))
+        return min(times)
+
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(["emit", "--n", str(n), "--g", str(g), "--format", "json"])
+    text = out.getvalue()
+
+    def roundtrip():
+        return render.dumps(render.terms_to_json_obj(*render.parse_terms_json(text))) + "\n"
+
+    if roundtrip() != text:
+        raise SystemExit(f"the JSON round trip of ({n},{g}) changed the emit text")
     verify(spec, trials)
-    best = []
-    for _ in range(repeats):
-        speed.sample()
-        start = time.perf_counter()
-        verify(spec, trials)
-        wall = time.perf_counter() - start
-        speed.sample()
-        best.append((speed.normalise(start, wall), wall))
-    normalised, wall = min(best)
+    normalised, wall = best(lambda: verify(spec, trials))
+    render_normalised, render_wall = best(roundtrip)
     threads, config = run._blas_threads()
     return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
+            "render_ms": render_normalised * 1e3, "wall_render_ms": render_wall * 1e3,
             "host": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "nproc": os.cpu_count(), "blas_threads": threads, "blas_config": config}}
 
@@ -100,10 +124,14 @@ def main(argv: list[str]) -> int:
             times = json.loads(done.stdout)
             host = times.pop("host")
             runs[name][cell] = times
-            print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial", file=sys.stderr)
+            print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
+                  f"{times['render_ms']:9.3f} ms/round trip", file=sys.stderr)
     document = {
         "metric": "verify(RelationSpec.create(n, g), trials) ms per trial, all-zero mu, "
                   "best of repeats after one untimed run",
+        "render_metric": "report rendering: ms per JSON round trip of the emit text of the "
+                         "same relation, dumps(terms_to_json_obj(*parse_terms_json(text))), "
+                         "best of repeats after one checked run",
         "trials": args.trials,
         "repeats": args.repeats,
         "host": host,

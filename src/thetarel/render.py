@@ -180,7 +180,8 @@ def _write_records(rows, pad: str) -> str | None:
         elif set(map(type, column)) != _LIST or set(map(len, column)) != {length}:
             return None
         else:
-            columns += zip(*column)
+            # By item, not by zip(*column), which holds an iterator per row.
+            columns += (list(map(operator.itemgetter(i), column)) for i in range(length))
     if not columns or set(map(type, itertools.chain.from_iterable(columns))) != _STR:
         return None
     # A column none of whose texts JSON escapes, as the length of their

@@ -120,8 +120,10 @@ record_texts = st.one_of(
     st.text(max_size=6),
     st.sampled_from(['"', "\\", "é", "\x00", "\U0001f600", "%", "%s", "%%s", "1/3;0"]),
 )
-# How a list of records is spoilt, if at all: each near miss is a list
-# that only the general walker may write.
+# How one row of a list of records is spoilt, if at all.  Most near
+# misses make a list that only the general walker may write; some draws
+# (a reversed row of one key, an extra key that is already there) leave
+# a list of records.
 NEAR_MISSES = ["none", "reorder", "drop key", "extra key", "scalar value", "subclass value",
                "subclass item", "subclass key", "list value"]
 

@@ -65,7 +65,10 @@ values, and rhs_value multiplies the n tables by the coefficients
 e[x(a)].  Each table entry sums exactly the points that
 theta(nu_j + a, w_j) sums, so the omitted tail of an entry is that
 coset's exterior times unit-modulus phases, and the w_j tail envelope of
-theta() bounds it as before.
+theta() bounds it as before.  As in theta(), an entry also leaves out
+the in-box terms of its coset whose exponent has a real part at or
+below theta._SKIP_EXPONENT = -50, so a bound of an entry must add their
+mass, as theta's rounding bound does.
 
 lhs_value and rhs_value each evaluate their n sums as the rows of one
 stacked evaluation (theta._theta_values, theta._shift_tables), every

@@ -26,16 +26,21 @@ The terms are computed by one kernel on the broadcast grid
 v_a = mu'_a + k_a/lambda (lambda = 1 for theta): per axis a 1-D array
 of correctly rounded v_a, the exponent (1/2) v tau . v + v . shift
 accumulated from those arrays with 2 pi i folded into tau and shift,
-and one complex exp; the grid ravels in lexicographic order.  theta()
-sums the terms by halving (zero-pad to 2^L, then add the upper half
-onto the lower half L times), whose rounding error is within
-gamma_L * sum (|Re t| + |Im t|) (Higham 2002, section 4.2); _box_sum
-states the full bound.  The order is fixed, so results are
-reproducible bit-for-bit for identical inputs and settings.
+and the complex exp of the exponent wherever its real part is above
+_SKIP_EXPONENT = -50; any other term, at most about e^-50 in modulus,
+is an exact zero, as most of a box is Gaussian tail.  The grid ravels
+in lexicographic order.  theta() sums the terms by halving (zero-pad to
+2^L, then add the upper half onto the lower half L times), whose
+rounding error is within gamma_L * sum (|Re t| + |Im t|) (Higham 2002,
+section 4.2); its rounding bound also counts the skipped terms, each at
+most e^-50 times the error factor of its exponent, and _sums derives
+the whole bound.  The order is fixed, so results are reproducible
+bit-for-bit for identical inputs and settings.
 
 theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
-nu' + (1/lambda) Z^g, with the same radius and tail envelope.
+nu' + (1/lambda) Z^g, with the same radius and tail envelope, and the
+same skipped terms.
 
 What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
@@ -70,12 +75,13 @@ its radius and its tail envelope.  A caller that evaluates many blocks
 (j, radius) plan is built once.
 
 One kernel, _sums, sums the terms of one row or of R rows stacked along
-a last axis of every array: one _grid_terms call, one exp and one
-halving sum along the point axis give each row's value, and, where the
-caller asks, the same stack gives each row's rounding bound (derived in
-_sums's docstring).  Every element goes through exactly the operations
-of its one-row sum, so a value or a bound is the same bit for bit
-whatever it is stacked with.  theta() is one row of the kernel, on
+a last axis of every array: one _grid_terms call, one masked exp and
+one halving sum along the point axis give each row's value, and, where
+the caller asks, the same stack gives each row's rounding bound
+(derived in _sums's docstring).  Every element goes through exactly
+the operations of its one-row sum, and whether a term is skipped
+depends on its own exponent alone, so a value or a bound is the same
+bit for bit whatever it is stacked with.  theta() is one row of the kernel, on
 unstacked arrays, with its bound; _box_sum is the same call from
 exact inputs at a given radius.  _theta_values and _shift_tables stack
 the rows of one lambda and box shape, up to _STACK_POINTS points per
@@ -138,10 +144,26 @@ _PLAN_CACHE_SIZE = 16
 # tracemalloc reads it: the grid of terms and the temporaries of its
 # exponent (16 bytes each per point), the zero-padded halving buffer or,
 # for a shift table, the bins and the two parts given to bincount.  Large
-# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  _plan refuses a
+# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  The mask of the
+# kept terms (1 byte per point) and the zero-filled grid of terms live
+# after the temporaries of the exponent are freed, so they leave the
+# peak as it was (48.1 to 51.2 at 5e4 to 2.6e6 points).  _plan refuses a
 # box of more than _MAX_BOX_POINTS points, which would need more than
 # 1 GiB at 48 bytes per point, before any array of it is allocated.
 _MAX_BOX_POINTS = 2**30 // 48
+# A lattice sum exponentiates only the terms whose computed exponent has
+# a real part above _SKIP_EXPONENT = T (_grid_terms): a term below about
+# e^T = 1.9e-22 in modulus is left out of the sum and counted in its
+# rounding bound instead (_sums).  A skipped term is at most
+# e^T (1 + expm1(gamma_{g+7} 2 pi M)) in modulus, a factor within 1e-9
+# of 1 at g <= 3, radius <= 32, tops in [0, 1) and entries of tau, z
+# and mu'' up to 10 in modulus (M < 7.2e4), and the bound adds about e^T
+# at every point.  So a box of _MAX_BOX_POINTS points adds 2^30 / 48 *
+# e^-50 = 4.3e-15 < TARGET_ABS_ERROR / 16 times that factor, and the
+# bound stays well under the target; a box the radius search picks adds
+# far less.  A Gaussian box is mostly tail: at g = 3 most points are
+# below e^T.
+_SKIP_EXPONENT = -50.0
 # Rows of one box shape are summed together up to _STACK_POINTS points
 # per stack (R rows of N points each, R N <= _STACK_POINTS, at least one
 # row), so a stack's arrays stay within about 1 MB.
@@ -404,9 +426,13 @@ def _quadratic(v: Sequence[np.ndarray], quad: np.ndarray, lin: np.ndarray) -> np
 
 def _grid_terms(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray) -> np.ndarray:
     """Series terms e[(1/2) v tau . v + v . shift] on the broadcast grid of
-    the axis arrays v, from one complex exp; 2 pi i is folded into tau
-    and shift before the grid is formed."""
-    return np.exp(_quadratic(v, (TWO_PI * 1j) * tau, (TWO_PI * 1j) * shift))
+    the axis arrays v: the exponent P from _quadratic, with 2 pi i folded
+    into tau and shift before the grid is formed, then the complex exp
+    of P where Re P > _SKIP_EXPONENT and an exact zero where Re P is at
+    or below it; _sums bounds the terms so skipped.  A NaN exponent is
+    exponentiated, so it still shows in the sum."""
+    p = _quadratic(v, (TWO_PI * 1j) * tau, (TWO_PI * 1j) * shift)
+    return np.exp(p, out=np.zeros(p.shape, dtype=complex), where=~(p.real <= _SKIP_EXPONENT))
 
 
 def _gamma(n: int) -> float:
@@ -459,33 +485,47 @@ def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
         M = sum_a |v_a| (w_aa |v_a| / 2 + s_a + sum_{b>a} w_ab |v_b|),
 
     with w = |Re tau| + |Im tau| and s_a = |Re z_a| + |Im z_a| + |mu''_a|.
-    Then |e^P_hat - e^P| <= |e^P_hat| * expm1(|P_hat - P|), and the
-    complex exp adds at most 10u to each part (exp, cos and sin each
-    within 2 ulps; glibc's are within 1).  With |t|_1 = |Re t| + |Im t|
-    and the halving sum of depth L, the bound is
+    A term whose Re P_hat is above T = _SKIP_EXPONENT is kept: then
+    |e^P_hat - e^P| <= |e^P_hat| * expm1(|P_hat - P|), and the complex
+    exp adds at most 10u to each part (exp, cos and sin each within
+    2 ulps; glibc's are within 1).  Any other term is skipped, a zero
+    in the sum (_grid_terms), so its whole exact value is error, and
+    |e^P| <= e^(Re P_hat + |P_hat - P|) <= e^T (1 + expm1(gamma_{g+7}
+    2 pi M)).  With |t|_1 = |Re t| + |Im t| of the computed terms (0 for
+    a skipped one), c = gamma_L + 10u for the halving sum of depth L and
+    x_t = expm1(gamma_{g+7} 2 pi M) of each term, the bound is
 
-        1.01 * sum over terms of |t|_1 (gamma_L + 10u
-                                        + expm1(gamma_{g+7} 2 pi M))
-        + N * 2^-1070,
+        1.01 * (sum over all N terms of (|t|_1 + e^T) (c + x_t) + N e^T).
 
-    where the factor 1.01 covers the rounding of the bound itself and of
-    M, and the last term the terms that underflow to subnormals.
+    A kept term takes |t|_1 (c + x_t) of it, its rounding, and a skipped
+    one e^T (1 + c + x_t), more than its mass.  Each kept term also adds
+    e^T (1 + c + x_t), which costs one addition per term where a mask of
+    the skipped terms costs several passes: at most about N e^T in all,
+    under 1e-17 for a box of 50,000 points and 4.3e-15 for a box at
+    _MAX_BOX_POINTS.  The factor 1.01 covers the rounding of the bound
+    itself, of M and of e^T.  No term underflows, so the bound has no
+    clause for subnormals: a kept term is above about e^T = 1.9e-22 in
+    modulus, and each of its parts, that modulus times a cosine or sine
+    of a float, which is never below 1e-19 in magnitude unless it is
+    zero, is a normal float; a sum of normal floats that is subnormal is
+    exact.
     """
     terms = _grid_terms(v, shift, tau).reshape((-1,) + shift.shape[1:])
     values, depth = _halving_sum(terms)
     if s is None:
         return values, None
     weight = _quadratic([np.abs(x) for x in v], np.abs(tau.real) + np.abs(tau.imag), s)
-    size = np.abs(terms.real) + np.abs(terms.imag)
+    skip = math.exp(_SKIP_EXPONENT)
+    size = np.abs(terms.real) + np.abs(terms.imag) + skip
     # An exponent error beyond expm1's range leaves no accuracy to claim:
-    # the bound is then inf, also where the term underflowed (0 * inf is
-    # NaN, and fmin takes inf over NaN).  Each row's products are summed
-    # as one contiguous run, as a row alone is.
+    # the bound is then inf, also where a NaN exponent made a NaN term
+    # (fmin takes inf over NaN).  Each row's products are summed as one
+    # contiguous run, as a row alone is.
     with np.errstate(over="ignore", invalid="ignore"):
         per_term = (_gamma(depth) + 10.0 * _U
                     + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight.reshape(terms.shape)))
         total = np.ascontiguousarray((size * per_term).T).sum(axis=-1)
-        return values, np.fmin(1.01 * total + len(terms) * 2.0**-1070, math.inf)
+        return values, np.fmin(1.01 * (total + len(terms) * skip), math.inf)
 
 
 def _box_sum(
@@ -626,8 +666,12 @@ def theta_shift_table(
     cached axes (nu'_a, R, lam) of _plan.  R comes from the same search as
     theta(), so each entry sums exactly the points theta(nu + a, w)
     sums, and its omitted tail, the same coset's points outside the box
-    times unit-modulus phases, is bounded by the same envelope.  Raises
-    TruncationError exactly when theta(nu + a, w) would.
+    times unit-modulus phases, is bounded by the same envelope.  An entry
+    also omits the in-box terms of its coset whose exponent has a real
+    part at or below _SKIP_EXPONENT (_grid_terms), as theta() does; a
+    bound of an entry must add their mass, e^_SKIP_EXPONENT times the
+    error factor of each one's exponent, as _sums adds it for theta().
+    Raises TruncationError exactly when theta(nu + a, w) would.
     """
     if lam < 1:
         raise ValueError(f"need lambda >= 1, got {lam}")

@@ -24,6 +24,21 @@ def sampled_taus():
     return [sampler.draw_tau(rng, 1) for _ in range(10)]
 
 
+@pytest.fixture
+def oriented_tau3():
+    """A genus-3 period matrix whose Im tau has eigenvalues 0.2, 1 and 4
+    (condition number 20) along a fixed random orthogonal frame, as the
+    oriented slice of the theta-eval benchmark draws them: its boxes
+    need radius 8 or more, and most of their points are terms below
+    e^theta._SKIP_EXPONENT."""
+    rng = np.random.default_rng(20261020)
+    q, r = np.linalg.qr(rng.standard_normal((3, 3)))
+    q = q * np.sign(np.diagonal(r))
+    im = (q * np.array([0.2, 1.0, 4.0])) @ q.T
+    re = rng.uniform(-0.5, 0.5, (3, 3))
+    return PeriodMatrix(np.triu(re) + np.triu(re, 1).T + 1j * (im + im.T) / 2)
+
+
 def _assert_same(got: str, expected: str) -> None:
     # A plain assert would have pytest diff two strings of up to ~1 MB
     # for minutes.

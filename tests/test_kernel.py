@@ -35,15 +35,25 @@ def _weights(z, bottoms):
     return np.abs(z.real) + np.abs(z.imag) + np.abs(bottoms)
 
 
+def _skipped_share(row):
+    """The share of a row's terms left out as below e^_SKIP_EXPONENT."""
+    plan, shift, entries = row
+    return (theta_module._grid_terms([axis.v for axis in plan], shift, entries) == 0).mean()
+
+
 # At Im tau = 0.12 I every g = 3 box has more than 8192 points, numpy's
-# summation buffer, so a row's bound is more than one run of it.
+# summation buffer, so a row's bound is more than one run of it.  At the
+# oriented tau most terms of every row are skipped, so stacked rows with
+# zeros at other points must still give the one-row results.
 @pytest.mark.parametrize("g,tau", [
     (1, [[0.1 + 0.9j]]),
     (2, [[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]),
     (3, 0.12j * np.eye(3)),
+    (3, "oriented_tau3"),
 ])
-def test_stacked_values_and_bounds_are_the_one_row_ones(g, tau):
-    tau = PeriodMatrix(np.array(tau))
+def test_stacked_values_and_bounds_are_the_one_row_ones(g, tau, request):
+    oriented = isinstance(tau, str)
+    tau = request.getfixturevalue(tau) if oriented else PeriodMatrix(np.array(tau))
     chars, z, side, rows = _block(g, 7, tau, g)
     s = _weights(z, side[1])
     seen = 0
@@ -59,8 +69,20 @@ def test_stacked_values_and_bounds_are_the_one_row_ones(g, tau):
             assert tv.tail_bound == rows[i].envelope + bound
             seen += 1
     assert seen == len(rows)
-    if g == 3:
+    if oriented:
+        assert min(_skipped_share(row) for row in rows) > 0.5
+        assert max(len(index) for index, *_ in theta_module._stacks(rows)) > 1
+    elif g == 3:
         assert min(np.prod([len(axis.v) for axis in row[0]]) for row in rows) > 8192
+
+
+def test_most_terms_of_a_g3_box_are_skipped():
+    # Im tau = I, z = 0 and radius 6: a term is below e^-50 wherever
+    # pi |v|^2 > 50, |v| > 4, which holds at all but about 12% of the
+    # 13^3 points.  A kernel that stops skipping fails here.
+    plan = theta_module._plan((F(0),) * 3, 6, 1)
+    share = _skipped_share((plan, np.zeros(3, dtype=complex), 1j * np.eye(3)))
+    assert 0.8 < share < 0.95
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])
@@ -90,3 +112,13 @@ def test_every_row_carries_the_radius_and_envelope_of_its_search():
     assert len({radius for radius, _ in found}) > 1
     # One plan per (j, radius) in the side's dict, shared by its rows.
     assert all(row[0] is side[3][j, row.radius] for j, row in enumerate(rows))
+
+
+def test_a_nan_exponent_is_not_skipped():
+    # 2 pi i tau overflows to -inf at Im tau = 1e308, and its complex
+    # products with v make every exponent NaN: each term stays NaN, as
+    # its exp is, rather than a zero that would hide it.
+    with np.errstate(all="ignore"):
+        terms = theta_module._grid_terms([np.array([0.0, 1.0])], np.zeros(1, dtype=complex),
+                                         np.array([[1e308j]]))
+    assert np.isnan(terms).all()

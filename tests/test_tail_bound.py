@@ -22,6 +22,9 @@ from hypothesis import Phase, given, settings, strategies as st
 from thetarel import Characteristic, PeriodMatrix, TrialSampler, theta
 from thetarel.theta import _box_sum
 
+# The package name theta is the function; the module is imported by path.
+theta_module = importlib.import_module("thetarel.theta")
+
 F = Fraction
 # Terms below e^-CUTOFF of the largest are left out of the oracle sum.
 CUTOFF = 80.0
@@ -193,6 +196,41 @@ def test_rounding_bound_is_inf_not_nan_when_the_exponent_error_overflows(t):
     # exponent error overflows expm1; 0 * inf must not make it NaN.
     tv = theta(Characteristic.parse("0;0"), 0.1 + 0.1j, PeriodMatrix(np.array([[t]])))
     assert tv.tail_bound == math.inf
+
+
+def test_the_rounding_bound_counts_the_skipped_terms(oriented_tau3, monkeypatch):
+    """At an oriented g = 3 Im tau, radius 8 or more, most of the box is
+    below e^_SKIP_EXPONENT and left out of the sum.  The bound on those
+    terms' mass, e^T sum (1 + expm1(gamma_{g+7} 2 pi M)) over them,
+    covers the change of the value from the same call with every term
+    kept, and the kernel's rounding bound is larger than that sum's by
+    at least as much."""
+    mu = Characteristic((F(1, 3), F(0), F(-1, 2)), (F(1, 5), F(0), F(1, 2)))
+    z = np.array([0.2 + 0.3j, -0.1 - 0.2j, 0.3 + 0.1j])
+    tau = oriented_tau3.entries
+    tv = theta(mu, z, oriented_tau3)
+    radius = tv.truncation_radius
+    assert radius >= 8
+    v = [axis.v for axis in theta_module._plan(mu.top, radius, 1)]
+    bottom = np.array([float(m) for m in mu.bottom])
+    skipped = theta_module._grid_terms(v, z + bottom, tau) == 0
+    assert skipped.mean() > 0.9
+    weight = theta_module._quadratic([np.abs(x) for x in v], np.abs(tau.real) + np.abs(tau.imag),
+                                     np.abs(z.real) + np.abs(z.imag) + np.abs(bottom))
+    clause = math.exp(theta_module._SKIP_EXPONENT) * float(
+        np.sum(1.0 + np.expm1(_gamma(3 + 7) * 2 * math.pi * weight[skipped])))
+    _, rounding = _box_sum(mu.top, mu.bottom, z, tau, radius)
+
+    monkeypatch.setattr(theta_module, "_SKIP_EXPONENT", -math.inf)
+    kept = theta(mu, z, oriented_tau3)
+    _, kept_rounding = _box_sum(mu.top, mu.bottom, z, tau, radius)
+
+    assert abs(tv.value - kept.value) <= clause <= tv.tail_bound
+    # Every skipped term adds e^T (1 + ...) to the bound, however small
+    # it is, while the same term kept adds its size times about 1e-15:
+    # the bound without the clause fails this.
+    assert rounding - kept_rounding >= clause
+    assert abs(tv.value - oracle_theta(mu, z, tau)) <= tv.tail_bound
 
 
 # Period matrices and arguments on the grid 2^-20 Z: then z + tau m is

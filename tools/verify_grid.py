@@ -1,7 +1,7 @@
 """verify ms/trial of thetarel on the (n, g) grid, written as JSON.
 
 Usage: python3 tools/verify_grid.py --out PATH [--trials T] [--repeats R]
-                                    [--cells N,G ...] [NAME=ROOT ...]
+                                    [--runs K] [--cells N,G ...] [NAME=ROOT ...]
 
 Times the library call verify(RelationSpec.create(n, g), T) (all-zero
 mu, modified mode, the default seed) for each (n, g) cell, in a fresh
@@ -18,10 +18,14 @@ and reported the same way, as ms per round trip.
 OpenBLAS runs one thread, as in perfbench/run.py.  Roots default to
 this=the repository that holds this script; with several, say
 parent=OLD change=NEW, they are measured in turn cell by cell, in an
-order that alternates from cell to cell.  The document holds the host
-(python, numpy, nproc, the BLAS threads and configuration), the
-settings and, per root, each cell's times.  Stdlib only in this
-process; the interpreters it starts import numpy.
+order that alternates from cell to cell.  With --runs K, each root is
+measured K times per cell, each time in a fresh interpreter, in an
+order that also alternates from run to run; a cell's times are then
+the medians of its K runs, and ms_per_trial_runs lists the K values of
+ms_per_trial, so the spread of each cell is in the document.  The
+document holds the host (python, numpy, nproc, the BLAS threads and
+configuration), the settings and, per root, each cell's times.  Stdlib
+only in this process; the interpreters it starts import numpy.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ import importlib.util
 import io
 import json
 import os
+import re
+import statistics
 import subprocess
 import sys
 import time
@@ -101,6 +107,7 @@ def main(argv: list[str]) -> int:
     p.add_argument("--out", type=Path)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--repeats", type=int, default=3)
+    p.add_argument("--runs", type=int, default=1)
     p.add_argument("--cells", nargs="+", default=[f"{n},{g}" for n, g in GRID])
     p.add_argument("--child", nargs=3, metavar=("ROOT", "N", "G"), help=argparse.SUPPRESS)
     p.add_argument("roots", nargs="*", metavar="NAME=ROOT")
@@ -111,29 +118,41 @@ def main(argv: list[str]) -> int:
         return 0
     if args.out is None:
         p.error("--out is required")
+    if args.runs < 1:
+        p.error("--runs must be at least 1")
+    for cell in args.cells:
+        if not re.fullmatch(r"\d+,\d+", cell):
+            p.error(f"--cells takes N,G items, not {cell!r}; give NAME=ROOT before --cells")
     roots = dict(r.split("=", 1) for r in args.roots) or {"this": str(HERE.parent)}
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     runs, host = {name: {} for name in roots}, None
     for i, cell in enumerate(args.cells):
         n, g = cell.split(",")
-        for name in list(roots)[:: -1 if i % 2 else 1]:
-            done = subprocess.run(
-                [sys.executable, __file__, "--child", roots[name], n, g,
-                 "--trials", str(args.trials), "--repeats", str(args.repeats)],
-                env=env, capture_output=True, text=True, check=True)
-            times = json.loads(done.stdout)
-            host = times.pop("host")
-            runs[name][cell] = times
-            print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
-                  f"{times['render_ms']:9.3f} ms/round trip", file=sys.stderr)
+        measured: dict[str, list[dict]] = {name: [] for name in roots}
+        for k in range(args.runs):
+            for name in list(roots)[:: -1 if (i + k) % 2 else 1]:
+                done = subprocess.run(
+                    [sys.executable, __file__, "--child", roots[name], n, g,
+                     "--trials", str(args.trials), "--repeats", str(args.repeats)],
+                    env=env, capture_output=True, text=True, check=True)
+                times = json.loads(done.stdout)
+                host = times.pop("host")
+                measured[name].append(times)
+                print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
+                      f"{times['render_ms']:9.3f} ms/round trip", file=sys.stderr)
+        for name, each in measured.items():
+            runs[name][cell] = {field: statistics.median(t[field] for t in each)
+                                for field in each[0]}
+            runs[name][cell]["ms_per_trial_runs"] = [t["ms_per_trial"] for t in each]
     document = {
         "metric": "verify(RelationSpec.create(n, g), trials) ms per trial, all-zero mu, "
-                  "best of repeats after one untimed run",
+                  "best of repeats after one untimed run, median of runs",
         "render_metric": "report rendering: ms per JSON round trip of the emit text of the "
                          "same relation, dumps(terms_to_json_obj(*parse_terms_json(text))), "
                          "best of repeats after one checked run",
         "trials": args.trials,
         "repeats": args.repeats,
+        "runs_per_side": args.runs,
         "host": host,
         "runs": runs,
     }

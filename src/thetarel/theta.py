@@ -30,12 +30,18 @@ and the complex exp of the exponent wherever its real part is above
 _SKIP_EXPONENT = -50; any other term, at most about e^-50 in modulus,
 is an exact zero, as most of a box is Gaussian tail.  The grid ravels
 in lexicographic order.  theta() sums the terms by halving (zero-pad to
-2^L, then add the upper half onto the lower half L times), whose
-rounding error is within gamma_L * sum (|Re t| + |Im t|) (Higham 2002,
-section 4.2); its rounding bound also counts the skipped terms, each at
-most e^-50 times the error factor of its exponent, and _sums derives
-the whole bound.  The order is fixed, so results are reproducible
-bit-for-bit for identical inputs and settings.
+2^L, then add the upper half onto the lower half L times; the terms are
+exponentiated straight into that buffer), whose rounding error is
+within gamma_L * sum (|Re t| + |Im t|) (Higham 2002, section 4.2).  Its
+rounding bound adds the error of each term's exponent, which grows with
+a weight M_t of the term's point, and counts the skipped terms, each at
+most e^-50 times the error factor of its exponent.  The weights are
+never formed on the grid: the bound takes the sum of size_t M_t over
+the terms exactly, from moments of the term sizes along each axis
+against the table [1, |v_a|, |v_a|^2] of the axis, and bounds each
+term's error factor by a convexity factor F taken once, at the box
+corner.  _sums derives the whole bound.  The order is fixed, so results
+are reproducible bit-for-bit for identical inputs and settings.
 
 theta_shift_table evaluates theta_{nu+a}(w) for all lambda^(2g) shifts
 a in ((1/lambda) Z / Z)^(2g) from one such sum over the finer lattice
@@ -45,7 +51,8 @@ same skipped terms.
 What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
 shift table, the residues k_a mod lambda^2 and the root-of-unity mixing
-matrix of that axis.  Each is held by an _Axis, built by _axis from the
+matrix of that axis, and for theta() the table [1, |v_a|, |v_a|^2] of
+its rounding bound.  Each is held by an _Axis, built by _axis from the
 key (p, q, radius, lambda) of mu'_a = p/q and kept in a process-wide
 least-recently-used cache of _PLAN_CACHE_SIZE axes; the plan of a sum
 (_plan) is the tuple of its axes.  The key holds four integers, which
@@ -78,10 +85,11 @@ One kernel, _sums, sums the terms of one row or of R rows stacked along
 a last axis of every array: one _grid_terms call, one masked exp and
 one halving sum along the point axis give each row's value, and, where
 the caller asks, the same stack gives each row's rounding bound
-(derived in _sums's docstring).  Every element goes through exactly
-the operations of its one-row sum, and whether a term is skipped
-depends on its own exponent alone, so a value or a bound is the same
-bit for bit whatever it is stacked with.  theta() is one row of the kernel, on
+(derived in _sums's docstring), taken row by row from contiguous copies
+of the row's arrays, as its one-row call takes it.  Every element goes
+through exactly the operations of its one-row sum, and whether a term
+is skipped depends on its own exponent alone, so a value or a bound is
+the same bit for bit whatever it is stacked with.  theta() is one row of the kernel, on
 unstacked arrays, with its bound; _box_sum is the same call from
 exact inputs at a given radius.  _theta_values and _shift_tables stack
 the rows of one lambda and box shape, up to _STACK_POINTS points per
@@ -135,21 +143,24 @@ TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # per radius when every top is zero.  A verify run looks each up once
 # per (side, j, radius), as its sides keep their plans for the whole
 # run, so a run with more axes than this, such as (8, 3) with random
-# tops (24), rebuilds none of them per trial.  An axis of L points takes 8 L bytes for v, and for a
-# shift table 8 L more for its residues and 16 lam^4 for its mix: 1.7 kB
-# at lam = 3 and radius 4 (L = 25), 85 MB at lam = 48 (n = 96), the
-# largest mix.
+# tops (24), rebuilds none of them per trial.  An axis of L points takes
+# 8 L bytes for v; an axis theta() has summed 24 L more for the table of
+# its rounding bound, 1.6 kB at radius 32 (L = 65); and a shift table's axis
+# 8 L more for its residues and 16 lam^4 for its mix: 1.7 kB at lam = 3
+# and radius 4 (L = 25), 85 MB at lam = 48 (n = 96), the largest mix.
 _PLAN_CACHE_SIZE = 16
 # A sum over a box of N points peaks at 48 to 66 bytes per point, as
-# tracemalloc reads it: the grid of terms and the temporaries of its
-# exponent (16 bytes each per point), the zero-padded halving buffer or,
-# for a shift table, the bins and the two parts given to bincount.  Large
-# boxes (5e4 to 3e6 points, g = 2 to 4) read 48 to 51.  The mask of the
-# kept terms (1 byte per point) and the zero-filled grid of terms live
+# tracemalloc reads it: the temporaries of its exponent (16 bytes each
+# per point), then the zero-padded halving buffer that the terms are
+# exponentiated into or, for a shift table, the grid of terms, the bins
+# and the two parts given to bincount.  Large boxes (3e4 to 3e6 points,
+# g = 2 to 4) read 48.1 to 52.3: sums with or without the rounding
+# bound, and shift tables.  The buffer, the mask of the kept terms
+# (1 byte per point) and the sizes of the bound (8 bytes per point) live
 # after the temporaries of the exponent are freed, so they leave the
-# peak as it was (48.1 to 51.2 at 5e4 to 2.6e6 points).  _plan refuses a
-# box of more than _MAX_BOX_POINTS points, which would need more than
-# 1 GiB at 48 bytes per point, before any array of it is allocated.
+# peak there.  _plan refuses a box of more than _MAX_BOX_POINTS points,
+# which would need more than 1 GiB at 48 bytes per point, before any
+# array of it is allocated.
 _MAX_BOX_POINTS = 2**30 // 48
 # A lattice sum exponentiates only the terms whose computed exponent has
 # a real part above _SKIP_EXPONENT = T (_grid_terms): a term below about
@@ -213,7 +224,7 @@ class PeriodMatrix:
             raise ValueError(f"period matrix must be square, got shape {arr.shape}")
         if not np.isfinite(arr).all():
             raise ValueError("period matrix entries must be finite")
-        if not np.array_equal(arr, arr.T):
+        if not (arr == arr.T).all():
             raise ValueError("period matrix must be symmetric")
         lam_min = _min_eig_lower(arr.imag)
         if not lam_min > 0.0:
@@ -260,7 +271,8 @@ def _min_eig_lower(y: np.ndarray) -> float:
     which covers that error with p(g) = 8g.
     """
     eig = np.linalg.eigvalsh(y)
-    margin = 8.0 * y.shape[0] * np.finfo(float).eps * float(np.abs(eig).max())
+    # eig is ascending, so its largest modulus is -eig[0] or eig[-1].
+    margin = 8.0 * y.shape[0] * 2.0**-52 * float(max(-eig[0], eig[-1]))
     return float(eig[0]) - margin
 
 
@@ -301,6 +313,13 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     r >= y_norm/lam_min, below which the bound is reported as infinite
     (forcing the radius search onward), as it is when a shell's bound
     overflows a float.  lam_min is a PeriodMatrix's, so it is positive.
+
+    A shell whose exponential underflows is counted as (2r+3)^g 2^-1074:
+    exp returns 0 only for a value below its smallest subnormal 2^-1074
+    (glibc's exp is within 1 ulp), so this is above the shell's bound.
+    A shell so counted is followed by the same geometric remainder as
+    any other, so a loop whose every shell underflows ends on a positive
+    bound, at least 2^-1074, never on a zero that bounds nothing.
     """
     if radius < y_norm / lam_min:
         return math.inf
@@ -308,15 +327,14 @@ def _tail_envelope(radius: int, lam_min: float, y_norm: float, g: int) -> float:
     try:
         for k in range(_SHELL_CAP):
             r = float(radius + k)
-            t = (2.0 * r + 3.0) ** g * math.exp(-math.pi * lam_min * r * r + TWO_PI * r * y_norm)
+            t = (2.0 * r + 3.0) ** g * max(
+                math.exp(-math.pi * lam_min * r * r + TWO_PI * r * y_norm), 2.0**-1074)
             total += t
             # Envelope ratio between consecutive shells, polynomial factor
             # bounded by (5/3)^g <= 3^g for r >= 1.
             ratio = 3.0 ** g * math.exp(-math.pi * lam_min * (2.0 * r + 1.0) + TWO_PI * y_norm)
             if ratio < 0.5 and t * ratio / (1.0 - ratio) < max(total, 1e-300) * 1e-9:
                 total += t * ratio / (1.0 - ratio)
-                return total
-            if t == 0.0:
                 return total
     except OverflowError:
         pass
@@ -341,7 +359,9 @@ class _Axis:
     _axis shares one axis among all calls with its key, so every array
     is read-only.  An axis is built holding only ks, so _plan can refuse
     an oversized box before any array of it exists; v is built on first
-    use, and the shift-table fields too, so theta() never pays for them.
+    use, and so are powers, which only theta()'s rounding bound reads,
+    and the shift-table fields, so theta() never pays for them and the
+    stacked values of a relation check never pay for powers.
     """
 
     def __init__(self, p: int, q: int, radius: int, lam: int):
@@ -356,6 +376,18 @@ class _Axis:
         v = np.array([x / den for x in range(p * lam + k.start * q, p * lam + k.stop * q, q)])
         v.flags.writeable = False
         return v
+
+    @functools.cached_property
+    def powers(self) -> np.ndarray:
+        """The (3, L) table [1, |v|, |v|^2] against which _sums takes the
+        moments of theta()'s rounding bound; |v|^2 is the one rounding of
+        the product."""
+        powers = np.empty((3, len(self.v)))
+        powers[0] = 1.0
+        np.abs(self.v, out=powers[1])
+        np.multiply(powers[1], powers[1], out=powers[2])
+        powers.flags.writeable = False
+        return powers
 
     @functools.cached_property
     def residues(self) -> np.ndarray:
@@ -424,15 +456,27 @@ def _quadratic(v: Sequence[np.ndarray], quad: np.ndarray, lin: np.ndarray) -> np
     return total
 
 
-def _grid_terms(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray) -> np.ndarray:
+def _grid_terms(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
+                padded: bool = False) -> np.ndarray:
     """Series terms e[(1/2) v tau . v + v . shift] on the broadcast grid of
     the axis arrays v: the exponent P from _quadratic, with 2 pi i folded
     into tau and shift before the grid is formed, then the complex exp
     of P where Re P > _SKIP_EXPONENT and an exact zero where Re P is at
     or below it; _sums bounds the terms so skipped.  A NaN exponent is
-    exponentiated, so it still shows in the sum."""
+    exponentiated, so it still shows in the sum.
+
+    With padded, the N terms of each row are exponentiated straight into
+    the first N slots of the halving sum's zero-filled buffer of 2^L,
+    L = ceil(log2 N), raveled along the point axis (_halving_sum), and
+    that buffer is returned.  It is allocated once the exponent's
+    temporaries are freed, as the grid of terms is, so the peak memory
+    of a sum stays that of its exponent."""
     p = _quadratic(v, (TWO_PI * 1j) * tau, (TWO_PI * 1j) * shift)
-    return np.exp(p, out=np.zeros(p.shape, dtype=complex), where=~(p.real <= _SKIP_EXPONENT))
+    rows = shift.shape[1:]
+    n = math.prod(len(x) for x in v)
+    buf = np.zeros(((1 << (n - 1).bit_length()) if padded else n,) + rows, dtype=complex)
+    np.exp(p, out=buf[:n].reshape(p.shape), where=~(p.real <= _SKIP_EXPONENT))
+    return buf if padded else buf.reshape(p.shape)
 
 
 def _gamma(n: int) -> float:
@@ -440,37 +484,39 @@ def _gamma(n: int) -> float:
     return n * _U / (1.0 - n * _U)
 
 
-def _halving_sum(terms: np.ndarray) -> tuple[np.ndarray, int]:
-    """(sums, L): the sums along the first axis of a complex array, in a
-    fixed pairwise order; for an (N, R) array of R stacked rows, each
-    row's sum, by the same additions as that row alone.
-
-    The terms are zero-padded to 2^L, L = ceil(log2 N); then L times the
-    upper half of the buffer is added onto its lower half.  Every term
-    passes through exactly L additions, so the real and imaginary parts
-    of the result are each within gamma_L * sum |part| of the exact sum
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 4.2).
+def _halving_sum(buf: np.ndarray) -> np.ndarray:
+    """The sums along the first axis of a complex buffer of 2^L terms,
+    zero-padded, in a fixed pairwise order: L times the upper half of the
+    buffer is added onto its lower half, in place.  For a (2^L, R) buffer
+    of R stacked rows, each row's sum is by the same additions as that
+    row alone.  Every term passes through exactly L additions, so the
+    real and imaginary parts of the result are each within
+    gamma_L * sum |part| of the exact sum (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., section 4.2).
     """
-    depth = (len(terms) - 1).bit_length()
-    buf = np.zeros((1 << depth,) + terms.shape[1:], dtype=complex)
-    buf[: len(terms)] = terms
     n = len(buf)
     while n > 1:
         n //= 2
         buf[:n] += buf[n : 2 * n]
-    return buf[0], depth
+    return buf[0]
 
 
 def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
-          s: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
+          s: np.ndarray | None = None,
+          powers: Sequence[np.ndarray] | None = None) -> tuple[np.ndarray, np.ndarray | None]:
     """(values, bounds): the sum of the series terms e[(1/2) v tau . v +
     v . shift] over the broadcast grid of the axis arrays v, for one row
     (each v_a of shape (len_a,), shift (g,), tau (g, g)) or for R rows
     stacked along a last axis of every array ((len_a, R), (g, R),
     (g, g, R)), each row's sum and bound by the operations of its
     one-row call.  bounds is None unless s, the weights below for each
-    row, shaped as shift, is given.
+    row, shaped as shift, and powers, the per-axis tables [1, |v_a|,
+    |v_a|^2] of shape (3,) + v_a.shape (the powers of a plan's axes), are
+    given.
+
+    The terms are exponentiated straight into the zero-padded buffer of
+    the halving sum (_grid_terms), and the sizes below are taken from it
+    before it is halved.
 
     A bound bounds |value - S|, S the exact sum of the same terms, with z
     and tau taken as the exact values of their floats and mu exact.  Each
@@ -481,7 +527,7 @@ def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
     each factor v_a: its division and its product, and g + 1 additions),
     so
 
-        |P_hat - P| <= gamma_{g+7} * 2 pi * M,
+        |P_hat - P| <= k M,   k = gamma_{g+7} * 2 pi,
         M = sum_a |v_a| (w_aa |v_a| / 2 + s_a + sum_{b>a} w_ab |v_b|),
 
     with w = |Re tau| + |Im tau| and s_a = |Re z_a| + |Im z_a| + |mu''_a|.
@@ -490,42 +536,110 @@ def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
     exp adds at most 10u to each part (exp, cos and sin each within
     2 ulps; glibc's are within 1).  Any other term is skipped, a zero
     in the sum (_grid_terms), so its whole exact value is error, and
-    |e^P| <= e^(Re P_hat + |P_hat - P|) <= e^T (1 + expm1(gamma_{g+7}
-    2 pi M)).  With |t|_1 = |Re t| + |Im t| of the computed terms (0 for
-    a skipped one), c = gamma_L + 10u for the halving sum of depth L and
-    x_t = expm1(gamma_{g+7} 2 pi M) of each term, the bound is
+    |e^P| <= e^(Re P_hat + |P_hat - P|) <= e^T (1 + expm1(k M)).  With
+    size_t = |Re t| + |Im t| + e^T of the computed terms (|t|_1 = 0 for a
+    skipped one), c = gamma_L + 10u for the halving sum of depth L and
+    x_t = expm1(k M_t) of each term, the error is at most
 
-        1.01 * (sum over all N terms of (|t|_1 + e^T) (c + x_t) + N e^T).
+        sum over all N terms of size_t (c + x_t) + N e^T:
 
-    A kept term takes |t|_1 (c + x_t) of it, its rounding, and a skipped
+    a kept term takes |t|_1 (c + x_t) of it, its rounding, and a skipped
     one e^T (1 + c + x_t), more than its mass.  Each kept term also adds
-    e^T (1 + c + x_t), which costs one addition per term where a mask of
-    the skipped terms costs several passes: at most about N e^T in all,
-    under 1e-17 for a box of 50,000 points and 4.3e-15 for a box at
-    _MAX_BOX_POINTS.  The factor 1.01 covers the rounding of the bound
-    itself, of M and of e^T.  No term underflows, so the bound has no
-    clause for subnormals: a kept term is above about e^T = 1.9e-22 in
-    modulus, and each of its parts, that modulus times a cosine or sine
-    of a float, which is never below 1e-19 in magnitude unless it is
-    zero, is a normal float; a sum of normal floats that is subnormal is
-    exact.
+    e^T (1 + c + x_t), at most about N e^T in all: under 1e-17 for a box
+    of 50,000 points and 4.3e-15 for a box at _MAX_BOX_POINTS.
+
+    The x_t are bounded without a grid of weights.  expm1 is convex and
+    0 at 0, so expm1(x) / x is nondecreasing for x > 0, and M is
+    nondecreasing in each |v_a|, so every x_t <= F k M_t with F =
+    expm1(Y) / Y, Y = k M at the box corner |v_a| = max over the axis:
+    every term keeps its own weight M_t, and F = 1 + Y/2 + O(Y^2).
+    The sum of size_t M_t is exactly
+
+        sum_a (w_aa m[2 e_a] / 2 + s_a m[e_a]) + sum_{a<b} w_ab m[e_a + e_b],
+
+    with the moments m[alpha] = sum_t size_t prod_a |v_a|^alpha_a of the
+    size grid, and m[0] the sum of the sizes.  They come from g matrix
+    products of the size grid with the tables powers, one axis at a
+    time, which give every m[alpha] with alpha in {0, 1, 2}^g.  So the
+    bound is
+
+        1.01 * (c m[0] + F k sum_t size_t M_t + N e^T).
+
+    Every moment is a sum of products of non-negative floats, whose
+    computed value is within a relative gamma_n of it, n the sum of the
+    axis lengths, whatever the order of summation BLAS takes (Higham
+    2002, sections 3.1 and 3.3): under 1e-13 for any box under the cap.
+    The factor 1.01 covers those sums, the rounding of the sizes, of the
+    tables, of M at the corner, of F and of e^T.  F is inf when expm1(Y)
+    overflows (Y > 709.78), and then so is the bound.  Where Y is 0 or
+    inf, or a term is NaN, the bound is NaN or inf, and it is reported
+    as inf.  A stacked row's bound is taken alone, from contiguous copies
+    of its size grid and tables, as its one-row call takes it, so matrix
+    products of other shapes never sum it in another order.
+
+    No term underflows, so the bound has no clause for subnormals: a
+    kept term is above about e^T = 1.9e-22 in modulus, and each of its
+    parts, that modulus times a cosine or sine of a float, which is
+    never below 1e-19 in magnitude unless it is zero, is a normal float;
+    a sum of normal floats that is subnormal is exact.
     """
-    terms = _grid_terms(v, shift, tau).reshape((-1,) + shift.shape[1:])
-    values, depth = _halving_sum(terms)
+    rows = shift.shape[1:]
+    grid = tuple(len(x) for x in v)
+    n = math.prod(grid)
+    buf = _grid_terms(v, shift, tau, True)
+    if s is not None:
+        skip = math.exp(_SKIP_EXPONENT)
+        size = np.abs(buf.real[:n]) + np.abs(buf.imag[:n]) + skip
+    values = _halving_sum(buf)
     if s is None:
         return values, None
-    weight = _quadratic([np.abs(x) for x in v], np.abs(tau.real) + np.abs(tau.imag), s)
-    skip = math.exp(_SKIP_EXPONENT)
-    size = np.abs(terms.real) + np.abs(terms.imag) + skip
-    # An exponent error beyond expm1's range leaves no accuracy to claim:
-    # the bound is then inf, also where a NaN exponent made a NaN term
-    # (fmin takes inf over NaN).  Each row's products are summed as one
-    # contiguous run, as a row alone is.
-    with np.errstate(over="ignore", invalid="ignore"):
-        per_term = (_gamma(depth) + 10.0 * _U
-                    + np.expm1(_gamma(len(v) + 7) * TWO_PI * weight.reshape(terms.shape)))
-        total = np.ascontiguousarray((size * per_term).T).sum(axis=-1)
-        return values, np.fmin(1.01 * (total + len(terms) * skip), math.inf)
+    c, k = _gamma((n - 1).bit_length()) + 10.0 * _U, _gamma(len(v) + 7) * TWO_PI
+    if not rows:
+        return values, _moment_bound(size.reshape(grid), powers, tau, s, c, k, n * skip)
+    bounds = []
+    for r in range(rows[0]):
+        size_r, tau_r, s_r, *powers_r = (np.ascontiguousarray(x[..., r])
+                                         for x in (size, tau, s, *powers))
+        bounds.append(_moment_bound(size_r.reshape(grid), powers_r, tau_r, s_r, c, k, n * skip))
+    return values, np.array(bounds)
+
+
+def _moment_bound(size: np.ndarray, powers: Sequence[np.ndarray], tau: np.ndarray,
+                  s: np.ndarray, c: float, k: float, skipped: float) -> float:
+    """1.01 (c m[0] + F k sum_t size_t M_t + skipped) for one row: its size
+    grid, its contiguous (3, len_a) tables, tau (g, g) and s (g,); _sums
+    derives it.  Each product contracts the leading axis of the grid and
+    appends an axis of the three powers, so after g of them the moments
+    lie in C order over {0, 1, 2}^g, axis 0 most significant: m[e_a] at
+    3^(g-1-a).  The rest, a few dozen scalars, is taken in Python floats:
+    the moment form of sum_t size_t M_t and M at the corner x, each as
+    M is formed (_sums)."""
+    m = size
+    for p in powers:
+        m = m.reshape(p.shape[1], -1).T @ p.T
+    m = m.ravel().tolist()
+    g = len(powers)
+    at = [3 ** (g - 1 - a) for a in range(g)]
+    w = [[abs(x.real) + abs(x.imag) for x in row] for row in tau.tolist()]
+    s = s.tolist()
+    x = [float(max(p[1, 0], p[1, -1])) for p in powers]
+    weighted = corner = 0.0
+    for a in range(g):
+        moment = 0.5 * w[a][a] * m[2 * at[a]] + s[a] * m[at[a]]
+        inner = 0.5 * w[a][a] * x[a] + s[a]
+        for b in range(a + 1, g):
+            moment += w[a][b] * m[at[a] + at[b]]
+            inner += w[a][b] * x[b]
+        weighted += moment
+        corner += x[a] * inner
+    y = k * corner
+    try:
+        f = math.expm1(y) / y
+    except (OverflowError, ZeroDivisionError):
+        f = math.inf
+    bound = 1.01 * (c * m[0] + f * k * weighted + skipped)
+    # A NaN, from a NaN term or from inf / inf, bounds nothing: inf does.
+    return bound if bound < math.inf else math.inf
 
 
 def _box_sum(
@@ -539,9 +653,11 @@ def _box_sum(
     max_a |xi_a + mu'_a| <= radius: one row of _sums, whose docstring
     derives the bound."""
     bottom = np.array([float(m) for m in mu_bottom])
-    value, bound = _sums([axis.v for axis in _plan(mu_top, radius, 1)], z + bottom, tau,
-                         np.abs(z.real) + np.abs(z.imag) + np.abs(bottom))
-    return complex(value), float(bound)
+    plan = _plan(mu_top, radius, 1)
+    value, bound = _sums([axis.v for axis in plan], z + bottom, tau,
+                         np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
+                         [axis.powers for axis in plan])
+    return complex(value), bound
 
 
 def _search(z: np.ndarray, tau: PeriodMatrix, radii: Sequence[int]) -> tuple[int, float]:
@@ -636,9 +752,11 @@ def theta(
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     side = _side([mu], 1, settings)
     (row,) = _block_rows(z[None], tau, *side)
-    value, rounding = _sums([axis.v for axis in row[0]], row[1], row[2],
-                            np.abs(z.real) + np.abs(z.imag) + np.abs(side[1][0]))
-    return ThetaValue(complex(value), row.radius, row.envelope + float(rounding))
+    plan = row[0]
+    value, rounding = _sums([axis.v for axis in plan], row[1], row[2],
+                            np.abs(z.real) + np.abs(z.imag) + np.abs(side[1][0]),
+                            [axis.powers for axis in plan])
+    return ThetaValue(complex(value), row.radius, row.envelope + rounding)
 
 
 def theta_shift_table(

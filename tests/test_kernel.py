@@ -1,9 +1,12 @@
 """One lattice-sum kernel and one row builder: theta() is one unstacked
 row of the kernel, a stacked row's value and rounding bound are its
 one-row value and bound bit for bit, and every row carries the radius
-and tail envelope of its search."""
+and tail envelope of its search.  The kernel's rounding bound, taken
+from moments of the term sizes, is checked against its per-term
+formula."""
 
 import importlib
+import math
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,6 +38,34 @@ def _weights(z, bottoms):
     return np.abs(z.real) + np.abs(z.imag) + np.abs(bottoms)
 
 
+def _per_term_bound(row, s):
+    """The rounding bound of one row by its per-term formula, as _sums
+    took it before the moment form: the weights M_t of every term from
+    _quadratic on the grid, x_t = expm1(gamma_{g+7} 2 pi M_t) and
+
+        1.01 (sum_t (|t|_1 + e^T) (gamma_L + 10u + x_t) + N e^T),
+
+    each product summed in one numpy sum; inf wherever the formula
+    overflows or is NaN."""
+    plan, shift, entries = row
+    v = [axis.v for axis in plan]
+    terms = theta_module._grid_terms(v, shift, entries).ravel()
+    weight = theta_module._quadratic([np.abs(x) for x in v],
+                                     np.abs(entries.real) + np.abs(entries.imag), s).ravel()
+    skip = math.exp(theta_module._SKIP_EXPONENT)
+    size = np.abs(terms.real) + np.abs(terms.imag) + skip
+    c = theta_module._gamma((len(terms) - 1).bit_length()) + 10 * 2.0**-53
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.expm1(theta_module._gamma(len(v) + 7) * 2 * math.pi * weight)
+        return float(np.fmin(1.01 * ((size * (c + x)).sum() + len(terms) * skip), math.inf))
+
+
+def _assert_near_per_term(bound, row, s):
+    """The moment bound is never below the per-term one but for the
+    rounding of its sums, and within 1e-6 above it."""
+    assert 1 - 1e-12 <= bound / _per_term_bound(row, s) <= 1 + 1e-6
+
+
 def _skipped_share(row):
     """The share of a row's terms left out as below e^_SKIP_EXPONENT."""
     plan, shift, entries = row
@@ -57,16 +88,19 @@ def test_stacked_values_and_bounds_are_the_one_row_ones(g, tau, request):
     chars, z, side, rows = _block(g, 7, tau, g)
     s = _weights(z, side[1])
     seen = 0
-    for index, _, v, shift, entries in theta_module._stacks(rows):
-        values, bounds = theta_module._sums(v, shift, entries, s[index].T)
+    for index, plans, v, shift, entries in theta_module._stacks(rows):
+        powers = [np.stack([axis.powers for axis in axes], axis=-1) for axes in zip(*plans)]
+        values, bounds = theta_module._sums(v, shift, entries, s[index].T, powers)
         assert values.shape == bounds.shape == (len(index),)
         for i, value, bound in zip(index, values, bounds):
             plan, row_shift, row_tau = rows[i]
-            one = theta_module._sums([axis.v for axis in plan], row_shift, row_tau, s[i])
+            one = theta_module._sums([axis.v for axis in plan], row_shift, row_tau, s[i],
+                                     [axis.powers for axis in plan])
             assert np.array([value, bound]).tobytes() == np.array(one).tobytes()
             tv = theta(chars[i], z[i], tau)
             assert (tv.value, tv.truncation_radius) == (value, rows[i].radius)
             assert tv.tail_bound == rows[i].envelope + bound
+            _assert_near_per_term(bound, rows[i], s[i])
             seen += 1
     assert seen == len(rows)
     if oriented:
@@ -96,9 +130,58 @@ def test_theta_is_one_row_of_the_kernel(g):
         value, rounding = _box_sum(chars[0].top, chars[0].bottom, z[0], tau.entries, row.radius)
         assert (tv.value, tv.truncation_radius, tv.tail_bound) == (
             value, row.radius, row.envelope + rounding)
+        assert type(tv.tail_bound) is float
         # Unless asked, the kernel takes no bound.
         plan, shift, entries = row
         assert theta_module._sums([axis.v for axis in plan], shift, entries)[1] is None
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_the_moment_bound_is_within_1e_6_of_the_per_term_bound(g):
+    # theta()'s own rows over sampler draws, at the radius of the search
+    # and at radius + 4, where most of the box is skipped.
+    rng = np.random.default_rng([34, g])
+    sampler = TrialSampler(34)
+    for _ in range(20):
+        tau = sampler.draw_tau(rng, g)
+        chars, z, side, (row,) = _block(g, 1, tau, int(rng.integers(1 << 30)))
+        s = _weights(z, side[1])[0]
+        for radius in (row.radius, row.radius + 4):
+            _, bound = _box_sum(chars[0].top, chars[0].bottom, z[0], tau.entries, radius)
+            plan = theta_module._plan(chars[0].top, radius, 1)
+            _assert_near_per_term(bound, (plan, row[1], row[2]), s)
+
+
+# Large exponent errors, Y about 0.5 at the box corner, where F is about
+# 1.3 and the per-term bound is finite: a huge Re tau leaves the terms
+# near the origin kept, with their x_t up to 0.3, and a huge Im tau at
+# the top 1/2 skips every term, so its bound is the e^T sizes and N e^T.
+@pytest.mark.parametrize("top, t", [(F(0), 1e13 + 1j), (F(1, 2), 1e13j)])
+def test_a_large_exponent_error_keeps_the_bound_above_the_per_term_one(top, t):
+    tau = PeriodMatrix(np.array([[t]]))
+    plan = theta_module._plan((top,), 4, 1)
+    shift, s = np.array([0.1 + 0.1j]), np.array([0.2])
+    _, bound = theta_module._sums([axis.v for axis in plan], shift, tau.entries, s,
+                                  [axis.powers for axis in plan])
+    per_term = _per_term_bound((plan, shift, tau.entries), s)
+    assert per_term * (1 - 1e-12) <= bound <= 1.5 * per_term
+
+
+# Near overflow the exponent's error bound leaves expm1's range: at the
+# box corner alone at Im tau = 2e16 (Y is about 1100 there), at every
+# point off the origin beyond it, and 2 pi i tau overflows to NaN terms
+# at 1e308.  The per-term bound is then inf too, and so must the moment
+# bound be, never NaN.
+@pytest.mark.parametrize("t", [2e16j, 0.3 + 1e300j, 1e20 + 1000j, 1e20 + 1j, 1e308j])
+def test_a_bound_beyond_expm1s_range_is_inf_not_nan(t):
+    tau = PeriodMatrix(np.array([[t]]))
+    plan = theta_module._plan((F(0),), 4, 1)
+    shift, s = np.array([0.1 + 0.1j]), np.array([0.2])
+    with np.errstate(all="ignore"):
+        _, bound = theta_module._sums([axis.v for axis in plan], shift, tau.entries, s,
+                                      [axis.powers for axis in plan])
+        assert _per_term_bound((plan, shift, tau.entries), s) == math.inf
+    assert bound == math.inf
 
 
 def test_every_row_carries_the_radius_and_envelope_of_its_search():

@@ -287,6 +287,18 @@ def test_overflowing_envelope_is_a_truncation_error(tau_i):
         theta_shift_table(Characteristic.zero(1), 17j, tau_i, 3)
 
 
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_an_underflowing_envelope_stays_positive(g):
+    # At Im tau = 15 I and radius 4 every shell's exponential underflows
+    # (e^-754 at the first).  Each shell is then counted as
+    # (2r + 3)^g 2^-1074, above its bound, so the envelope is at least
+    # the first shell's: zero would bound no positive tail.
+    assert theta_module._tail_envelope(4, 15.0, 0.0, g) >= 11**g * 2.0**-1074
+    tv = theta(Characteristic.zero(g), np.zeros(g), PeriodMatrix(15j * np.eye(g)))
+    assert (tv.truncation_radius, tv.value) == (4, 1)
+    assert tv.tail_bound > 0
+
+
 @pytest.mark.parametrize("meets_from", [None, 3, 5, 8])
 @pytest.mark.parametrize("max_radius", range(1, 13))
 def test_radius_search_tries_four_six_and_up_to_the_cap(monkeypatch, tau_i, max_radius,

@@ -14,7 +14,11 @@ Each cell also times the report rendering layer: the JSON round trip of
 the cell's relation as the emit benchmark makes it, parse_terms_json of
 the text of `emit --n N --g G --format json`, then dumps of
 terms_to_json_obj of what it returns, checked once against that text
-and reported the same way, as ms per round trip.
+and reported the same way, as ms per round trip.  theta_us times the
+lattice sums alone: theta(mu_j, z_j, tau), with its rounding bound, for
+the cell's n zero characteristics mu_j at the arguments and tau of its
+first sampler trial, T times over per timed call, reported the same way
+as microseconds per theta() call.
 OpenBLAS runs one thread, as in perfbench/run.py.  Roots default to
 this=the repository that holds this script; with several, say
 parent=OLD change=NEW, they are measured in turn cell by cell, in an
@@ -62,7 +66,7 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
     sys.path.insert(0, str(src))
     import numpy as np
     import thetarel
-    from thetarel import RelationSpec, cli, render, verify
+    from thetarel import RelationSpec, TrialSampler, cli, render, theta, verify
 
     if Path(thetarel.__file__).resolve().parent.parent != src:
         raise SystemExit(f"imported thetarel from {thetarel.__file__}, not from {src}")
@@ -92,12 +96,23 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
 
     if roundtrip() != text:
         raise SystemExit(f"the JSON round trip of ({n},{g}) changed the emit text")
+    sampler = TrialSampler()
+    args, tau = sampler.draw(sampler.make_rng(), n, g)
+
+    def thetas():
+        for _ in range(trials):
+            for mu, z in zip(spec.mu, args):
+                theta(mu, z, tau)
+
     verify(spec, trials)
+    thetas()
     normalised, wall = best(lambda: verify(spec, trials))
     render_normalised, render_wall = best(roundtrip)
+    theta_normalised = best(thetas)[0]
     threads, config = run._blas_threads()
     return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
             "render_ms": render_normalised * 1e3, "wall_render_ms": render_wall * 1e3,
+            "theta_us": theta_normalised * 1e6 / (trials * n),
             "host": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "nproc": os.cpu_count(), "blas_threads": threads, "blas_config": config}}
 
@@ -139,7 +154,8 @@ def main(argv: list[str]) -> int:
                 host = times.pop("host")
                 measured[name].append(times)
                 print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
-                      f"{times['render_ms']:9.3f} ms/round trip", file=sys.stderr)
+                      f"{times['render_ms']:9.3f} ms/round trip, "
+                      f"{times['theta_us']:8.1f} us/theta", file=sys.stderr)
         for name, each in measured.items():
             runs[name][cell] = {field: statistics.median(t[field] for t in each)
                                 for field in each[0]}
@@ -150,6 +166,9 @@ def main(argv: list[str]) -> int:
         "render_metric": "report rendering: ms per JSON round trip of the emit text of the "
                          "same relation, dumps(terms_to_json_obj(*parse_terms_json(text))), "
                          "best of repeats after one checked run",
+        "theta_metric": "lattice sums: us per theta(mu_j, z_j, tau) call with its rounding "
+                        "bound, the n zero mu_j at the first sampler trial of the cell, trials "
+                        "times over per timed call, best of repeats after one untimed pass",
         "trials": args.trials,
         "repeats": args.repeats,
         "runs_per_side": args.runs,

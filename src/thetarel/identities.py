@@ -83,12 +83,13 @@ def _values(tau: PeriodMatrix, settings: EvalSettings, evaluations) -> list[comp
 
 
 def _report(pairs, z, tau: PeriodMatrix) -> VerificationReport:
-    """Report for a multi-part identity: the evaluable comparison with the
-    worst relative error wins; degenerate pairs only surface when every
-    pair is degenerate."""
+    """Report for a multi-part identity: an "eval-failed" pair, else the
+    evaluable comparison with the worst relative error; degenerate pairs
+    only surface when every pair is degenerate."""
     reports = [_compare(lhs, rhs, z, tau) for lhs, rhs in pairs]
-    ok = [r for r in reports if r.status == "ok"]
-    return max(ok, key=lambda r: r.rel_error) if ok else reports[0]
+    ranked = [r for r in reports if r.status != "degenerate-pass"]
+    return (max(ranked, key=lambda r: (r.status == "eval-failed", r.rel_error))
+            if ranked else reports[0])
 
 
 def ternary_cube_check(
@@ -265,7 +266,9 @@ def run_suite(
             except TruncationError:
                 verdict = "eval-failed"
                 continue
-            if rep.status == "ok":
+            if rep.status == "eval-failed":
+                verdict = "eval-failed"
+            elif rep.status == "ok":
                 max_rel = max(max_rel, rep.rel_error)
         verdict = verdict or ("pass" if max_rel <= SUITE_TOLERANCE else "fail")
         out.append(

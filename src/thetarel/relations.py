@@ -595,12 +595,15 @@ class VerificationReport:
 def _compare(
     lhs: complex, rhs: complex, z, tau: PeriodMatrix, seed_index: int = 0
 ) -> VerificationReport:
-    """The one comparison of two sides: abs/rel error, status "ok", or
-    "degenerate-pass" when both sides are below DEGENERATE_FLOOR."""
+    """The one comparison of two sides: abs/rel error, status "ok",
+    "degenerate-pass" when both sides are below DEGENERATE_FLOOR, or
+    "eval-failed" when abs_error is not finite, as for a side that is
+    not a finite number (NaN errors then, for NaN sides)."""
     abs_error = abs(lhs - rhs)
     scale = max(abs(lhs), abs(rhs))
     rel_error = abs_error / max(scale, REL_FLOOR)
-    status = "degenerate-pass" if scale < DEGENERATE_FLOOR else "ok"
+    status = ("eval-failed" if not math.isfinite(abs_error)
+              else "degenerate-pass" if scale < DEGENERATE_FLOOR else "ok")
     return VerificationReport(lhs, rhs, abs_error, rel_error, z, tau, status, seed_index)
 
 
@@ -770,8 +773,9 @@ def _check(
     which a run derives once and hands to each of its checks (a check
     given none derives its own), so each (side, j, radius) plan is built
     once per run.  A trial whose search fails, or whose box at some
-    radius is over theta's cap, is "eval-failed", with NaN sides and
-    errors; a ValueError is raised at the first row that raises it."""
+    radius is over theta's cap, is compared as NaN sides, and so is
+    "eval-failed" with NaN errors; a ValueError is raised at the first
+    row that raises it."""
     sides = sides or (_side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings))
     # apply_to_args's one (n, n) @ (n, g) product per trial gives w = z S_n.
     smith, left, right, failed = smith_matrix(spec.n).as_float().T, [], [], set()
@@ -785,11 +789,10 @@ def _check(
         left += rows[0]
         right += rows[1]
     values, tables, n = iter(_theta_values(left)), iter(_shift_tables(right)), spec.n
-    nan = complex(math.nan)
+    nan_sides = (complex(math.nan),) * 2
     return [
-        VerificationReport(nan, nan, math.nan, math.nan, zs, tau, "eval-failed", start + i)
-        if i in failed else _compare(
-            _lhs(spec, itertools.islice(values, n)), _rhs(spec, itertools.islice(tables, n)),
+        _compare(*(nan_sides if i in failed else (
+            _lhs(spec, itertools.islice(values, n)), _rhs(spec, itertools.islice(tables, n)))),
             tuple(zs), tau, start + i)
         for i, (zs, tau) in enumerate(draws)
     ]

@@ -11,7 +11,8 @@ The JSON, LaTeX and text renderers take a Relation (what
 build_relation returns) and write it through relations._write_terms,
 one % template per top digit row (LaTeX, text) or the dict rows of the
 object API (terms_to_json_obj).  dumps is the one JSON writer and owns
-every layout; relations._json_row owns the fields of a term row.  The
+every layout, written by _write into one list of strings, one call per
+level of nesting; relations._json_row owns the fields of a term row.  The
 "terms" of a command-line document are a relations._JsonRows, which
 dumps writes through _write_json_rows: its template is dumps of one
 _json_row prototype, so the rows have the bytes of the dict rows.  A
@@ -89,57 +90,53 @@ def dumps(obj, indent: int = 0) -> str:
     indented by two spaces per level; any other list on one line.  A
     relations._JsonRows is written by _write_json_rows at the padding of
     its key, and a list of flat records by _write_records, each with the
-    bytes of the walk.
+    bytes of the item loop.  _write writes the text into one list of
+    strings, one call per level of nesting, so a document nested deeper
+    than the recursion limit raises RecursionError, as json.dumps does.
     """
     out: list[str] = []
-    put = out.append
-    # The innermost open container: (enumerated items, keyed, lead of the
-    # first item, lead of the others, closing text, padding of the items).
-    # The document itself is the one item of a container without brackets.
-    frame = (enumerate((obj,)), False, "", "", "", " " * indent)
-    stack: list[tuple] = []
-    while True:
-        items, keyed, first, lead, close, pad = frame
-        for i, x in items:
-            put(lead if i else first)
-            if keyed:
-                key, x = x
-                put(_encode_str(str(key)) + ": ")
-            if type(x) is str:
-                put(_encode_str(x))
-            elif type(x) is _JsonRows:
-                out.extend(_write_json_rows(x, pad))
-            elif isinstance(x, dict):
-                if x:
-                    inner = pad + "  "
-                    stack.append(frame)
-                    frame = (enumerate(x.items()), True, "{\n" + inner, ",\n" + inner,
-                             "\n" + pad + "}", inner)
-                    break
-                put("{}")
-            elif isinstance(x, (list, tuple)):
-                types = set(map(type, x))
-                if not x:
-                    put("[]")
-                elif types == _STR:
-                    put("[" + ", ".join(map(_encode_str, x)) + "]")
-                elif not any(issubclass(t, (dict, list, tuple)) for t in types):
-                    put("[" + ", ".join(map(_scalar, x)) + "]")
-                elif types == _DICT and (records := _write_records(x, pad)) is not None:
-                    out += "[\n", records, "\n" + pad + "]"
-                else:
-                    inner = pad + "  "
-                    stack.append(frame)
-                    frame = (enumerate(x), False, "[\n" + inner, ",\n" + inner,
-                             "\n" + pad + "]", inner)
-                    break
-            else:
-                put(_scalar(x))
-        else:
-            put(close)
-            if not stack:
-                return "".join(out)
-            frame = stack.pop()
+    _write(obj, " " * indent, out)
+    return "".join(out)
+
+
+def _write(x, pad: str, out: list[str]) -> None:
+    """Append to out the text of x as an item at the padding pad.  A
+    dict and a list of containers share the item loop, which writes
+    each item by one call: one call per level of nesting."""
+    if type(x) is str:
+        out.append(_encode_str(x))
+        return
+    if type(x) is _JsonRows:
+        out.extend(_write_json_rows(x, pad))
+        return
+    if isinstance(x, dict):
+        if not x:
+            out.append("{}")
+            return
+        items, keyed, brackets = x.items(), True, "{}"
+    elif isinstance(x, (list, tuple)):
+        types = set(map(type, x))
+        if types == _STR:
+            out.append("[" + ", ".join(map(_encode_str, x)) + "]")
+            return
+        # The empty list too.
+        if not any(issubclass(t, (dict, list, tuple)) for t in types):
+            out.append("[" + ", ".join(map(_scalar, x)) + "]")
+            return
+        if types == _DICT and (records := _write_records(x, pad)) is not None:
+            out += "[\n", records, "\n" + pad + "]"
+            return
+        items, keyed, brackets = enumerate(x), False, "[]"
+    else:
+        out.append(_scalar(x))
+        return
+    inner = pad + "  "
+    lead, sep = brackets[0] + "\n" + inner, ",\n" + inner
+    for key, item in items:
+        out.append(lead + _encode_str(str(key)) + ": " if keyed else lead)
+        lead = sep
+        _write(item, inner, out)
+    out.append("\n" + pad + brackets[1])
 
 
 def _row_template(proto: dict, pad: str) -> str:

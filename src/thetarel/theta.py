@@ -108,6 +108,7 @@ verify_jacobi_a, and theta_shift_table, which is one row.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -747,7 +748,8 @@ def theta(
     bound of the box sum (see _sums), so it bounds |value - theta|
     whatever the rounding contributes.  Raises TruncationError when no
     radius up to settings.max_radius brings the envelope below
-    TARGET_ABS_ERROR.
+    TARGET_ABS_ERROR, and, with best_bound inf at its radius, when the
+    value is not a finite number.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     side = _side([mu], 1, settings)
@@ -756,6 +758,8 @@ def theta(
     value, rounding = _sums([axis.v for axis in plan], row[1], row[2],
                             np.abs(z.real) + np.abs(z.imag) + np.abs(side[1][0]),
                             [axis.powers for axis in plan])
+    if not cmath.isfinite(value):
+        raise TruncationError(TARGET_ABS_ERROR, math.inf, row.radius)
     return ThetaValue(complex(value), row.radius, row.envelope + rounding)
 
 

@@ -402,6 +402,14 @@ def test_verify_truncation_exit_two(capsys, monkeypatch):
     assert all(t["status"] == "eval-failed" for t in json.loads(out)["trials"])
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("tau", ["1e308i", "1e307+1i"])
+def test_verify_exits_two_when_a_side_is_not_a_finite_number(capsys, tau):
+    code, out, _ = run_cli(capsys, "verify", "--n", "3", "--tau", tau, "--trials", "1")
+    assert code == 2
+    assert [t["status"] for t in json.loads(out)["trials"]] == ["eval-failed"]
+
+
 def test_env_radius_must_be_valid(capsys, monkeypatch):
     monkeypatch.setenv("THETA_MAX_RADIUS", "1000")
     code, _, err = run_cli(capsys, "verify", "--n", "3", "--trials", "2")

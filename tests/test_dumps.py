@@ -251,3 +251,17 @@ def test_dumps_matches_on_real_reports(argv, monkeypatch, capsys):
         for key, value in written[0].items()
     }
     assert out == reference_dumps(plain) + "\n"
+
+
+@pytest.mark.parametrize("keyed", [False, True], ids=["lists", "dicts"])
+def test_dumps_writes_a_500_deep_document(keyed):
+    # One call per level of nesting: 500 levels fit in the default
+    # recursion limit, which two calls per level would overrun.
+    doc, text = ({}, "{}") if keyed else ([], "[]")
+    for level in reversed(range(500)):
+        pad = "  " * level
+        if keyed:
+            doc, text = {"k": doc}, "{\n" + pad + '  "k": ' + text + "\n" + pad + "}"
+        else:
+            doc, text = [doc], "[\n" + pad + "  " + text + "\n" + pad + "]"
+    assert dumps(doc) == text

@@ -145,6 +145,33 @@ def test_report_takes_worst_ok_pair_and_degenerate_only_when_all_are(tau_i):
     assert degenerate.status == "degenerate-pass" and degenerate.lhs == 1e-14
 
 
+def test_report_surfaces_a_pair_that_is_not_a_finite_number(tau_i):
+    z = (np.zeros(1, dtype=complex),)
+    report = _report([(1.0, 1.0 + 1e-9), (complex(math.nan), 1.0), (1e-14, 3e-14)], z, tau_i)
+    assert report.status == "eval-failed" and report.rhs == 1.0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_a_check_at_an_overflowing_tau_is_eval_failed():
+    report = ternary_cube_check(PeriodMatrix(np.array([[1e308j]])), 0.1)
+    assert report.status == "eval-failed"
+
+
+def test_suite_fails_a_case_whose_check_reports_nan(monkeypatch, tau_i):
+    nan = complex(math.nan)
+    cases = (
+        identities.IdentityCase("finite", 3, lambda rng, sampler, tau, settings:
+                                _compare(1.0, 1.0, (0j,), tau)),
+        identities.IdentityCase("not_finite", 3, lambda rng, sampler, tau, settings:
+                                _compare(nan, nan, (0j,), tau)),
+    )
+    monkeypatch.setattr(identities, "DEFAULT_CASES", cases)
+    report = run_suite(2)
+    assert [(c["name"], c["verdict"]) for c in report["cases"]] == [
+        ("finite", "pass"), ("not_finite", "eval-failed")]
+    assert report["verdict"] == "fail"
+
+
 def test_jacobi_quadruple_passes(sampled_taus):
     rng = np.random.default_rng(54)
     sampler = TrialSampler(54)

@@ -481,6 +481,34 @@ def test_verify_eval_failure_status():
     assert overall_verdict(reports, 1e-9) == "fail"
 
 
+@pytest.mark.parametrize("lhs, rhs", [
+    (complex(math.nan), complex(math.nan)),
+    (complex(math.nan), 1.0),
+    (complex(math.inf), 1.0),
+    (complex(math.inf), complex(math.inf)),
+    (1.0, complex(0.0, -math.inf)),
+])
+def test_compare_fails_a_side_that_is_not_a_finite_number(lhs, rhs):
+    report = relations._compare(lhs, rhs, (0j,), PeriodMatrix(np.array([[1j]])))
+    assert report.status == "eval-failed"
+    assert overall_verdict([report], 1e-9) == "fail"
+
+
+def test_compare_keeps_the_nan_report_of_a_failed_search():
+    report = relations._compare(complex(math.nan), complex(math.nan), (0j,),
+                                PeriodMatrix(np.array([[1j]])), 3)
+    assert report.status == "eval-failed" and report.seed_index == 3
+    assert all(math.isnan(x) for x in (report.abs_error, report.rel_error))
+    assert cmath.isnan(report.lhs) and cmath.isnan(report.rhs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_fails_every_trial_at_an_overflowing_tau():
+    # The lattice sums overflow to NaN; no trial may read "ok".
+    reports = verify(RelationSpec.create(3, 1), 3, tau=PeriodMatrix(np.array([[1e308j]])))
+    assert [r.status for r in reports] == ["eval-failed"] * 3
+
+
 def test_verify_with_fixed_tau():
     spec = RelationSpec.create(3, 1)
     tau = PeriodMatrix(np.array([[0.3 + 1.1j]]))

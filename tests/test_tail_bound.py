@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
-from thetarel import Characteristic, PeriodMatrix, TrialSampler, theta
+from thetarel import Characteristic, PeriodMatrix, TrialSampler, TruncationError, theta
 from thetarel.theta import _box_sum
 
 # The package name theta is the function; the module is imported by path.
@@ -196,6 +196,16 @@ def test_rounding_bound_is_inf_not_nan_when_the_exponent_error_overflows(t):
     # exponent error overflows expm1; 0 * inf must not make it NaN.
     tv = theta(Characteristic.parse("0;0"), 0.1 + 0.1j, PeriodMatrix(np.array([[t]])))
     assert tv.tail_bound == math.inf
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("z", [0, 0.1 + 0.1j])
+@pytest.mark.parametrize("t", [1e308j, 1e307 + 1j])
+def test_theta_raises_when_its_value_is_not_a_finite_number(t, z):
+    # The exponents overflow, and the sum is NaN: no value is returned.
+    with pytest.raises(TruncationError) as raised:
+        theta(Characteristic.parse("0;0"), z, PeriodMatrix(np.array([[t]])))
+    assert raised.value.best_bound == math.inf and raised.value.radius >= 1
 
 
 def test_the_rounding_bound_counts_the_skipped_terms(oriented_tau3, monkeypatch):

@@ -1,5 +1,5 @@
-"""tools/verify_grid.py times verify and the JSON round trip on the (n, g)
-grid."""
+"""tools/verify_grid.py times verify, the JSON round trip and the verify
+report's dumps on the (n, g) grid."""
 
 import json
 import subprocess
@@ -21,10 +21,11 @@ def test_one_cell_writes_its_times_and_the_host(tmp_path):
     assert list(document["runs"]["this"]) == ["3,1"]
     assert times["ms_per_trial"] > 0 and times["wall_ms_per_trial"] > 0
     assert times["render_ms"] > 0 and times["wall_render_ms"] > 0 and times["theta_us"] > 0
+    assert times["report_ms"] > 0 and times["wall_report_ms"] > 0
     assert set(times) == {"ms_per_trial", "wall_ms_per_trial", "render_ms", "wall_render_ms",
-                          "theta_us", "ms_per_trial_runs"}
+                          "report_ms", "wall_report_ms", "theta_us", "ms_per_trial_runs"}
     assert times["ms_per_trial_runs"] == [times["ms_per_trial"]]
-    assert "render_metric" in document and "theta_metric" in document
+    assert {"render_metric", "report_metric", "theta_metric"} <= set(document)
 
 
 def test_runs_are_medians_with_every_run_listed(tmp_path):

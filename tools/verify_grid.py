@@ -14,7 +14,10 @@ Each cell also times the report rendering layer: the JSON round trip of
 the cell's relation as the emit benchmark makes it, parse_terms_json of
 the text of `emit --n N --g G --format json`, then dumps of
 terms_to_json_obj of what it returns, checked once against that text
-and reported the same way, as ms per round trip.  theta_us times the
+and reported the same way, as ms per round trip, and report_ms times
+dumps of the cell's verify report, built as the verify command builds
+it from the reports of the untimed run and checked once against the
+stdout of `verify --n N --g G --trials T`.  theta_us times the
 lattice sums alone: theta(mu_j, z_j, tau), with its rounding bound, for
 the cell's n zero characteristics mu_j at the arguments and tau of its
 first sampler trial, T times over per timed call, reported the same way
@@ -51,6 +54,8 @@ HERE = Path(__file__).resolve().parent
 PERFBENCH = HERE.parent / "perfbench"
 # The (n, g) grid of ROADMAP item 1.
 GRID = [(3, 1), (4, 1), (5, 1), (7, 1), (3, 2), (4, 2), (5, 2), (7, 2), (3, 3), (5, 3)]
+# The default --tol of the verify command.
+VERIFY_TOL = 1e-9
 
 
 def _load(name: str):
@@ -67,6 +72,7 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
     import numpy as np
     import thetarel
     from thetarel import RelationSpec, TrialSampler, cli, render, theta, verify
+    from thetarel.relations import _terms_json_obj, _with_trials, build_relation
 
     if Path(thetarel.__file__).resolve().parent.parent != src:
         raise SystemExit(f"imported thetarel from {thetarel.__file__}, not from {src}")
@@ -86,10 +92,13 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
             times.append((speed.normalise(start, wall), wall))
         return min(times)
 
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        cli.main(["emit", "--n", str(n), "--g", str(g), "--format", "json"])
-    text = out.getvalue()
+    def stdout_of(*argv):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            cli.main([*argv, "--n", str(n), "--g", str(g)])
+        return out.getvalue()
+
+    text = stdout_of("emit", "--format", "json")
 
     def roundtrip():
         return render.dumps(render.terms_to_json_obj(*render.parse_terms_json(text))) + "\n"
@@ -104,14 +113,19 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
             for mu, z in zip(spec.mu, args):
                 theta(mu, z, tau)
 
-    verify(spec, trials)
+    report = _with_trials(_terms_json_obj(spec, build_relation(spec), written=True),
+                          verify(spec, trials), VERIFY_TOL)
+    if render.dumps(report) + "\n" != stdout_of("verify", "--trials", str(trials)):
+        raise SystemExit(f"the verify report of ({n},{g}) is not the verify command's text")
     thetas()
     normalised, wall = best(lambda: verify(spec, trials))
     render_normalised, render_wall = best(roundtrip)
+    report_normalised, report_wall = best(lambda: render.dumps(report))
     theta_normalised = best(thetas)[0]
     threads, config = run._blas_threads()
     return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
             "render_ms": render_normalised * 1e3, "wall_render_ms": render_wall * 1e3,
+            "report_ms": report_normalised * 1e3, "wall_report_ms": report_wall * 1e3,
             "theta_us": theta_normalised * 1e6 / (trials * n),
             "host": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "nproc": os.cpu_count(), "blas_threads": threads, "blas_config": config}}
@@ -155,6 +169,7 @@ def main(argv: list[str]) -> int:
                 measured[name].append(times)
                 print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
                       f"{times['render_ms']:9.3f} ms/round trip, "
+                      f"{times['report_ms']:8.3f} ms/report, "
                       f"{times['theta_us']:8.1f} us/theta", file=sys.stderr)
         for name, each in measured.items():
             runs[name][cell] = {field: statistics.median(t[field] for t in each)
@@ -166,6 +181,9 @@ def main(argv: list[str]) -> int:
         "render_metric": "report rendering: ms per JSON round trip of the emit text of the "
                          "same relation, dumps(terms_to_json_obj(*parse_terms_json(text))), "
                          "best of repeats after one checked run",
+        "report_metric": "report rendering: ms per dumps of the verify report of the cell, "
+                         "with its trials, as the verify command writes it, best of repeats "
+                         "after one run checked against that command's stdout",
         "theta_metric": "lattice sums: us per theta(mu_j, z_j, tau) call with its rounding "
                         "bound, the n zero mu_j at the first sampler trial of the cell, trials "
                         "times over per timed call, best of repeats after one untimed pass",

@@ -52,16 +52,17 @@ What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
 shift table, the residues k_a mod lambda^2 and the root-of-unity mixing
 matrix of that axis, and for theta() the table [1, |v_a|, |v_a|^2] of
-its rounding bound.  Each is held by an _Axis, built by _axis from the
-key (p, q, radius, lambda) of mu'_a = p/q and kept in a process-wide
-least-recently-used cache of _PLAN_CACHE_SIZE axes; the plan of a sum
-(_plan) is the tuple of its axes.  The key holds four integers, which
-hash far faster than a Fraction; no cache holds a float input, so z,
-tau and the float mu'' are used afresh on every call, and
-characteristics whose tops agree in a coordinate share that axis,
-whatever their bottoms.  An axis is built by the same operations
-whether it comes from the cache or not, and its arrays are read-only,
-so every result is bit-identical cold or warm.  A shift table's bins
+its rounding bound.  Each is held by an _Axis, built from the key
+(p, q, radius, lambda) of mu'_a = p/q and kept in a process-wide
+least-recently-used cache of its memory class: _axis for lambda = 1,
+_table_axis for the shift tables' lambda > 1, whose mix grows as
+lambda^4 (_PLAN_CACHE_SIZE).  The plan of a sum (_plan) is the tuple of
+its axes.  The key holds four integers, which hash far faster than a
+Fraction; no cache holds a float input, so z, tau and the float mu''
+are used afresh on every call, and characteristics whose tops agree in
+a coordinate share that axis, whatever their bottoms.  An axis is built
+by the same operations whether it comes from the cache or not, and its
+arrays are read-only, so every result is bit-identical cold or warm.  A shift table's bins
 are broadcast from the per-axis residues on each call, as its grid of
 terms is from the per-axis v, so no cached array is longer than one
 axis.  The bins and the phases are exact for a top of any size; a
@@ -70,12 +71,17 @@ more than _MAX_BOX_POINTS points with _OversizedBox, a TruncationError,
 before any array of it, even the v of one axis, is allocated: an _Axis
 is built holding only its range of k.
 
-Every lattice sum is a row, and one builder makes every row:
-_block_rows takes the n characteristics of one side (_side: their tops,
-their float bottoms as one (n, g) array, lambda, the plans built so far
-and the radii to try) and an (n, g) argument block, checks the block
-once for finiteness, searches each row's radius (_search), adds the
-bottoms to the block in one add, and returns one _Row per
+theta() sums one row and builds none: after its checks (_check_row)
+and its search (_search), _box_sum forms the shift z + mu'' and the
+weights of the bound in Python floats, by the operations _block_rows
+takes on arrays, and calls _sums once, so its bits are its row's.
+
+Every lattice sum that is stacked is a row, and one builder makes every
+row: _block_rows takes the n characteristics of one side (_side: their
+tops, their float bottoms as one (n, g) array, lambda, the plans built
+so far and the radii to try) and an (n, g) argument block, checks the
+block once for finiteness, searches each row's radius (_search), adds
+the bottoms to the block in one add, and returns one _Row per
 characteristic: its plan, its shift z + mu'' and its tau entries, with
 its radius and its tail envelope.  A caller that evaluates many blocks
 (a relation check) derives its sides once and keeps them, so each
@@ -89,17 +95,16 @@ the caller asks, the same stack gives each row's rounding bound
 of the row's arrays, as its one-row call takes it.  Every element goes
 through exactly the operations of its one-row sum, and whether a term
 is skipped depends on its own exponent alone, so a value or a bound is
-the same bit for bit whatever it is stacked with.  theta() is one row of the kernel, on
-unstacked arrays, with its bound; _box_sum is the same call from
-exact inputs at a given radius.  _theta_values and _shift_tables stack
-the rows of one lambda and box shape, up to _STACK_POINTS points per
-stack (_stacks), with (2 pi i) tau and (2 pi i)(z + mu'') taken per
-row.  _theta_values sums each stack with _sums; _shift_tables bins a
-stack's terms by one bincount per part over the stacked bins, offset by
-r lambda^(2g) for row r.  Its mixing stays one BLAS product per table
-and axis, at the one-row shape: a product over stacked tables may sum
-in another order, and stacked tables were measured not bit-identical at
-g = 1.  That product is the np.dot call np.tensordot makes, on the
+the same bit for bit whatever it is stacked with.  _box_sum is one row
+of the kernel, on unstacked arrays, with its bound.  _theta_values and
+_shift_tables stack the rows of one lambda and box shape, up to
+_STACK_POINTS points per stack (_stacks), with (2 pi i) tau and
+(2 pi i)(z + mu'') taken per row.  _theta_values sums each stack with
+_sums; _shift_tables bins a stack's terms by one bincount per part over
+the stacked bins, offset by r lambda^(2g) for row r.  Its mixing stays
+one BLAS product per table and axis, at the one-row shape: a product
+over stacked tables may sum in another order, and stacked tables were
+measured not bit-identical at g = 1.  That product is the np.dot call np.tensordot makes, on the
 operands it reshapes, without its per-call set-up.  Every theta value
 the package takes internally is such a row: both sides of a relation
 check (relations), the values of the identity checks and of
@@ -139,17 +144,19 @@ _U = 2.0**-53  # unit roundoff of float64
 # couple of dozen shells are ever needed.
 _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
-# Box axes kept by _axis.  A relation check uses one axis per distinct
-# (top_a, radius, lam) among its rows: at most 2 n g per radius, and two
-# per radius when every top is zero.  A verify run looks each up once
-# per (side, j, radius), as its sides keep their plans for the whole
-# run, so a run with more axes than this, such as (8, 3) with random
-# tops (24), rebuilds none of them per trial.  An axis of L points takes
-# 8 L bytes for v; an axis theta() has summed 24 L more for the table of
-# its rounding bound, 1.6 kB at radius 32 (L = 65); and a shift table's axis
-# 8 L more for its residues and 16 lam^4 for its mix: 1.7 kB at lam = 3
-# and radius 4 (L = 25), 85 MB at lam = 48 (n = 96), the largest mix.
-_PLAN_CACHE_SIZE = 16
+# Box axes kept by _axis (lam = 1) and _table_axis (lam > 1), one per
+# (top_a, radius, lam).  A lam = 1 axis of L points holds v (8 L bytes)
+# and, once theta() has summed it, its bound's table (24 L): 5 kB at
+# radius 64, so 256 of them hold at most 1.3 MB.  theta-eval's fresh tops
+# p/q, q <= 6, at radii 4 to 16 touch 76 keys in 300 cycles (seed 1; 75
+# at seed 7919): 16 axes missed 30% of its 13,200 lookups, 256 miss only
+# the first of each key.  A lam > 1 axis adds 8 L for its residues and
+# 16 lam^4 for its mix, 85 MB at lam = 48 (n = 96), so these stay at 16:
+# a verify run looks each up once per (side, j, radius), as its sides
+# keep their plans, so (8, 3) with random tops (24 axes) rebuilds none
+# per trial.
+_PLAN_CACHE_SIZE = 256
+_TABLE_CACHE_SIZE = 16
 # A sum over a box of N points peaks at 48 to 66 bytes per point, as
 # tracemalloc reads it: the temporaries of its exponent (16 bytes each
 # per point), then the zero-padded halving buffer that the terms are
@@ -271,6 +278,10 @@ def _min_eig_lower(y: np.ndarray) -> float:
     subtracted from the computed minimum is 8 * g * eps * max|lambda_hat|,
     which covers that error with p(g) = 8g.
     """
+    if y.shape == (1, 1):
+        # eigvalsh's exact answer, without LAPACK.
+        x = float(y[0, 0])
+        return x - 8.0 * 2.0**-52 * abs(x)
     eig = np.linalg.eigvalsh(y)
     # eig is ascending, so its largest modulus is -eig[0] or eig[-1].
     margin = 8.0 * y.shape[0] * 2.0**-52 * float(max(-eig[0], eig[-1]))
@@ -286,6 +297,12 @@ class EvalSettings:
     def __post_init__(self):
         if not 1 <= self.max_radius <= 64:
             raise ValueError("max_radius must be in [1, 64]")
+
+    @functools.cached_property
+    def _radii(self) -> tuple[int, ...]:
+        """The radii the search tries: 4, 6, 8, ... below max_radius,
+        then max_radius."""
+        return (*range(4, self.max_radius, 2), self.max_radius)
 
 
 DEFAULT_SETTINGS = EvalSettings()
@@ -357,7 +374,7 @@ class _Axis:
     rounded division (p lam + k q) / (q lam), so it carries a relative
     error of at most u = 2^-53 however large top_a is.
 
-    _axis shares one axis among all calls with its key, so every array
+    _plan shares one axis among all calls with its key, so every array
     is read-only.  An axis is built holding only ks, so _plan can refuse
     an oversized box before any array of it exists; v is built on first
     use, and so are powers, which only theta()'s rounding bound reads,
@@ -419,13 +436,16 @@ class _Axis:
 
 
 _axis = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Axis)
+_table_axis = functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)(_Axis)
 
 
 def _plan(top: Sequence[Fraction], radius: int, lam: int) -> tuple[_Axis, ...]:
     """The axes of the sum over top + (1/lam) Z^g, |v|_inf <= radius, top
-    a sequence of exact rationals.  Raises _OversizedBox for a box of more
+    a sequence of exact rationals, from _axis for lam = 1 and from
+    _table_axis for lam > 1.  Raises _OversizedBox for a box of more
     than _MAX_BOX_POINTS points."""
-    axes = tuple(_axis(m.numerator, m.denominator, radius, lam) for m in top)
+    cache = _axis if lam == 1 else _table_axis
+    axes = tuple(cache(m.numerator, m.denominator, radius, lam) for m in top)
     points = math.prod(len(axis.ks) for axis in axes)
     if points > _MAX_BOX_POINTS:
         raise _OversizedBox(points, radius)
@@ -599,16 +619,16 @@ def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
         return values, _moment_bound(size.reshape(grid), powers, tau, s, c, k, n * skip)
     bounds = []
     for r in range(rows[0]):
-        size_r, tau_r, s_r, *powers_r = (np.ascontiguousarray(x[..., r])
-                                         for x in (size, tau, s, *powers))
-        bounds.append(_moment_bound(size_r.reshape(grid), powers_r, tau_r, s_r, c, k, n * skip))
+        size_r, tau_r, *powers_r = (np.ascontiguousarray(x[..., r]) for x in (size, tau, *powers))
+        bounds.append(_moment_bound(size_r.reshape(grid), powers_r, tau_r, s[..., r], c, k,
+                                    n * skip))
     return values, np.array(bounds)
 
 
 def _moment_bound(size: np.ndarray, powers: Sequence[np.ndarray], tau: np.ndarray,
-                  s: np.ndarray, c: float, k: float, skipped: float) -> float:
+                  s: Sequence[float], c: float, k: float, skipped: float) -> float:
     """1.01 (c m[0] + F k sum_t size_t M_t + skipped) for one row: its size
-    grid, its contiguous (3, len_a) tables, tau (g, g) and s (g,); _sums
+    grid, its contiguous (3, len_a) tables, tau (g, g) and s (g); _sums
     derives it.  Each product contracts the leading axis of the grid and
     appends an axis of the three powers, so after g of them the moments
     lie in C order over {0, 1, 2}^g, axis 0 most significant: m[e_a] at
@@ -622,7 +642,7 @@ def _moment_bound(size: np.ndarray, powers: Sequence[np.ndarray], tau: np.ndarra
     g = len(powers)
     at = [3 ** (g - 1 - a) for a in range(g)]
     w = [[abs(x.real) + abs(x.imag) for x in row] for row in tau.tolist()]
-    s = s.tolist()
+    s = list(map(float, s))
     x = [float(max(p[1, 0], p[1, -1])) for p in powers]
     weighted = corner = 0.0
     for a in range(g):
@@ -652,11 +672,13 @@ def _box_sum(
 ) -> tuple[complex, float]:
     """(value, rounding_bound) of the sum of the series terms over the box
     max_a |xi_a + mu'_a| <= radius: one row of _sums, whose docstring
-    derives the bound."""
-    bottom = np.array([float(m) for m in mu_bottom])
+    derives the bound, with the shift and the weights s in Python
+    floats."""
+    bottom = [float(m) for m in mu_bottom]
     plan = _plan(mu_top, radius, 1)
-    value, bound = _sums([axis.v for axis in plan], z + bottom, tau,
-                         np.abs(z.real) + np.abs(z.imag) + np.abs(bottom),
+    z = z.tolist()
+    value, bound = _sums([axis.v for axis in plan], np.array([x + b for x, b in zip(z, bottom)]),
+                         tau, [abs(x.real) + abs(x.imag) + abs(b) for x, b in zip(z, bottom)],
                          [axis.powers for axis in plan])
     return complex(value), bound
 
@@ -678,6 +700,15 @@ def _search(z: np.ndarray, tau: PeriodMatrix, radii: Sequence[int]) -> tuple[int
     raise TruncationError(TARGET_ABS_ERROR, bound, radius)
 
 
+def _check_row(top: Sequence[Fraction], z: np.ndarray, g: int, finite: bool = False) -> None:
+    """Raises ValueError unless top and z are of genus g and z, unless
+    known to be, is finite."""
+    if len(top) != g or z.shape != (g,):
+        raise ValueError(f"genus mismatch: characteristic {len(top)}, z {z.shape}, tau {g}")
+    if not finite and not np.isfinite(z).all():
+        raise ValueError("argument z must be finite")
+
+
 class _Row(tuple):
     """One lattice sum, (plan, shift, tau): the axes of its box, z + mu''
     and the tau entries, with the radius of the box and the tail
@@ -693,12 +724,10 @@ def _side(chars: Sequence[Characteristic], lam: int, settings: EvalSettings) -> 
     """What _block_rows takes from the characteristics mu_j alone, in its
     order: their tops, their float bottoms as an (n, g) array, lam, a
     dict for the plan of each (j, radius), and the radii the search
-    tries, in order: 4, 6, 8, ... below settings.max_radius, then
-    settings.max_radius.  A caller derives a side once and hands it to
-    every block it builds, so each plan is built once."""
+    tries (settings._radii).  A caller derives a side once and hands it
+    to every block it builds, so each plan is built once."""
     bottoms = np.array([[float(v) for v in m.bottom] for m in chars])
-    radii = [*range(4, settings.max_radius, 2), settings.max_radius]
-    return [m.top for m in chars], bottoms, lam, {}, radii
+    return [m.top for m in chars], bottoms, lam, {}, settings._radii
 
 
 def _block_rows(
@@ -719,12 +748,9 @@ def _block_rows(
     check and one add of bottoms serve the block.  Raises ValueError for
     a row of another genus or a non-finite row, and TruncationError for
     a row whose search fails, at the first such row."""
-    g, finite, found = tau.genus, np.isfinite(z).all(), []
+    finite, found = np.isfinite(z).all(), []
     for j, (top, zj) in enumerate(zip(tops, z)):
-        if len(top) != g or zj.shape != (g,):
-            raise ValueError(f"genus mismatch: characteristic {len(top)}, z {zj.shape}, tau {g}")
-        if not finite and not np.isfinite(zj).all():
-            raise ValueError("argument z must be finite")
+        _check_row(top, zj, tau.genus, finite)
         radius, envelope = _search(zj, tau, radii)
         plan = plans.get((j, radius))
         if plan is None:
@@ -752,15 +778,12 @@ def theta(
     value is not a finite number.
     """
     z = np.atleast_1d(np.asarray(z, dtype=complex))
-    side = _side([mu], 1, settings)
-    (row,) = _block_rows(z[None], tau, *side)
-    plan = row[0]
-    value, rounding = _sums([axis.v for axis in plan], row[1], row[2],
-                            np.abs(z.real) + np.abs(z.imag) + np.abs(side[1][0]),
-                            [axis.powers for axis in plan])
+    _check_row(mu.top, z, tau.genus)
+    radius, envelope = _search(z, tau, settings._radii)
+    value, rounding = _box_sum(mu.top, mu.bottom, z, tau.entries, radius)
     if not cmath.isfinite(value):
-        raise TruncationError(TARGET_ABS_ERROR, math.inf, row.radius)
-    return ThetaValue(complex(value), row.radius, row.envelope + rounding)
+        raise TruncationError(TARGET_ABS_ERROR, math.inf, radius)
+    return ThetaValue(value, radius, envelope + rounding)
 
 
 def theta_shift_table(

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetarel import Characteristic, PeriodMatrix, TrialSampler, theta
 from thetarel.theta import _box_sum
@@ -134,6 +135,52 @@ def test_theta_is_one_row_of_the_kernel(g):
         # Unless asked, the kernel takes no bound.
         plan, shift, entries = row
         assert theta_module._sums([axis.v for axis in plan], shift, entries)[1] is None
+
+
+def _bits(value, radius, bound):
+    return np.array([value]).tobytes(), radius, np.array([bound]).tobytes()
+
+
+# Small tops, negative ones among them, and tops past 2^53 of either
+# sign, whose box indices are far from zero while their points are not.
+_TOP = st.one_of(st.fractions(-3, 3, max_denominator=7),
+                 st.builds(lambda p, q, sign: sign * (2**53 + F(p, q)),
+                           st.integers(0, 2**40), st.integers(1, 7), st.sampled_from([1, -1])))
+# A part of z is a uniform draw, or a zero of either sign.
+_PART = st.sampled_from([None, None, 0.0, -0.0])
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(g=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_theta_has_the_bits_of_its_block_row(g, seed, data):
+    """theta()'s (value, radius, tail_bound) are those of the block
+    builder's row: its stacked value, the one-row kernel on the row's
+    own shift and the weights of its float arrays, and _box_sum at its
+    radius, with every axis cold or warm."""
+    top = tuple(data.draw(st.lists(_TOP, min_size=g, max_size=g)))
+    bottom = tuple(data.draw(st.lists(st.fractions(-2, 2, max_denominator=9),
+                                      min_size=g, max_size=g)))
+    mu = Characteristic(top, bottom)
+    rng = np.random.default_rng(seed)
+    parts = [rng.uniform(-1.5, 1.5) if x is None else x
+             for x in data.draw(st.lists(_PART, min_size=2 * g, max_size=2 * g))]
+    z = np.array([complex(x, y) for x, y in zip(parts[::2], parts[1::2])])
+    tau = TrialSampler(seed).draw_tau(rng, g)
+    tv = theta(mu, z, tau)
+    got = _bits(tv.value, tv.truncation_radius, tv.tail_bound)
+    side = theta_module._side([mu], 1, theta_module.DEFAULT_SETTINGS)
+    (row,) = theta_module._block_rows(z[None], tau, *side)
+    (value,) = theta_module._theta_values([row])
+    plan, shift, entries = row
+    _, rounding = theta_module._sums([axis.v for axis in plan], shift, entries,
+                                     _weights(z, side[1][0]), [axis.powers for axis in plan])
+    assert got == _bits(value, row.radius, row.envelope + rounding)
+    value, rounding = _box_sum(top, bottom, z, tau.entries, row.radius)
+    assert got == _bits(value, row.radius, row.envelope + rounding)
+    theta_module._axis.cache_clear()
+    cold = theta(mu, z, tau)
+    assert got == _bits(cold.value, cold.truncation_radius, cold.tail_bound)
+    assert type(tv.value) is complex and type(tv.tail_bound) is float
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

@@ -856,10 +856,15 @@ def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
     sides = []
     side = relations._side
     monkeypatch.setattr(relations, "_side", lambda *args: sides.append(side(*args)) or sides[-1])
-    theta_module._axis.cache_clear()
+    caches = theta_module._axis, theta_module._table_axis
+    for cache in caches:
+        cache.cache_clear()
     reports = verify(spec, 3)
-    info = theta_module._axis.cache_info()
-    assert info.hits + info.misses == 3 * sum(len(s[3]) for s in sides) == 90
+    # The left side's axes are in _axis (lambda = 1), the right side's in
+    # _table_axis.
+    lookups = [info.hits + info.misses for info in (cache.cache_info() for cache in caches)]
+    assert lookups == [3 * len(s[3]) for s in sides]
+    assert sum(lookups) == 3 * sum(len(s[3]) for s in sides) == 90
     text = dumps(relations.relation_report(spec, build_relation(spec), reports, 1e-9))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "d9c172020b136894d660cc88380d660ae68c26a420a647a45559fe2ebe642786")

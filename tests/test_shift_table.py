@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thetarel import (
     Characteristic,
@@ -192,6 +193,11 @@ def _shift_table_unplanned(nu, w, tau, lam):
     return table.transpose(order).reshape(-1)
 
 
+def _clear_axes():
+    theta_module._axis.cache_clear()
+    theta_module._table_axis.cache_clear()
+
+
 # (2, 1) has lambda = 1, so its shift table and theta() share their axes.
 @pytest.mark.parametrize("n,g", [(2, 1), (3, 1), (5, 2), (3, 3)])
 def test_cold_and_warm_plans_give_the_same_bits(n, g):
@@ -207,14 +213,18 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
         tv = theta(nu, w, tau)
         return np.array([tv.value, tv.tail_bound]).tobytes(), tv.truncation_radius
 
-    theta_module._axis.cache_clear()
+    def hits():
+        # The table's axes are in _table_axis, or in _axis at lambda = 1.
+        return theta_module._axis.cache_info().hits + theta_module._table_axis.cache_info().hits
+
+    _clear_axes()
     cold = table()
-    theta_module._axis.cache_clear()
+    _clear_axes()
     cold_value = value()
     table()
-    hits = theta_module._axis.cache_info().hits
+    before = hits()
     assert (table(), value()) == (cold, cold_value)
-    assert theta_module._axis.cache_info().hits == hits + 2 * g
+    assert hits() == before + 2 * g
     assert cold == _shift_table_unplanned(nu, w, tau, lam).tobytes()
 
 
@@ -234,12 +244,12 @@ def test_tops_with_different_bottoms_share_one_plan():
     tau = PeriodMatrix(np.array([[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]))
     w = np.array([0.3 - 0.2j, -0.1 + 0.35j])
     top = (F(1, 3), F(-4, 3))
-    theta_module._axis.cache_clear()
+    theta_module._table_axis.cache_clear()
     for bottom in ((F(2, 3), F(1, 7)), (F(-5, 3), F(3, 11))):
         nu = Characteristic(top, bottom)
         table = theta_shift_table(nu, w, tau, 3)
         assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
-    info = theta_module._axis.cache_info()
+    info = theta_module._table_axis.cache_info()
     assert (info.misses, info.hits) == (2, 2)
 
 
@@ -284,6 +294,36 @@ def test_plan_cache_is_bounded():
     assert theta_module._axis.cache_info().currsize == size
 
 
+def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():
+    """12 tops with 36 distinct coordinates at the radii 4, 6, ..., 16
+    are 252 lambda = 1 axes, which _axis keeps together."""
+    tops = [tuple(F(3 * i + a, 37) for a in range(3)) for i in range(12)]
+    radii = range(4, 17, 2)
+    _clear_axes()
+    for _ in range(2):
+        for top in tops:
+            for radius in radii:
+                theta_module._plan(top, radius, 1)
+    info = theta_module._axis.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (252, 252, 252)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(lam=st.integers(2, 7), radius=st.integers(1, 8),
+       top=st.lists(st.fractions(-3, 3, max_denominator=12), min_size=1, max_size=3))
+def test_no_shift_table_axis_enters_the_theta_axis_cache(lam, radius, top):
+    """An axis of lambda > 1 comes from _table_axis, and the lambda = 1
+    cache sees none of its lookups; a theta axis goes the other way."""
+    _clear_axes()
+    plan = theta_module._plan(top, radius, lam)
+    assert all(axis.lam == lam for axis in plan)
+    assert theta_module._axis.cache_info().misses + theta_module._axis.cache_info().hits == 0
+    assert theta_module._table_axis.cache_info().currsize == len(set(top))
+    theta_module._plan(top, radius, 1)
+    assert theta_module._table_axis.cache_info().currsize == len(set(top))
+    assert theta_module._axis.cache_info().currsize == len(set(top))
+
+
 def test_a_plan_keeps_no_bins_of_a_large_box():
     # At Im tau = 0.06 I the (3, 3) box has radius 16: 97^3 grid points,
     # whose bins would take 7.3 MB.  They are built for the call, and the
@@ -292,11 +332,11 @@ def test_a_plan_keeps_no_bins_of_a_large_box():
     # reference.
     nu = Characteristic.zero(3)
     w, tau = np.array([0.1, -0.2, 0.3 + 0j]), PeriodMatrix(0.06j * np.eye(3))
-    theta_module._axis.cache_clear()
+    theta_module._table_axis.cache_clear()
     table = theta_shift_table(nu, w, tau, 3)
-    info = theta_module._axis.cache_info()
+    info = theta_module._table_axis.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    axis = theta_module._axis(0, 1, 16, 3)
+    axis = theta_module._table_axis(0, 1, 16, 3)
     arrays = [x for x in vars(axis).values() if isinstance(x, np.ndarray)]
     assert len(arrays) == 3 and len(axis.ks) == 97
     assert max(x.size for x in arrays) == 97

@@ -50,7 +50,11 @@ is resampled, one attempt at a time, until a draw's radius search
 fails; and the suite at THETA_MAX_RADIUS=4 with 8
 trials, whose identity checks each evaluate their theta values as one
 stack, and where jacobi_quadruple and smith_relation are eval-failed
-(exit 2) and the other cases pass.
+(exit 2) and the other cases pass.  Last of all, verify at n = 3 with a
+--tau of 1e308i and of 1e307+1i, whose sides overflow to a value that is
+not a finite number: each trial is eval-failed (exit 2), and stderr
+holds no float warning, which would print once per process and so
+differ between the two passes.
 
 All of CASES then runs a second time in the same process, in reverse
 order, so that state left behind by a later case meets an earlier one.
@@ -198,8 +202,12 @@ STACKED = [
     ["THETA_MAX_RADIUS=4", "suite", "--trials", "8"],
 ]
 
+# Sides that are not a finite number.
+NON_FINITE = [["verify", "--n", "3", "--tau", tau, "--trials", "1"]
+              for tau in ("1e308i", "1e307+1i")]
+
 CASES = (_emit_cases() + _run_cases() + STACKED + MALFORMED + HELP + LARGE_TOPS + LARGE_N
-         + LARGE_G)
+         + LARGE_G + NON_FINITE)
 
 
 def _load_main(root: Path):

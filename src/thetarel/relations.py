@@ -735,19 +735,19 @@ def verify(
         return replace(report, status="flagged") if agrees(report) else report
 
     # A chunk holds at most _STACK_POINTS shift-table entries, n
-    # lambda^(2g) a trial, or one trial.  Its first attempts are drawn
-    # and checked together; naive mode keeps the rng state after each
-    # draw.  From its first trial whose sides agree on, the rng is
+    # lambda^(2g) a trial, or one trial.  Its first attempts are drawn,
+    # keeping the rng state after each draw, and checked together.  In
+    # naive mode, from the first trial whose sides agree on, the rng is
     # rewound to just after that trial's draw and the attempts run one
     # at a time, as resampling needs; the chunk's later first attempts,
-    # at most trials - 1, are dropped.  No other mode rewinds.
+    # at most trials - 1, are dropped.
     step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
     naive, reports = spec.mode is CoefficientMode.NAIVE, []
     for start in range(0, trials, step):
         draws, states = [], []
         for _ in range(start, min(start + step, trials)):
             draws.append(draw())
-            states.append(rng.bit_generator.state if naive else None)
+            states.append(rng.bit_generator.state)
         for report, state in zip(_check(spec, draws, settings, start, sides), states):
             if naive and agrees(report):
                 rng.bit_generator.state = state

@@ -72,9 +72,10 @@ before any array of it, even the v of one axis, is allocated: an _Axis
 is built holding only its range of k.
 
 theta() sums one row and builds none: after its checks (_check_row)
-and its search (_search), _box_sum forms the shift z + mu'' and the
-weights of the bound in Python floats, by the operations _block_rows
-takes on arrays, and calls _sums once, so its bits are its row's.
+and its search (_search), _box_sum forms the shift z + mu'' by the
+same numpy add as _block_rows and the weights of the bound in Python
+floats, by the operations _block_rows takes on arrays, and calls _sums
+once, so its bits are its row's.
 
 Every lattice sum that is stacked is a row, and one builder makes every
 row: _block_rows takes the n characteristics of one side (_side: their
@@ -278,10 +279,6 @@ def _min_eig_lower(y: np.ndarray) -> float:
     subtracted from the computed minimum is 8 * g * eps * max|lambda_hat|,
     which covers that error with p(g) = 8g.
     """
-    if y.shape == (1, 1):
-        # eigvalsh's exact answer, without LAPACK.
-        x = float(y[0, 0])
-        return x - 8.0 * 2.0**-52 * abs(x)
     eig = np.linalg.eigvalsh(y)
     # eig is ascending, so its largest modulus is -eig[0] or eig[-1].
     margin = 8.0 * y.shape[0] * 2.0**-52 * float(max(-eig[0], eig[-1]))
@@ -672,13 +669,12 @@ def _box_sum(
 ) -> tuple[complex, float]:
     """(value, rounding_bound) of the sum of the series terms over the box
     max_a |xi_a + mu'_a| <= radius: one row of _sums, whose docstring
-    derives the bound, with the shift and the weights s in Python
-    floats."""
+    derives the bound.  The shift is numpy's complex + float add, as in
+    _block_rows; the weights s are Python floats."""
     bottom = [float(m) for m in mu_bottom]
     plan = _plan(mu_top, radius, 1)
-    z = z.tolist()
-    value, bound = _sums([axis.v for axis in plan], np.array([x + b for x, b in zip(z, bottom)]),
-                         tau, [abs(x.real) + abs(x.imag) + abs(b) for x, b in zip(z, bottom)],
+    value, bound = _sums([axis.v for axis in plan], z + np.array(bottom), tau,
+                         [abs(x.real) + abs(x.imag) + abs(b) for x, b in zip(z.tolist(), bottom)],
                          [axis.powers for axis in plan])
     return complex(value), bound
 

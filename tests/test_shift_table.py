@@ -285,13 +285,19 @@ def test_large_tops_give_per_shift_theta_values(n, g, j):
 
 
 def test_plan_cache_is_bounded():
+    """theta() fills _axis and the lambda = 3 shift tables _table_axis,
+    each up to its own size."""
     tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
-    size = theta_module._axis.cache_info().maxsize
-    for k in range(size + 5):
-        nu = Characteristic((F(k, size + 5),), (F(0),))
-        theta(nu, 0.1j, tau)
-        theta_shift_table(nu, 0.1j, tau, 3)
-    assert theta_module._axis.cache_info().currsize == size
+    _clear_axes()
+    for cache, call in ((theta_module._axis, lambda nu: theta(nu, 0.1j, tau)),
+                        (theta_module._table_axis,
+                         lambda nu: theta_shift_table(nu, 0.1j, tau, 3))):
+        size = cache.cache_info().maxsize
+        for k in range(size + 5):
+            call(Characteristic((F(k, size + 5),), (F(0),)))
+        assert cache.cache_info().currsize == size
+    assert theta_module._axis.cache_info().currsize == theta_module._PLAN_CACHE_SIZE
+    assert theta_module._table_axis.cache_info().currsize == theta_module._TABLE_CACHE_SIZE
 
 
 def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():

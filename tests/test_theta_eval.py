@@ -241,23 +241,6 @@ def test_period_matrix_validation():
     assert pm.lam_min == float(eig[0]) - 16 * np.finfo(float).eps * float(np.abs(eig).max())
 
 
-def test_a_one_by_one_lam_min_has_the_bits_of_eigvalsh():
-    """A 1 x 1 Im tau takes its entry less the margin without LAPACK,
-    bit for bit what eigvalsh's minimum less its margin gives: on random
-    entries over the whole exponent range, on subnormals, on both zeros
-    and on the largest floats."""
-    rng = np.random.default_rng(38)
-    extreme = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
-               1.8e308, -1.8e308, np.finfo(float).max, -np.finfo(float).max, 1.0, -1.0]
-    entries = [*rng.standard_normal(2000) * 2.0 ** rng.integers(-1074, 1000, 2000), *extreme]
-    for x in entries:
-        y = np.array([[x]])
-        eig = np.linalg.eigvalsh(y)
-        expected = float(eig[0]) - 8.0 * 1 * 2.0**-52 * float(max(-eig[0], eig[-1]))
-        assert np.float64(theta_module._min_eig_lower(y)).tobytes() == (
-            np.float64(expected).tobytes()), x
-
-
 @pytest.mark.parametrize("bad", [complex(math.inf, 1), complex(math.nan, 1),
                                  complex(0.1, math.inf), complex(0.1, math.nan)])
 def test_period_matrix_rejects_non_finite(bad):

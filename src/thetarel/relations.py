@@ -97,10 +97,11 @@ one attempt at a time, so at most trials - 1 first attempts are checked
 and dropped.  apply_to_args's product stays one (n, n) @ (n, g)
 product per trial, as the tables' mixing stays one np.dot per table and
 axis: a BLAS product over stacked operands may sum in another order.
-Before drawing, verify builds the lattice-sum plans of the first radius
-for every mu_j and nu_j into its sides, so a spec whose smallest boxes
-are over theta's cap raises TruncationError at once, and no row builds
-those plans again.
+Before drawing, verify refuses a spec whose right side has more than
+_MAX_RIGHT_ENTRIES shift-table entries a trial, then builds the
+lattice-sum plans of the first radius for every mu_j and nu_j into its
+sides, so a spec whose smallest boxes are over theta's cap raises
+TruncationError at once, and no row builds those plans again.
 
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
@@ -207,6 +208,29 @@ MAX_RESAMPLES = 20
 # draw at g = 65 takes about 0.3 ms (2-CPU Xeon), so the cap is reached
 # in about 3 s there.
 _MAX_TAU_DRAWS = 10_000
+# A relation check holds a trial's n shift tables, n lambda^(2g) complex
+# entries of 16 bytes, until its right side is summed; the mixing of the
+# last stack and the products of the sum add to that.  A one-trial
+# verify of a large right side peaks at 18.8 to 27.6 bytes per entry, as
+# tracemalloc reads it: (199, 1) 18.8, (23, 2) 18.9, (9, 3) 25.4 and
+# (11, 3) 27.6.  verify refuses a spec of more than _MAX_RIGHT_ENTRIES
+# entries a trial, which would need more than 1 GiB at 18 bytes per
+# entry, before anything is drawn or allocated: (13, 3), 13^7 entries,
+# is refused, and (11, 3) and (199, 1) run.
+_MAX_RIGHT_ENTRIES = 2**30 // 18
+
+
+class _OversizedRight(TruncationError):
+    """A spec whose right side has more than _MAX_RIGHT_ENTRIES
+    shift-table entries a trial, refused before anything is drawn; radius
+    is the first the search would try, and best_bound inf, as no sum is
+    taken."""
+
+    def __init__(self, entries: int, radius: int):
+        ArithmeticError.__init__(
+            self, f"the right side has {entries} shift-table entries a trial, "
+                  f"above the cap of {_MAX_RIGHT_ENTRIES} entries")
+        self.target, self.best_bound, self.radius = _theta.TARGET_ABS_ERROR, math.inf, radius
 
 
 class CoefficientMode(enum.Enum):
@@ -700,11 +724,15 @@ def verify(
     first trial whose sides agree on, the rng is rewound to just after
     that trial's draw and the attempts are drawn and checked one at a
     time.  A trial whose radius search fails is reported "eval-failed".  Raises
-    TruncationError, before drawing, when the box of the first radius
-    of some mu_j or nu_j is over theta's cap.
+    TruncationError, before drawing, when a trial's right side has more
+    than _MAX_RIGHT_ENTRIES shift-table entries, or the box of the first
+    radius of some mu_j or nu_j is over theta's cap.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    entries = spec.n * spec.lam ** (2 * spec.genus)
+    if entries > _MAX_RIGHT_ENTRIES:
+        raise _OversizedRight(entries, settings._radii[0])
     sampler = sampler or TrialSampler()
     # One pair of sides serves every check of the run, so each
     # (side, j, radius) plan is built once per run.  A spec whose
@@ -741,7 +769,7 @@ def verify(
     # rewound to just after that trial's draw and the attempts run one
     # at a time, as resampling needs; the chunk's later first attempts,
     # at most trials - 1, are dropped.
-    step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
+    step = max(1, _theta._STACK_POINTS // entries)
     naive, reports = spec.mode is CoefficientMode.NAIVE, []
     for start in range(0, trials, step):
         draws, states = [], []

@@ -50,26 +50,26 @@ same skipped terms.
 
 What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
-shift table, the residues k_a mod lambda^2 and the root-of-unity mixing
-matrix of that axis, and for theta() the table [1, |v_a|, |v_a|^2] of
-its rounding bound.  Each is held by an _Axis, built from the key
-(p, q, radius, lambda) of mu'_a = p/q and kept in a process-wide
-least-recently-used cache of its memory class: _axis for lambda = 1,
-_table_axis for the shift tables' lambda > 1, whose mix grows as
-lambda^4 (_PLAN_CACHE_SIZE).  The plan of a sum (_plan) is the tuple of
-its axes.  The key holds four integers, which hash far faster than a
+shift table, the residues k_a mod lambda^2 and the phases
+e[b mu'_a / lambda] of its shifts b, and for theta() the table
+[1, |v_a|, |v_a|^2] of its rounding bound.  Each is held by an _Axis,
+built from the key (p, q, radius, lambda) of mu'_a = p/q and kept in
+one process-wide least-recently-used cache, _axis, for every lambda
+(_PLAN_CACHE_SIZE).  The plan of a sum (_plan) is the tuple of its
+axes.  The key holds four integers, which hash far faster than a
 Fraction; no cache holds a float input, so z, tau and the float mu''
 are used afresh on every call, and characteristics whose tops agree in
 a coordinate share that axis, whatever their bottoms.  An axis is built
 by the same operations whether it comes from the cache or not, and its
-arrays are read-only, so every result is bit-identical cold or warm.  A shift table's bins
-are broadcast from the per-axis residues on each call, as its grid of
-terms is from the per-axis v, so no cached array is longer than one
-axis.  The bins and the phases are exact for a top of any size; a
-large mu'' still loses the digits of its float.  _plan refuses a box of
-more than _MAX_BOX_POINTS points with _OversizedBox, a TruncationError,
-before any array of it, even the v of one axis, is allocated: an _Axis
-is built holding only its range of k.
+arrays are read-only, so every result is bit-identical cold or warm.
+A shift table's bins are broadcast from the per-axis residues on each
+call, as its grid of terms is from the per-axis v, so no cached array
+is longer than the points of its axis or lambda.  The bins and the
+phases are exact for a top of any size; a large mu'' still loses the
+digits of its float.  _plan refuses a box of more than _MAX_BOX_POINTS
+points with _OversizedBox, a TruncationError, before any array of it,
+even the v of one axis, is allocated: an _Axis is built holding only
+its range of k.
 
 theta() sums one row and builds none: after its checks (_check_row)
 and its search (_search), _box_sum forms the shift z + mu'' by the
@@ -102,11 +102,15 @@ _shift_tables stack the rows of one lambda and box shape, up to
 _STACK_POINTS points per stack (_stacks), with (2 pi i) tau and
 (2 pi i)(z + mu'') taken per row.  _theta_values sums each stack with
 _sums; _shift_tables bins a stack's terms by one bincount per part over
-the stacked bins, offset by r lambda^(2g) for row r.  Its mixing stays
-one BLAS product per table and axis, at the one-row shape: a product
+the stacked bins, offset by r lambda^(2g) for row r.  Each axis of a
+table is then mixed as the four-step split of a length-lambda^2 DFT
+(Bailey, J. Supercomputing 4, 1990): a residue r = c + lambda s goes to
+the shift b as e[r b / lambda^2] = e[c b / lambda^2] e[s b / lambda],
+so by one lambda-point DFT over s, one BLAS product per table and axis
+at the one-row shape, then by the twiddle, the chirp e[c b / lambda^2]
+times the axis's phases, elementwise over the stack.  A product
 over stacked tables may sum in another order, and stacked tables were
-measured not bit-identical at g = 1.  That product is the np.dot call np.tensordot makes, on the
-operands it reshapes, without its per-call set-up.  Every theta value
+measured not bit-identical at g = 1.  Every theta value
 the package takes internally is such a row: both sides of a relation
 check (relations), the values of the identity checks and of
 verify_jacobi_a, and theta_shift_table, which is one row.
@@ -145,19 +149,17 @@ _U = 2.0**-53  # unit roundoff of float64
 # couple of dozen shells are ever needed.
 _SHELL_CAP = 4096
 TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
-# Box axes kept by _axis (lam = 1) and _table_axis (lam > 1), one per
-# (top_a, radius, lam).  A lam = 1 axis of L points holds v (8 L bytes)
-# and, once theta() has summed it, its bound's table (24 L): 5 kB at
-# radius 64, so 256 of them hold at most 1.3 MB.  theta-eval's fresh tops
-# p/q, q <= 6, at radii 4 to 16 touch 76 keys in 300 cycles (seed 1; 75
-# at seed 7919): 16 axes missed 30% of its 13,200 lookups, 256 miss only
-# the first of each key.  A lam > 1 axis adds 8 L for its residues and
-# 16 lam^4 for its mix, 85 MB at lam = 48 (n = 96), so these stay at 16:
-# a verify run looks each up once per (side, j, radius), as its sides
-# keep their plans, so (8, 3) with random tops (24 axes) rebuilds none
-# per trial.
+# Box axes kept by _axis, one per (top_a, radius, lam).  A lam = 1 axis
+# of L points holds v (8 L bytes) and, once theta() has summed it, its
+# bound's table (24 L): 5 kB at radius 64, so 256 of them hold at most
+# 1.3 MB.  theta-eval's fresh tops p/q, q <= 6, at radii 4 to 16 touch
+# 76 keys in 300 cycles (seed 1; 75 at seed 7919): 16 axes missed 30% of
+# its 13,200 lookups, 256 miss only the first of each key.  A shift
+# table's axis holds v and its residues (16 L) and its phases (16 lam):
+# 6.9 kB at lam = 48 (n = 96) and radius 4, 29 kB at lam = 199.  A verify
+# run looks each axis up once per (side, j, radius), as its sides keep
+# their plans.
 _PLAN_CACHE_SIZE = 256
-_TABLE_CACHE_SIZE = 16
 # A sum over a box of N points peaks at 48 to 66 bytes per point, as
 # tracemalloc reads it: the temporaries of its exponent (16 bytes each
 # per point), then the zero-padded halving buffer that the terms are
@@ -415,34 +417,26 @@ class _Axis:
         return residues
 
     @functools.cached_property
-    def mix(self) -> np.ndarray:
-        """The lam^2 x lam^2 mixing matrix of this axis as an array
-        [r, c, b] -> [r = c (mod lam)] * e[b (r/lam + top_a) / lam]: it
-        picks the coset c of the residue r and applies the phase of the
-        shift b.  As b is an integer, e[b top_a / lam] is taken of
-        top_a - lam * int(top_a / lam), which is top_a itself whenever
-        |top_a| < lam and keeps the phase exact for any other top_a."""
-        lam, sq = self.lam, self.lam * self.lam
+    def phase(self) -> np.ndarray:
+        """e[b m / lam] for the shifts b = 0, ..., lam - 1 of this axis,
+        m = top_a - lam * int(top_a / lam): as b is an integer, this is
+        e[b top_a / lam], with m top_a itself whenever |top_a| < lam and
+        the phase exact for any other top_a."""
+        lam = self.lam
         m = float(self.top - lam * int(self.top / lam))
-        r = np.arange(sq)[:, None, None]
-        c = np.arange(lam)[None, :, None]
-        b = np.arange(lam)[None, None, :]
-        mix = np.where(r % lam == c, np.exp(TWO_PI * 1j * ((r * b) % sq / sq + b * m / lam)), 0)
-        mix.flags.writeable = False
-        return mix
+        phase = np.exp(TWO_PI * 1j * (np.arange(lam) * m / lam))
+        phase.flags.writeable = False
+        return phase
 
 
 _axis = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Axis)
-_table_axis = functools.lru_cache(maxsize=_TABLE_CACHE_SIZE)(_Axis)
 
 
 def _plan(top: Sequence[Fraction], radius: int, lam: int) -> tuple[_Axis, ...]:
     """The axes of the sum over top + (1/lam) Z^g, |v|_inf <= radius, top
-    a sequence of exact rationals, from _axis for lam = 1 and from
-    _table_axis for lam > 1.  Raises _OversizedBox for a box of more
-    than _MAX_BOX_POINTS points."""
-    cache = _axis if lam == 1 else _table_axis
-    axes = tuple(cache(m.numerator, m.denominator, radius, lam) for m in top)
+    a sequence of exact rationals, from _axis.  Raises _OversizedBox for
+    a box of more than _MAX_BOX_POINTS points."""
+    axes = tuple(_axis(m.numerator, m.denominator, radius, lam) for m in top)
     points = math.prod(len(axis.ks) for axis in axes)
     if points > _MAX_BOX_POINTS:
         raise _OversizedBox(points, radius)
@@ -801,10 +795,11 @@ def theta_shift_table(
         T(k) = e[(1/2) v tau . v + v . (w + nu'')].
 
     The terms T(k) are computed once, by the grid kernel theta() uses,
-    and binned by the per-axis residues k_a mod lam^2; per axis,
-    one lam^2 x lam^2 root-of-unity matrix then picks the coset and
-    applies the phase; the residues and those matrices come from the
-    cached axes (nu'_a, R, lam) of _plan.  R comes from the same search as
+    and binned by the per-axis residues k_a mod lam^2; per axis, the
+    residue r = c + lam s then goes to the shift b by a lam-point DFT
+    over s and the twiddle e[c b / lam^2 + nu'_a b / lam]; the residues
+    and the phases e[nu'_a b / lam] come from the cached axes
+    (nu'_a, R, lam) of _plan.  R comes from the same search as
     theta(), so each entry sums exactly the points theta(nu + a, w)
     sums, and its omitted tail, the same coset's points outside the box
     times unit-modulus phases, is bounded by the same envelope.  An entry
@@ -851,9 +846,9 @@ def _shift_tables(rows: Sequence[_Row]) -> list[np.ndarray]:
     """The theta_shift_table of each row, bit for bit.  Each stack's
     terms are binned by one bincount per part, each row's bins offset by
     r lam^(2g), which adds every bin's terms in the order of the row's
-    own bincount; each table is then mixed alone, one np.dot per axis,
-    the product np.tensordot makes, so every product keeps its one-row
-    shape and order of summation."""
+    own bincount.  Each axis is then mixed by one np.dot per table, at
+    its one-row shape and order of summation, and one elementwise
+    twiddle over the stack."""
     tables: list = [None] * len(rows)
     for index, plans, *stack in _stacks(rows):
         terms = _grid_terms(*stack).reshape(-1, len(index))
@@ -867,18 +862,23 @@ def _shift_tables(rows: Sequence[_Row]) -> list[np.ndarray]:
         bins = (sum(_on_grid(digits)) + size * np.arange(len(plans))).ravel()
         flat = (np.bincount(bins, terms.real.ravel(), count)
                 + 1j * np.bincount(bins, terms.imag.ravel(), count))
-        order = list(range(0, 2 * g, 2)) + list(range(1, 2 * g, 2))
-        for r, (i, plan) in enumerate(zip(index, plans)):
-            table = flat[r * size : (r + 1) * size].reshape((sq,) * g)
-            for axis in plan:
-                # np.tensordot(table, axis.mix, axes=(0, 0)), by the np.dot
-                # call it makes on the operands it reshapes: the contracted
-                # axis is always the leading one, the new (c, b) pair goes
-                # to the end.
-                rest = table.shape[1:]
-                table = np.dot(table.transpose(*range(1, table.ndim), 0).reshape(-1, sq),
-                               axis.mix.reshape(sq, -1)).reshape(rest + (lam, lam))
-            tables[i] = table.transpose(order).reshape(-1)
+        # The DFT e[s b / lam] and the chirp e[c b / lam^2] of the stack.
+        kk = np.multiply.outer(np.arange(lam), np.arange(lam))
+        roots = np.exp((TWO_PI * 1j / sq) * np.arange(sq))
+        dft, chirp, mixed = roots[lam * kk % sq], roots[kk], flat
+        for axes in zip(*plans):
+            # Each table's leading residue axis, as (s, c), goes to the end
+            # as (c, b): the DFT over s, one np.dot per table, then the
+            # twiddle, elementwise over the stack.
+            x = np.ascontiguousarray(mixed.reshape(len(index), lam, lam, -1).transpose(0, 3, 2, 1))
+            mixed = np.empty_like(x)
+            for xr, out in zip(x.reshape(len(index), -1, lam), mixed.reshape(len(index), -1, lam)):
+                np.dot(xr, dft, out=out)
+            mixed *= (chirp * np.stack([axis.phase for axis in axes])[:, None, :])[:, None]
+        order = [0, *range(1, 2 * g, 2), *range(2, 2 * g + 1, 2)]
+        mixed = mixed.reshape((-1,) + (lam,) * (2 * g)).transpose(order).reshape(len(index), -1)
+        for i, table in zip(index, mixed):
+            tables[i] = table
     return tables
 
 

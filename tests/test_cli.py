@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -202,6 +203,20 @@ def test_verify_passes_with_a_large_top(capsys, mu):
             *(a for m in mu for a in ("--mu", m))]
     code, out, _ = run_cli(capsys, *argv)
     assert (code, json.loads(out)["verdict"]) == (0, "pass")
+
+
+def test_verify_at_lambda_97_passes_within_100_mb(capsys):
+    # Each shift-table axis is mixed by a 97-point DFT and a twiddle; a
+    # dense 97^2 x 97 x 97 mix per axis once took 1.4 GB here.
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, "verify", "--n", "97", "--trials", "1")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trials"][0]["status"] == "ok"
+    assert peak < 100_000_000
 
 
 def test_verify_byte_stable(capsys):

@@ -2,15 +2,19 @@
 exception type and message."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from thetarel import (
     Characteristic,
+    CoefficientMode,
     CycleClass,
     PeriodMatrix,
     RelationSpec,
+    TrialSampler,
+    TruncationError,
     class_of,
     enumerate_shifts,
     lhs_value,
@@ -18,6 +22,7 @@ from thetarel import (
     verify,
     verify_jacobi_a,
 )
+from thetarel import relations
 from thetarel.cli import main
 
 TAU1 = PeriodMatrix(np.array([[0.1 + 1.1j]]))
@@ -59,3 +64,39 @@ def test_refusal_raises_as_documented(call, exception, message, stderr, capsys):
         call()
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", stderr)
+
+
+class _NoDraws(TrialSampler):
+    def make_rng(self):
+        raise AssertionError("drew before refusing the spec")
+
+
+def test_the_right_side_cap_refuses_13_3_and_keeps_11_3_and_199_1():
+    cap = relations._MAX_RIGHT_ENTRIES
+    # Refused right sides need more than 1 GiB at 18 bytes per entry.
+    assert (cap + 1) * 18 > 2**30
+    assert 11**7 <= cap and 199**3 <= cap < 13**7
+
+
+@pytest.mark.parametrize("mode", list(CoefficientMode), ids=lambda m: m.value)
+def test_verify_refuses_an_oversized_right_side_before_allocating(mode):
+    spec = RelationSpec.create(13, 3, mode=mode)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncationError, match=f"^the right side has {13**7} shift-table "
+                           f"entries a trial, above the cap of {relations._MAX_RIGHT_ENTRIES} "
+                           "entries$"):
+            verify(spec, 1, sampler=_NoDraws())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("command", ["verify", "falsify"])
+def test_the_command_line_exits_2_on_an_oversized_right_side(command, capsys):
+    assert main([command, "--n", "13", "--g", "3", "--trials", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"thetarel: error: the right side has {13**7} shift-table entries a trial, "
+                   f"above the cap of {relations._MAX_RIGHT_ENTRIES} entries\n")

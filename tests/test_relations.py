@@ -669,15 +669,17 @@ def test_a_drawn_tau_takes_one_eigvalsh(monkeypatch, genus):
 
 @pytest.mark.parametrize("argv, calls, digest", [
     (["--n", "3", "--g", "2", "--trials", "4", "--seed", "7"], 4,
-     "dcb2f52f2baa27bdbca6e5408265d4c3d3fd3c7139d3068b04700baa9644daeb"),
+     "716c01d37bb2516774a60bedafd329d6f7acbdc46d652b2171ad891920f03478"),
     (["--n", "5", "--g", "2", "--trials", "3", "--seed", "11", "--mu", "1/5,0;0,2/5",
       *["--mu", "0,0;0,0"] * 4], 3,
-     "e683d74780bb457b44bbbedd24801dc74d28cc8cf1a9180dfde569d85c27e65e"),
+     "d8c9c7f86c5b02786705915fab915620f624028b588e21c50629b17dd512a314"),
 ])
 def test_verify_takes_one_eigvalsh_per_trial_and_keeps_its_bytes(
         monkeypatch, capsys, argv, calls, digest):
-    # The digests are those of the reports written when each drawn tau
-    # was certified twice, by draw_tau and again by PeriodMatrix.
+    # Certifying each drawn tau once, not twice, kept these reports'
+    # bytes; the digests are those of the DFT-and-twiddle shift-table
+    # mixing, whose right sides differ from the dense mix's in the last
+    # bits, with the same statuses and verdicts.
     from thetarel.cli import main
 
     counted = _count_eigvalsh(monkeypatch)
@@ -848,7 +850,8 @@ def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
     """The plans that verify builds before drawing, to refuse boxes over
     the cap, are the rows' plans of the first radius: each (side, j,
     radius) plan looks its g axes up once per run, and the report keeps
-    its bytes (the digest of the run that built those plans twice)."""
+    the bytes of a run that builds those plans twice (the digest is
+    that of the DFT-and-twiddle shift-table mixing)."""
     theta_module = importlib.import_module("thetarel.theta")
     mu = ["1/2,1/4,0;0,0,0", "3/4,0,1/4;0,0,0", "1/2,3/4,1/2;0,0,0", "3/4,0,1/4;0,0,0",
           "1/2,1/4,1/4;0,0,0", "1/4,0,0;0,0,0", "1/2,1/4,3/4;0,0,0", "0,3/4,1/4;0,0,0"]
@@ -856,15 +859,12 @@ def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
     sides = []
     side = relations._side
     monkeypatch.setattr(relations, "_side", lambda *args: sides.append(side(*args)) or sides[-1])
-    caches = theta_module._axis, theta_module._table_axis
-    for cache in caches:
-        cache.cache_clear()
+    theta_module._axis.cache_clear()
     reports = verify(spec, 3)
-    # The left side's axes are in _axis (lambda = 1), the right side's in
-    # _table_axis.
-    lookups = [info.hits + info.misses for info in (cache.cache_info() for cache in caches)]
-    assert lookups == [3 * len(s[3]) for s in sides]
-    assert sum(lookups) == 3 * sum(len(s[3]) for s in sides) == 90
+    # Both sides' axes, of lambda = 1 and lambda = 4, are in _axis.
+    info = theta_module._axis.cache_info()
+    assert [3 * len(s[3]) for s in sides] == [48, 42]
+    assert info.hits + info.misses == 3 * sum(len(s[3]) for s in sides) == 90
     text = dumps(relations.relation_report(spec, build_relation(spec), reports, 1e-9))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "d9c172020b136894d660cc88380d660ae68c26a420a647a45559fe2ebe642786")
+        "0008d615e3ff4d3d02fc715fa8bb65a3a1f746a495dbc7c1da3cdcf6e98f3cd7")

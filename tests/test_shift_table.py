@@ -164,8 +164,9 @@ def test_truncation_parity_with_oracle(max_radius):
 
 
 def _shift_table_unplanned(nu, w, tau, lam):
-    """Reference shift table: every exact part rebuilt from nu, as
-    theta_shift_table did before plans were cached."""
+    """Reference shift table: every exact part rebuilt from nu, and each
+    axis mixed by the dense lam^2 x lam x lam root-of-unity matrix
+    [r, c, b] -> [r = c (mod lam)] e[b (r/lam + m)/lam], m = nu'_a."""
     t = theta_module
     w = np.atleast_1d(np.asarray(w, dtype=complex))
     radius = t._search(w, tau, t._side([nu], lam, EvalSettings())[-1])[0]
@@ -195,7 +196,31 @@ def _shift_table_unplanned(nu, w, tau, lam):
 
 def _clear_axes():
     theta_module._axis.cache_clear()
-    theta_module._table_axis.cache_clear()
+
+
+# lam = 2, 3, 5 and 7 at g <= 3, 13 at g <= 2 and 48 (n = 96) at g = 1.
+DENSE_CASES = [(lam, g) for lam in (2, 3, 5, 7) for g in (1, 2, 3)] + [(13, 1), (13, 2), (48, 1)]
+
+
+@pytest.mark.parametrize("tops", ["zero", "small", "large"])
+@pytest.mark.parametrize("lam,g", DENSE_CASES)
+def test_shift_tables_are_within_1e_13_of_the_dense_mix(lam, g, tops):
+    """The DFT-and-twiddle mixing against the dense mix of the unplanned
+    reference, relative to the largest entry, at tops of 0, of small
+    fractions and of fractions up to 30 in modulus."""
+    rng = np.random.default_rng([lam, g, len(tops)])
+    bound = {"zero": (0, 1), "small": (3, 12), "large": (30, 12)}[tops]
+
+    def entry():
+        q = int(rng.integers(1, bound[1] + 1))
+        return F(int(rng.integers(-bound[0] * q, bound[0] * q + 1)), q)
+
+    nu = Characteristic(tuple(entry() for _ in range(g)),
+                        tuple(F(int(rng.integers(-9, 10)), 7) for _ in range(g)))
+    (w,), tau = TrialSampler(lam).draw(rng, 1, g)
+    expected = _shift_table_unplanned(nu, w, tau, lam)
+    table = theta_shift_table(nu, w, tau, lam)
+    assert np.abs(table - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 # (2, 1) has lambda = 1, so its shift table and theta() share their axes.
@@ -214,8 +239,7 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
         return np.array([tv.value, tv.tail_bound]).tobytes(), tv.truncation_radius
 
     def hits():
-        # The table's axes are in _table_axis, or in _axis at lambda = 1.
-        return theta_module._axis.cache_info().hits + theta_module._table_axis.cache_info().hits
+        return theta_module._axis.cache_info().hits
 
     _clear_axes()
     cold = table()
@@ -225,16 +249,15 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
     before = hits()
     assert (table(), value()) == (cold, cold_value)
     assert hits() == before + 2 * g
-    assert cold == _shift_table_unplanned(nu, w, tau, lam).tobytes()
 
 
 def test_plan_arrays_are_read_only():
     nu = Characteristic((F(1, 3), F(-4, 3)), (F(2, 3), F(1, 7)))
     plan = theta_module._plan(nu.top, 4, 3)
-    arrays = [array for axis in plan for array in (axis.v, axis.residues, axis.mix)]
+    arrays = [array for axis in plan for array in (axis.v, axis.residues, axis.phase)]
     assert len(arrays) == 6
     # An axis holds what (top_a, radius, lam) fixes, and nothing of a bottom.
-    assert all(set(vars(axis)) == {"top", "lam", "ks", "v", "residues", "mix"} for axis in plan)
+    assert all(set(vars(axis)) == {"top", "lam", "ks", "v", "residues", "phase"} for axis in plan)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -243,14 +266,17 @@ def test_plan_arrays_are_read_only():
 def test_tops_with_different_bottoms_share_one_plan():
     tau = PeriodMatrix(np.array([[0.1 + 1.1j, 0.2 + 0.1j], [0.2 + 0.1j, -0.2 + 0.9j]]))
     w = np.array([0.3 - 0.2j, -0.1 + 0.35j])
-    top = (F(1, 3), F(-4, 3))
-    theta_module._table_axis.cache_clear()
-    for bottom in ((F(2, 3), F(1, 7)), (F(-5, 3), F(3, 11))):
-        nu = Characteristic(top, bottom)
-        table = theta_shift_table(nu, w, tau, 3)
-        assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
-    info = theta_module._table_axis.cache_info()
+    chars = [Characteristic((F(1, 3), F(-4, 3)), bottom)
+             for bottom in ((F(2, 3), F(1, 7)), (F(-5, 3), F(3, 11)))]
+    _clear_axes()
+    warm = [theta_shift_table(nu, w, tau, 3).tobytes() for nu in chars]
+    info = theta_module._axis.cache_info()
     assert (info.misses, info.hits) == (2, 2)
+    # The second table, made on the first one's axes, has the bits of
+    # its own cold call.
+    for nu, table in zip(chars, warm):
+        _clear_axes()
+        assert theta_shift_table(nu, w, tau, 3).tobytes() == table
 
 
 def _abs_term_sum(top, w, tau, lam):
@@ -285,19 +311,17 @@ def test_large_tops_give_per_shift_theta_values(n, g, j):
 
 
 def test_plan_cache_is_bounded():
-    """theta() fills _axis and the lambda = 3 shift tables _table_axis,
-    each up to its own size."""
+    """theta() and the lambda = 3 shift tables each fill _axis up to its
+    size, and no further."""
     tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
-    _clear_axes()
-    for cache, call in ((theta_module._axis, lambda nu: theta(nu, 0.1j, tau)),
-                        (theta_module._table_axis,
-                         lambda nu: theta_shift_table(nu, 0.1j, tau, 3))):
-        size = cache.cache_info().maxsize
+    size = theta_module._axis.cache_info().maxsize
+    assert size == theta_module._PLAN_CACHE_SIZE
+    for call in (lambda nu: theta(nu, 0.1j, tau),
+                 lambda nu: theta_shift_table(nu, 0.1j, tau, 3)):
+        _clear_axes()
         for k in range(size + 5):
             call(Characteristic((F(k, size + 5),), (F(0),)))
-        assert cache.cache_info().currsize == size
-    assert theta_module._axis.cache_info().currsize == theta_module._PLAN_CACHE_SIZE
-    assert theta_module._table_axis.cache_info().currsize == theta_module._TABLE_CACHE_SIZE
+        assert theta_module._axis.cache_info().currsize == size
 
 
 def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():
@@ -314,36 +338,34 @@ def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():
     assert (info.misses, info.hits, info.currsize) == (252, 252, 252)
 
 
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(lam=st.integers(2, 7), radius=st.integers(1, 8),
-       top=st.lists(st.fractions(-3, 3, max_denominator=12), min_size=1, max_size=3))
-def test_no_shift_table_axis_enters_the_theta_axis_cache(lam, radius, top):
-    """An axis of lambda > 1 comes from _table_axis, and the lambda = 1
-    cache sees none of its lookups; a theta axis goes the other way."""
-    _clear_axes()
-    plan = theta_module._plan(top, radius, lam)
-    assert all(axis.lam == lam for axis in plan)
-    assert theta_module._axis.cache_info().misses + theta_module._axis.cache_info().hits == 0
-    assert theta_module._table_axis.cache_info().currsize == len(set(top))
-    theta_module._plan(top, radius, 1)
-    assert theta_module._table_axis.cache_info().currsize == len(set(top))
-    assert theta_module._axis.cache_info().currsize == len(set(top))
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lam=st.integers(1, 199), radius=st.integers(1, 8),
+       top=st.lists(st.fractions(-40, 40, max_denominator=12), min_size=1, max_size=3))
+def test_no_cached_axis_holds_an_array_longer_than_its_points_or_lambda(lam, radius, top):
+    """Every array an axis caches, its points, residues, phase and the
+    table of theta()'s bound, is at most max(len(ks), lam) long along
+    each dimension: no axis holds a lam^2 or lam^4 array."""
+    for axis in (theta_module._axis(m.numerator, m.denominator, radius, lam) for m in top):
+        axis.v, axis.residues, axis.phase, axis.powers
+        longest = max(len(axis.ks), lam)
+        assert all(max(x.shape) <= longest
+                   for x in vars(axis).values() if isinstance(x, np.ndarray))
 
 
 def test_a_plan_keeps_no_bins_of_a_large_box():
     # At Im tau = 0.06 I the (3, 3) box has radius 16: 97^3 grid points,
     # whose bins would take 7.3 MB.  They are built for the call, and the
     # one axis that the three zero coordinates share keeps no array
-    # longer than its 97 points.  The table has the bits of the unplanned
-    # reference.
+    # longer than its 97 points.  The table made cold has the bits of the
+    # table made on the cached axis.
     nu = Characteristic.zero(3)
     w, tau = np.array([0.1, -0.2, 0.3 + 0j]), PeriodMatrix(0.06j * np.eye(3))
-    theta_module._table_axis.cache_clear()
+    _clear_axes()
     table = theta_shift_table(nu, w, tau, 3)
-    info = theta_module._table_axis.cache_info()
+    info = theta_module._axis.cache_info()
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-    axis = theta_module._table_axis(0, 1, 16, 3)
+    axis = theta_module._axis(0, 1, 16, 3)
     arrays = [x for x in vars(axis).values() if isinstance(x, np.ndarray)]
     assert len(arrays) == 3 and len(axis.ks) == 97
     assert max(x.size for x in arrays) == 97
-    assert table.tobytes() == _shift_table_unplanned(nu, w, tau, 3).tobytes()
+    assert theta_shift_table(nu, w, tau, 3).tobytes() == table.tobytes()

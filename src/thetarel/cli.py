@@ -6,8 +6,11 @@ coefficient), suite (curated identity checks), table (cycle numbers).
 
 Exit codes: 0 pass, 1 identity failure, 2 evaluation failure
 (truncation, or a lattice-sum box too large to allocate), 64 usage
-error.  An invalid --n, --g or --mu is reported
-with the message of RelationSpec or Characteristic.parse.  The parser
+error (also an --out file or a stdout that cannot be written), 141
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) with
+nothing on stderr when the reader of stdout has closed it.  An invalid
+--n, --g or --mu is reported with the message of RelationSpec or
+Characteristic.parse.  The parser
 alone refuses every other invalid option: a --format outside the
 choices of its subcommand (latex is emit's only), a --trials below 1,
 a negative --seed, and a --tol that is negative or not finite.
@@ -47,6 +50,7 @@ EXIT_PASS = 0
 EXIT_IDENTITY_FAIL = 1
 EXIT_EVAL_FAIL = 2
 EXIT_USAGE = 64
+EXIT_CLOSED_STDOUT = 141
 
 
 class UsageError(Exception):
@@ -212,7 +216,9 @@ def _parse_tau(text: str, genus: int) -> PeriodMatrix:
 def _write(texts: tuple[str, ...], out: Optional[str]) -> None:
     """Writes texts in order to out, or to stdout.  A long document and
     its final newline are two texts, so the document is not copied to
-    append one."""
+    append one.  A write error raises UsageError, but BrokenPipeError on
+    stdout, whose reader has closed it; after an error on stdout, stdout
+    is the null device."""
     if out:
         try:
             with open(out, "w", encoding="utf-8") as fh:
@@ -220,7 +226,18 @@ def _write(texts: tuple[str, ...], out: Optional[str]) -> None:
         except OSError as exc:
             raise UsageError(f"cannot write {out!r}: {exc.strerror or exc}") from None
     else:
-        sys.stdout.writelines(texts)
+        try:
+            sys.stdout.writelines(texts)
+            sys.stdout.flush()
+        except OSError as exc:
+            # What is left in the buffer goes nowhere, so that the
+            # interpreter's last flush cannot fail again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                raise
+            raise UsageError(f"cannot write to stdout: {exc.strerror or exc}") from None
 
 
 def _cmd_emit(args) -> tuple[tuple[str, ...], int]:
@@ -325,6 +342,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except UsageError as exc:
         print(f"thetarel: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        return EXIT_CLOSED_STDOUT
     except TruncationError as exc:
         # verify refuses a spec whose smallest boxes are too large.
         print(f"thetarel: error: {exc}", file=sys.stderr)

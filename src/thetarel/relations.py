@@ -108,10 +108,10 @@ only, so RelationSpec._rows derives each half once per digit vector, as
 Fractions (_digit_table, for the terms of a Relation) or as texts
 (_text_rows for JSON and text, _latex_rows for LaTeX); term (c, b)
 pairs top row c with bottom row b.  Every
-relation output is written by _write_terms, one block per top row c:
-a writer with the texts of c baked in (a % template for the texts of
-JSON, LaTeX and text, a dict builder for the object API) is mapped
-over the bottom rows and the exponent texts of the block.  The fields
+relation output is written by _write_terms, one block per top row c,
+from a writer given the texts of c: a template for JSON, LaTeX and
+text, whose block is one join (_interleave), or a dict builder for the
+object API, mapped over the terms.  The fields
 of a JSON row are named only by _json_row, and this module writes no
 JSON text: render.dumps alone lays out every row, the command line's
 from a template it makes of one _json_row prototype per document, and
@@ -140,6 +140,7 @@ import enum
 import functools
 import itertools
 import math
+import re
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -524,22 +525,22 @@ def _write_terms(
     writer: Callable,
     rows: Optional[tuple[list, list]] = None,
     exponent: Callable = str,
-) -> Iterator[Iterator]:
+    sep: str = "",
+) -> Iterator:
     """The one row writer of relation outputs: for each top digit row c,
-    in order, one block of the terms (c, b), b in order.  writer(top row
-    c) is called once per block, with the top texts of c; what it returns
-    is mapped over the terms' (shift text, exponent text, *nu_shifted
-    bottom texts).  A % template with the top texts baked in is such a
-    writer, through its __mod__, so a term costs one C-level format call.
+    in order, the block of the terms (c, b), b in order, with their texts
+    (shift, exponent, *nu_shifted bottoms).  writer(top texts of c) is
+    called once per block.  A callable it returns is mapped over the
+    terms.  A template, one slot per text, "%s" or "%.0s" (not written),
+    or for the shift "%<width>s", and no other "%", gives the block as
+    sep.join(template % texts), by one _interleave; the slots are read
+    from the first block's template.
 
-    Rows come from rows, a spec._rows table of texts, by default
-    spec._text_rows.  Its texts hold no "%", so they can be baked into a
-    template; those of spec._text_rows hold only digits, "-", "/", ","
-    and ";", so JSON writes each one quoted as it is
-    (encode_basestring_ascii(t) == '"' + t + '"').  Each distinct
-    exponent is formatted once, by exponent.  Raises TypeError for terms
-    that are not a Relation and ValueError for a Relation of another
-    spec."""
+    Rows come from rows, a spec._rows table of texts with no "%", by
+    default spec._text_rows, whose texts (digits, "-", "/", "," and ";")
+    JSON writes quoted as they are.  Each distinct exponent is formatted
+    once, by exponent.  Raises TypeError for terms that are not a
+    Relation and ValueError for a Relation of another spec."""
     if not isinstance(terms, Relation):
         raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
     if terms.spec != spec:
@@ -551,11 +552,52 @@ def _write_terms(
     # The bottom texts by column: the shift halves, then those of each nu_j.
     shifts, *nus = zip(*bottoms)
     width = len(shifts)
-    return (
-        map(writer(top), zip(map(top[0].__add__, shifts),
-                             exponents[c * width:(c + 1) * width], *nus))
-        for c, top in enumerate(tops)
-    )
+
+    def blocks():
+        slots = None
+        for c, top in enumerate(tops):
+            write = writer(top)
+            rest = exponents[c * width:(c + 1) * width], *nus
+            if type(write) is not str:
+                yield map(write, zip(map(top[0].__add__, shifts), *rest))
+                continue
+            if slots is None:
+                slots = re.findall("%[.0-9]*s", write)
+                keep, pads = [s != "%.0s" for s in slots[1:]], {}
+                w = None if slots[0] == "%.0s" else int(slots[0][1:-1] or 0)
+            pieces = write.replace("%.0s", "").replace(slots[0], "%s", 1).split("%s")
+            columns = list(itertools.compress(rest, keep))
+            # The top text of a shift is a piece; its padding depends on two lengths.
+            head = len(top[0])
+            if w == 0:
+                pieces[0] += top[0]
+                columns.insert(0, shifts)
+            elif w:
+                if head not in pads:
+                    pads[head] = [" " * (w - head - len(s)) for s in shifts]
+                pieces.insert(1, top[0])
+                columns[:0] = pads[head], shifts
+            yield _interleave(pieces, columns, sep)
+
+    return blocks()
+
+
+def _interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], sep: str) -> str:
+    """sep.join(template % texts for texts in zip(*columns)), template
+    "%s".join(pieces) ("%" in no piece), by one join: a list product
+    lays out the pieces, and each column fills its places by one slice
+    assignment, so no call is made per row.  At least one column."""
+    k, count = len(columns), len(columns[0])
+    if not count:
+        return ""
+    row = [None] * (2 * k)
+    row[::2] = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
+    flat = row * count
+    flat[0] = pieces[0]
+    flat.append(pieces[-1])
+    for j, column in enumerate(columns):
+        flat[2 * j + 1::2 * k] = column
+    return "".join(flat)
 
 
 def _as_arg_tuple(spec_n: int, genus: int, z) -> tuple[np.ndarray, ...]:

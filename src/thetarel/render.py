@@ -9,7 +9,7 @@ e[p/q] otherwise.
 
 The JSON, LaTeX and text renderers take a Relation (what
 build_relation returns) and write it through relations._write_terms,
-one % template per top digit row (LaTeX, text) or the dict rows of the
+from one template per top digit row, or from the dict rows of the
 object API (terms_to_json_obj).  dumps is the one JSON writer and owns
 every layout, written by _write into one list of strings, one call per
 level of nesting; relations._json_row owns the fields of a term row.  The
@@ -17,8 +17,8 @@ level of nesting; relations._json_row owns the fields of a term row.  The
 dumps writes through _write_json_rows: its template is dumps of one
 _json_row prototype, so the rows have the bytes of the dict rows.  A
 list of flat records, such as those dict rows, dumps writes by
-_write_records from one template made the same way (_row_template), a
-column at a time; any other list it walks item by item.
+_write_records from one template made the same way (_row_template), by
+relations._interleave; any other list it walks item by item.
 
 parse_terms_json checks a document in the layout dumps writes by its
 bytes, against dumps of the rebuilt document, decoding only its "spec";
@@ -40,6 +40,7 @@ from .relations import (
     Relation,
     RelationSpec,
     _JsonRows,
+    _interleave,
     _json_row,
     _terms_json_obj,
     _write_terms,
@@ -151,9 +152,9 @@ def _write_records(rows, pad: str) -> str | None:
     the str keys of the first row, in its order, none of them holding
     "%", whose value at each key is a str, or a list of as many strs, as
     the first row's is.  The first row decides whether the others are
-    looked at.  The rows are written from one % template, _row_template
-    of a placeholder row, each column of texts taken and encoded by
-    C-level maps, so a row costs one format call."""
+    looked at.  The rows are written from one template, _row_template of
+    a placeholder row, by _interleave, each column of texts taken and
+    encoded by C-level maps, so no call is made per row."""
     # The length of each list value of the first row, None for a str.
     lengths = {}
     for key, value in rows[0].items():
@@ -187,25 +188,22 @@ def _write_records(rows, pad: str) -> str | None:
     proto = {key: "%s" if length is None else ["%s"] * length for key, length in lengths.items()}
     head, *tails = _row_template(proto, pad).split('"%s"')
     template = head + "".join(('"%s"' if p else "%s") + tail for p, tail in zip(plain, tails))
-    texts = zip(*[column if p else map(_encode_str, column) for p, column in zip(plain, columns)])
-    return ",\n".join(map(template.__mod__, texts))
+    return _interleave(template.split("%s"), [
+        column if p else list(map(_encode_str, column)) for p, column in zip(plain, columns)], ",\n")
 
 
 def _write_json_rows(rows: _JsonRows, pad: str) -> Iterator[str]:
     """The text of dumps(list(rows)) at the padding pad, one chunk per
     top digit row, with no dict per term.  The template is dumps of one
     _json_row prototype, built once: "%s" for each top text, "%%s" for
-    each term text.  Formatting it with the top texts of a row gives the
-    % template of the row's terms (_write_terms: no row text holds %)."""
+    each term text.  Formatted with the top texts of a row, it is the
+    _write_terms template of the row's terms."""
     spec = rows.spec
     template = _row_template(_json_row(("%s",) * (spec.n + 1))(("%%s",) * (spec.n + 2)), pad)
-
-    def writer(top):
-        return (template % top[1:]).__mod__
-
-    for c, block in enumerate(_write_terms(spec, rows.terms, writer)):
+    blocks = _write_terms(spec, rows.terms, lambda top: template % top[1:], sep=",\n")
+    for c, block in enumerate(blocks):
         yield ",\n" if c else "[\n"
-        yield ",\n".join(block)
+        yield block
     yield "\n" + pad + "]"
 
 
@@ -344,18 +342,16 @@ def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
     abbreviated = all(v == spec._nu[0] for v in spec._nu)
 
     def writer(top):
-        # "%.0s" takes the shift text and writes nothing.
+        # "%.0s": no shift, nor a stack after an abbreviated term's first.
         stacks = [t + "%s" for t in top[1:]]
         body = stacks[0] + "%.0s" * (len(stacks) - 1) if abbreviated else "".join(stacks)
-        return ("%.0s%s" + body).__mod__
+        return "%.0s%s" + body
 
-    pieces = itertools.chain.from_iterable(_write_terms(
-        spec, terms, writer, spec._latex_rows,
-        lambda e: "%s %s" % _latex_coefficient(e, spec.lam)))
-    # A leading "+" is not written.  One join writes the whole fragment:
-    # at (7,2) a copy of the 1 MB text took a quarter of the call's time.
-    first = next(pieces).removeprefix("+ ")
-    return " ".join(itertools.chain((lhs, "=", first), pieces))
+    blocks = list(_write_terms(spec, terms, writer, spec._latex_rows,
+                               lambda e: "%s %s" % _latex_coefficient(e, spec.lam), " "))
+    # A leading "+" is not written.  One join writes the whole fragment.
+    blocks[0] = blocks[0].removeprefix("+ ")
+    return " ".join((lhs, "=", *blocks))
 
 
 def terms_to_text(spec: RelationSpec, terms: Relation) -> str:
@@ -366,7 +362,8 @@ def terms_to_text(spec: RelationSpec, terms: Relation) -> str:
     )
 
     def writer(top):
-        return ("%16s  %10s  " + " ".join(t + "%s" for t in top[1:])).__mod__
+        return "%16s  %s  " + " ".join(t + "%s" for t in top[1:])
 
-    # One join, as in relation_to_latex; the last "" ends the text with "\n".
-    return "\n".join(itertools.chain(head, *_write_terms(spec, terms, writer), ("",)))
+    # Each distinct exponent is padded once; the last "" ends the text with "\n".
+    blocks = _write_terms(spec, terms, writer, exponent=lambda e: str(e).rjust(10), sep="\n")
+    return "\n".join((*head, *blocks, ""))

@@ -1,6 +1,13 @@
 import os
 
-import numpy as np
+# One BLAS thread per test process, where the caller has not chosen a
+# count: a BLAS library reads these once, when numpy is first imported,
+# and otherwise may start a thread per CPU in each process, which slows
+# the wall-clock tests of a second process on the same host.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 
 from thetarel import EvalSettings, PeriodMatrix, TrialSampler

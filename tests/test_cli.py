@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -537,6 +538,43 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("thetarel: error: cannot write") and err.count("\n") == 1
     assert not target.parent.exists()
+
+
+def _thetarel(*argv, **kwargs):
+    return subprocess.Popen([sys.executable, "-m", "thetarel", *argv], stderr=subprocess.PIPE,
+                            **kwargs)
+
+
+def test_stdout_closed_by_its_reader_ends_quietly():
+    """A reader that closes the pipe after 10 bytes of a 1 MB document
+    (emit --n 7 --g 2 | head -c 10) gets no traceback on stderr, and the
+    command exits 141, as a process ended by SIGPIPE."""
+    proc = _thetarel("emit", "--n", "7", "--g", "2", "--format", "json", stdout=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
+
+
+def test_stdout_closed_before_a_short_document_ends_quietly():
+    # The document fits the buffer, so the error comes on its flush.
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _thetarel("table", stdout=write)
+    finally:
+        os.close(write)
+    _, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (cli.EXIT_CLOSED_STDOUT, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_unwritable_stdout_is_usage_error():
+    with open("/dev/full", "w") as full:
+        proc = _thetarel("emit", "--n", "3", stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 64
+    assert err.startswith(b"thetarel: error: cannot write to stdout") and err.count(b"\n") == 1
 
 
 def test_unknown_command_usage_error(capsys):

@@ -188,9 +188,9 @@ def test_term_by_term_oracle_sees_two_swapped_coordinates(fmt, monkeypatch):
     relation = build_relation(spec)
     write_terms = relations._write_terms
 
-    def swapped(spec, terms, writer, *args):
+    def swapped(spec, terms, writer, *args, **kwargs):
         return write_terms(
-            spec, terms, lambda top: writer((top[0], top[2], top[1], *top[3:])), *args)
+            spec, terms, lambda top: writer((top[0], top[2], top[1], *top[3:])), *args, **kwargs)
 
     for module in (relations, render):
         monkeypatch.setattr(module, "_write_terms", swapped)
@@ -422,6 +422,69 @@ def test_json_row_writer_writes_the_dumps_of_the_rows(key, indent):
     rows = relations._JsonRows(spec, build_relation(spec))
     pad = " " * indent
     assert "".join(render._write_json_rows(rows, pad)) == dumps(list(rows), indent)
+
+
+# Texts that JSON escapes (quote, backslash, control and non-ASCII
+# characters) and "%", which a % template would read as a slot.
+_JOIN_TEXT = st.text(st.sampled_from(['a', '1', '/', ';', '"', '\\', '\n', '\x00', 'é', '%']),
+                     max_size=6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 12).flatmap(lambda slots: st.tuples(
+    st.lists(_JOIN_TEXT, min_size=slots + 1, max_size=slots + 1),
+    st.integers(1, 40).flatmap(lambda width: st.lists(
+        st.lists(_JOIN_TEXT, min_size=width, max_size=width), min_size=slots, max_size=slots)),
+    st.sampled_from(["", " ", "\n", ",\n"]))))
+def test_interleave_writes_the_format_of_every_row(case):
+    pieces, columns, sep = case
+    template = "%s".join(piece.replace("%", "%%") for piece in pieces)
+    expected = sep.join(template % texts for texts in zip(*columns))
+    assert relations._interleave(pieces, columns, sep) == expected
+
+
+def test_interleave_of_no_rows_is_empty_and_of_ragged_columns_raises():
+    assert relations._interleave(["<", ">"], [[]], ",") == ""
+    with pytest.raises(ValueError):
+        relations._interleave(["<", "|", ">"], [["a", "b"], ["c"]], ",")
+
+
+HUGE = F(10**40 + 1, 3)
+EDGE_SPECS = {
+    # lambda = 1: the relation has one term, so each block has one row.
+    "2-1": RelationSpec.create(2, 1),
+    "2-2-mixed": RelationSpec.create(2, 2, _mixed_mu(2, 2)),
+    # lambda = 2; at g = 3 a shift text has 23 characters, over the 16
+    # of the text format's column.
+    "4-1": RelationSpec.create(4, 1),
+    "4-3-naive": RelationSpec.create(4, 3, mode=CoefficientMode.NAIVE),
+    "3-2-huge": RelationSpec.create(3, 2, [
+        Characteristic((HUGE, -HUGE), (F(-(10**30), 7), F(5, 3))),
+        Characteristic((F(-9, 4), F(0)), (HUGE, F(-1, 11))),
+        Characteristic((F(1, 3), -HUGE), (F(2, 3), HUGE)),
+    ]),
+    "3-2-huge-equal": RelationSpec.create(3, 2, [Characteristic((HUGE, -HUGE), (-HUGE, HUGE))] * 3),
+}
+
+
+@pytest.mark.parametrize("fmt", RENDERERS)
+@pytest.mark.parametrize("key", EDGE_SPECS)
+def test_edge_relations_match_term_by_term(key, fmt, assert_same):
+    spec = EDGE_SPECS[key]
+    relation = build_relation(spec)
+    assert_same(RENDERERS[fmt](spec, relation), BY_TERM[fmt](spec, relation))
+
+
+def test_edge_relations_reach_the_edges():
+    terms = {key: build_relation(spec) for key, spec in EDGE_SPECS.items()}
+    assert len(terms["2-1"]) == 1 and len(terms["4-1"]) == 4
+    shifts = [text for _, text, _ in _terms_written_out(EDGE_SPECS["4-3-naive"], terms["4-3-naive"])]
+    assert max(map(len, shifts)) > 16
+    # The LaTeX of equal nu_j abbreviates each term to one stack, and not otherwise.
+    abbreviated = {key for key, spec in EDGE_SPECS.items() if len(set(spec._nu)) == 1}
+    assert {"3-2-huge-equal", "2-1"} <= abbreviated and "3-2-huge" not in abbreviated
+    # Negative nu_shifted texts of 40 digits and more.
+    assert re.search(r" -\d{40}", terms_to_text(EDGE_SPECS["3-2-huge"], terms["3-2-huge"]))
 
 
 def _spec_argv(spec):

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thetarel import (
     Characteristic,
@@ -341,15 +341,20 @@ def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():
 @settings(max_examples=60, derandomize=True, deadline=None)
 @given(lam=st.integers(1, 199), radius=st.integers(1, 8),
        top=st.lists(st.fractions(-40, 40, max_denominator=12), min_size=1, max_size=3))
+# Two points and lambda = 1: the (3, 2) table of theta()'s bound is
+# longer than both along its first dimension.
+@example(lam=1, radius=1, top=[Fraction(1, 2)])
 def test_no_cached_axis_holds_an_array_longer_than_its_points_or_lambda(lam, radius, top):
-    """Every array an axis caches, its points, residues, phase and the
-    table of theta()'s bound, is at most max(len(ks), lam) long along
-    each dimension: no axis holds a lam^2 or lam^4 array."""
+    """Every array an axis caches, its points, residues and phase, is at
+    most max(len(ks), lam) long along each dimension, and the table of
+    theta()'s bound is (3, len(v)): no axis holds a lam^2 or lam^4
+    array."""
     for axis in (theta_module._axis(m.numerator, m.denominator, radius, lam) for m in top):
         axis.v, axis.residues, axis.phase, axis.powers
         longest = max(len(axis.ks), lam)
-        assert all(max(x.shape) <= longest
-                   for x in vars(axis).values() if isinstance(x, np.ndarray))
+        assert axis.powers.shape == (3, len(axis.v))
+        assert all(max(x.shape) <= longest for x in vars(axis).values()
+                   if isinstance(x, np.ndarray) and x is not axis.powers)
 
 
 def test_a_plan_keeps_no_bins_of_a_large_box():

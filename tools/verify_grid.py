@@ -17,7 +17,11 @@ terms_to_json_obj of what it returns, checked once against that text
 and reported the same way, as ms per round trip, and report_ms times
 dumps of the cell's verify report, built as the verify command builds
 it from the reports of the untimed run and checked once against the
-stdout of `verify --n N --g G --trials T`.  theta_us times the
+stdout of `verify --n N --g G --trials T`.  emit_ms times the three
+command-line renderers of the cell's relation, each writing the stdout
+of `emit --n N --g G --format F` for F = json, latex and text, against
+which each is checked once, and is reported the same way, as ms for
+the three documents.  theta_us times the
 lattice sums alone: theta(mu_j, z_j, tau), with its rounding bound, for
 the cell's n zero characteristics mu_j at the arguments and tau of its
 first sampler trial, T times over per timed call, reported the same way
@@ -98,6 +102,20 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
             cli.main([*argv, "--n", str(n), "--g", str(g)])
         return out.getvalue()
 
+    terms = build_relation(spec)
+    renderers = {
+        "json": lambda: render.dumps(_terms_json_obj(spec, terms, written=True)) + "\n",
+        "latex": lambda: render.relation_to_latex(spec, terms) + "\n",
+        "text": lambda: render.terms_to_text(spec, terms),
+    }
+    for fmt, write in renderers.items():
+        if write() != stdout_of("emit", "--format", fmt):
+            raise SystemExit(f"the {fmt} renderer of ({n},{g}) is not the emit command's text")
+
+    def emits():
+        for write in renderers.values():
+            write()
+
     text = stdout_of("emit", "--format", "json")
 
     def roundtrip():
@@ -113,7 +131,7 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
             for mu, z in zip(spec.mu, args):
                 theta(mu, z, tau)
 
-    report = _with_trials(_terms_json_obj(spec, build_relation(spec), written=True),
+    report = _with_trials(_terms_json_obj(spec, terms, written=True),
                           verify(spec, trials), VERIFY_TOL)
     if render.dumps(report) + "\n" != stdout_of("verify", "--trials", str(trials)):
         raise SystemExit(f"the verify report of ({n},{g}) is not the verify command's text")
@@ -121,11 +139,13 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
     normalised, wall = best(lambda: verify(spec, trials))
     render_normalised, render_wall = best(roundtrip)
     report_normalised, report_wall = best(lambda: render.dumps(report))
+    emit_normalised, emit_wall = best(emits)
     theta_normalised = best(thetas)[0]
     threads, config = run._blas_threads()
     return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
             "render_ms": render_normalised * 1e3, "wall_render_ms": render_wall * 1e3,
             "report_ms": report_normalised * 1e3, "wall_report_ms": report_wall * 1e3,
+            "emit_ms": emit_normalised * 1e3, "wall_emit_ms": emit_wall * 1e3,
             "theta_us": theta_normalised * 1e6 / (trials * n),
             "host": {"python": sys.version.split()[0], "numpy": np.__version__,
                      "nproc": os.cpu_count(), "blas_threads": threads, "blas_config": config}}
@@ -170,6 +190,7 @@ def main(argv: list[str]) -> int:
                 print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
                       f"{times['render_ms']:9.3f} ms/round trip, "
                       f"{times['report_ms']:8.3f} ms/report, "
+                      f"{times['emit_ms']:8.3f} ms/emit, "
                       f"{times['theta_us']:8.1f} us/theta", file=sys.stderr)
         for name, each in measured.items():
             runs[name][cell] = {field: statistics.median(t[field] for t in each)
@@ -184,6 +205,9 @@ def main(argv: list[str]) -> int:
         "report_metric": "report rendering: ms per dumps of the verify report of the cell, "
                          "with its trials, as the verify command writes it, best of repeats "
                          "after one run checked against that command's stdout",
+        "emit_metric": "report rendering: ms for the json, latex and text documents of the "
+                       "cell's relation as the emit command writes them, best of repeats after "
+                       "one run checked against that command's stdout",
         "theta_metric": "lattice sums: us per theta(mu_j, z_j, tau) call with its rounding "
                         "bound, the n zero mu_j at the first sampler trial of the cell, trials "
                         "times over per timed call, best of repeats after one untimed pass",

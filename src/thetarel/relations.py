@@ -109,13 +109,15 @@ Fractions (_digit_table, for the terms of a Relation) or as texts
 (_text_rows for JSON and text, _latex_rows for LaTeX); term (c, b)
 pairs top row c with bottom row b.  Every
 relation output is written by _write_terms, one block per top row c,
-from a writer given the texts of c: a template for JSON, LaTeX and
-text, whose block is one join (_interleave), or a dict builder for the
-object API, mapped over the terms.  The fields
-of a JSON row are named only by _json_row, and this module writes no
-JSON text: render.dumps alone lays out every row, the command line's
-from a template it makes of one _json_row prototype per document, and
-the object API's dict rows from a template of their first row.
+from one template read once (_block_template): a block is one % format
+of the top texts of c, one split and one join (_interleave).  The
+object API's dict rows come from such blocks too: _JsonRows writes each
+block with its texts separated by spaces, splits it once and makes its
+rows by one dict comprehension.  The fields of a JSON row are named
+only by that row builder, _json_rows, and this module writes no JSON
+text: render.dumps alone lays out every row, the command line's from a
+template it makes of one _json_rows prototype per document, and the
+object API's dict rows from a template of their first row.
 
 RelationSpec.create returns one shared instance per value (n, genus,
 mu, mode), from a process-wide least-recently-used cache of
@@ -522,25 +524,27 @@ def build_relation(spec: RelationSpec) -> Relation:
 def _write_terms(
     spec: RelationSpec,
     terms: Relation,
-    writer: Callable,
+    template: str,
     rows: Optional[tuple[list, list]] = None,
     exponent: Callable = str,
     sep: str = "",
-) -> Iterator:
+) -> Iterator[str]:
     """The one row writer of relation outputs: for each top digit row c,
-    in order, the block of the terms (c, b), b in order, with their texts
-    (shift, exponent, *nu_shifted bottoms).  writer(top texts of c) is
-    called once per block.  A callable it returns is mapped over the
-    terms.  A template, one slot per text, "%s" or "%.0s" (not written),
-    or for the shift "%<width>s", and no other "%", gives the block as
-    sep.join(template % texts), by one _interleave; the slots are read
-    from the first block's template.
+    in order, the text of the block of the terms (c, b), b in order,
+    sep.join(template % texts) for the texts (shift, exponent,
+    *nu_shifted bottoms) of each term, each text but the exponent led by
+    its top text of c.  template has one slot per text: "%s", "%.0s"
+    (not written, nor is its top text) or, for the shift, "%<width>s";
+    no other "%".  It is read once (_block_template); a block is one %
+    format of its top texts, one split and one _interleave, so no call
+    is made per term.
 
     Rows come from rows, a spec._rows table of texts with no "%", by
     default spec._text_rows, whose texts (digits, "-", "/", "," and ";")
-    JSON writes quoted as they are.  Each distinct exponent is formatted
-    once, by exponent.  Raises TypeError for terms that are not a
-    Relation and ValueError for a Relation of another spec."""
+    JSON writes quoted as they are and none of which holds a space.
+    Each distinct exponent is formatted once, by exponent.  Raises
+    TypeError for terms that are not a Relation and ValueError for a
+    Relation of another spec."""
     if not isinstance(terms, Relation):
         raise TypeError(f"terms must be a Relation, got {type(terms).__name__}")
     if terms.spec != spec:
@@ -549,37 +553,47 @@ def _write_terms(
     den = terms._denominator
     texts = {k: exponent(Fraction(k, den)) for k in set(terms._numerators)}
     exponents = list(map(texts.__getitem__, terms._numerators))
+    fmt, kept, width = _block_template(template)
     # The bottom texts by column: the shift halves, then those of each nu_j.
     shifts, *nus = zip(*bottoms)
-    width = len(shifts)
+    count, pads = len(shifts), {}
+    # The columns of every block; a block sets its paddings and exponents.
+    columns = [(None, shifts, None, *nus)[k] for k in kept]
 
     def blocks():
-        slots = None
         for c, top in enumerate(tops):
-            write = writer(top)
-            rest = exponents[c * width:(c + 1) * width], *nus
-            if type(write) is not str:
-                yield map(write, zip(map(top[0].__add__, shifts), *rest))
-                continue
-            if slots is None:
-                slots = re.findall("%[.0-9]*s", write)
-                keep, pads = [s != "%.0s" for s in slots[1:]], {}
-                w = None if slots[0] == "%.0s" else int(slots[0][1:-1] or 0)
-            pieces = write.replace("%.0s", "").replace(slots[0], "%s", 1).split("%s")
-            columns = list(itertools.compress(rest, keep))
-            # The top text of a shift is a piece; its padding depends on two lengths.
-            head = len(top[0])
-            if w == 0:
-                pieces[0] += top[0]
-                columns.insert(0, shifts)
-            elif w:
+            if width:
+                head = len(top[0])
                 if head not in pads:
-                    pads[head] = [" " * (w - head - len(s)) for s in shifts]
-                pieces.insert(1, top[0])
-                columns[:0] = pads[head], shifts
-            yield _interleave(pieces, columns, sep)
+                    pads[head] = [" " * (width - head - len(s)) for s in shifts]
+                columns[0] = pads[head]
+            if 2 in kept:
+                columns[kept.index(2)] = exponents[c * count:(c + 1) * count]
+            yield _interleave((fmt % top).split("%s"), columns, sep)
 
     return blocks()
+
+
+@functools.lru_cache(maxsize=64)
+def _block_template(template: str) -> tuple[str, tuple[int, ...], int]:
+    """(fmt, kept, width) of a _write_terms template.  fmt % top, for a
+    row of top texts, is the template of that row's block: its pieces,
+    each written text led by its top text, joined by "%s".  kept gives
+    the texts of its columns in order: 1 + the index of a slot, or 0 for
+    the spaces that right-justify a padded shift to width (0 for none),
+    which is written as its padding, its top text and its bottom."""
+    slots = re.findall("%[.0-9]*s", template)
+    pieces = re.split("%[.0-9]*s", template)
+    width = 0 if slots[0] == "%.0s" else int(slots[0][1:-1] or 0)
+    fmt, kept = (pieces[0] + "%%s", [0]) if width else (pieces[0], [])
+    for j, (slot, piece) in enumerate(zip(slots, pieces[1:])):
+        # Each slot but the exponent's takes its top text, in the order of top.
+        head = "" if j == 1 else "%.0s" if slot == "%.0s" else "%s"
+        if slot != "%.0s":
+            head += "%%s"
+            kept.append(j + 1)
+        fmt += head + piece
+    return fmt, tuple(kept), width
 
 
 def _interleave(pieces: Sequence[str], columns: Sequence[Sequence[str]], sep: str) -> str:
@@ -908,21 +922,23 @@ def verify_jacobi_a(
     return _compare(math.prod(v[:4], start=2 + 0j), rhs, zs, tau)
 
 
-def _json_row(top: tuple[str, ...]) -> Callable:
-    """The _write_terms writer of the JSON rows, the one place that names
-    their fields: the dict row of each term of a top row.  The top texts
-    are baked into one % template per block ("%" escaped), which writes
-    a term's n nu_shifted texts joined by spaces, so a term costs one
-    format call and one split: no text of _write_terms holds a space."""
-    nu = ("%.0s%.0s" + " ".join(t.replace("%", "%%") + "%s" for t in top[1:])).__mod__
-    return lambda t: {"shift": t[0], "exponent": t[1], "nu_shifted": nu(t).split(" ")}
+def _json_rows(texts: list[str], n: int) -> list[dict]:
+    """The dict rows of the terms whose texts are texts in order, n + 2
+    per term (shift, exponent, n nu_shifted): the one place that names
+    the fields of a JSON row.  Each row is a new dict with a new
+    nu_shifted list, made by one dict comprehension, no call per row."""
+    k = n + 2
+    return [{"shift": shift, "exponent": exponent, "nu_shifted": texts[i:i + n]}
+            for shift, exponent, i in zip(texts[::k], texts[1::k], range(2, len(texts), k))]
 
 
 @dataclass(frozen=True, eq=False)
 class _JsonRows:
     """The "terms" of a relation document: iterating it gives the
-    _json_row of each term, as terms_to_json_obj holds them and
-    render.parse_terms_json checks them.  The command line passes it to
+    _json_rows of the terms, as terms_to_json_obj holds them and
+    render.parse_terms_json checks them, one block at a time: each block
+    is written by _write_terms with its texts separated by spaces, which
+    none holds, and split once.  The command line passes it to
     render.dumps unlisted, which lays the rows out without the dicts;
     render.dumps writes the listed dict rows as flat records, from a
     template of the same layout."""
@@ -931,7 +947,9 @@ class _JsonRows:
     terms: Relation
 
     def __iter__(self) -> Iterator[dict]:
-        return itertools.chain.from_iterable(_write_terms(self.spec, self.terms, _json_row))
+        n = self.spec.n
+        blocks = _write_terms(self.spec, self.terms, " ".join(["%s"] * (n + 2)), sep=" ")
+        return itertools.chain.from_iterable(_json_rows(block.split(" "), n) for block in blocks)
 
 
 def _terms_json_obj(spec: RelationSpec, terms: Relation, written: bool = False) -> dict:

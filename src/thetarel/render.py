@@ -9,16 +9,18 @@ e[p/q] otherwise.
 
 The JSON, LaTeX and text renderers take a Relation (what
 build_relation returns) and write it through relations._write_terms,
-from one template per top digit row, or from the dict rows of the
-object API (terms_to_json_obj).  dumps is the one JSON writer and owns
-every layout, written by _write into one list of strings, one call per
-level of nesting; relations._json_row owns the fields of a term row.  The
+from one template per document, or from the dict rows of the object
+API (terms_to_json_obj), which relations._JsonRows splits from the same
+writer's block texts.  dumps is the one JSON writer and owns every
+layout, written by _write into one list of strings, one call per level
+of nesting; relations._json_rows owns the fields of a term row.  The
 "terms" of a command-line document are a relations._JsonRows, which
 dumps writes through _write_json_rows: its template is dumps of one
-_json_row prototype, so the rows have the bytes of the dict rows.  A
+_json_rows prototype, so the rows have the bytes of the dict rows.  A
 list of flat records, such as those dict rows, dumps writes by
 _write_records from one template made the same way (_row_template), by
-relations._interleave; any other list it walks item by item.
+relations._interleave, after checking them by whole-list passes
+(_record_columns); any other list it walks item by item.
 
 parse_terms_json checks a document in the layout dumps writes by its
 bytes, against dumps of the rebuilt document, decoding only its "spec";
@@ -41,7 +43,7 @@ from .relations import (
     RelationSpec,
     _JsonRows,
     _interleave,
-    _json_row,
+    _json_rows,
     _terms_json_obj,
     _write_terms,
     build_relation,
@@ -58,10 +60,11 @@ __all__ = [
 
 # What json.dumps(str) calls under its default ensure_ascii=True.
 _encode_str = json.encoder.encode_basestring_ascii
-# The item types of a list of strings only, of dicts only and of lists only.
+# The item types of a list of strings only and of dicts only.
 _STR = {str}
 _DICT = {dict}
-_LIST = {list}
+# The bytes that JSON writes as they are in a string: printable ASCII but '"' and "\\".
+_PLAIN = bytes(sorted(set(range(0x20, 0x7F)) - set(b'"\\')))
 
 
 def _format_float(x: float) -> str:
@@ -152,9 +155,9 @@ def _write_records(rows, pad: str) -> str | None:
     the str keys of the first row, in its order, none of them holding
     "%", whose value at each key is a str, or a list of as many strs, as
     the first row's is.  The first row decides whether the others are
-    looked at.  The rows are written from one template, _row_template of
-    a placeholder row, by _interleave, each column of texts taken and
-    encoded by C-level maps, so no call is made per row."""
+    looked at, by whole-list passes (_record_columns).  The rows are
+    written from one template, _row_template of a placeholder row, by
+    _interleave, so no call is made per row."""
     # The length of each list value of the first row, None for a str.
     lengths = {}
     for key, value in rows[0].items():
@@ -166,25 +169,13 @@ def _write_records(rows, pad: str) -> str | None:
             lengths[key] = len(value)
         else:
             return None
-    keys = tuple(lengths)
-    if set(map(type, itertools.chain.from_iterable(rows))) != _STR or not all(
-            map(keys.__eq__, map(tuple, rows))):
+    columns = _record_columns(rows, lengths)
+    if not columns:
         return None
-    columns = []
-    for key, length in lengths.items():
-        column = list(map(operator.itemgetter(key), rows))
-        if length is None:
-            columns.append(column)
-        elif set(map(type, column)) != _LIST or set(map(len, column)) != {length}:
-            return None
-        else:
-            # By item, not by zip(*column), which holds an iterator per row.
-            columns += (list(map(operator.itemgetter(i), column)) for i in range(length))
-    if not columns or set(map(type, itertools.chain.from_iterable(columns))) != _STR:
-        return None
-    # A column none of whose texts JSON escapes, as the length of their
-    # encoded concatenation shows, is written as it is, in quotes.
-    plain = [len(_encode_str(text := "".join(column))) == len(text) + 2 for column in columns]
+    # A column none of whose texts JSON escapes, as the deletion of its
+    # plain bytes from the concatenation shows, is written as it is, in quotes.
+    plain = [(text := "".join(column)).isascii() and not text.encode().translate(None, _PLAIN)
+             for column in columns]
     proto = {key: "%s" if length is None else ["%s"] * length for key, length in lengths.items()}
     head, *tails = _row_template(proto, pad).split('"%s"')
     template = head + "".join(('"%s"' if p else "%s") + tail for p, tail in zip(plain, tails))
@@ -192,15 +183,48 @@ def _write_records(rows, pad: str) -> str | None:
         column if p else list(map(_encode_str, column)) for p, column in zip(plain, columns)], ",\n")
 
 
+def _record_columns(rows, lengths: dict) -> list[list[str]] | None:
+    """The columns of texts of the rows, in the order of their keys and
+    list items, or None unless each row has the keys of lengths, in its
+    order, each holding a str, or a list of its length of strs: one
+    column per str key and per list item.  Each check is a whole-list
+    pass: the keys of all rows are flattened once and compared with
+    those of lengths repeated, their values flattened once and cut by
+    slices into columns, and each list column flattened once and cut
+    likewise; each list has its types read once (_all_of)."""
+    # Rows of distinct keys each, whose keys together are the keys of
+    # lengths repeated, each hold those keys in their order.
+    keys = list(itertools.chain.from_iterable(rows))
+    if not _all_of(str, keys) or keys != [*lengths] * len(rows):
+        return None
+    values = list(itertools.chain.from_iterable(map(dict.values, rows)))
+    columns = []
+    for j, length in enumerate(lengths.values()):
+        texts = values[j::len(lengths)]
+        if length is not None:
+            if not _all_of(list, texts) or list(map(len, texts)).count(length) != len(texts):
+                return None
+            texts = list(itertools.chain.from_iterable(texts))
+        if not _all_of(str, texts):
+            return None
+        columns += [texts] if length is None else (texts[i::length] for i in range(length))
+    return columns
+
+
+def _all_of(kind: type, items: list) -> bool:
+    """Whether every item is of the type kind exactly, not a subclass:
+    one pass, cheaper than collecting the types into a set."""
+    return list(map(type, items)).count(kind) == len(items)
+
+
 def _write_json_rows(rows: _JsonRows, pad: str) -> Iterator[str]:
     """The text of dumps(list(rows)) at the padding pad, one chunk per
-    top digit row, with no dict per term.  The template is dumps of one
-    _json_row prototype, built once: "%s" for each top text, "%%s" for
-    each term text.  Formatted with the top texts of a row, it is the
-    _write_terms template of the row's terms."""
-    spec = rows.spec
-    template = _row_template(_json_row(("%s",) * (spec.n + 1))(("%%s",) * (spec.n + 2)), pad)
-    blocks = _write_terms(spec, rows.terms, lambda top: template % top[1:], sep=",\n")
+    top digit row, with no dict per term: _write_terms of the template
+    that dumps writes of one _json_rows prototype, built once, whose
+    texts are all "%s"."""
+    n = rows.spec.n
+    template = _row_template(_json_rows(["%s"] * (n + 2), n)[0], pad)
+    blocks = _write_terms(rows.spec, rows.terms, template, sep=",\n")
     for c, block in enumerate(blocks):
         yield ",\n" if c else "[\n"
         yield block
@@ -236,7 +260,7 @@ def parse_terms_json(text: str) -> tuple[RelationSpec, Relation]:
     if type(rows) is not list or len(rows) != spec.lam ** (2 * spec.genus):
         raise ValueError("terms do not match the relation of their spec")
     terms = build_relation(spec)
-    if not all(t == row for t, row in zip(rows, _JsonRows(spec, terms))):
+    if not all(map(operator.eq, rows, _JsonRows(spec, terms))):
         raise ValueError("terms do not match the relation of their spec")
     return spec, terms
 
@@ -265,7 +289,7 @@ def _parse_written(text) -> tuple[RelationSpec, Relation] | None:
             return None
         spec = _spec_of(s, False)
         # No row is shorter than the one whose texts are all empty.
-        shortest = _json_row(("",) * (spec.n + 1))(("",) * (spec.n + 2))
+        shortest = _json_rows([""] * (spec.n + 2), spec.n)[0]
         if spec.lam ** (2 * spec.genus) * len(dumps(shortest, 4)) > len(body):
             return None
         terms = build_relation(spec)
@@ -341,13 +365,9 @@ def relation_to_latex(spec: RelationSpec, terms: Relation) -> str:
     # equal exactly when all nu_j are, for every term alike.
     abbreviated = all(v == spec._nu[0] for v in spec._nu)
 
-    def writer(top):
-        # "%.0s": no shift, nor a stack after an abbreviated term's first.
-        stacks = [t + "%s" for t in top[1:]]
-        body = stacks[0] + "%.0s" * (len(stacks) - 1) if abbreviated else "".join(stacks)
-        return "%.0s%s" + body
-
-    blocks = list(_write_terms(spec, terms, writer, spec._latex_rows,
+    # "%.0s": no shift, nor a stack after an abbreviated term's first.
+    stacks = "%s" + ("%.0s" if abbreviated else "%s") * (spec.n - 1)
+    blocks = list(_write_terms(spec, terms, "%.0s%s" + stacks, spec._latex_rows,
                                lambda e: "%s %s" % _latex_coefficient(e, spec.lam), " "))
     # A leading "+" is not written.  One join writes the whole fragment.
     blocks[0] = blocks[0].removeprefix("+ ")
@@ -361,9 +381,7 @@ def terms_to_text(spec: RelationSpec, terms: Relation) -> str:
         f"{'shift':>16s}  {'exponent':>10s}  nu+a",
     )
 
-    def writer(top):
-        return "%16s  %s  " + " ".join(t + "%s" for t in top[1:])
-
     # Each distinct exponent is padded once; the last "" ends the text with "\n".
-    blocks = _write_terms(spec, terms, writer, exponent=lambda e: str(e).rjust(10), sep="\n")
+    blocks = _write_terms(spec, terms, "%16s  %s  " + " ".join(["%s"] * spec.n),
+                          exponent=lambda e: str(e).rjust(10), sep="\n")
     return "\n".join((*head, *blocks, ""))

@@ -118,7 +118,9 @@ class Shown(str):
 
 record_texts = st.one_of(
     st.text(max_size=6),
-    st.sampled_from(['"', "\\", "é", "\x00", "\U0001f600", "%", "%s", "%%s", "1/3;0"]),
+    # Both ends of the ASCII range that JSON writes unescaped, and their neighbours.
+    st.sampled_from(['"', "\\", "é", "\x00", "\U0001f600", "%", "%s", "%%s", "1/3;0",
+                     "\x1f", "\x7f", " ", "~", "\t"]),
 )
 # How one row of a list of records is spoilt, if at all.  Most near
 # misses make a list that only the general walker may write; some draws

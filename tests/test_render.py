@@ -1,10 +1,13 @@
 """Renderers read a Relation row by row from its spec's row texts; a
 term-by-term formatter of the built terms is their oracle."""
 
+import collections
 import contextlib
 import io
 import json
 import re
+import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
@@ -182,15 +185,16 @@ def test_row_rendering_matches_term_by_term(key, fmt, assert_same):
 @pytest.mark.parametrize("fmt", RENDERERS)
 def test_term_by_term_oracle_sees_two_swapped_coordinates(fmt, monkeypatch):
     """A row writer that exchanges the top texts of nu_1 and nu_2 in every
-    template differs from the oracle, so the oracle is not a copy of
-    what it checks."""
+    block differs from the oracle, so the oracle is not a copy of what it
+    checks."""
     spec = ROW_SPECS["5-2-mixed"]
     relation = build_relation(spec)
     write_terms = relations._write_terms
 
-    def swapped(spec, terms, writer, *args, **kwargs):
-        return write_terms(
-            spec, terms, lambda top: writer((top[0], top[2], top[1], *top[3:])), *args, **kwargs)
+    def swapped(spec, terms, template, rows=None, *args, **kwargs):
+        tops, bottoms = rows or spec._text_rows
+        tops = [(top[0], top[2], top[1], *top[3:]) for top in tops]
+        return write_terms(spec, terms, template, (tops, bottoms), *args, **kwargs)
 
     for module in (relations, render):
         monkeypatch.setattr(module, "_write_terms", swapped)
@@ -285,6 +289,8 @@ def test_public_objects_hold_plain_dict_rows():
         rows = obj["terms"]
         assert type(rows) is list and len(rows) == len(relation)
         assert all(type(row) is dict and type(row["nu_shifted"]) is list for row in rows)
+        # No two rows share a dict or a nu_shifted list.
+        assert len(set(map(id, rows))) == len({id(row["nu_shifted"]) for row in rows}) == len(rows)
         assert json.loads(json.dumps(obj))["terms"] == rows
         # Each row is a fresh mutable dict.
         rows[0]["shift"] = "edited"
@@ -386,33 +392,78 @@ def test_a_document_builds_its_relation_once_whichever_check_reads_it(monkeypatc
         assert calls == [spec]
 
 
+def _most_calls(call) -> int:
+    """The largest number of times one function, Python or built-in, is
+    called while call() runs."""
+    counts = collections.Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            counts[frame.f_code] += 1
+        elif event == "c_call":
+            counts[arg] += 1
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return max(counts.values())
+
+
 def test_command_line_documents_build_no_dict_rows(monkeypatch):
     argvs = (["emit", "--n", "3", "--g", "2", "--format", "json"],
              ["verify", "--n", "3", "--trials", "2"])
     expected = [_run_cli(argv) for argv in argvs]
     calls = []
-    json_row = relations._json_row
+    json_rows = relations._json_rows
 
-    def counted(top):
-        calls.append("top")
-        row = json_row(top)
-
-        def counted_row(t):
-            calls.append("term")
-            return row(t)
-
-        return counted_row
+    def counted(texts, n):
+        calls.append(len(texts) // (n + 2))
+        return json_rows(texts, n)
 
     for module in (relations, render):
-        monkeypatch.setattr(module, "_json_row", counted)
+        monkeypatch.setattr(module, "_json_rows", counted)
     for argv, out in zip(argvs, expected):
         calls.clear()
         assert _run_cli(argv) == out
         # One prototype row per document, for its template; none per term.
-        assert calls == ["top", "term"]
+        assert calls == [1]
     calls.clear()
     terms_to_json_obj(SPECS["3-1"], build_relation(SPECS["3-1"]))
-    assert (calls.count("top"), calls.count("term")) == (3, 9)
+    # The dict rows are built one block of a top row at a time.
+    assert calls == [3, 3, 3]
+
+
+def test_documents_make_no_call_per_term():
+    """Neither the command line's document nor terms_to_json_obj, nor
+    dumps of its rows, calls any function once per term: at (7,2) there
+    are 2,401 terms in 49 blocks of 49."""
+    spec = RelationSpec.create(7, 2)
+    relation = build_relation(spec)
+    argv = ["emit", "--n", "7", "--g", "2", "--format", "json"]
+    out = _run_cli(argv)
+    assert _most_calls(lambda: _run_cli(argv)) < len(relation)
+    assert _most_calls(lambda: dumps(terms_to_json_obj(spec, relation))) < len(relation)
+    assert dumps(terms_to_json_obj(spec, relation)) + "\n" == out
+
+
+def test_object_rows_and_their_dumps_hold_little_beyond_their_size():
+    spec = SPECS["7-2"]
+    relation = build_relation(spec)
+    # The spec's row tables, cached by the first call, are not counted.
+    terms_to_json_obj(spec, relation)
+    tracemalloc.start()
+    try:
+        obj = terms_to_json_obj(spec, relation)
+        rows, peak = tracemalloc.get_traced_memory()
+        assert peak <= 1.1 * rows
+        tracemalloc.reset_peak()
+        text = dumps(obj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - rows <= 3 * len(text)
 
 
 @pytest.mark.parametrize("indent", [0, 2, 5])

@@ -1,5 +1,6 @@
-"""tools/verify_grid.py times verify, the JSON round trip, the verify
-report's dumps and the emit renderers on the (n, g) grid."""
+"""tools/verify_grid.py times verify, the JSON round trip and its object
+half, the verify report's dumps and the emit renderers on the (n, g)
+grid."""
 
 import json
 import subprocess
@@ -22,12 +23,16 @@ def test_one_cell_writes_its_times_and_the_host(tmp_path):
     assert times["ms_per_trial"] > 0 and times["wall_ms_per_trial"] > 0
     assert times["render_ms"] > 0 and times["wall_render_ms"] > 0 and times["theta_us"] > 0
     assert times["report_ms"] > 0 and times["wall_report_ms"] > 0
+    assert times["rows_ms"] > 0 and times["wall_rows_ms"] > 0
+    assert times["records_ms"] > 0 and times["wall_records_ms"] > 0
     assert times["emit_ms"] > 0 and times["wall_emit_ms"] > 0
     assert set(times) == {"ms_per_trial", "wall_ms_per_trial", "render_ms", "wall_render_ms",
                           "report_ms", "wall_report_ms", "emit_ms", "wall_emit_ms", "theta_us",
+                          "rows_ms", "wall_rows_ms", "records_ms", "wall_records_ms",
                           "ms_per_trial_runs"}
     assert times["ms_per_trial_runs"] == [times["ms_per_trial"]]
-    assert {"render_metric", "report_metric", "emit_metric", "theta_metric"} <= set(document)
+    assert {"render_metric", "rows_metric", "records_metric", "report_metric", "emit_metric",
+            "theta_metric"} <= set(document)
 
 
 def test_runs_are_medians_with_every_run_listed(tmp_path):

@@ -14,11 +14,14 @@ Each cell also times the report rendering layer: the JSON round trip of
 the cell's relation as the emit benchmark makes it, parse_terms_json of
 the text of `emit --n N --g G --format json`, then dumps of
 terms_to_json_obj of what it returns, checked once against that text
-and reported the same way, as ms per round trip, and report_ms times
-dumps of the cell's verify report, built as the verify command builds
-it from the reports of the untimed run and checked once against the
-stdout of `verify --n N --g G --trials T`.  emit_ms times the three
-command-line renderers of the cell's relation, each writing the stdout
+and reported the same way, as ms per round trip.  rows_ms and
+records_ms split the object half of that trip: terms_to_json_obj of
+the cell's relation alone, checked once against json.loads of the
+text, and dumps of that object alone, checked once against the text.
+report_ms times dumps of the cell's verify report, built as the verify
+command builds it from the reports of the untimed run and checked once
+against the stdout of `verify --n N --g G --trials T`.  emit_ms times
+the three command-line renderers of the cell's relation, each writing the stdout
 of `emit --n N --g G --format F` for F = json, latex and text, against
 which each is checked once, and is reported the same way, as ms for
 the three documents.  theta_us times the
@@ -123,6 +126,11 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
 
     if roundtrip() != text:
         raise SystemExit(f"the JSON round trip of ({n},{g}) changed the emit text")
+    obj = render.terms_to_json_obj(spec, terms)
+    if obj != json.loads(text):
+        raise SystemExit(f"the object of ({n},{g}) is not the emit text's object")
+    if render.dumps(obj) + "\n" != text:
+        raise SystemExit(f"dumps of the object of ({n},{g}) is not the emit text")
     sampler = TrialSampler()
     args, tau = sampler.draw(sampler.make_rng(), n, g)
 
@@ -138,12 +146,16 @@ def _cell(root: str, n: int, g: int, trials: int, repeats: int) -> dict:
     thetas()
     normalised, wall = best(lambda: verify(spec, trials))
     render_normalised, render_wall = best(roundtrip)
+    rows_normalised, rows_wall = best(lambda: render.terms_to_json_obj(spec, terms))
+    records_normalised, records_wall = best(lambda: render.dumps(obj))
     report_normalised, report_wall = best(lambda: render.dumps(report))
     emit_normalised, emit_wall = best(emits)
     theta_normalised = best(thetas)[0]
     threads, config = run._blas_threads()
     return {"ms_per_trial": normalised * 1e3 / trials, "wall_ms_per_trial": wall * 1e3 / trials,
             "render_ms": render_normalised * 1e3, "wall_render_ms": render_wall * 1e3,
+            "rows_ms": rows_normalised * 1e3, "wall_rows_ms": rows_wall * 1e3,
+            "records_ms": records_normalised * 1e3, "wall_records_ms": records_wall * 1e3,
             "report_ms": report_normalised * 1e3, "wall_report_ms": report_wall * 1e3,
             "emit_ms": emit_normalised * 1e3, "wall_emit_ms": emit_wall * 1e3,
             "theta_us": theta_normalised * 1e6 / (trials * n),
@@ -189,6 +201,8 @@ def main(argv: list[str]) -> int:
                 measured[name].append(times)
                 print(f"{name:>8} ({cell}): {times['ms_per_trial']:9.3f} ms/trial, "
                       f"{times['render_ms']:9.3f} ms/round trip, "
+                      f"{times['rows_ms']:8.3f} ms/rows, "
+                      f"{times['records_ms']:8.3f} ms/records, "
                       f"{times['report_ms']:8.3f} ms/report, "
                       f"{times['emit_ms']:8.3f} ms/emit, "
                       f"{times['theta_us']:8.1f} us/theta", file=sys.stderr)
@@ -202,6 +216,11 @@ def main(argv: list[str]) -> int:
         "render_metric": "report rendering: ms per JSON round trip of the emit text of the "
                          "same relation, dumps(terms_to_json_obj(*parse_terms_json(text))), "
                          "best of repeats after one checked run",
+        "rows_metric": "report rendering: ms per terms_to_json_obj of the cell's relation, "
+                       "the object half of the round trip, best of repeats after one run "
+                       "checked against json.loads of the emit text",
+        "records_metric": "report rendering: ms per dumps of that object, best of repeats "
+                          "after one run checked against the emit text",
         "report_metric": "report rendering: ms per dumps of the verify report of the cell, "
                          "with its trials, as the verify command writes it, best of repeats "
                          "after one run checked against that command's stdout",

@@ -50,26 +50,25 @@ same skipped terms.
 
 What a sum needs of the top mu' alone factors by axis, as the box
 does: per coordinate a, the range of k_a, the points v_a and, for a
-shift table, the residues k_a mod lambda^2 and the phases
-e[b mu'_a / lambda] of its shifts b, and for theta() the table
-[1, |v_a|, |v_a|^2] of its rounding bound.  Each is held by an _Axis,
-built from the key (p, q, radius, lambda) of mu'_a = p/q and kept in
-one process-wide least-recently-used cache, _axis, for every lambda
-(_PLAN_CACHE_SIZE).  The plan of a sum (_plan) is the tuple of its
+shift table, the phases of its shifts b (_Axis.phase), and for theta()
+the table [1, |v_a|, |v_a|^2] of its rounding bound.  Each is held by
+an _Axis, built from the key (p, q, radius, lambda) of mu'_a = p/q and
+kept in one process-wide least-recently-used cache, _axis, for every
+lambda (_PLAN_CACHE_SIZE).  The plan of a sum (_plan) is the tuple of its
 axes.  The key holds four integers, which hash far faster than a
 Fraction; no cache holds a float input, so z, tau and the float mu''
 are used afresh on every call, and characteristics whose tops agree in
 a coordinate share that axis, whatever their bottoms.  An axis is built
 by the same operations whether it comes from the cache or not, and its
 arrays are read-only, so every result is bit-identical cold or warm.
-A shift table's bins are broadcast from the per-axis residues on each
-call, as its grid of terms is from the per-axis v, so no cached array
-is longer than the points of its axis or lambda.  The bins and the
-phases are exact for a top of any size; a large mu'' still loses the
-digits of its float.  _plan refuses a box of more than _MAX_BOX_POINTS
-points with _OversizedBox, a TruncationError, before any array of it,
-even the v of one axis, is allocated: an _Axis is built holding only
-its range of k.
+A shift table's padded buffers are made on each call, as its grid of
+terms is from the per-axis v, so no cached array is longer than the
+points of its axis or lambda.  The pads and the phases are exact for a
+top of any size; a large mu'' still loses the digits of its float.
+_plan refuses a box of more than _MAX_BOX_POINTS points with
+_OversizedBox, a TruncationError, before any array of it, even the v
+of one axis, is allocated: an _Axis is built holding only its range of
+k.
 
 theta() sums one row and builds none: after its checks (_check_row)
 and its search (_search), _box_sum forms the shift z + mu'' by the
@@ -101,19 +100,20 @@ of the kernel, on unstacked arrays, with its bound.  _theta_values and
 _shift_tables stack the rows of one lambda and box shape, up to
 _STACK_POINTS points per stack (_stacks), with (2 pi i) tau and
 (2 pi i)(z + mu'') taken per row.  _theta_values sums each stack with
-_sums; _shift_tables bins a stack's terms by one bincount per part over
-the stacked bins, offset by r lambda^(2g) for row r.  Each axis of a
-table is then mixed as the four-step split of a length-lambda^2 DFT
-(Bailey, J. Supercomputing 4, 1990): a residue r = c + lambda s goes to
-the shift b as e[r b / lambda^2] = e[c b / lambda^2] e[s b / lambda],
-so by one lambda-point DFT over s, one BLAS product per table and axis
-at the one-row shape, then by the twiddle, the chirp e[c b / lambda^2]
-times the axis's phases, elementwise over the stack.  A product
-over stacked tables may sum in another order, and stacked tables were
-measured not bit-identical at g = 1.  Every theta value
-the package takes internally is such a row: both sides of a relation
-check (relations), the values of the identity checks and of
-verify_jacobi_a, and theta_shift_table, which is one row.
+_sums; _shift_tables folds each stack one axis at a time (_fold).  An
+axis of the box holds k = k0 + j, j < L, and for k = lambda (k0 div
+lambda + u) + c, e[k b / lambda^2] = e[(k0 div lambda + u) b / lambda]
+e[c b / lambda^2].  So each row's terms go into a zero buffer
+left-padded by k0 mod lambda, where slot lambda u + c holds that k; one
+np.matmul, batched over the rows, contracts u against e[(k0 div lambda
++ u) b / lambda]; and once every axis is folded, a twiddle,
+e[c b / lambda^2] times the axis's phase, is applied elementwise over
+the stack.  Each row's product keeps its one-row shape: one product
+over all the columns of a stack was measured to sum in another order
+by column position.  Every theta value the package takes internally
+is such a row: both sides of a relation check (relations), the values
+of the identity checks and of verify_jacobi_a, and theta_shift_table,
+which is one row.
 """
 
 from __future__ import annotations
@@ -155,24 +155,23 @@ TARGET_ABS_ERROR = 1e-13    # what the tail envelope of every radius must meet
 # 1.3 MB.  theta-eval's fresh tops p/q, q <= 6, at radii 4 to 16 touch
 # 76 keys in 300 cycles (seed 1; 75 at seed 7919): 16 axes missed 30% of
 # its 13,200 lookups, 256 miss only the first of each key.  A shift
-# table's axis holds v and its residues (16 L) and its phases (16 lam):
-# 6.9 kB at lam = 48 (n = 96) and radius 4, 29 kB at lam = 199.  A verify
+# table's axis holds v (8 L) and its phases (16 lam): 3.8 kB at lam = 48
+# (n = 96) and radius 4, 16 kB at lam = 199.  A verify
 # run looks each axis up once per (side, j, radius), as its sides keep
 # their plans.
 _PLAN_CACHE_SIZE = 256
-# A sum over a box of N points peaks at 48 to 66 bytes per point, as
-# tracemalloc reads it: the temporaries of its exponent (16 bytes each
-# per point), then the zero-padded halving buffer that the terms are
-# exponentiated into or, for a shift table, the grid of terms, the bins
-# and the two parts given to bincount.  Large boxes (3e4 to 3e6 points,
-# g = 2 to 4) read 48.1 to 52.3: sums with or without the rounding
-# bound, and shift tables.  The buffer, the mask of the kept terms
-# (1 byte per point) and the sizes of the bound (8 bytes per point) live
-# after the temporaries of the exponent are freed, so they leave the
-# peak there.  _plan refuses a box of more than _MAX_BOX_POINTS points,
-# which would need more than 1 GiB at 48 bytes per point, before any
-# array of it is allocated.
-_MAX_BOX_POINTS = 2**30 // 48
+# A sum over a box of N points peaks, as tracemalloc reads it, in the
+# three temporaries of its exponent (16 bytes a point each) or just
+# after: theta()'s sum holds the exponent, two masks (1 byte each) and
+# the zero-padded halving buffer (16 to 32 bytes), a shift table its
+# terms and then each fold's padded buffer (_fold).  At g = 1 to 3, with
+# the plan's axes built, tests/test_stacked_rows.py reads 48.6 to 49.0
+# bytes a point for theta()'s sum of just over 2^19 points and 42.7 to
+# 48.3 for lam = 3 shift tables of about 2^19 points, alone or two
+# stacked.  _plan refuses a box of more than _MAX_BOX_POINTS points,
+# which would need over 1 GiB at 50 bytes a point, before any array of
+# it is allocated.
+_MAX_BOX_POINTS = 2**30 // 50
 # A lattice sum exponentiates only the terms whose computed exponent has
 # a real part above _SKIP_EXPONENT = T (_grid_terms): a term below about
 # e^T = 1.9e-22 in modulus is left out of the sum and counted in its
@@ -180,8 +179,8 @@ _MAX_BOX_POINTS = 2**30 // 48
 # e^T (1 + expm1(gamma_{g+7} 2 pi M)) in modulus, a factor within 1e-9
 # of 1 at g <= 3, radius <= 32, tops in [0, 1) and entries of tau, z
 # and mu'' up to 10 in modulus (M < 7.2e4), and the bound adds about e^T
-# at every point.  So a box of _MAX_BOX_POINTS points adds 2^30 / 48 *
-# e^-50 = 4.3e-15 < TARGET_ABS_ERROR / 16 times that factor, and the
+# at every point.  So a box of _MAX_BOX_POINTS points adds 2^30 / 50 *
+# e^-50 = 4.1e-15 < TARGET_ABS_ERROR / 16 times that factor, and the
 # bound stays well under the target; a box the radius search picks adds
 # far less.  A Gaussian box is mostly tail: at g = 3 most points are
 # below e^T.
@@ -377,8 +376,9 @@ class _Axis:
     is read-only.  An axis is built holding only ks, so _plan can refuse
     an oversized box before any array of it exists; v is built on first
     use, and so are powers, which only theta()'s rounding bound reads,
-    and the shift-table fields, so theta() never pays for them and the
-    stacked values of a relation check never pay for powers.
+    and phase, which only a shift table's fold reads, so theta() never
+    pays for the phase and the stacked values of a relation check never
+    pay for powers.
     """
 
     def __init__(self, p: int, q: int, radius: int, lam: int):
@@ -405,16 +405,6 @@ class _Axis:
         np.multiply(powers[1], powers[1], out=powers[2])
         powers.flags.writeable = False
         return powers
-
-    @functools.cached_property
-    def residues(self) -> np.ndarray:
-        """k mod lam^2 for each k of ks, taken of the offsets from
-        k.start, so they fit in int64 however large top_a, and so
-        k.start, is."""
-        sq = self.lam * self.lam
-        residues = (np.arange(len(self.ks)) + self.ks.start % sq) % sq
-        residues.flags.writeable = False
-        return residues
 
     @functools.cached_property
     def phase(self) -> np.ndarray:
@@ -475,20 +465,25 @@ def _grid_terms(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
     into tau and shift before the grid is formed, then the complex exp
     of P where Re P > _SKIP_EXPONENT and an exact zero where Re P is at
     or below it; _sums bounds the terms so skipped.  A NaN exponent is
-    exponentiated, so it still shows in the sum.
+    exponentiated, so it still shows in the sum.  The terms replace the
+    exponent in place.
 
-    With padded, the N terms of each row are exponentiated straight into
-    the first N slots of the halving sum's zero-filled buffer of 2^L,
-    L = ceil(log2 N), raveled along the point axis (_halving_sum), and
-    that buffer is returned.  It is allocated once the exponent's
-    temporaries are freed, as the grid of terms is, so the peak memory
-    of a sum stays that of its exponent."""
+    With padded, the N terms of each row are exponentiated instead
+    straight into the first N slots of the halving sum's zero-filled
+    buffer of 2^L, L = ceil(log2 N), raveled along the point axis
+    (_halving_sum), and that buffer is returned.  It is allocated once
+    the exponent's temporaries are freed, so the peak memory of a sum
+    stays that of its exponent."""
     p = _quadratic(v, (TWO_PI * 1j) * tau, (TWO_PI * 1j) * shift)
-    rows = shift.shape[1:]
-    n = math.prod(len(x) for x in v)
-    buf = np.zeros(((1 << (n - 1).bit_length()) if padded else n,) + rows, dtype=complex)
-    np.exp(p, out=buf[:n].reshape(p.shape), where=~(p.real <= _SKIP_EXPONENT))
-    return buf if padded else buf.reshape(p.shape)
+    if padded:
+        n = math.prod(len(x) for x in v)
+        buf = np.zeros((1 << (n - 1).bit_length(),) + shift.shape[1:], dtype=complex)
+        np.exp(p, out=buf[:n].reshape(p.shape), where=~(p.real <= _SKIP_EXPONENT))
+        return buf
+    skip = p.real <= _SKIP_EXPONENT
+    np.exp(p, out=p, where=~skip)
+    p[skip] = 0
+    return p
 
 
 def _gamma(n: int) -> float:
@@ -558,7 +553,7 @@ def _sums(v: Sequence[np.ndarray], shift: np.ndarray, tau: np.ndarray,
     a kept term takes |t|_1 (c + x_t) of it, its rounding, and a skipped
     one e^T (1 + c + x_t), more than its mass.  Each kept term also adds
     e^T (1 + c + x_t), at most about N e^T in all: under 1e-17 for a box
-    of 50,000 points and 4.3e-15 for a box at _MAX_BOX_POINTS.
+    of 50,000 points and 4.1e-15 for a box at _MAX_BOX_POINTS.
 
     The x_t are bounded without a grid of weights.  expm1 is convex and
     0 at 0, so expm1(x) / x is nondecreasing for x > 0, and M is
@@ -795,10 +790,10 @@ def theta_shift_table(
         T(k) = e[(1/2) v tau . v + v . (w + nu'')].
 
     The terms T(k) are computed once, by the grid kernel theta() uses,
-    and binned by the per-axis residues k_a mod lam^2; per axis, the
-    residue r = c + lam s then goes to the shift b by a lam-point DFT
-    over s and the twiddle e[c b / lam^2 + nu'_a b / lam]; the residues
-    and the phases e[nu'_a b / lam] come from the cached axes
+    and folded one axis at a time (_fold): with k = lam (k0 div lam + u)
+    + c, k0 the first k of the axis, a sum over u of
+    e[(k0 div lam + u) b / lam] and the twiddle e[c b / lam^2 + nu'_a b
+    / lam]; the ranges of k and the phases come from the cached axes
     (nu'_a, R, lam) of _plan.  R comes from the same search as
     theta(), so each entry sums exactly the points theta(nu + a, w)
     sums, and its omitted tail, the same coset's points outside the box
@@ -843,43 +838,48 @@ def _theta_values(rows: Sequence[_Row]) -> list[complex]:
 
 
 def _shift_tables(rows: Sequence[_Row]) -> list[np.ndarray]:
-    """The theta_shift_table of each row, bit for bit.  Each stack's
-    terms are binned by one bincount per part, each row's bins offset by
-    r lam^(2g), which adds every bin's terms in the order of the row's
-    own bincount.  Each axis is then mixed by one np.dot per table, at
-    its one-row shape and order of summation, and one elementwise
-    twiddle over the stack."""
-    tables: list = [None] * len(rows)
+    """The theta_shift_table of each row, bit for bit: each stack's tables
+    from _fold."""
+    tables: dict[int, np.ndarray] = {}
     for index, plans, *stack in _stacks(rows):
-        terms = _grid_terms(*stack).reshape(-1, len(index))
-        g, lam = len(plans[0]), plans[0][0].lam
-        sq = lam * lam
-        size, count = sq**g, len(index) * sq**g
-        # A point's bin reads its residues k_a mod lam^2 as base-lam^2
-        # digits, axis 0 first, offset by r lam^(2g) for row r.
-        digits = [np.stack([axis.residues for axis in axes], axis=1) * sq ** (g - 1 - a)
-                  for a, axes in enumerate(zip(*plans))]
-        bins = (sum(_on_grid(digits)) + size * np.arange(len(plans))).ravel()
-        flat = (np.bincount(bins, terms.real.ravel(), count)
-                + 1j * np.bincount(bins, terms.imag.ravel(), count))
-        # The DFT e[s b / lam] and the chirp e[c b / lam^2] of the stack.
-        kk = np.multiply.outer(np.arange(lam), np.arange(lam))
-        roots = np.exp((TWO_PI * 1j / sq) * np.arange(sq))
-        dft, chirp, mixed = roots[lam * kk % sq], roots[kk], flat
-        for axes in zip(*plans):
-            # Each table's leading residue axis, as (s, c), goes to the end
-            # as (c, b): the DFT over s, one np.dot per table, then the
-            # twiddle, elementwise over the stack.
-            x = np.ascontiguousarray(mixed.reshape(len(index), lam, lam, -1).transpose(0, 3, 2, 1))
-            mixed = np.empty_like(x)
-            for xr, out in zip(x.reshape(len(index), -1, lam), mixed.reshape(len(index), -1, lam)):
-                np.dot(xr, dft, out=out)
-            mixed *= (chirp * np.stack([axis.phase for axis in axes])[:, None, :])[:, None]
-        order = [0, *range(1, 2 * g, 2), *range(2, 2 * g + 1, 2)]
-        mixed = mixed.reshape((-1,) + (lam,) * (2 * g)).transpose(order).reshape(len(index), -1)
-        for i, table in zip(index, mixed):
-            tables[i] = table
-    return tables
+        tables.update(zip(index, _fold(plans, *stack)))
+    return [tables[i] for i in range(len(rows))]
+
+
+def _fold(plans: Sequence[tuple[_Axis, ...]], v: Sequence[np.ndarray], shift: np.ndarray,
+          tau: np.ndarray) -> np.ndarray:
+    """The (R, lam^(2g)) tables of a stack of R rows, its grid of terms
+    folded one axis at a time.  The rows go into a zero buffer, rows
+    first, each left-padded by k0 mod lam, k0 = ks.start, so that slot
+    lam u + c holds k = lam (q + u) + c, q = k0 div lam; then one
+    np.matmul, batched over the rows at each table's one-row shape,
+    contracts u against e[(q + u) b / lam], which is exactly 1 on the
+    block of k = 0, where a small top's largest terms lie.  Once every
+    axis is folded, each is twiddled by e[c b / lam^2] times its phase,
+    elementwise over the stack."""
+    lam, count, g = plans[0][0].lam, len(plans), len(plans[0])
+    b = np.arange(lam)
+    roots = np.exp((TWO_PI * 1j / lam**2) * np.arange(lam**2))
+    dft = roots[lam * (np.outer(b, b) % lam)]
+    x = np.moveaxis(_grid_terms(v, shift, tau), -1, 0)
+    for axes in zip(*plans):
+        # x is (row, k, rest) and leaves as (row, rest, b, c); u blocks
+        # of lam slots hold the axis whatever its pad.
+        rest, u = x.shape[2:], (x.shape[1] + 2 * lam - 2) // lam
+        buf = np.zeros((count, lam * u) + rest, dtype=complex)
+        slots = np.lib.stride_tricks.as_strided(  # [r, p] is row r from slot p on
+            buf, (count, lam) + x.shape[1:], buf.strides[:2] + buf.strides[1:])
+        slots[np.arange(count), [axis.ks.start % lam for axis in axes]] = x
+        x = buf.reshape(count, u, -1).transpose(0, 2, 1)
+        del buf, slots  # the terms, and then the buffer, go once read
+        # Block u of row r holds k = lam (q + u) + c, q = k0 div lam.
+        q = [axis.ks.start // lam % lam for axis in axes]
+        x = np.matmul(x, dft[np.add.outer(q, range(u)) % lam])
+        x = np.moveaxis(x.reshape((count, lam) + rest + (lam,)), 1, -1)
+    for a, axes in enumerate(zip(*plans)):
+        twiddle = roots[np.outer(b, b)] * np.stack([axis.phase for axis in axes])[:, :, None]
+        x *= twiddle.reshape((count,) + (1, 1) * a + (lam, lam) + (1, 1) * (g - 1 - a))
+    return x.transpose(0, *range(2, 2 * g + 1, 2), *range(1, 2 * g, 2)).reshape(count, -1)
 
 
 def theta_constant(

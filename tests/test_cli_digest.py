@@ -2,6 +2,7 @@
 
 import hashlib
 import importlib.util
+import json
 import shlex
 import subprocess
 import sys
@@ -99,3 +100,43 @@ def test_the_second_pass_runs_the_cases_in_reverse_order(monkeypatch, capsys):
     monkeypatch.setattr(tool, "_load_main", lambda root: main)
     assert tool.main(["cli_digest.py"]) == 1
     assert capsys.readouterr().err == f"second pass differs: {shlex.join(before)}\n"
+
+
+def _reporting_main(rel_error, verdict):
+    """A main whose verify argv print a report in the argv's format, with
+    two trials at rel_error, and exit 0 on a pass and 1 otherwise."""
+    def main(argv):
+        if argv[:1] != ["verify"]:
+            return 0
+        if "text" in argv:
+            print("\n".join([*(f"trial {i:3d}  rel_error={rel_error:.3e}  status=ok"
+                               for i in range(2)), f"verdict: {verdict}"]))
+        else:
+            trials = [{"rel_error": rel_error, "status": "ok"}] * 2
+            print(json.dumps({"trials": trials, "verdict": verdict}))
+        return 0 if verdict == "pass" else 1
+    return main
+
+
+def test_the_verdict_listing_keeps_float_changes_out_and_shows_a_flipped_verdict(
+        monkeypatch, capsys):
+    tool = _tool()
+
+    def listing(main, *args):
+        monkeypatch.setattr(tool, "_load_main", lambda root: main)
+        assert tool.main(["cli_digest.py", *args]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    before = listing(_reporting_main(1.25e-15, "pass"), "--verdicts")
+    assert len(before) == len(tool.CASES)
+    assert ('0 status="ok" status="ok" verdict="pass"  verify --n 3 --trials 3 --seed 1 '
+            '--format text') in before
+    # Moved last bits change the digests but not the listing.
+    assert listing(_reporting_main(1.5e-15, "pass"), "--verdicts") == before
+    assert (listing(_reporting_main(1.5e-15, "pass"))
+            != listing(_reporting_main(1.25e-15, "pass")))
+    flipped = listing(_reporting_main(1.25e-15, "fail"), "--verdicts")
+    changed = [case for case, a, b in zip(tool.CASES, before, flipped) if a != b]
+    assert changed and all("verify" in case for case in changed)
+    assert ('1 status="ok" status="ok" verdict="fail"  verify --n 3 --trials 3 --seed 1 '
+            '--format json') in flipped

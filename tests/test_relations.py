@@ -669,16 +669,16 @@ def test_a_drawn_tau_takes_one_eigvalsh(monkeypatch, genus):
 
 @pytest.mark.parametrize("argv, calls, digest", [
     (["--n", "3", "--g", "2", "--trials", "4", "--seed", "7"], 4,
-     "716c01d37bb2516774a60bedafd329d6f7acbdc46d652b2171ad891920f03478"),
+     "2694883ab976f1377ca34ef1f0dee3add4f71bccce0acb37df499c6107a5ae29"),
     (["--n", "5", "--g", "2", "--trials", "3", "--seed", "11", "--mu", "1/5,0;0,2/5",
       *["--mu", "0,0;0,0"] * 4], 3,
-     "d8c9c7f86c5b02786705915fab915620f624028b588e21c50629b17dd512a314"),
-])
+     "bbc6987c62086d77653b3f936bd6078564fbf3128827fe10b6761ceb9d6e4f7f"),
+], ids=["n3-g2-seed7", "n5-g2-seed11"])
 def test_verify_takes_one_eigvalsh_per_trial_and_keeps_its_bytes(
         monkeypatch, capsys, argv, calls, digest):
     # Certifying each drawn tau once, not twice, kept these reports'
-    # bytes; the digests are those of the DFT-and-twiddle shift-table
-    # mixing, whose right sides differ from the dense mix's in the last
+    # bytes; the digests are those of the per-axis fold of the shift
+    # tables, whose right sides differ from the dense mix's in the last
     # bits, with the same statuses and verdicts.
     from thetarel.cli import main
 
@@ -851,7 +851,7 @@ def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
     the cap, are the rows' plans of the first radius: each (side, j,
     radius) plan looks its g axes up once per run, and the report keeps
     the bytes of a run that builds those plans twice (the digest is
-    that of the DFT-and-twiddle shift-table mixing)."""
+    that of the per-axis fold of the shift tables)."""
     theta_module = importlib.import_module("thetarel.theta")
     mu = ["1/2,1/4,0;0,0,0", "3/4,0,1/4;0,0,0", "1/2,3/4,1/2;0,0,0", "3/4,0,1/4;0,0,0",
           "1/2,1/4,1/4;0,0,0", "1/4,0,0;0,0,0", "1/2,1/4,3/4;0,0,0", "0,3/4,1/4;0,0,0"]
@@ -867,4 +867,4 @@ def test_verify_keeps_its_refusal_check_plans_for_the_rows(monkeypatch):
     assert info.hits + info.misses == 3 * sum(len(s[3]) for s in sides) == 90
     text = dumps(relations.relation_report(spec, build_relation(spec), reports, 1e-9))
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "0008d615e3ff4d3d02fc715fa8bb65a3a1f746a495dbc7c1da3cdcf6e98f3cd7")
+        "361b8f25b48c0a540156a90f03858fe3266b483f8a6f397b13d761f507b860e9")

@@ -254,10 +254,10 @@ def test_cold_and_warm_plans_give_the_same_bits(n, g):
 def test_plan_arrays_are_read_only():
     nu = Characteristic((F(1, 3), F(-4, 3)), (F(2, 3), F(1, 7)))
     plan = theta_module._plan(nu.top, 4, 3)
-    arrays = [array for axis in plan for array in (axis.v, axis.residues, axis.phase)]
-    assert len(arrays) == 6
+    arrays = [array for axis in plan for array in (axis.v, axis.phase)]
+    assert len(arrays) == 4
     # An axis holds what (top_a, radius, lam) fixes, and nothing of a bottom.
-    assert all(set(vars(axis)) == {"top", "lam", "ks", "v", "residues", "phase"} for axis in plan)
+    assert all(set(vars(axis)) == {"top", "lam", "ks", "v", "phase"} for axis in plan)
     for array in arrays:
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0
@@ -345,12 +345,12 @@ def test_a_g3_working_set_of_theta_axes_misses_nothing_on_a_second_pass():
 # longer than both along its first dimension.
 @example(lam=1, radius=1, top=[Fraction(1, 2)])
 def test_no_cached_axis_holds_an_array_longer_than_its_points_or_lambda(lam, radius, top):
-    """Every array an axis caches, its points, residues and phase, is at
+    """Every array an axis caches, its points and its phase, is at
     most max(len(ks), lam) long along each dimension, and the table of
     theta()'s bound is (3, len(v)): no axis holds a lam^2 or lam^4
     array."""
     for axis in (theta_module._axis(m.numerator, m.denominator, radius, lam) for m in top):
-        axis.v, axis.residues, axis.phase, axis.powers
+        axis.v, axis.phase, axis.powers
         longest = max(len(axis.ks), lam)
         assert axis.powers.shape == (3, len(axis.v))
         assert all(max(x.shape) <= longest for x in vars(axis).values()
@@ -359,10 +359,10 @@ def test_no_cached_axis_holds_an_array_longer_than_its_points_or_lambda(lam, rad
 
 def test_a_plan_keeps_no_bins_of_a_large_box():
     # At Im tau = 0.06 I the (3, 3) box has radius 16: 97^3 grid points,
-    # whose bins would take 7.3 MB.  They are built for the call, and the
-    # one axis that the three zero coordinates share keeps no array
-    # longer than its 97 points.  The table made cold has the bits of the
-    # table made on the cached axis.
+    # whose terms and fold buffers take over 14 MB.  They are built for
+    # the call, and the one axis that the three zero coordinates share
+    # keeps no array longer than its 97 points.  The table made cold has
+    # the bits of the table made on the cached axis.
     nu = Characteristic.zero(3)
     w, tau = np.array([0.1, -0.2, 0.3 + 0j]), PeriodMatrix(0.06j * np.eye(3))
     _clear_axes()
@@ -371,6 +371,6 @@ def test_a_plan_keeps_no_bins_of_a_large_box():
     assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
     axis = theta_module._axis(0, 1, 16, 3)
     arrays = [x for x in vars(axis).values() if isinstance(x, np.ndarray)]
-    assert len(arrays) == 3 and len(axis.ks) == 97
+    assert len(arrays) == 2 and len(axis.ks) == 97
     assert max(x.size for x in arrays) == 97
     assert theta_shift_table(nu, w, tau, 3).tobytes() == table.tobytes()

@@ -6,6 +6,7 @@ import importlib
 import math
 import tracemalloc
 from dataclasses import fields, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -142,6 +143,39 @@ def test_stacked_sums_match_single_sums_bit_for_bit(n, g, kind, mode, settings):
             == np.array(first.rhs).tobytes())
 
 
+# Integer offsets of the tops j/lam + m below: at radius 2 they give box
+# starts k0 = -(lam (2 + m) + j) that are negative (m = 0, 3), positive
+# (m = -7) and beyond int64 either way (m = +-10^20).
+TOP_OFFSETS = (0, 3, -7, 10**20, -10**20)
+
+
+@pytest.mark.parametrize("lam", [2, 3, 5, 7])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_stack_of_mixed_tops_gives_each_table_its_one_row_bits(g, lam, monkeypatch):
+    """A stack whose rows have different tops j/lam + m (one box shape)
+    gives each table the bits of that row's own one-row _shift_tables
+    call; the box starts of every axis cover every class mod lam."""
+    monkeypatch.setattr(theta_module, "_STACK_POINTS", 2**30)
+    rng = np.random.default_rng([g, lam])
+    (w,), tau = TrialSampler(lam).draw(rng, 1, g)
+    rows = []
+    for i in range(len(TOP_OFFSETS) * lam):
+        top = tuple(Fraction((i + a) % lam, lam) + TOP_OFFSETS[(i + 2 * a) % 5]
+                    for a in range(g))
+        bottom = rng.uniform(-2, 2, g)
+        rows.append(theta_module._Row(theta_module._plan(top, 2, lam), w + bottom,
+                                      tau.entries, 2, 0.0))
+    for axes in zip(*(plan for plan, _, _ in rows)):
+        starts = [axis.ks.start for axis in axes]
+        assert {k % lam for k in starts} == set(range(lam))
+        assert min(starts) < -2**63 and max(starts) > 2**63
+        assert any(-100 < k < 0 for k in starts) and any(0 < k < 100 for k in starts)
+    assert len(list(theta_module._stacks(rows))) == 1
+    tables = theta_module._shift_tables(rows)
+    for row, table in zip(rows, tables):
+        assert table.tobytes() == theta_module._shift_tables([row])[0].tobytes()
+
+
 def _recorded_rows(monkeypatch):
     """The (radius, lam, box shape) of every row relations evaluates: the
     rows a relation check builds from each trial's argument blocks."""
@@ -268,8 +302,8 @@ def test_a_run_holds_the_tables_of_one_chunk_whatever_its_trial_count():
 
 def test_a_box_over_the_cap_is_refused_before_it_is_allocated():
     cap = theta_module._MAX_BOX_POINTS
-    # Refused boxes need at least 1 GiB at 48 bytes per point.
-    assert (cap + 1) * 48 >= 2**30
+    # Refused boxes need at least 1 GiB at 50 bytes per point.
+    assert (cap + 1) * 50 >= 2**30
     tau = PeriodMatrix(1j * np.eye(12))
     zero = Characteristic.zero(12)
     for call in (lambda: theta(zero, np.zeros(12), tau),
@@ -281,6 +315,34 @@ def test_a_box_over_the_cap_is_refused_before_it_is_allocated():
     with pytest.raises(TruncationError, match=f"radius 6 has {13**12} points, "
                        f"above the cap of {cap} points"):
         theta(zero, np.zeros(12), tau)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_a_box_at_the_cap_would_fit_in_1_gib(g, monkeypatch):
+    """theta()'s lattice sum (_box_sum, at a radius past max_radius) of a
+    box of just over 2^19 points, whose halving buffer is then 2^20, and
+    lam = 3 shift tables of about 2^19 points, one row alone and two rows
+    stacked, peak at most 2^30 / _MAX_BOX_POINTS bytes per box point, with
+    the axes of their plans built, as a warm call finds them."""
+    tau, z = 0.01 + 0.05j * np.eye(g), np.full(g, 0.1 + 0j)
+    side = {1: 2**19 + 1, 2: 725, 3: 81}[g]
+    top, radius = (Fraction(0),) * g, (side - 1) // 2
+    for axis in theta_module._plan(top, radius, 1):
+        axis.v, axis.powers
+    _, peak = _peak(theta_module._box_sum, top, (Fraction(1, 5),) * g, z, tau, radius)
+    figures = [peak / side**g]
+    # Boxes of 6 radius + 1 points a side.
+    radius = {1: 87381, 2: 120, 3: 13}[g]
+    rows = [theta_module._Row(theta_module._plan((Fraction(j, 3),) * g, radius, 3), z, tau,
+                              radius, 0.0) for j in range(2)]
+    for axis in (axis for plan, _, _ in rows for axis in plan):
+        axis.v, axis.phase
+    for stacked in rows[:1], rows:
+        monkeypatch.setattr(theta_module, "_STACK_POINTS", len(stacked) * (6 * radius + 1)**g)
+        assert len(list(theta_module._stacks(stacked))) == 1
+        _, peak = _peak(theta_module._shift_tables, stacked)
+        figures.append(peak / (len(stacked) * (6 * radius + 1)**g))
+    assert max(figures) <= 2**30 / theta_module._MAX_BOX_POINTS
 
 
 def test_a_genus_one_axis_over_the_cap_is_refused_before_it_is_allocated():

@@ -1,6 +1,6 @@
 """Digests of the thetarel command line over a fixed set of argv.
 
-Usage: python3 tools/cli_digest.py [ROOT]
+Usage: python3 tools/cli_digest.py [--verdicts] [ROOT]
 
 Imports thetarel.cli from ROOT/src (default: the repository that holds
 this script) and runs every argv of CASES in-process through main().
@@ -65,6 +65,17 @@ If any second-pass digest differs from the first, which is state left
 behind by an earlier run (a cached parser, relation spec or lattice-sum
 plan, say), the argv of each such case goes to stderr and the exit
 status is 1; the printed lines are those of the first pass either way.
+
+With --verdicts, each argv runs once and its line lists, in place of
+the digest, the exit code and then every status, verdict and falsified
+field of its stdout in order: the values of those keys in a JSON
+document, and the status=, verdict: and suite case verdicts of a text
+report.  A change that moves only the last bits of the numbers keeps
+this listing, so such a change is checked with
+
+    diff <(python3 tools/cli_digest.py --verdicts OLD) \
+         <(python3 tools/cli_digest.py --verdicts NEW)
+
 Stdlib only.
 """
 
@@ -73,7 +84,9 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import json
 import os
+import re
 import shlex
 import sys
 from pathlib import Path
@@ -225,8 +238,8 @@ def _load_main(root: Path):
     return cli.main
 
 
-def digest(main, case: list[str]) -> str:
-    """sha256 of the exit code, stdout and stderr of one in-process run."""
+def _run(main, case: list[str]) -> tuple:
+    """(exit code, stdout, stderr) of one in-process run."""
     env = {}
     argv = list(case)
     while argv and "=" in argv[0]:
@@ -249,13 +262,50 @@ def digest(main, case: list[str]) -> str:
             os.environ.pop(name, None)
     if raised:
         print(f"raised {code}: {shlex.join(case)}", file=sys.stderr)
-    blob = f"{code}\0{out.getvalue()}\0{err.getvalue()}"
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return code, out.getvalue(), err.getvalue()
+
+
+def digest(main, case: list[str]) -> str:
+    """sha256 of the exit code, stdout and stderr of one in-process run."""
+    return hashlib.sha256("\0".join(map(str, _run(main, case))).encode()).hexdigest()
+
+
+VERDICT_KEYS = ("status", "verdict", "falsified")
+# status=X of a text trial line, the "verdict: X" line, and the verdict
+# that ends a suite case line.
+TEXT_VERDICTS = re.compile(r"status=(\S+)|^verdict: (\S+)$|\s(pass|fail|eval-failed)$", re.M)
+
+
+def _fields(document) -> list[str]:
+    """key=value for every VERDICT_KEYS key of a JSON document, in order."""
+    if isinstance(document, list):
+        return [f for item in document for f in _fields(item)]
+    if not isinstance(document, dict):
+        return []
+    return [f for key, value in document.items()
+            for f in ([f"{key}={json.dumps(value)}"] if key in VERDICT_KEYS else _fields(value))]
+
+
+def verdicts(main, case: list[str]) -> str:
+    """The exit code, then every status, verdict and falsified field of
+    the stdout of one in-process run."""
+    code, out, _ = _run(main, case)
+    try:
+        fields = _fields(json.loads(out))
+    except ValueError:
+        fields = [f"status={json.dumps(status)}" if status
+                  else f"verdict={json.dumps(verdict or case_verdict)}"
+                  for status, verdict, case_verdict in TEXT_VERDICTS.findall(out)]
+    return " ".join([str(code), *fields])
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parents[1]
+    args = [a for a in argv[1:] if a != "--verdicts"]
+    root = Path(args[0]) if args else Path(__file__).resolve().parents[1]
     cli_main = _load_main(root)
+    if len(args) < len(argv) - 1:
+        print("\n".join(f"{verdicts(cli_main, case)}  {shlex.join(case)}" for case in CASES))
+        return 0
     lines = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in CASES]
     again = [f"{digest(cli_main, case)}  {shlex.join(case)}" for case in reversed(CASES)][::-1]
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()

@@ -85,8 +85,11 @@ order, so every value is bit for bit that of lhs_value and rhs_value,
 and a trial whose search fails is reported "eval-failed".  A verify run
 derives the _side of mu and of nu once and hands them to every check
 it makes, so each (side, j, radius) plan is built once per run, and
-each trial's rows are built from its argument block.  A verify run draws its trials' first attempts in
-the order of a trial-by-trial run (the arguments, then tau, per trial),
+each trial's rows are built from its argument block.  Building the
+sides refuses a spec whose boxes of the first radius, or whose shift
+tables, are too large to hold (theta._side), so verify refuses it
+before it draws.  A verify run draws its trials' first attempts in the
+order of a trial-by-trial run (the arguments, then tau, per trial),
 and checks them in chunks of at most theta._STACK_POINTS shift-table
 entries (or one trial), so the tables it holds at once do not grow with
 the number of trials.  A naive-mode run resamples a trial whose sides
@@ -95,13 +98,9 @@ state after each draw of a chunk, and from the first trial whose sides
 agree on, it rewinds the rng to just after that trial's draw and checks
 one attempt at a time, so at most trials - 1 first attempts are checked
 and dropped.  apply_to_args's product stays one (n, n) @ (n, g)
-product per trial, as the tables' mixing stays one np.dot per table and
-axis: a BLAS product over stacked operands may sum in another order.
-Before drawing, verify refuses a spec whose right side has more than
-_MAX_RIGHT_ENTRIES shift-table entries a trial, then builds the
-lattice-sum plans of the first radius for every mu_j and nu_j into its
-sides, so a spec whose smallest boxes are over theta's cap raises
-TruncationError at once, and no row builds those plans again.
+product per trial, as each table's fold keeps its one-row shape in its
+batched np.matmul: a BLAS product over stacked operands may sum in
+another order.
 
 The top half of nu_j + a depends on c only and the bottom half on b
 only, so RelationSpec._rows derives each half once per digit vector, as
@@ -168,7 +167,6 @@ from .theta import (
     TruncationError,
     _block_rows,
     _min_eig_lower,
-    _plan,
     _shift_tables,
     _side,
     _theta_values,
@@ -211,31 +209,6 @@ MAX_RESAMPLES = 20
 # draw at g = 65 takes about 0.3 ms (2-CPU Xeon), so the cap is reached
 # in about 3 s there.
 _MAX_TAU_DRAWS = 10_000
-# A relation check holds a trial's n shift tables, n lambda^(2g) complex
-# entries of 16 bytes, until its right side is summed; the mixing of the
-# last stack and the products of the sum add to that.  A one-trial
-# verify of a large right side peaks at 18.8 to 27.6 bytes per entry, as
-# tracemalloc reads it: (199, 1) 18.8, (23, 2) 18.9, (9, 3) 25.4 and
-# (11, 3) 27.6.  verify refuses a spec of more than _MAX_RIGHT_ENTRIES
-# entries a trial, which would need more than 1 GiB at 18 bytes per
-# entry, before anything is drawn or allocated: (13, 3), 13^7 entries,
-# is refused, and (11, 3) and (199, 1) run.
-_MAX_RIGHT_ENTRIES = 2**30 // 18
-
-
-class _OversizedRight(TruncationError):
-    """A spec whose right side has more than _MAX_RIGHT_ENTRIES
-    shift-table entries a trial, refused before anything is drawn; radius
-    is the first the search would try, and best_bound inf, as no sum is
-    taken."""
-
-    def __init__(self, entries: int, radius: int):
-        ArithmeticError.__init__(
-            self, f"the right side has {entries} shift-table entries a trial, "
-                  f"above the cap of {_MAX_RIGHT_ENTRIES} entries")
-        self.target, self.best_bound, self.radius = _theta.TARGET_ABS_ERROR, math.inf, radius
-
-
 class CoefficientMode(enum.Enum):
     MODIFIED = "modified"
     NAIVE = "naive"
@@ -780,24 +753,16 @@ def verify(
     first trial whose sides agree on, the rng is rewound to just after
     that trial's draw and the attempts are drawn and checked one at a
     time.  A trial whose radius search fails is reported "eval-failed".  Raises
-    TruncationError, before drawing, when a trial's right side has more
-    than _MAX_RIGHT_ENTRIES shift-table entries, or the box of the first
-    radius of some mu_j or nu_j is over theta's cap.
+    TruncationError, before drawing, when theta._side refuses a side: a
+    box of the first radius of some mu_j or nu_j, or the n shift tables
+    of a trial, too large to hold.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    entries = spec.n * spec.lam ** (2 * spec.genus)
-    if entries > _MAX_RIGHT_ENTRIES:
-        raise _OversizedRight(entries, settings._radii[0])
-    sampler = sampler or TrialSampler()
     # One pair of sides serves every check of the run, so each
-    # (side, j, radius) plan is built once per run.  A spec whose
-    # smallest boxes are too large is refused before any draw; the plans
-    # of the first radius are kept in their sides for the rows.
+    # (side, j, radius) plan is built once per run.
     sides = _side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings)
-    for tops, _, lam, plans, radii in sides:
-        for j, top in enumerate(tops):
-            plans[j, radii[0]] = _plan(top, radii[0], lam)
+    sampler = sampler or TrialSampler()
     rng = sampler.make_rng()
 
     def draw():
@@ -825,7 +790,7 @@ def verify(
     # rewound to just after that trial's draw and the attempts run one
     # at a time, as resampling needs; the chunk's later first attempts,
     # at most trials - 1, are dropped.
-    step = max(1, _theta._STACK_POINTS // entries)
+    step = max(1, _theta._STACK_POINTS // (spec.n * spec.lam ** (2 * spec.genus)))
     naive, reports = spec.mode is CoefficientMode.NAIVE, []
     for start in range(0, trials, step):
         draws, states = [], []
@@ -855,11 +820,11 @@ def _check(
     bit that of lhs_value and rhs_value.  The rows are built from each
     trial's argument block with sides, the theta._side of mu and of nu,
     which a run derives once and hands to each of its checks (a check
-    given none derives its own), so each (side, j, radius) plan is built
-    once per run.  A trial whose search fails, or whose box at some
-    radius is over theta's cap, is compared as NaN sides, and so is
-    "eval-failed" with NaN errors; a ValueError is raised at the first
-    row that raises it."""
+    given none derives its own, refused as a run's are), so each
+    (side, j, radius) plan is built once per run.  A trial whose search
+    fails, or whose box at some radius is over theta's cap, is compared
+    as NaN sides, and so is "eval-failed" with NaN errors; a ValueError
+    is raised at the first row that raises it."""
     sides = sides or (_side(spec.mu, 1, settings), _side(spec._nu, spec.lam, settings))
     # apply_to_args's one (n, n) @ (n, g) product per trial gives w = z S_n.
     smith, left, right, failed = smith_matrix(spec.n).as_float().T, [], [], set()

@@ -65,10 +65,12 @@ A shift table's padded buffers are made on each call, as its grid of
 terms is from the per-axis v, so no cached array is longer than the
 points of its axis or lambda.  The pads and the phases are exact for a
 top of any size; a large mu'' still loses the digits of its float.
-_plan refuses a box of more than _MAX_BOX_POINTS points with
-_OversizedBox, a TruncationError, before any array of it, even the v
-of one axis, is allocated: an _Axis is built holding only its range of
-k.
+One rule refuses, with _Oversized, a TruncationError, whatever is too
+large to hold: _plan refuses a box of more than _MAX_BOX_POINTS points
+before any array of it, even the v of one axis, is allocated, as an
+_Axis is built holding only its range of k; and _side, which every row
+builder calls first, builds the plans of the first radius and then
+refuses n shift tables that would not fit in _MAX_SIDE_BYTES.
 
 theta() sums one row and builds none: after its checks (_check_row)
 and its search (_search), _box_sum forms the shift z + mu'' by the
@@ -166,12 +168,24 @@ _PLAN_CACHE_SIZE = 256
 # the zero-padded halving buffer (16 to 32 bytes), a shift table its
 # terms and then each fold's padded buffer (_fold).  At g = 1 to 3, with
 # the plan's axes built, tests/test_stacked_rows.py reads 48.6 to 49.0
-# bytes a point for theta()'s sum of just over 2^19 points and 42.7 to
+# bytes a point for theta()'s sum of just over 2^19 points and 48.0 to
 # 48.3 for lam = 3 shift tables of about 2^19 points, alone or two
 # stacked.  _plan refuses a box of more than _MAX_BOX_POINTS points,
 # which would need over 1 GiB at 50 bytes a point, before any array of
 # it is allocated.
 _MAX_BOX_POINTS = 2**30 // 50
+# A relation check holds a side's n shift tables, lam^(2g) complex
+# entries of 16 bytes each, until the side is summed, and one stack's
+# fold adds its temporaries to that.  tracemalloc reads 64.0 to 64.2
+# bytes per entry for one table at g = 1, lam = 1000 and 3000, and 17.0
+# to 21.5 per held entry for a one-trial verify at (n, g) = (199, 1),
+# (23, 2), (9, 3) and (11, 3); tests/test_stacked_rows.py checks the
+# rule at lam = 1000 and the first three.  _side refuses n tables that
+# would need more than _MAX_SIDE_BYTES at _HELD_BYTES per held entry and
+# _FOLD_BYTES per entry of one table: (13, 3) and (401, 1) are refused,
+# (11, 3) and (199, 1) run, and one table at g = 1 runs up to lam = 3596.
+_MAX_SIDE_BYTES = 2**30
+_HELD_BYTES, _FOLD_BYTES = 18, 65
 # A lattice sum exponentiates only the terms whose computed exponent has
 # a real part above _SKIP_EXPONENT = T (_grid_terms): a term below about
 # e^T = 1.9e-22 in modulus is left out of the sum and counted in its
@@ -204,19 +218,14 @@ class TruncationError(ArithmeticError):
         self.radius = radius
 
 
-class _OversizedBox(TruncationError):
-    """The box of a lattice sum has more than _MAX_BOX_POINTS points, so
-    it is refused before any of its arrays is allocated.  best_bound is
-    inf, as no sum is taken."""
+class _Oversized(TruncationError):
+    """A box over _MAX_BOX_POINTS points, or a side whose shift tables
+    would not fit in _MAX_SIDE_BYTES, refused before any of its arrays is
+    allocated.  best_bound is inf, as no sum is taken."""
 
-    def __init__(self, points: int, radius: int):
-        ArithmeticError.__init__(
-            self,
-            f"the box at radius {radius} has {points} points, "
-            f"above the cap of {_MAX_BOX_POINTS} points",
-        )
+    def __init__(self, message: str, radius: int):
+        ArithmeticError.__init__(self, message)
         self.target, self.best_bound, self.radius = TARGET_ABS_ERROR, math.inf, radius
-        self.points = points
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,12 +433,13 @@ _axis = functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)(_Axis)
 
 def _plan(top: Sequence[Fraction], radius: int, lam: int) -> tuple[_Axis, ...]:
     """The axes of the sum over top + (1/lam) Z^g, |v|_inf <= radius, top
-    a sequence of exact rationals, from _axis.  Raises _OversizedBox for
-    a box of more than _MAX_BOX_POINTS points."""
+    a sequence of exact rationals, from _axis.  Raises _Oversized for a
+    box of more than _MAX_BOX_POINTS points."""
     axes = tuple(_axis(m.numerator, m.denominator, radius, lam) for m in top)
     points = math.prod(len(axis.ks) for axis in axes)
     if points > _MAX_BOX_POINTS:
-        raise _OversizedBox(points, radius)
+        raise _Oversized(f"the box at radius {radius} has {points} points, "
+                         f"above the cap of {_MAX_BOX_POINTS} points", radius)
     return axes
 
 
@@ -708,11 +718,22 @@ class _Row(tuple):
 def _side(chars: Sequence[Characteristic], lam: int, settings: EvalSettings) -> tuple:
     """What _block_rows takes from the characteristics mu_j alone, in its
     order: their tops, their float bottoms as an (n, g) array, lam, a
-    dict for the plan of each (j, radius), and the radii the search
-    tries (settings._radii).  A caller derives a side once and hands it
-    to every block it builds, so each plan is built once."""
+    dict for the plan of each (j, radius), holding those of the first
+    radius the search tries, and those radii (settings._radii).  A caller
+    derives a side once and hands it to every block it builds, so each
+    plan is built once.  Raises _Oversized, before any array of a sum is
+    allocated, for a box of the first radius over _MAX_BOX_POINTS
+    (_plan), and then for n shift tables of lam^(2g) entries each that
+    would need more than _MAX_SIDE_BYTES."""
+    tops, radius = [m.top for m in chars], settings._radii[0]
+    plans = {(j, radius): _plan(top, radius, lam) for j, top in enumerate(tops)}
+    entries = lam ** (2 * len(tops[0]))
+    need = (_HELD_BYTES * len(tops) + _FOLD_BYTES) * entries
+    if need > _MAX_SIDE_BYTES:
+        raise _Oversized(f"{len(tops)} shift tables of {entries} entries would need {need} "
+                         f"bytes, above the cap of {_MAX_SIDE_BYTES} bytes", radius)
     bottoms = np.array([[float(v) for v in m.bottom] for m in chars])
-    return [m.top for m in chars], bottoms, lam, {}, settings._radii
+    return tops, bottoms, lam, plans, settings._radii
 
 
 def _block_rows(
@@ -860,7 +881,6 @@ def _fold(plans: Sequence[tuple[_Axis, ...]], v: Sequence[np.ndarray], shift: np
     lam, count, g = plans[0][0].lam, len(plans), len(plans[0])
     b = np.arange(lam)
     roots = np.exp((TWO_PI * 1j / lam**2) * np.arange(lam**2))
-    dft = roots[lam * (np.outer(b, b) % lam)]
     x = np.moveaxis(_grid_terms(v, shift, tau), -1, 0)
     for axes in zip(*plans):
         # x is (row, k, rest) and leaves as (row, rest, b, c); u blocks
@@ -872,9 +892,11 @@ def _fold(plans: Sequence[tuple[_Axis, ...]], v: Sequence[np.ndarray], shift: np
         slots[np.arange(count), [axis.ks.start % lam for axis in axes]] = x
         x = buf.reshape(count, u, -1).transpose(0, 2, 1)
         del buf, slots  # the terms, and then the buffer, go once read
-        # Block u of row r holds k = lam (q + u) + c, q = k0 div lam.
+        # Block u of row r holds k = lam (q + u) + c, q = k0 div lam.  Its
+        # e[(q + u) b / lam] are gathered from roots; a named index would
+        # stay alive through the gather, 8 more bytes a point at lam = 3.
         q = [axis.ks.start // lam % lam for axis in axes]
-        x = np.matmul(x, dft[np.add.outer(q, range(u)) % lam])
+        x = np.matmul(x, roots[lam * (np.multiply.outer(np.add.outer(q, range(u)) % lam, b) % lam)])
         x = np.moveaxis(x.reshape((count, lam) + rest + (lam,)), 1, -1)
     for a, axes in enumerate(zip(*plans)):
         twiddle = roots[np.outer(b, b)] * np.stack([axis.phase for axis in axes])[:, :, None]

@@ -65,6 +65,10 @@ class TransformMatrix:
         return tuple(self.entries[j][k] for j in range(self.n))
 
 
+# One relation uses one n, and the benchmark at most six; a kept matrix
+# holds n^2 references to two shared Fractions, 78 kB at n = 96.  A call
+# that raises is not kept.
+@functools.lru_cache(maxsize=16)
 def smith_matrix(n: int) -> TransformMatrix:
     """The n x n involution with diagonal (2-n)/n and off-diagonal 2/n.
 
@@ -74,13 +78,6 @@ def smith_matrix(n: int) -> TransformMatrix:
     """
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    return _smith_matrix(n)
-
-
-# One relation uses one n, and the benchmark at most six; a kept matrix
-# holds n^2 references to two shared Fractions, 78 kB at n = 96.
-@functools.lru_cache(maxsize=16)
-def _smith_matrix(n: int) -> TransformMatrix:
     d, o = Fraction(2 - n, n), Fraction(2, n)
     # The diagonal and the off-diagonal entries of M @ M.
     if d * d + (n - 1) * o * o != 1 or 2 * d * o + (n - 2) * o * o != 0:

@@ -71,7 +71,8 @@ def test_naive_mode_gives_the_reports_of_one_attempt_at_a_time(gap, seed, cap, s
 @pytest.mark.parametrize("trials", [1, 5, 40])
 def test_a_chunk_builds_each_plan_once(trials, settings, monkeypatch):
     # At this tau the 240 rows of 40 trials need radius 6 or 8, so the
-    # chunk builds 12 plans; one plan per row would be 240.
+    # chunk builds 12 plans besides the 6 of radius 4; one plan per row
+    # would be 240.
     tau = PeriodMatrix(np.array([[0.1 + 0.35j]]))
     spec = RelationSpec.create(3, 1, _mu("nonstandard", 3, 1, np.random.default_rng(1)))
     sampler = TrialSampler(11)
@@ -85,7 +86,8 @@ def test_a_chunk_builds_each_plan_once(trials, settings, monkeypatch):
     monkeypatch.setattr(theta_module, "_plan", lambda *args: plans.append(args) or plan(*args))
     reports = relations._check(spec, draws, settings)
     assert all(r.status == "ok" for r in reports)
-    assert len(plans) <= 2 * spec.n * len(radii)
+    # The sides the check derives hold the 2n plans of the first radius.
+    assert len(plans) <= 2 * spec.n * len(radii) + 2 * spec.n
     if trials == 40:
         assert len(radii) > 1
 
@@ -95,7 +97,8 @@ def test_a_run_builds_each_plan_once(monkeypatch):
     # checked in 3 chunks of 5.  With random tops k/4 the 10 rows of a
     # trial use up to 20 distinct axes per radius, more than the axis
     # cache holds, yet each (side, j, radius) plan is built once in the
-    # run, besides the 2n plans of the refusal check before any draw.
+    # run, besides the 2n plans of the first radius that the sides hold
+    # before any draw.
     rng = np.random.default_rng(4)
     mu = [Characteristic(tuple(F(int(k), 4) for k in rng.integers(-8, 8, 2)),
                          tuple(F(int(k), 4) for k in rng.integers(-8, 8, 2))) for _ in range(5)]
@@ -110,7 +113,6 @@ def test_a_run_builds_each_plan_once(monkeypatch):
     monkeypatch.setattr(theta_module, "_search",
                         lambda *args: radii.add(search(*args)[0]) or search(*args))
     monkeypatch.setattr(theta_module, "_plan", recording_plan)
-    monkeypatch.setattr(relations, "_plan", recording_plan)
     monkeypatch.setattr(relations, "_check", lambda spec, draws, *args:
                         checked.append(len(draws)) or check(spec, draws, *args))
     reports = verify(spec, 15, sampler=TrialSampler(2))

@@ -345,6 +345,25 @@ def test_a_box_at_the_cap_would_fit_in_1_gib(g, monkeypatch):
     assert max(figures) <= 2**30 / theta_module._MAX_BOX_POINTS
 
 
+def test_a_side_at_the_cap_would_fit_in_1_gib():
+    """One shift table at g = 1, lam = 1000, peaks at about 64 bytes per
+    entry, and a one-trial verify at (199, 1), (23, 2) and (9, 3) at 17
+    to 22 bytes per held right-side entry: each within the bytes that
+    _side's rule counts for its n tables of lam^(2g) entries, so a side
+    the rule admits fits in 1 GiB."""
+    held, fold = theta_module._HELD_BYTES, theta_module._FOLD_BYTES
+    assert theta_module._MAX_SIDE_BYTES == 2**30
+    tau = PeriodMatrix(np.array([[0.1 + 1.1j]]))
+    table, peak = _peak(theta_shift_table, Characteristic.zero(1), 0.1, tau, 1000)
+    assert table.shape == (10**6,)
+    assert peak <= (held + fold) * 10**6
+    for n, g in (199, 1), (23, 2), (9, 3):
+        spec = RelationSpec.create(n, g)
+        reports, peak = _peak(verify, spec, 1)
+        assert reports[0].status == "ok"
+        assert peak <= (held * n + fold) * spec.lam ** (2 * g)
+
+
 def test_a_genus_one_axis_over_the_cap_is_refused_before_it_is_allocated():
     # At genus 1 the box is one axis: at lam = 3e6 and radius 4 it has
     # 24e6 + 1 points, whose v alone would take 192 MB.

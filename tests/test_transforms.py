@@ -12,7 +12,6 @@ from thetarel import (
     jacobi_a_matrix,
     smith_matrix,
 )
-from thetarel.transforms import _smith_matrix
 
 F = Fraction
 
@@ -69,7 +68,7 @@ def test_smith_matrix_squares_to_the_identity_exactly(n):
 def test_smith_matrix_cache_is_bounded():
     for n in range(2, 40):
         smith_matrix(n)
-    assert _smith_matrix.cache_info().currsize == _smith_matrix.cache_info().maxsize == 16
+    assert smith_matrix.cache_info().currsize == smith_matrix.cache_info().maxsize == 16
     # The O(n^3) product of the constructor is not run: n = 96 took
     # seconds with it.
     assert smith_matrix(96).column(0)[:2] == (F(-47, 48), F(1, 48))

@@ -34,8 +34,9 @@ not fit in int64), and at (n, g) = (4, 2) with 30000000001/2,1/2;0,1/2;
 all other --mu are zero, and each must pass.  Then comes a large n,
 emit --n 96 --format text, whose 96 x 96 Smith matrix the command line
 builds before it writes anything, then verify --n 97 --trials 1, whose
-shift tables have lambda = 97, and verify --n 13 --g 3 --trials 1,
-whose right side of 13^7 shift-table entries a trial is refused before
+shift tables have lambda = 97, and verify --n 13 --g 3 --trials 1 and
+verify --n 401 --trials 1, whose shift tables of a trial, 13 of 13^6
+entries and 401 of 401^2, are too large to hold and are refused before
 anything is drawn (exit 2), and last a large genus: emit at n = 2
 (lambda = 1, one term) with g = 65 in text and g = 200 in JSON, more
 axes than a numpy array has dimensions, then verify at g = 12 and
@@ -201,7 +202,8 @@ LARGE_TOPS = [
 
 LARGE_N = [["emit", "--n", "96", "--format", "text"],
            ["verify", "--n", "97", "--trials", "1"],
-           ["verify", "--n", "13", "--g", "3", "--trials", "1"]]
+           ["verify", "--n", "13", "--g", "3", "--trials", "1"],
+           ["verify", "--n", "401", "--trials", "1"]]
 
 LARGE_G = [["emit", "--n", "2", "--g", "65", "--format", "text"],
            ["emit", "--n", "2", "--g", "200", "--format", "json"],
